@@ -1,6 +1,7 @@
 // Microbenchmarks of the hot kernels inside MARIOH's reconstruction loop:
 // MHH computation (Eq. (1)), maximal-clique enumeration, feature
-// extraction, filtering, and clique peeling — each on both the mutable
+// extraction, filtering, clique peeling, and the clique classifier's MLP
+// fit and batched scoring — the graph kernels on both the mutable
 // hash-map path and the CSR snapshot fast path, with thread sweeps for the
 // parallel kernels. google-benchmark based; pass
 // `--benchmark_out=bench_micro.json --benchmark_out_format=json` to record
@@ -8,12 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/classifier.hpp"
 #include "core/features.hpp"
 #include "core/filtering.hpp"
 #include "gen/hypercl.hpp"
 #include "obs/metrics.hpp"
 #include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
+#include "ml/mlp.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -292,6 +295,78 @@ void BM_ParallelScoringScaling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelScoringScaling)->Arg(1)->Arg(2)->Arg(4);
+
+// ---- Clique classifier: MLP fit and batched scoring --------------------
+// Guards for the batched MLP: the fit at the eu training shape (6708
+// examples x 23 multiplicity-aware features, default hidden {64, 32},
+// batch 64), and ScoreAll's blocked PredictBatch path against the
+// per-clique Score loop it replaced.
+
+void BM_MlpFit(benchmark::State& state) {
+  const size_t rows = 6708;
+  const size_t dim = 23;
+  marioh::util::Rng rng(11);
+  marioh::la::Matrix x(rows, dim);
+  std::vector<double> y(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < dim; ++j) x(i, j) = rng.Normal();
+    y[i] = x(i, 0) + x(i, 1) > 0.0 ? 1.0 : 0.0;
+  }
+  marioh::ml::MlpOptions options;  // the classifier's defaults
+  options.epochs = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    marioh::ml::Mlp mlp(dim, 1, options);
+    benchmark::DoNotOptimize(mlp.Fit(x, y));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_MlpFit)->Arg(3)->Unit(benchmark::kMillisecond);
+
+/// A classifier trained on a small synthetic source pair.
+marioh::core::CliqueClassifier TrainedClassifier() {
+  marioh::util::Rng rng(21);
+  marioh::Hypergraph source =
+      marioh::gen::HyperClLike(60, 120, 3.0, 0.7, &rng);
+  marioh::core::CliqueClassifier classifier(
+      marioh::core::FeatureMode::kMultiplicityAware, {});
+  marioh::util::Rng train_rng(22);
+  classifier.Train(source.Project(), source, &train_rng);
+  return classifier;
+}
+
+void BM_ScoreAll(benchmark::State& state) {
+  marioh::core::CliqueClassifier classifier = TrainedClassifier();
+  CsrGraph csr(MakeGraph(800, 2400));
+  marioh::CliqueStore cliques = marioh::EnumerateMaximalCliques(csr).cliques;
+  int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        classifier.ScoreAll(csr, cliques, /*is_maximal=*/true, threads));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cliques.size()));
+}
+BENCHMARK(BM_ScoreAll)->Arg(1)->Arg(4)->UseRealTime();
+
+// Baseline: the same scores through one Score call (and one single-row
+// forward pass) per clique.
+void BM_ScoreAllPerClique(benchmark::State& state) {
+  marioh::core::CliqueClassifier classifier = TrainedClassifier();
+  CsrGraph csr(MakeGraph(800, 2400));
+  marioh::CliqueStore cliques = marioh::EnumerateMaximalCliques(csr).cliques;
+  int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    std::vector<double> scores(cliques.size());
+    marioh::util::ParallelFor(cliques.size(), threads, [&](size_t i) {
+      scores[i] = classifier.Score(csr, cliques[i], /*is_maximal=*/true);
+    });
+    benchmark::DoNotOptimize(scores);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cliques.size()));
+}
+BENCHMARK(BM_ScoreAllPerClique)->Arg(1)->Arg(4)->UseRealTime();
 
 // ---- Observability overhead guards --------------------------------------
 // The obs instruments sit at stage/job granularity, never inside the

@@ -673,11 +673,12 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
         ++totals_.cancelled;
         preempted = true;
       } else if (status.code() == StatusCode::kDeadlineExceeded &&
-                 job->cancel.reason() == util::CancelReason::kDeadline) {
-        // The *hard* deadline tripped the token mid-run. (A plain
-        // kDeadlineExceeded without a tripped token is the soft
-        // time_budget_seconds gate refusing a later stage — that run
-        // produced and kept nothing extra, but it was not preempted.)
+                 job->cancel.deadline_passed()) {
+        // The *hard* deadline tripped the token mid-run — even if a
+        // Cancel() landed after the trip, which reason() would report
+        // first. (A plain kDeadlineExceeded without a passed deadline is
+        // the soft time_budget_seconds gate refusing a later stage — that
+        // run produced and kept nothing extra, but it was not preempted.)
         job->state = JobState::kDeadlineExceeded;
         ++totals_.deadline_exceeded;
         preempted = true;

@@ -236,13 +236,16 @@ Status Session::Train(const ProjectedGraph& g_source,
   MARIOH_RETURN_IF_ERROR(BeginStage("train"));
   obs::TraceSpan span("session.train", info_.name);
   util::Timer watch;
+  trained_ = false;
   method_->Train(g_source, h_source);
-  trained_ = true;
   EndStage("train", watch.Seconds());
   if (util::ShouldStop(options_.cancel)) {
+    // The kernels may have stopped mid-fit: the model is not trustworthy,
+    // so Reconstruct keeps refusing until a Train completes.
     return StatusForTrip(options_.cancel->reason(), info_.name,
                          "during stage 'train'");
   }
+  trained_ = true;
   return Status::Ok();
 }
 

@@ -23,8 +23,10 @@ CliqueClassifier::CliqueClassifier(FeatureMode mode,
     : extractor_(mode), options_(std::move(options)) {}
 
 void CliqueClassifier::Train(const ProjectedGraph& g_source,
-                             const Hypergraph& h_source, util::Rng* rng) {
+                             const Hypergraph& h_source, util::Rng* rng,
+                             const util::CancelToken* cancel) {
   MARIOH_CHECK_GT(h_source.num_unique_edges(), 0u);
+  mlp_.reset();
 
   // Positive examples: unique source hyperedges (optionally sub-sampled for
   // the semi-supervised setting), which are cliques of G_S by construction.
@@ -48,8 +50,12 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   // Maximality oracle for feature computation: the maximal cliques of
   // G_S, materialized out of the arena because the hash-set oracle and
   // the random sub-clique sampling below need owning sets.
-  std::vector<NodeSet> max_cliques =
-      EnumerateMaximalCliques(g_source).cliques.ToNodeSets();
+  CliqueOptions clique_options;
+  clique_options.cancel = cancel;
+  MaximalCliqueResult enumerated =
+      EnumerateMaximalCliques(g_source, clique_options);
+  if (enumerated.cancelled) return;
+  std::vector<NodeSet> max_cliques = enumerated.cliques.ToNodeSets();
   std::unordered_set<NodeSet, util::VectorHash> maximal_set(
       max_cliques.begin(), max_cliques.end());
 
@@ -118,8 +124,10 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   la::Matrix x(n, extractor_.dim());
   std::vector<double> y(n, 0.0);
   size_t row = 0;
+  util::CancelChecker checker(cancel);
   auto fill = [&](const std::vector<NodeSet>& cliques, double label) {
     for (const NodeSet& q : cliques) {
+      if (checker.ShouldStop()) return;
       la::Vector f = extractor_.Extract(g_source, q,
                                         maximal_set.count(q) > 0);
       std::copy(f.begin(), f.end(), x.Row(row));
@@ -129,14 +137,18 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   };
   fill(positives, 1.0);
   fill(negatives, 0.0);
+  if (checker.ShouldStop()) return;
   MARIOH_CHECK_EQ(row, n);
 
   scaler_.Fit(x);
   scaler_.Transform(&x);
 
-  ml::MlpOptions mlp_options = options_.mlp;
-  mlp_ = std::make_unique<ml::Mlp>(extractor_.dim(), 1, mlp_options);
-  mlp_->Fit(x, y);
+  auto mlp = std::make_unique<ml::Mlp>(extractor_.dim(), 1, options_.mlp);
+  mlp->Fit(x, y, cancel);
+  // A tripped token leaves the network part-trained: drop it, so
+  // trained() stays false and nothing scores with it.
+  if (util::ShouldStop(cancel)) return;
+  mlp_ = std::move(mlp);
   train_counts_ = {positives.size(), negatives.size()};
 }
 
@@ -156,15 +168,38 @@ double CliqueClassifier::Score(const CsrGraph& g, CliqueView clique,
   return mlp_->Predict(f);
 }
 
-std::vector<double> CliqueClassifier::ScoreAll(
-    const CsrGraph& g, std::span<const NodeSet> cliques, bool is_maximal,
+template <typename Cliques>
+std::vector<double> CliqueClassifier::ScoreBlocks(
+    const CsrGraph& g, const Cliques& cliques, bool is_maximal,
     int num_threads, const util::CancelToken* cancel) const {
   MARIOH_CHECK(trained());
   std::vector<double> scores(cliques.size());
-  util::ParallelFor(cliques.size(), num_threads, cancel, [&](size_t i) {
-    scores[i] = Score(g, cliques[i], is_maximal);
-  });
+  const size_t dim = extractor_.dim();
+  util::ParallelForRanges(
+      cliques.size(), num_threads, [&](size_t begin, size_t end) {
+        util::CancelChecker checker(cancel);
+        la::Matrix features;
+        for (size_t start = begin; start < end; start += kScoreBlock) {
+          if (checker.ShouldStop()) return;
+          const size_t rows = std::min(kScoreBlock, end - start);
+          if (features.rows() != rows) features = la::Matrix(rows, dim);
+          for (size_t r = 0; r < rows; ++r) {
+            la::Vector f = extractor_.Extract(g, cliques[start + r],
+                                              is_maximal);
+            std::copy(f.begin(), f.end(), features.Row(r));
+          }
+          scaler_.Transform(&features);
+          la::Vector p = mlp_->PredictBatch(features);
+          std::copy(p.begin(), p.end(), scores.begin() + start);
+        }
+      });
   return scores;
+}
+
+std::vector<double> CliqueClassifier::ScoreAll(
+    const CsrGraph& g, std::span<const NodeSet> cliques, bool is_maximal,
+    int num_threads, const util::CancelToken* cancel) const {
+  return ScoreBlocks(g, cliques, is_maximal, num_threads, cancel);
 }
 
 std::vector<double> CliqueClassifier::ScoreAll(const CsrGraph& g,
@@ -173,12 +208,7 @@ std::vector<double> CliqueClassifier::ScoreAll(const CsrGraph& g,
                                                int num_threads,
                                                const util::CancelToken*
                                                    cancel) const {
-  MARIOH_CHECK(trained());
-  std::vector<double> scores(cliques.size());
-  util::ParallelFor(cliques.size(), num_threads, cancel, [&](size_t i) {
-    scores[i] = Score(g, cliques[i], is_maximal);
-  });
-  return scores;
+  return ScoreBlocks(g, cliques, is_maximal, num_threads, cancel);
 }
 
 }  // namespace marioh::core

@@ -48,9 +48,13 @@ class CliqueClassifier {
 
   /// Trains on the source pair. Positives are the (sub-sampled) unique
   /// hyperedges of `h_source`; negatives are maximal cliques of `g_source`
-  /// and random sub-cliques of them that are not hyperedges.
+  /// and random sub-cliques of them that are not hyperedges. `cancel`
+  /// (null = non-cancellable) is polled — and its heartbeat beaten — by
+  /// the source clique enumeration, per training example's features and
+  /// once per MLP mini-batch; a Train it interrupts leaves the classifier
+  /// untrained rather than half-fitted.
   void Train(const ProjectedGraph& g_source, const Hypergraph& h_source,
-             util::Rng* rng);
+             util::Rng* rng, const util::CancelToken* cancel = nullptr);
 
   /// Prediction score M(Q) in (0, 1) for a canonical NodeSet or
   /// CliqueView. Must be trained first.
@@ -62,12 +66,15 @@ class CliqueClassifier {
   double Score(const CsrGraph& g, CliqueView clique, bool is_maximal) const;
 
   /// Batched scoring against a frozen snapshot: element i is
-  /// `Score(g, cliques[i], is_maximal)`. Scores are independent pure
-  /// functions of the snapshot, computed into per-index slots with
-  /// `util::ParallelFor` (0 = all cores) — identical for any thread
-  /// count. A tripped `cancel` token (null = non-cancellable) stops each
-  /// range within one clique's scoring; the returned vector then holds
-  /// unwritten (zero) slots and must be discarded by the caller.
+  /// `Score(g, cliques[i], is_maximal)`, bit for bit. Each thread's range
+  /// (`util::ParallelForRanges`, 0 = all cores) is scored in blocks of
+  /// `kScoreBlock` cliques: the block's features go into one small
+  /// buffer, are scaled, and pass through one `Mlp::PredictBatch`. A
+  /// row's score depends only on its own features, so scores are
+  /// identical for any thread count and block size. A tripped `cancel`
+  /// token (null = non-cancellable) stops each range within one block;
+  /// the returned vector then holds unwritten (zero) slots and must be
+  /// discarded by the caller.
   std::vector<double> ScoreAll(const CsrGraph& g,
                                std::span<const NodeSet> cliques,
                                bool is_maximal, int num_threads,
@@ -90,7 +97,18 @@ class CliqueClassifier {
 
   const FeatureExtractor& extractor() const { return extractor_; }
 
+  /// Cliques per ScoreAll block: large enough to amortize the batched
+  /// forward pass, small enough that no whole-store feature matrix is
+  /// ever built.
+  static constexpr size_t kScoreBlock = 64;
+
  private:
+  /// Shared body of the two ScoreAll overloads.
+  template <typename Cliques>
+  std::vector<double> ScoreBlocks(const CsrGraph& g, const Cliques& cliques,
+                                  bool is_maximal, int num_threads,
+                                  const util::CancelToken* cancel) const;
+
   FeatureExtractor extractor_;
   ClassifierOptions options_;
   ml::StandardScaler scaler_;

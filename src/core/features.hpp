@@ -7,8 +7,8 @@
 /// hash-map `ProjectedGraph` or an immutable `CsrGraph` snapshot; both
 /// paths produce bit-identical vectors (work caps truncate neighbor sets
 /// in ascending-id order on both). The CSR overload is the reconstruction
-/// loop's hot path — `CliqueClassifier::ScoreAll` calls it per clique
-/// inside one parallel loop over the frozen per-iteration snapshot —
+/// loop's hot path — `CliqueClassifier::ScoreAll` calls it per clique,
+/// block by block, inside one parallel loop over the frozen snapshot —
 /// and `ExtractAll` exposes the same batched parallel extraction
 /// standalone (benches, tests, batch training).
 

@@ -32,10 +32,17 @@ void Marioh::Train(const ProjectedGraph& g_source,
                    const Hypergraph& h_source) {
   util::ScopedStage stage(&timer_, "train");
   util::Rng rng(options_.seed);
-  classifier_.Train(g_source, h_source, &rng);
+  classifier_.Train(g_source, h_source, &rng, options_.cancel);
 }
 
 Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
+  // A tripped token may have interrupted Train and left no model: stop
+  // at this first preemption point, flagged like any mid-run trip.
+  if (util::ShouldStop(options_.cancel)) {
+    last_stats_ = {};
+    last_stats_.cancelled = true;
+    return Hypergraph(g_target.num_nodes());
+  }
   MARIOH_CHECK(classifier_.trained());
   ProjectedGraph g = g_target;  // working copy G'
   Hypergraph h(g.num_nodes());

@@ -57,7 +57,10 @@ struct MariohOptions {
   /// test_cancellation). After a trip the returned hypergraph is partial
   /// — check `ReconstructionStats::cancelled` and discard it
   /// (api::Session does, mapping the trip to kCancelled /
-  /// kDeadlineExceeded). The token must outlive the Reconstruct call.
+  /// kDeadlineExceeded). Train polls it too (source enumeration, feature
+  /// rows, once per MLP mini-batch) and, once it trips, leaves the
+  /// classifier untrained; a Reconstruct under a tripped token returns at
+  /// once, flagged cancelled. The token must outlive the calls it gates.
   const util::CancelToken* cancel = nullptr;
 };
 

@@ -35,18 +35,6 @@ Matrix Matrix::Transposed() const {
   return out;
 }
 
-Vector Matrix::Apply(const Vector& x) const {
-  MARIOH_CHECK_EQ(cols_, x.size());
-  Vector y(rows_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* row = Row(i);
-    double s = 0.0;
-    for (size_t j = 0; j < cols_; ++j) s += row[j] * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
 void Matrix::Scale(double s) {
   for (double& v : data_) v *= s;
 }

@@ -44,9 +44,6 @@ class Matrix {
   /// Transposed copy.
   Matrix Transposed() const;
 
-  /// Matrix-vector product.
-  Vector Apply(const Vector& x) const;
-
   /// In-place scalar multiply.
   void Scale(double s);
 

@@ -69,11 +69,16 @@ class CancelToken {
 
   CancelReason reason() const {
     if (cancelled()) return CancelReason::kCancelled;
-    int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
-    if (deadline != 0 && NowNanos() >= deadline) {
-      return CancelReason::kDeadline;
-    }
+    if (deadline_passed()) return CancelReason::kDeadline;
     return CancelReason::kNone;
+  }
+
+  /// True once an armed deadline has passed, even if Cancel() was also
+  /// called (which reason() reports first). Lets an owner attribute a
+  /// hard-deadline status to its deadline when a Cancel lands after it.
+  bool deadline_passed() const {
+    int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
+    return deadline != 0 && NowNanos() >= deadline;
   }
 
   /// Publishes liveness: bumps the heartbeat counter the service

@@ -171,5 +171,45 @@ TEST(Cancellation, MidReconstructCancelLandsWellBeforeCompletion) {
       << "uncancelled run took " << full_seconds << "s";
 }
 
+// Training is cancellable too: the MLP fit polls the token once per
+// mini-batch, so a trip mid-Train returns kCancelled in a fraction of the
+// uncancelled Train time — and leaves no half-fitted model behind, so a
+// later Reconstruct is refused instead of scoring with it.
+TEST(Cancellation, MidTrainCancelLandsAndLeavesTheSessionUntrained) {
+  Workload w = MakeWorkload("eu", 5);
+
+  api::SessionOptions options;
+  options.method = "MARIOH";
+  options.marioh.num_threads = 2;
+  api::Session session;
+  ASSERT_TRUE(session.Configure(options).ok());
+  util::Timer uncancelled;
+  ASSERT_TRUE(session.Train(w.g_source, w.split.source).ok());
+  double full_seconds = uncancelled.Seconds();
+
+  util::CancelToken token;
+  options.cancel = &token;
+  ASSERT_TRUE(session.Configure(options).ok());
+  double trip_after = full_seconds / 10.0;
+  std::thread tripper([&token, trip_after] {
+    std::this_thread::sleep_for(std::chrono::duration<double>(trip_after));
+    token.Cancel();
+  });
+  util::Timer cancelled;
+  api::Status status = session.Train(w.g_source, w.split.source);
+  double cancelled_seconds = cancelled.Seconds();
+  tripper.join();
+
+  EXPECT_EQ(status.code(), api::StatusCode::kCancelled) << status.ToString();
+  EXPECT_LT(cancelled_seconds, full_seconds * 0.5)
+      << "uncancelled train took " << full_seconds << "s";
+  EXPECT_GT(token.heartbeat(), 0u);
+
+  api::Status refused = session.Reconstruct(w.g_target);
+  EXPECT_EQ(refused.code(), api::StatusCode::kFailedPrecondition)
+      << refused.ToString();
+  EXPECT_EQ(session.reconstruction(), nullptr);
+}
+
 }  // namespace
 }  // namespace marioh

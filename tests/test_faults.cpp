@@ -329,18 +329,23 @@ TEST_F(FaultsTest, WatchdogCancelsAWedgedJobWithinBoundedLatency) {
 }
 
 // A healthy job under an enabled watchdog is left alone: its heartbeat
-// advances at every kernel poll, so no stall is ever declared.
+// advances at every kernel poll, so no stall is ever declared. A MARIOH
+// job on eu spends most of its time in Train (chiefly the MLP fit, which
+// beats once per mini-batch), far past the stall timeout.
 TEST_F(FaultsTest, WatchdogLeavesHealthyJobsAlone) {
-  eval::PreparedDataset data = SmallDataset();
-  std::shared_ptr<DatasetCache> cache = CacheWithCrime(data);
+  eval::PreparedDataset data =
+      eval::PrepareDataset("eu", /*multiplicity_reduced=*/true, /*seed=*/1);
+  auto cache = std::make_shared<DatasetCache>();
+  ASSERT_TRUE(cache->Insert("eu.train", data.source, data.g_source).ok());
+  ASSERT_TRUE(cache->Insert("eu.target", nullptr, data.g_target).ok());
   ServiceOptions options;
-  options.stall_timeout_seconds = 0.5;
+  options.stall_timeout_seconds = 0.25;
   Service service(cache, options);
 
   ReconstructRequest request;
   request.method = "MARIOH";
-  request.train_dataset = "crime.train";
-  request.target_dataset = "crime.target";
+  request.train_dataset = "eu.train";
+  request.target_dataset = "eu.target";
   request.seed = 3;
 
   StatusOr<JobId> id = service.Submit(request);
@@ -349,6 +354,8 @@ TEST_F(FaultsTest, WatchdogLeavesHealthyJobsAlone) {
   ASSERT_TRUE(job.ok());
   EXPECT_EQ(job->state, JobState::kDone) << job->status.ToString();
   EXPECT_EQ(service.stats().jobs_stalled, 0u);
+  // The premise: Train alone outlasted the stall timeout.
+  EXPECT_GT(job->stage_stats["train"], options.stall_timeout_seconds);
 }
 
 // ---------------------------------------------------------------------

@@ -225,19 +225,29 @@ TEST(HotPathScoring, ScoreAllMatchesScalarScoresForAnyThreadCount) {
   util::Rng train_rng(22);
   classifier.Train(g_source, h_source, &train_rng);
 
-  ProjectedGraph g = RandomGraph(23);
+  // Enough cliques for several full ScoreAll blocks plus a ragged last
+  // one: the batched forward pass per block must reproduce per-clique
+  // Score exactly, for both overloads and any thread count (which moves
+  // the block boundaries).
+  util::Rng target_rng(23);
+  ProjectedGraph g =
+      gen::HyperClLike(200, 420, 3.2, 0.7, &target_rng).Project();
   CsrGraph csr(g);
-  std::vector<NodeSet> cliques = EnumerateMaximalCliques(g).cliques.ToNodeSets();
-  ASSERT_FALSE(cliques.empty());
+  CliqueStore store = EnumerateMaximalCliques(csr).cliques;
+  std::vector<NodeSet> cliques = store.ToNodeSets();
+  const size_t block = core::CliqueClassifier::kScoreBlock;
+  ASSERT_GT(cliques.size(), 3 * block);
+  ASSERT_NE(cliques.size() % block, 0u);
   std::vector<double> scalar;
   scalar.reserve(cliques.size());
   for (const NodeSet& q : cliques) {
     scalar.push_back(classifier.Score(g, q, true));
   }
   for (int threads : {1, 2, 8}) {
-    std::vector<double> batched =
-        classifier.ScoreAll(csr, cliques, true, threads);
-    EXPECT_EQ(batched, scalar) << "threads=" << threads;
+    EXPECT_EQ(classifier.ScoreAll(csr, cliques, true, threads), scalar)
+        << "NodeSet overload, threads=" << threads;
+    EXPECT_EQ(classifier.ScoreAll(csr, store, true, threads), scalar)
+        << "arena overload, threads=" << threads;
   }
 }
 

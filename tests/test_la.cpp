@@ -1,11 +1,15 @@
-// Unit tests for the linear-algebra substrate: dense matrix ops, Jacobi
-// symmetric eigendecomposition, singular values, and k-means.
+// Unit tests for the linear-algebra substrate: dense matrix ops, the
+// ordering-exact blocked GEMM, Jacobi symmetric eigendecomposition,
+// singular values, and k-means.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "la/eigen.hpp"
+#include "la/gemm.hpp"
 #include "la/kmeans.hpp"
 #include "la/matrix.hpp"
 #include "la/svd.hpp"
@@ -53,13 +57,101 @@ TEST(Matrix, TransposeRoundTrip) {
   }
 }
 
-TEST(Matrix, ApplyVector) {
-  Matrix a(2, 2);
-  a(0, 0) = 2; a(0, 1) = 0;
-  a(1, 0) = 1; a(1, 1) = 3;
-  Vector y = a.Apply({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(y[0], 2.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
+// Reference product: one element at a time, summed from 0.0 in ascending
+// k — the order la::Gemm promises to reproduce bit for bit.
+std::vector<double> NaiveProduct(size_t m, size_t n, size_t depth,
+                                 const double* a, size_t a_row_stride,
+                                 size_t a_k_stride, const double* b) {
+  std::vector<double> c(m * n);
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t col = 0; col < n; ++col) {
+      double s = 0.0;
+      for (size_t k = 0; k < depth; ++k) {
+        s += a[r * a_row_stride + k * a_k_stride] * b[k * n + col];
+      }
+      c[r * n + col] = s;
+    }
+  }
+  return c;
+}
+
+std::vector<double> RandomValues(size_t count, util::Rng* rng) {
+  std::vector<double> v(count);
+  for (double& x : v) x = rng->Normal(0.0, 3.0);
+  return v;
+}
+
+void ExpectBitwiseEqual(const std::vector<double>& got,
+                        const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+TEST(Gemm, MatchesNaiveLoopBitwiseOnAwkwardShapes) {
+  util::Rng rng(13);
+  // (m, n, depth): 1x1, remainder rows and columns on both sides of the
+  // 4x4 register block, the MLP's eu training shapes, and depth 0.
+  const size_t shapes[][3] = {{1, 1, 1},  {3, 17, 5},  {65, 23, 64},
+                              {4, 4, 1},  {5, 3, 7},   {64, 64, 23},
+                              {64, 1, 32}, {2, 9, 0},  {17, 65, 33}};
+  for (const auto& shape : shapes) {
+    const size_t m = shape[0], n = shape[1], depth = shape[2];
+    SCOPED_TRACE(testing::Message() << m << "x" << n << " depth " << depth);
+    std::vector<double> a = RandomValues(m * depth, &rng);
+    std::vector<double> b = RandomValues(depth * n, &rng);
+    std::vector<double> c(m * n, -1.0);
+    Gemm(m, n, depth, a.data(), depth, 1, b.data(), n, c.data(), n);
+    ExpectBitwiseEqual(c, NaiveProduct(m, n, depth, a.data(), depth, 1,
+                                       b.data()));
+  }
+}
+
+TEST(Gemm, StridedAReadsTheTransposeWithoutACopy) {
+  // C = Dᵀ · X with D stored row-major as depth x m: A-strides (1, m).
+  util::Rng rng(14);
+  const size_t m = 23, n = 10, depth = 65;
+  std::vector<double> d = RandomValues(depth * m, &rng);
+  std::vector<double> x = RandomValues(depth * n, &rng);
+  std::vector<double> c(m * n);
+  Gemm(m, n, depth, d.data(), 1, m, x.data(), n, c.data(), n);
+  ExpectBitwiseEqual(c, NaiveProduct(m, n, depth, d.data(), 1, m, x.data()));
+
+  // Same product through an explicit transpose copy.
+  Matrix dt(m, depth);
+  for (size_t k = 0; k < depth; ++k) {
+    for (size_t r = 0; r < m; ++r) dt(r, k) = d[k * m + r];
+  }
+  std::vector<double> via_copy(m * n);
+  Gemm(m, n, depth, dt.data(), depth, 1, x.data(), n, via_copy.data(), n);
+  ExpectBitwiseEqual(c, via_copy);
+}
+
+TEST(Gemm, HonorsRowStridesOfBAndC) {
+  // B and C embedded in wider buffers: only their first n columns are
+  // read and written.
+  util::Rng rng(15);
+  const size_t m = 6, n = 5, depth = 4, ldb = 8, ldc = 7;
+  std::vector<double> a = RandomValues(m * depth, &rng);
+  std::vector<double> b = RandomValues(depth * ldb, &rng);
+  std::vector<double> c(m * ldc, 42.0);
+  Gemm(m, n, depth, a.data(), depth, 1, b.data(), ldb, c.data(), ldc);
+  std::vector<double> packed_b(depth * n);
+  for (size_t k = 0; k < depth; ++k) {
+    for (size_t j = 0; j < n; ++j) packed_b[k * n + j] = b[k * ldb + j];
+  }
+  std::vector<double> want =
+      NaiveProduct(m, n, depth, a.data(), depth, 1, packed_b.data());
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t j = 0; j < ldc; ++j) {
+      double got = c[r * ldc + j];
+      if (j < n) {
+        EXPECT_EQ(std::memcmp(&got, &want[r * n + j], sizeof(double)), 0);
+      } else {
+        EXPECT_EQ(got, 42.0);
+      }
+    }
+  }
 }
 
 TEST(Matrix, ScaleAndFrobenius) {

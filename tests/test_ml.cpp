@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "hypergraph/projected_graph.hpp"
 #include "ml/gcn.hpp"
 #include "ml/mlp.hpp"
 #include "ml/scaler.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace marioh::ml {
@@ -163,6 +166,156 @@ TEST(Mlp, OutputsAreProbabilities) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
   }
+}
+
+// Golden outputs. The hex-float constants below were captured from the
+// per-sample implementation (one example forwarded and backpropagated at a
+// time) that the batched GEMM trainer replaced; the batched code must
+// reproduce them bit for bit. The shapes cover both heads, a ragged final
+// batch (n % batch_size != 0) and the no-hidden-layer network.
+
+struct GoldenProblem {
+  la::Matrix x;
+  std::vector<double> y;
+};
+
+GoldenProblem MakeGoldenProblem(size_t n, size_t dim, size_t classes,
+                                uint64_t seed) {
+  util::Rng rng(seed);
+  GoldenProblem p{la::Matrix(n, dim), std::vector<double>(n)};
+  for (size_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      p.x(i, j) = rng.Normal();
+      s += p.x(i, j) * static_cast<double>(j + 1);
+    }
+    if (classes == 1) {
+      p.y[i] = s > 0.0 ? 1.0 : 0.0;
+    } else {
+      p.y[i] = static_cast<double>(rng.UniformIndex(classes));
+      if (s > 1.0) p.y[i] = 0.0;
+    }
+  }
+  return p;
+}
+
+la::Vector GoldenRow(const la::Matrix& x, size_t r) {
+  return la::Vector(x.Row(r), x.Row(r) + x.cols());
+}
+
+struct SigmoidGolden {
+  std::vector<size_t> hidden;
+  size_t n, dim, batch;
+  int epochs;
+  uint64_t seed;
+  double loss;
+  double predict[3];  // rows 0, 7, n - 1
+};
+
+TEST(MlpGolden, SigmoidHeadIsBitIdenticalToPerSampleTraining) {
+  const SigmoidGolden cases[] = {
+      {{16, 8}, 150, 7, 64, 7, 11, 0x1.30317d90f15fbp-1,
+       {0x1.76fc00c14408bp-1, 0x1.bb9510527412dp-1, 0x1.41c98ffb7f9fap-1}},
+      {{}, 70, 4, 32, 4, 21, 0x1.da6f1e21af282p-1,
+       {0x1.53ebf13ef0fa7p-2, 0x1.4205734c6c567p-1, 0x1.a1ce505b67fbbp-3}},
+  };
+  for (const SigmoidGolden& c : cases) {
+    SCOPED_TRACE(testing::Message() << "hidden layers " << c.hidden.size());
+    GoldenProblem p = MakeGoldenProblem(c.n, c.dim, 1, c.seed);
+    MlpOptions options;
+    options.hidden = c.hidden;
+    options.epochs = c.epochs;
+    options.batch_size = c.batch;
+    options.seed = c.seed + 1;
+    Mlp mlp(c.dim, 1, options);
+    EXPECT_EQ(mlp.Fit(p.x, p.y), c.loss);
+    la::Vector batch = mlp.PredictBatch(p.x);
+    const size_t rows[3] = {0, 7, c.n - 1};
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(mlp.Predict(GoldenRow(p.x, rows[i])), c.predict[i]);
+      EXPECT_EQ(batch[rows[i]], c.predict[i]);
+    }
+  }
+}
+
+struct SoftmaxGolden {
+  std::vector<size_t> hidden;
+  size_t n, dim, batch;
+  int epochs;
+  uint64_t seed;
+  double loss;
+  double proba[3][3];  // rows 0, 7, n - 1
+  uint32_t classes[3];
+  size_t histogram[3];  // PredictClasses over every row
+};
+
+TEST(MlpGolden, SoftmaxHeadIsBitIdenticalToPerSampleTraining) {
+  const SoftmaxGolden cases[] = {
+      {{6}, 101, 4, 16, 5, 31, 0x1.627e6d4c384bdp+0,
+       {{0x1.427661bcd5712p-2, 0x1.ccaaf3f7dcaddp-3, 0x1.d73424473c37dp-2},
+        {0x1.830bd2115afeap-4, 0x1.607c2811dbfc8p-1, 0x1.bc8976afe28ebp-3},
+        {0x1.adb92f854a7b1p-2, 0x1.7f9821cb74f8p-2, 0x1.a55d5d5e8119bp-3}},
+       {2, 1, 0},
+       {48, 49, 4}},
+      {{}, 45, 3, 8, 3, 41, 0x1.cface3c36bd1cp+0,
+       {{0x1.5f1517ac92a98p-4, 0x1.38f88b3a6e31cp-1, 0x1.3649a39ffef24p-2},
+        {0x1.79c3acae1eafbp-1, 0x1.38c51f4bfa2e4p-4, 0x1.7c8ebda1882a4p-3},
+        {0x1.4b2036e07f05dp-3, 0x1.45895932285e6p-1, 0x1.9eba6456df80ep-3}},
+       {1, 0, 1},
+       {26, 16, 3}},
+  };
+  for (const SoftmaxGolden& c : cases) {
+    SCOPED_TRACE(testing::Message() << "hidden layers " << c.hidden.size());
+    GoldenProblem p = MakeGoldenProblem(c.n, c.dim, 3, c.seed);
+    MlpOptions options;
+    options.hidden = c.hidden;
+    options.head = Head::kSoftmax;
+    options.epochs = c.epochs;
+    options.batch_size = c.batch;
+    options.seed = c.seed + 1;
+    Mlp mlp(c.dim, 3, options);
+    EXPECT_EQ(mlp.Fit(p.x, p.y), c.loss);
+    std::vector<uint32_t> predicted = mlp.PredictClasses(p.x);
+    const size_t rows[3] = {0, 7, c.n - 1};
+    for (size_t i = 0; i < 3; ++i) {
+      la::Vector proba = mlp.PredictProba(GoldenRow(p.x, rows[i]));
+      for (size_t k = 0; k < 3; ++k) EXPECT_EQ(proba[k], c.proba[i][k]);
+      EXPECT_EQ(predicted[rows[i]], c.classes[i]);
+    }
+    size_t histogram[3] = {0, 0, 0};
+    for (uint32_t k : predicted) ++histogram[k];
+    for (size_t k = 0; k < 3; ++k) EXPECT_EQ(histogram[k], c.histogram[k]);
+  }
+}
+
+TEST(Mlp, UntrippedCancelTokenChangesNoBit) {
+  GoldenProblem p = MakeGoldenProblem(150, 5, 1, 11);
+  MlpOptions options;
+  options.hidden = {8, 4};
+  options.epochs = 7;
+  options.seed = 12;
+  Mlp plain(5, 1, options);
+  Mlp polled(5, 1, options);
+  util::CancelToken token;
+  EXPECT_EQ(plain.Fit(p.x, p.y), polled.Fit(p.x, p.y, &token));
+  EXPECT_GT(token.heartbeat(), 0u);  // one beat per mini-batch
+  la::Vector a = plain.PredictBatch(p.x);
+  la::Vector b = polled.PredictBatch(p.x);
+  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+TEST(Mlp, TrippedCancelTokenStopsFitAtABatchBoundary) {
+  GoldenProblem p = MakeGoldenProblem(150, 5, 1, 11);
+  MlpOptions options;
+  options.epochs = 1000;
+  Mlp mlp(5, 1, options);
+  util::CancelToken token;
+  token.Cancel();
+  EXPECT_EQ(mlp.Fit(p.x, p.y, &token), 0.0);  // no epoch completed
+  // Still a usable network (its initial weights).
+  double prob = mlp.Predict(GoldenRow(p.x, 0));
+  EXPECT_GE(prob, 0.0);
+  EXPECT_LE(prob, 1.0);
 }
 
 ProjectedGraph TwoCliquesGraph() {

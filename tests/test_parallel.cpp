@@ -68,9 +68,12 @@ TEST(CancelToken, CancelAndDeadlineSetReasonOnce) {
   EXPECT_TRUE(token.ShouldStop());
   EXPECT_EQ(token.reason(), CancelReason::kCancelled);
 
-  // An explicit Cancel wins over a deadline that trips later.
+  // An explicit Cancel wins over a deadline that trips later, but the
+  // passed deadline stays observable on its own.
+  EXPECT_FALSE(token.deadline_passed());
   token.SetDeadline(0.0);
   EXPECT_EQ(token.reason(), CancelReason::kCancelled);
+  EXPECT_TRUE(token.deadline_passed());
 
   CancelToken deadline;
   deadline.SetDeadline(0.0);  // already past
