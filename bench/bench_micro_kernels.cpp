@@ -9,9 +9,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/bidirectional.hpp"
 #include "core/classifier.hpp"
 #include "core/features.hpp"
 #include "core/filtering.hpp"
+#include "eval/harness.hpp"
 #include "gen/hypercl.hpp"
 #include "obs/metrics.hpp"
 #include "hypergraph/clique.hpp"
@@ -367,6 +369,60 @@ void BM_ScoreAllPerClique(benchmark::State& state) {
                           static_cast<int64_t>(cliques.size()));
 }
 BENCHMARK(BM_ScoreAllPerClique)->Arg(1)->Arg(4)->UseRealTime();
+
+// ---- One bidirectional-search iteration ---------------------------------
+// Guard for Algorithm 3 end to end: enumeration, batched scoring, Phase 1
+// peels, and Phase 2's sampling, patched-snapshot batched scoring and
+// peels — on an eu target after filtering, at the first iteration's
+// theta, with a classifier trained on the eu source.
+
+/// The eu input, built and trained once for every thread count.
+struct EuIteration {
+  ProjectedGraph g;
+  CsrGraph snapshot;
+  marioh::core::CliqueClassifier classifier{
+      marioh::core::FeatureMode::kMultiplicityAware, {}};
+};
+
+const EuIteration& Eu() {
+  static const EuIteration* eu = [] {
+    auto* out = new EuIteration;
+    marioh::eval::PreparedDataset data =
+        marioh::eval::PrepareDataset("eu", /*multiplicity_reduced=*/false, 1);
+    marioh::util::Rng rng(2);
+    out->classifier.Train(*data.g_source, *data.source, &rng);
+    out->g = *data.g_target;
+    marioh::Hypergraph h(out->g.num_nodes());
+    marioh::core::Filtering(&out->g, &h, 1);
+    out->snapshot = CsrGraph(out->g);
+    return out;
+  }();
+  return *eu;
+}
+
+void BM_BidirectionalIteration(benchmark::State& state) {
+  const EuIteration& eu = Eu();
+  marioh::core::BidirectionalOptions options;  // theta_init, r = 20%
+  options.num_threads = static_cast<int>(state.range(0));
+  marioh::core::BidirectionalStats stats;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ProjectedGraph g = eu.g;
+    marioh::Hypergraph h(g.num_nodes());
+    marioh::util::Rng rng(3);
+    state.ResumeTiming();
+    stats = marioh::core::BidirectionalSearch(&g, eu.snapshot, eu.classifier,
+                                              options, &rng, &h);
+    benchmark::DoNotOptimize(h);
+  }
+  state.counters["subcliques"] =
+      static_cast<double>(stats.subcliques_scored);
+}
+BENCHMARK(BM_BidirectionalIteration)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Observability overhead guards --------------------------------------
 // The obs instruments sit at stage/job granularity, never inside the

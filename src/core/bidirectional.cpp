@@ -16,16 +16,11 @@ struct IndexedScore {
   double score;
 };
 
-/// A Phase-2 sub-clique candidate (sampled, so it owns its nodes).
-struct ScoredSubclique {
-  NodeSet nodes;
-  double score;
-};
-
 /// Sorts by score (descending when `best_first`, else ascending); ties
 /// broken by the node sequence ascending for determinism — the single
 /// source of the selection-order tie-break rule (the lexicographic order
-/// `std::vector<NodeSet>` sorting would give).
+/// `std::vector<NodeSet>` sorting would give), for Phase 1, the Phase 2
+/// pick and the Phase 2 sub-clique order alike.
 void SortByScore(const CliqueStore& store, bool best_first,
                  std::vector<IndexedScore>* cliques) {
   std::sort(cliques->begin(), cliques->end(),
@@ -126,10 +121,15 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
         options.r_percent / 100.0 * static_cast<double>(rest.size())));
     take = std::min(take, rest.size());
 
-    // Phase 2 scores against the *mutable* graph, not the snapshot:
-    // Phase 1 peels already happened and sub-clique scores must see the
-    // residual weights they would be applied to.
-    std::vector<ScoredSubclique> subs;
+    // Phase 2 scores against the graph Phase 1 left behind, not the
+    // iteration snapshot: sub-clique scores must see the residual weights
+    // they would be applied to. Every sample is drawn first, in the order
+    // a sample-then-score loop would draw it (scoring draws nothing from
+    // `rng`); then all are scored in one batched, parallel pass over the
+    // snapshot patched with Phase 1's peels. The patch equals a rebuild,
+    // and CSR scores equal hash-map scores, so this is bit-identical to
+    // scoring each sample on `*g`.
+    CliqueStore samples;
     for (size_t i = 0; i < take && !stats.cancelled; ++i) {
       CliqueView q = maximal[rest[i].index];
       // One random sample per sub-clique size k in [2, |Q|-1].
@@ -140,22 +140,35 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
         }
         NodeSet sub = rng->SampleWithoutReplacement(q, k);
         Canonicalize(&sub);
-        double s = classifier.Score(*g, sub, /*is_maximal=*/false);
-        ++stats.subcliques_scored;
-        if (s > options.theta) subs.push_back({std::move(sub), s});
+        samples.PushClique(sub);
       }
     }
-    std::sort(subs.begin(), subs.end(),
-              [](const ScoredSubclique& a, const ScoredSubclique& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.nodes < b.nodes;
-              });
-    for (const ScoredSubclique& sc : subs) {
+    std::vector<IndexedScore> subs;
+    if (!stats.cancelled && !samples.empty()) {
+      CsrGraph after_phase1(snapshot, *g, stats.touched_nodes,
+                            options.num_threads);
+      std::vector<double> sub_scores =
+          classifier.ScoreAll(after_phase1, samples, /*is_maximal=*/false,
+                              options.num_threads, options.cancel);
+      // A trip leaves unwritten slots: no partial score is consumed.
+      if (util::ShouldStop(options.cancel)) {
+        stats.cancelled = true;
+      } else {
+        stats.subcliques_scored = samples.size();
+        for (size_t i = 0; i < samples.size(); ++i) {
+          if (sub_scores[i] > options.theta) {
+            subs.push_back({static_cast<uint32_t>(i), sub_scores[i]});
+          }
+        }
+      }
+    }
+    SortByScore(samples, /*best_first=*/true, &subs);
+    for (const IndexedScore& sc : subs) {
       if (cancel_check.ShouldStop()) {
         stats.cancelled = true;
         break;
       }
-      if (try_apply(sc.nodes)) ++stats.accepted_phase2;
+      if (try_apply(samples[sc.index])) ++stats.accepted_phase2;
     }
   }
 

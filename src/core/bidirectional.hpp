@@ -48,14 +48,15 @@ struct BidirectionalOptions {
   /// Run Phase 2 (sub-clique exploration). false reproduces MARIOH-B.
   bool explore_subcliques = true;
   /// Threads for the read-only kernels of the iteration — maximal-clique
-  /// enumeration and clique scoring (0 = all cores). Both are pure
-  /// functions of the frozen iteration snapshot, so results are identical
-  /// for any thread count.
+  /// enumeration, clique scoring, Phase 2 sub-clique scoring and the
+  /// post-Phase-1 snapshot patch (0 = all cores). Each is a pure function
+  /// of a frozen snapshot, so results are identical for any thread count.
   int num_threads = 1;
   /// Cooperative stop signal threaded into every kernel of the iteration
-  /// (enumeration roots/emissions, per-clique scoring slots, per-peel
-  /// and per-subclique loop steps). Null = non-cancellable; untriggered
-  /// = bit-identical output.
+  /// (enumeration roots/emissions, scoring blocks of both phases, each
+  /// peel, and each Phase 2 sample draw). A trip during scoring marks the
+  /// iteration cancelled before any partial score is consumed. Null =
+  /// non-cancellable; untriggered = bit-identical output.
   const util::CancelToken* cancel = nullptr;
 };
 
@@ -66,7 +67,7 @@ struct BidirectionalOptions {
 /// iterations that peel little pay almost nothing for snapshot upkeep.
 /// Returns per-iteration statistics, including the nodes whose adjacency
 /// the peels changed. `rng` drives the random sub-clique sampling of
-/// Phase 2.
+/// Phase 2; its draws do not depend on `options.num_threads`.
 BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
                                        const CsrGraph& snapshot,
                                        const CliqueClassifier& classifier,

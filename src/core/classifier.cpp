@@ -61,7 +61,10 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
 
   // Negative sampling: maximal cliques that are not hyperedges, plus random
   // sub-cliques of maximal cliques that are not hyperedges, plus random
-  // edges (size-2 cliques) that are not hyperedges.
+  // edges (size-2 cliques) that are not hyperedges. The sampling loops
+  // poll `checker` per attempt: a trip returns with the classifier still
+  // untrained, and polling draws nothing from `rng`.
+  util::CancelChecker checker(cancel);
   size_t want_neg = static_cast<size_t>(options_.negatives_per_positive *
                                         static_cast<double>(positives.size()));
   want_neg = std::max<size_t>(want_neg, 16);
@@ -88,6 +91,7 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
     }
     while (!large_positives.empty() && negatives.size() < want_hard &&
            hard_attempts < max_hard_attempts) {
+      if (checker.ShouldStop()) return;
       ++hard_attempts;
       const NodeSet& e =
           *large_positives[rng->UniformIndex(large_positives.size())];
@@ -106,6 +110,7 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   const size_t max_attempts = want_neg * 20 + 1000;
   while (negatives.size() < want_neg && attempts < max_attempts &&
          !max_cliques.empty()) {
+    if (checker.ShouldStop()) return;
     ++attempts;
     if (attempts % 2 == 0 && !edges.empty()) {
       const auto& e = edges[rng->UniformIndex(edges.size())];
@@ -124,12 +129,12 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   la::Matrix x(n, extractor_.dim());
   std::vector<double> y(n, 0.0);
   size_t row = 0;
-  util::CancelChecker checker(cancel);
+  FeatureScratch scratch;
   auto fill = [&](const std::vector<NodeSet>& cliques, double label) {
     for (const NodeSet& q : cliques) {
       if (checker.ShouldStop()) return;
       la::Vector f = extractor_.Extract(g_source, q,
-                                        maximal_set.count(q) > 0);
+                                        maximal_set.count(q) > 0, &scratch);
       std::copy(f.begin(), f.end(), x.Row(row));
       y[row] = label;
       ++row;
@@ -178,6 +183,7 @@ std::vector<double> CliqueClassifier::ScoreBlocks(
   util::ParallelForRanges(
       cliques.size(), num_threads, [&](size_t begin, size_t end) {
         util::CancelChecker checker(cancel);
+        FeatureScratch scratch;
         la::Matrix features;
         for (size_t start = begin; start < end; start += kScoreBlock) {
           if (checker.ShouldStop()) return;
@@ -185,7 +191,7 @@ std::vector<double> CliqueClassifier::ScoreBlocks(
           if (features.rows() != rows) features = la::Matrix(rows, dim);
           for (size_t r = 0; r < rows; ++r) {
             la::Vector f = extractor_.Extract(g, cliques[start + r],
-                                              is_maximal);
+                                              is_maximal, &scratch);
             std::copy(f.begin(), f.end(), features.Row(r));
           }
           scaler_.Transform(&features);

@@ -50,9 +50,9 @@ class CliqueClassifier {
   /// hyperedges of `h_source`; negatives are maximal cliques of `g_source`
   /// and random sub-cliques of them that are not hyperedges. `cancel`
   /// (null = non-cancellable) is polled — and its heartbeat beaten — by
-  /// the source clique enumeration, per training example's features and
-  /// once per MLP mini-batch; a Train it interrupts leaves the classifier
-  /// untrained rather than half-fitted.
+  /// the source clique enumeration, per negative-sampling attempt, per
+  /// training example's features and once per MLP mini-batch; a Train it
+  /// interrupts leaves the classifier untrained rather than half-fitted.
   void Train(const ProjectedGraph& g_source, const Hypergraph& h_source,
              util::Rng* rng, const util::CancelToken* cancel = nullptr);
 

@@ -40,6 +40,21 @@ std::span<const NodeId> SortedNeighborIds(const ProjectedGraph& g, NodeId u,
   return {scratch->data(), keep};
 }
 
+/// Calls `fn(v, w(u,v))` for every neighbor v of u, in the graph's own
+/// row order — the per-row accessor that lets one pair kernel serve both
+/// representations. Callers only form order-independent integer sums.
+template <typename Fn>
+void ForEachNeighbor(const CsrGraph& g, NodeId u, Fn&& fn) {
+  auto nbrs = g.Neighbors(u);
+  auto weights = g.Weights(u);
+  for (size_t t = 0; t < nbrs.size(); ++t) fn(nbrs[t], weights[t]);
+}
+
+template <typename Fn>
+void ForEachNeighbor(const ProjectedGraph& g, NodeId u, Fn&& fn) {
+  for (const auto& [v, w] : g.Neighbors(u)) fn(v, w);
+}
+
 size_t FeatureDim(FeatureMode mode) {
   switch (mode) {
     case FeatureMode::kMultiplicityAware:
@@ -58,7 +73,8 @@ size_t FeatureDim(FeatureMode mode) {
 
 template <typename Graph>
 la::Vector ExtractMultiplicityAware(const Graph& g, CliqueView clique,
-                                    bool is_maximal) {
+                                    bool is_maximal,
+                                    FeatureScratch* scratch) {
   const size_t k = clique.size();
 
   // Node-level: weighted degree of each clique member.
@@ -68,21 +84,36 @@ la::Vector ExtractMultiplicityAware(const Graph& g, CliqueView clique,
     wdeg.push_back(static_cast<double>(g.WeightedDegree(u)));
   }
 
-  // Edge-level: multiplicity, MHH, MHH / multiplicity per clique edge.
+  // Edge-level: multiplicity, MHH, MHH / multiplicity per clique edge,
+  // in (i, j) pair order. Row i's weights are scattered into the zeroed
+  // node-indexed buffer once; then w(i, j) = row[q_j], and MHH(i, j)
+  // (Eq. (1)) is the sum of min(w_jz, row[z]) over row j — row[q_i] = 0
+  // and q_j is not its own neighbor, so exactly the common neighbors
+  // count. Integer sums, so the values are exact in any row order.
+  std::vector<uint32_t>& row = scratch->row_weights;
+  if (row.size() < g.num_nodes()) row.resize(g.num_nodes(), 0);
   std::vector<double> mult, mhh, mhh_ratio;
   mult.reserve(k * (k - 1) / 2);
   mhh.reserve(mult.capacity());
   mhh_ratio.reserve(mult.capacity());
   double internal_weight = 0.0;
-  for (size_t i = 0; i < k; ++i) {
+  for (size_t i = 0; i + 1 < k; ++i) {
+    ForEachNeighbor(g, clique[i], [&row](NodeId z, uint32_t w) {
+      row[z] = w;
+    });
     for (size_t j = i + 1; j < k; ++j) {
-      double w = static_cast<double>(g.Weight(clique[i], clique[j]));
-      double m = static_cast<double>(g.Mhh(clique[i], clique[j]));
+      uint64_t common = 0;
+      ForEachNeighbor(g, clique[j], [&row, &common](NodeId z, uint32_t w) {
+        common += std::min(w, row[z]);
+      });
+      double w = static_cast<double>(row[clique[j]]);
+      double m = static_cast<double>(common);
       mult.push_back(w);
       mhh.push_back(m);
       mhh_ratio.push_back(w > 0 ? m / w : 0.0);
       internal_weight += w;
     }
+    ForEachNeighbor(g, clique[i], [&row](NodeId z, uint32_t) { row[z] = 0; });
   }
 
   // Clique-level: size, cut ratio, maximality.
@@ -201,11 +232,14 @@ la::Vector ExtractMotif(const Graph& g, CliqueView clique,
 
 template <typename Graph>
 la::Vector ExtractImpl(FeatureMode mode, const Graph& g, CliqueView clique,
-                       bool is_maximal) {
+                       bool is_maximal, FeatureScratch* scratch) {
   MARIOH_CHECK_GE(clique.size(), 2u);
   switch (mode) {
-    case FeatureMode::kMultiplicityAware:
-      return ExtractMultiplicityAware(g, clique, is_maximal);
+    case FeatureMode::kMultiplicityAware: {
+      FeatureScratch own;  // empty, so free, unless `scratch` is null
+      return ExtractMultiplicityAware(g, clique, is_maximal,
+                                      scratch != nullptr ? scratch : &own);
+    }
     case FeatureMode::kStructural:
       return ExtractStructural(g, clique, is_maximal);
     case FeatureMode::kMotif:
@@ -215,43 +249,52 @@ la::Vector ExtractImpl(FeatureMode mode, const Graph& g, CliqueView clique,
   return {};
 }
 
+/// Shared body of the two ExtractAll overloads.
+template <typename Cliques>
+la::Matrix ExtractRows(FeatureMode mode, size_t dim, const CsrGraph& g,
+                       const Cliques& cliques, bool is_maximal,
+                       int num_threads) {
+  la::Matrix x(cliques.size(), dim);
+  util::ParallelForRanges(
+      cliques.size(), num_threads, [&](size_t begin, size_t end) {
+        FeatureScratch scratch;
+        for (size_t i = begin; i < end; ++i) {
+          la::Vector f = ExtractImpl(mode, g, cliques[i], is_maximal,
+                                     &scratch);
+          std::copy(f.begin(), f.end(), x.Row(i));
+        }
+      });
+  return x;
+}
+
 }  // namespace
 
 size_t FeatureExtractor::dim() const { return FeatureDim(mode_); }
 
 la::Vector FeatureExtractor::Extract(const ProjectedGraph& g,
-                                     CliqueView clique,
-                                     bool is_maximal) const {
-  return ExtractImpl(mode_, g, clique, is_maximal);
+                                     CliqueView clique, bool is_maximal,
+                                     FeatureScratch* scratch) const {
+  return ExtractImpl(mode_, g, clique, is_maximal, scratch);
 }
 
 la::Vector FeatureExtractor::Extract(const CsrGraph& g, CliqueView clique,
-                                     bool is_maximal) const {
-  return ExtractImpl(mode_, g, clique, is_maximal);
+                                     bool is_maximal,
+                                     FeatureScratch* scratch) const {
+  return ExtractImpl(mode_, g, clique, is_maximal, scratch);
 }
 
 la::Matrix FeatureExtractor::ExtractAll(const CsrGraph& g,
                                         std::span<const NodeSet> cliques,
                                         bool is_maximal,
                                         int num_threads) const {
-  la::Matrix x(cliques.size(), dim());
-  util::ParallelFor(cliques.size(), num_threads, [&](size_t i) {
-    la::Vector f = ExtractImpl(mode_, g, cliques[i], is_maximal);
-    std::copy(f.begin(), f.end(), x.Row(i));
-  });
-  return x;
+  return ExtractRows(mode_, dim(), g, cliques, is_maximal, num_threads);
 }
 
 la::Matrix FeatureExtractor::ExtractAll(const CsrGraph& g,
                                         const CliqueStore& cliques,
                                         bool is_maximal,
                                         int num_threads) const {
-  la::Matrix x(cliques.size(), dim());
-  util::ParallelFor(cliques.size(), num_threads, [&](size_t i) {
-    la::Vector f = ExtractImpl(mode_, g, cliques[i], is_maximal);
-    std::copy(f.begin(), f.end(), x.Row(i));
-  });
-  return x;
+  return ExtractRows(mode_, dim(), g, cliques, is_maximal, num_threads);
 }
 
 }  // namespace marioh::core

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
@@ -42,6 +44,16 @@ enum class FeatureMode {
   kMotif,
 };
 
+/// Caller-owned scratch for the multiplicity-aware pair kernel: a buffer
+/// indexed by node id that one clique member's weight row is scattered
+/// into at a time. It grows to the graph's node count on first use and is
+/// all zero between calls, so one instance serves any number of cliques
+/// and graphs. Not shareable across threads: keep one per thread (the
+/// batched paths keep one per parallel range).
+struct FeatureScratch {
+  std::vector<uint32_t> row_weights;
+};
+
 /// Extracts fixed-length feature vectors for cliques of a projected graph.
 /// Node- and edge-level features are summarized with the five-number
 /// aggregation {sum, mean, min, max, std} exactly as in the paper.
@@ -55,19 +67,21 @@ class FeatureExtractor {
   /// Feature vector of `clique` (a canonical NodeSet or CliqueView,
   /// size >= 2) measured on graph `g`. `is_maximal` is the caller-supplied
   /// maximality indicator (cliques from the maximal enumeration pass 1,
-  /// sub-cliques 0).
+  /// sub-cliques 0). `scratch` is reused across calls by loops over many
+  /// cliques; null makes the call build its own.
   la::Vector Extract(const ProjectedGraph& g, CliqueView clique,
-                     bool is_maximal) const;
+                     bool is_maximal,
+                     FeatureScratch* scratch = nullptr) const;
 
   /// Same features measured on a CSR snapshot; bit-identical to the
   /// ProjectedGraph overload on the same graph.
-  la::Vector Extract(const CsrGraph& g, CliqueView clique,
-                     bool is_maximal) const;
+  la::Vector Extract(const CsrGraph& g, CliqueView clique, bool is_maximal,
+                     FeatureScratch* scratch = nullptr) const;
 
   /// Batched extraction over candidate cliques: row i of the result is
   /// `Extract(g, cliques[i], is_maximal)`. Rows are independent output
-  /// slots filled with `util::ParallelFor` (0 = all cores), so the matrix
-  /// is identical for any thread count.
+  /// slots filled with `util::ParallelForRanges` (0 = all cores), one
+  /// scratch per range, so the matrix is identical for any thread count.
   la::Matrix ExtractAll(const CsrGraph& g, std::span<const NodeSet> cliques,
                         bool is_maximal, int num_threads) const;
 

@@ -1,8 +1,14 @@
 // Focused tests for Algorithm 3 (bidirectional search): threshold
 // behavior, the r% sub-clique exploration, re-validation against the
-// shrinking graph, and determinism.
+// shrinking graph, determinism, and equality with a sequential reference
+// loop at any thread count.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/bidirectional.hpp"
 #include "core/classifier.hpp"
@@ -181,6 +187,147 @@ TEST_F(BidirectionalTest, Size2CliquesHaveNoSubcliques) {
   BidirectionalStats stats =
       BidirectionalSearch(&g, *classifier_, options, &rng, &h);
   EXPECT_EQ(stats.subcliques_scored, 0u);
+}
+
+/// What one iteration leaves behind, for comparing two implementations.
+struct IterationOutcome {
+  Hypergraph h;
+  ProjectedGraph g;
+  BidirectionalStats stats;
+};
+
+/// In-test reference of Algorithm 3 as a plain sequential loop on the
+/// hash-map graph: every clique scored one at a time with
+/// `Score(const ProjectedGraph&, ...)`, Phase 2 sampling and scoring each
+/// sub-clique in turn against the graph Phase 1 left behind.
+IterationOutcome ReferenceIteration(const ProjectedGraph& start,
+                                    const CliqueClassifier& classifier,
+                                    double theta, double r_percent,
+                                    uint64_t seed) {
+  IterationOutcome out{Hypergraph(start.num_nodes()), start, {}};
+  util::Rng rng(seed);
+  using Scored = std::pair<double, NodeSet>;
+  auto best_first = [](const Scored& a, const Scored& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  };
+  auto try_apply = [&out](const NodeSet& q) {
+    if (!out.g.IsClique(q)) return false;
+    out.h.AddEdge(q, 1);
+    out.g.PeelClique(q);
+    out.stats.touched_nodes.insert(out.stats.touched_nodes.end(), q.begin(),
+                                   q.end());
+    return true;
+  };
+  std::vector<Scored> pos, rest;
+  for (NodeSet& q : EnumerateMaximalCliques(start).cliques.ToNodeSets()) {
+    double s = classifier.Score(start, q, /*is_maximal=*/true);
+    (s > theta ? pos : rest).push_back({s, std::move(q)});
+  }
+  std::sort(pos.begin(), pos.end(), best_first);
+  for (const Scored& sc : pos) {
+    if (try_apply(sc.second)) ++out.stats.accepted_phase1;
+  }
+  std::sort(rest.begin(), rest.end(), [](const Scored& a, const Scored& b) {
+    return a.first != b.first ? a.first < b.first : a.second < b.second;
+  });
+  size_t take = std::min(
+      rest.size(), static_cast<size_t>(std::ceil(
+                       r_percent / 100.0 * static_cast<double>(rest.size()))));
+  std::vector<Scored> subs;
+  for (size_t i = 0; i < take; ++i) {
+    const NodeSet& q = rest[i].second;
+    for (size_t k = 2; k < q.size(); ++k) {
+      NodeSet sub = rng.SampleWithoutReplacement(q, k);
+      Canonicalize(&sub);
+      double s = classifier.Score(out.g, sub, /*is_maximal=*/false);
+      ++out.stats.subcliques_scored;
+      if (s > theta) subs.push_back({s, std::move(sub)});
+    }
+  }
+  std::sort(subs.begin(), subs.end(), best_first);
+  for (const Scored& sc : subs) {
+    if (try_apply(sc.second)) ++out.stats.accepted_phase2;
+  }
+  Canonicalize(&out.stats.touched_nodes);
+  return out;
+}
+
+/// Runs BidirectionalSearch and the reference from the same graph and rng
+/// seed at 1, 2 and 8 threads, and requires identical outcomes.
+void ExpectMatchesReference(const ProjectedGraph& start,
+                           const CliqueClassifier& classifier, double theta,
+                           double r_percent, uint64_t seed) {
+  IterationOutcome want =
+      ReferenceIteration(start, classifier, theta, r_percent, seed);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    IterationOutcome got{Hypergraph(start.num_nodes()), start, {}};
+    BidirectionalOptions options;
+    options.theta = theta;
+    options.r_percent = r_percent;
+    options.num_threads = threads;
+    util::Rng rng(seed);
+    got.stats = BidirectionalSearch(&got.g, classifier, options, &rng,
+                                    &got.h);
+    EXPECT_EQ(got.h.edges(), want.h.edges());
+    for (NodeId u = 0; u < start.num_nodes(); ++u) {
+      ASSERT_EQ(got.g.Neighbors(u), want.g.Neighbors(u)) << "row " << u;
+    }
+    EXPECT_EQ(got.stats.subcliques_scored, want.stats.subcliques_scored);
+    EXPECT_EQ(got.stats.accepted_phase1, want.stats.accepted_phase1);
+    EXPECT_EQ(got.stats.accepted_phase2, want.stats.accepted_phase2);
+    EXPECT_EQ(got.stats.touched_nodes, want.stats.touched_nodes);
+    EXPECT_FALSE(got.stats.cancelled);
+  }
+}
+
+/// Disjoint 6-node blocks, each the projection of all its pairs plus a
+/// dozen random 3- and 4-node hyperedges: every block is one maximal
+/// clique whose uneven weights make it a poor hyperedge candidate, while
+/// some of its sub-cliques look like real ones.
+ProjectedGraph DenseBlocks(uint64_t seed) {
+  constexpr NodeId kBlock = 6;
+  constexpr NodeId kBlocks = 6;
+  util::Rng rng(seed);
+  Hypergraph h(kBlock * kBlocks);
+  for (NodeId base = 0; base < kBlock * kBlocks; base += kBlock) {
+    NodeSet block;
+    for (NodeId u = base; u < base + kBlock; ++u) block.push_back(u);
+    for (NodeId u : block) {
+      for (NodeId v = u + 1; v < base + kBlock; ++v) h.AddEdge({u, v}, 1);
+    }
+    for (int t = 0; t < 12; ++t) {
+      NodeSet e =
+          rng.SampleWithoutReplacement(block, 3 + rng.UniformIndex(2));
+      Canonicalize(&e);
+      h.AddEdge(e, 1);
+    }
+  }
+  return h.Project();
+}
+
+TEST_F(BidirectionalTest, Phase2OnlyMatchesSequentialReference) {
+  // theta = the best maximal-clique score: no maximal clique passes
+  // Phase 1, so every accepted hyperedge is a Phase 2 sub-clique.
+  ProjectedGraph g = DenseBlocks(5);
+  double theta = 0.0;
+  for (const NodeSet& q : EnumerateMaximalCliques(g).cliques.ToNodeSets()) {
+    theta = std::max(theta, classifier_->Score(g, q, true));
+  }
+  IterationOutcome want =
+      ReferenceIteration(g, *classifier_, theta, 100.0, 31);
+  ASSERT_EQ(want.stats.accepted_phase1, 0u);
+  ASSERT_GT(want.stats.accepted_phase2, 0u);
+  ExpectMatchesReference(g, *classifier_, theta, 100.0, 31);
+}
+
+TEST_F(BidirectionalTest, Phase2AfterPeelsMatchesSequentialReference) {
+  // Both phases accept: Phase 2 must score on the graph Phase 1 peeled.
+  IterationOutcome want =
+      ReferenceIteration(*g_target_, *classifier_, 0.5, 100.0, 32);
+  ASSERT_GT(want.stats.accepted_phase1, 0u);
+  ASSERT_GT(want.stats.subcliques_scored, 0u);
+  ExpectMatchesReference(*g_target_, *classifier_, 0.5, 100.0, 32);
 }
 
 }  // namespace

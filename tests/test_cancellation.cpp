@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "core/classifier.hpp"
 #include "core/marioh.hpp"
+#include "hypergraph/csr.hpp"
 #include "gen/profiles.hpp"
 #include "gen/split.hpp"
 #include "util/cancel.hpp"
@@ -209,6 +211,74 @@ TEST(Cancellation, MidTrainCancelLandsAndLeavesTheSessionUntrained) {
   EXPECT_EQ(refused.code(), api::StatusCode::kFailedPrecondition)
       << refused.ToString();
   EXPECT_EQ(session.reconstruction(), nullptr);
+}
+
+/// Classifier options whose Train is dominated by negative sampling: a
+/// handful of positives asks for far more negatives than the source's
+/// cliques can supply, so both sampling loops run to their attempt caps.
+core::ClassifierOptions SamplingHeavyOptions() {
+  core::ClassifierOptions options;
+  options.max_positives = 8;
+  options.negatives_per_positive = 4000.0;
+  options.hard_negative_fraction = 0.5;
+  options.mlp.epochs = 1;
+  return options;
+}
+
+// Negative sampling polls the token per attempt; an untripped token must
+// not move a bit of what it samples (polling draws nothing from the rng).
+TEST(Cancellation, UntrippedTokenKeepsNegativeSamplingBitIdentical) {
+  Workload w = MakeWorkload("crime", 5);
+  core::CliqueClassifier plain(core::FeatureMode::kMultiplicityAware,
+                               SamplingHeavyOptions());
+  util::Rng plain_rng(3);
+  plain.Train(w.g_source, w.split.source, &plain_rng);
+
+  util::CancelToken distant;
+  distant.SetDeadline(3600.0);
+  core::CliqueClassifier tokened(core::FeatureMode::kMultiplicityAware,
+                                 SamplingHeavyOptions());
+  util::Rng tokened_rng(3);
+  tokened.Train(w.g_source, w.split.source, &tokened_rng, &distant);
+
+  ASSERT_TRUE(plain.trained());
+  ASSERT_TRUE(tokened.trained());
+  EXPECT_EQ(tokened.train_counts(), plain.train_counts());
+  EXPECT_GT(distant.heartbeat(), 0u);
+  CsrGraph csr(w.g_target);
+  CliqueStore cliques = EnumerateMaximalCliques(csr).cliques;
+  EXPECT_EQ(tokened.ScoreAll(csr, cliques, true, 1),
+            plain.ScoreAll(csr, cliques, true, 1));
+}
+
+// A trip while Train is still sampling negatives lands there, not at the
+// feature loop after it, and leaves the classifier untrained.
+TEST(Cancellation, MidNegativeSamplingCancelLeavesTheClassifierUntrained) {
+  Workload w = MakeWorkload("crime", 5);
+  core::CliqueClassifier classifier(core::FeatureMode::kMultiplicityAware,
+                                    SamplingHeavyOptions());
+  util::Rng full_rng(3);
+  util::Timer uncancelled;
+  classifier.Train(w.g_source, w.split.source, &full_rng);
+  double full_seconds = uncancelled.Seconds();
+  ASSERT_TRUE(classifier.trained());
+
+  util::CancelToken token;
+  double trip_after = full_seconds / 10.0;
+  std::thread tripper([&token, trip_after] {
+    std::this_thread::sleep_for(std::chrono::duration<double>(trip_after));
+    token.Cancel();
+  });
+  util::Rng rng(3);
+  util::Timer cancelled;
+  classifier.Train(w.g_source, w.split.source, &rng, &token);
+  double cancelled_seconds = cancelled.Seconds();
+  tripper.join();
+
+  EXPECT_FALSE(classifier.trained());
+  EXPECT_LT(cancelled_seconds, full_seconds * 0.5)
+      << "uncancelled train took " << full_seconds << "s";
+  EXPECT_GT(token.heartbeat(), 0u);
 }
 
 }  // namespace

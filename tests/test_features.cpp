@@ -1,10 +1,17 @@
 // Unit tests for the clique feature extraction (Sect. III-D): dimensions,
-// specific feature values on hand-computed graphs, and both feature modes.
+// specific feature values on hand-computed graphs, both feature modes, and
+// the row-scatter pair kernel against a per-pair Weight/Mhh reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/features.hpp"
+#include "hypergraph/csr.hpp"
 #include "hypergraph/hypergraph.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace marioh::core {
 namespace {
@@ -127,6 +134,114 @@ TEST(FeatureExtractor, IsolatedCliqueCutRatioIsOne) {
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
   la::Vector f = fx.Extract(g, NodeSet{0, 1, 2}, true);
   EXPECT_DOUBLE_EQ(f[21], 1.0);  // all weight internal
+}
+
+/// The multiplicity-aware features computed pair by pair with the
+/// graph's own `Weight` and `Mhh`, in the extractor's slot order.
+template <typename Graph>
+la::Vector PerPairReference(const Graph& g, const NodeSet& q,
+                            bool is_maximal) {
+  std::vector<double> wdeg, mult, mhh, ratio;
+  double internal = 0.0;
+  for (NodeId u : q) wdeg.push_back(static_cast<double>(g.WeightedDegree(u)));
+  for (size_t i = 0; i < q.size(); ++i) {
+    for (size_t j = i + 1; j < q.size(); ++j) {
+      double w = static_cast<double>(g.Weight(q[i], q[j]));
+      double m = static_cast<double>(g.Mhh(q[i], q[j]));
+      mult.push_back(w);
+      mhh.push_back(m);
+      ratio.push_back(w > 0 ? m / w : 0.0);
+      internal += w;
+    }
+  }
+  double boundary = -2.0 * internal;
+  for (double d : wdeg) boundary += d;
+  la::Vector out;
+  for (const auto* values : {&wdeg, &mult, &mhh, &ratio}) {
+    std::vector<double> agg = util::Aggregate5(*values);
+    out.insert(out.end(), agg.begin(), agg.end());
+  }
+  out.push_back(static_cast<double>(q.size()));
+  out.push_back(internal + boundary > 0 ? internal / (internal + boundary)
+                                        : 0.0);
+  out.push_back(is_maximal ? 1.0 : 0.0);
+  return out;
+}
+
+/// Random weighted graph (weights 1..9) whose first three nodes are hubs
+/// adjacent to about 80% of the others; the rest are sparse.
+ProjectedGraph HubGraph(size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  ProjectedGraph g(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (rng.Bernoulli(u < 3 ? 0.8 : 0.1)) {
+        g.AddWeight(u, v, static_cast<uint32_t>(rng.UniformInt(1, 9)));
+      }
+    }
+  }
+  return g;
+}
+
+/// Random node sets of 2..14 nodes, half of them holding a hub. They need
+/// not be cliques: Phase 2 scores sub-cliques whose edges Phase 1 may have
+/// peeled away, so absent pairs must be exact too.
+std::vector<NodeSet> RandomNodeSets(size_t n, size_t count, uint64_t seed) {
+  util::Rng rng(seed);
+  NodeSet all(n);
+  for (NodeId u = 0; u < n; ++u) all[u] = u;
+  std::vector<NodeSet> sets;
+  for (size_t t = 0; t < count; ++t) {
+    NodeSet q = rng.SampleWithoutReplacement(
+        all, static_cast<size_t>(rng.UniformInt(2, 14)));
+    if (t % 2 == 0 && std::find(q.begin(), q.end(), 0) == q.end()) q[0] = 0;
+    Canonicalize(&q);
+    sets.push_back(q);
+  }
+  return sets;
+}
+
+TEST(PairKernel, MatchesPerPairReferenceOnHubGraphs) {
+  FeatureExtractor fx(FeatureMode::kMultiplicityAware);
+  for (uint64_t seed : {1, 2, 3}) {
+    ProjectedGraph g = HubGraph(120, seed);
+    CsrGraph csr(g);
+    for (const NodeSet& q : RandomNodeSets(120, 200, seed + 10)) {
+      la::Vector want = PerPairReference(g, q, false);
+      EXPECT_EQ(fx.Extract(g, q, false), want);
+      EXPECT_EQ(fx.Extract(csr, q, false), want);
+      EXPECT_EQ(PerPairReference(csr, q, false), want);
+    }
+  }
+}
+
+TEST(PairKernel, OneScratchServesManyCliquesAndGraphs) {
+  // A stale buffer entry left by one clique (or by a larger graph) would
+  // leak into the next clique's weights and MHH values.
+  FeatureExtractor fx(FeatureMode::kMultiplicityAware);
+  ProjectedGraph big = HubGraph(120, 4);
+  ProjectedGraph small = HubGraph(40, 5);
+  CsrGraph big_csr(big);
+  CsrGraph small_csr(small);
+  std::vector<NodeSet> big_sets = RandomNodeSets(120, 100, 6);
+  std::vector<NodeSet> small_sets = RandomNodeSets(40, 100, 7);
+  FeatureScratch scratch;
+  for (size_t t = 0; t < big_sets.size(); ++t) {
+    const NodeSet& b = big_sets[t];
+    const NodeSet& s = small_sets[t];
+    EXPECT_EQ(fx.Extract(big, b, true, &scratch),
+              PerPairReference(big, b, true));
+    EXPECT_EQ(fx.Extract(small_csr, s, true, &scratch),
+              PerPairReference(small, s, true));
+    EXPECT_EQ(fx.Extract(big_csr, b, true, &scratch),
+              PerPairReference(big, b, true));
+    EXPECT_EQ(fx.Extract(small, s, true, &scratch),
+              PerPairReference(small, s, true));
+  }
+  EXPECT_GE(scratch.row_weights.size(), 120u);
+  EXPECT_TRUE(std::all_of(scratch.row_weights.begin(),
+                          scratch.row_weights.end(),
+                          [](uint32_t w) { return w == 0; }));
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -106,6 +108,51 @@ TEST_P(HotPathEquivalence, FeaturesMatchBitForBitInAllModes) {
           EXPECT_EQ(many(i, j), one(i, j)) << "row " << i << " col " << j;
         }
       }
+    }
+  }
+}
+
+TEST(HotPathFeatures, LargeCliquesMatchBitwiseInAllModes) {
+  // Planted hyperedges of 12-15 nodes over a HyperCL background give
+  // maximal cliques of k >= 12 with uneven weights, overlapping hubs and
+  // long pair loops: CSR and hash-map vectors must agree bit for bit, on
+  // the maximal cliques and on random sub-cliques of them.
+  util::Rng rng(41);
+  Hypergraph h = gen::HyperClLike(100, 150, 3.2, 0.7, &rng);
+  NodeSet all(100);
+  for (NodeId u = 0; u < 100; ++u) all[u] = u;
+  for (int t = 0; t < 4; ++t) {
+    NodeSet e = rng.SampleWithoutReplacement(
+        all, static_cast<size_t>(rng.UniformInt(12, 15)));
+    Canonicalize(&e);
+    h.AddEdge(e, static_cast<uint32_t>(rng.UniformInt(1, 3)));
+  }
+  ProjectedGraph g = h.Project();
+  CsrGraph csr(g);
+  std::vector<NodeSet> cliques;
+  size_t largest = 0;
+  for (const NodeSet& q : EnumerateMaximalCliques(g).cliques.ToNodeSets()) {
+    if (q.size() < 8) continue;  // small cliques: see the suite above
+    largest = std::max(largest, q.size());
+    cliques.push_back(q);
+    NodeSet sub = rng.SampleWithoutReplacement(q, q.size() - 1);
+    Canonicalize(&sub);
+    cliques.push_back(sub);
+  }
+  ASSERT_GE(largest, 12u);
+  for (core::FeatureMode mode :
+       {core::FeatureMode::kMultiplicityAware, core::FeatureMode::kStructural,
+        core::FeatureMode::kMotif}) {
+    core::FeatureExtractor extractor(mode);
+    core::FeatureScratch scratch;
+    for (const NodeSet& q : cliques) {
+      la::Vector hash_path = extractor.Extract(g, q, false, &scratch);
+      la::Vector csr_path = extractor.Extract(csr, q, false);
+      ASSERT_EQ(hash_path.size(), csr_path.size());
+      EXPECT_EQ(std::memcmp(hash_path.data(), csr_path.data(),
+                            hash_path.size() * sizeof(double)),
+                0)
+          << "mode " << static_cast<int>(mode) << ", k=" << q.size();
     }
   }
 }
