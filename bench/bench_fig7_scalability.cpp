@@ -95,15 +95,9 @@ int main(int argc, char** argv) {
         /*degree_skew=*/0.6, &rng);
     marioh::ProjectedGraph g = h.Project();
 
-    // Fresh reconstructor sharing the trained classifier is not exposed;
-    // re-time stages via a dedicated run. Stage timers accumulate, so
-    // compute deltas.
-    double filter_before = marioh.stage_timer().Get("filtering");
-    double bidir_before = marioh.stage_timer().Get("bidirectional");
     marioh.Reconstruct(g);
-    double filter_t = marioh.stage_timer().Get("filtering") - filter_before;
-    double bidir_t =
-        marioh.stage_timer().Get("bidirectional") - bidir_before;
+    double filter_t = marioh.last_reconstruction_stats().filtering_seconds;
+    double bidir_t = marioh.last_reconstruction_stats().bidirectional_seconds;
 
     edge_counts.push_back(static_cast<double>(g.num_edges()));
     filter_times.push_back(filter_t);

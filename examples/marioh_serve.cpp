@@ -33,7 +33,6 @@
 //                                   running one mid-kernel
 //   forget <id>                     retire a finished job (frees its
 //                                   result; keeps memory bounded)
-//   stats                           service counters (one key=value line)
 //   metrics [json]                  full observability snapshot from the
 //                                   metric registry: Prometheus text
 //                                   framed as `ok metrics lines=N` + N
@@ -48,10 +47,9 @@
 // line and the server keeps reading. Unknown datasets, unknown methods,
 // malformed files, bad overrides all arrive as api::Status values.
 
-#include <sys/stat.h>
-
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "api/dataset_cache.hpp"
@@ -59,64 +57,34 @@
 #include "net/line_protocol.hpp"
 
 int main(int argc, char** argv) {
-  using marioh::api::DatasetCache;
-  using marioh::api::Service;
-
   marioh::api::ServiceOptions options;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--workers" && i + 1 < argc) {
-      try {
-        options.num_workers = std::stoi(argv[++i]);
-        if (options.num_workers < 0) throw std::invalid_argument(arg);
-      } catch (const std::exception&) {
-        std::cerr << "error: --workers needs a non-negative integer "
-                     "(0 = all cores)\n";
-        return 1;
-      }
-    } else if (arg == "--journal-dir" && i + 1 < argc) {
-      options.journal_dir = argv[++i];
-    } else if (arg == "--fsync" && i + 1 < argc) {
-      if (!marioh::util::ParseJournalFsync(argv[++i],
-                                           &options.journal_fsync)) {
-        std::cerr << "error: --fsync needs 'always' or 'never'\n";
-        return 1;
-      }
-    } else {
+    std::optional<marioh::api::Status> parsed =
+        i + 1 < argc ? marioh::net::ParseServiceFlag(arg, argv[i + 1],
+                                                     &options)
+                     : std::nullopt;
+    if (!parsed.has_value()) {
       std::cerr << "error: unknown flag '" << arg
                 << "' (usage: marioh_serve [--workers N] "
                    "[--journal-dir PATH] [--fsync always|never])\n";
       return 1;
     }
-  }
-
-  auto cache = std::make_shared<DatasetCache>();
-  if (!options.journal_dir.empty()) {
-    // Datasets before jobs: recovered requests must resolve their
-    // handles (see marioh_served for the same sequence). The directory
-    // must exist before the manifest writes into it.
-    ::mkdir(options.journal_dir.c_str(), 0755);
-    std::string manifest = options.journal_dir + "/datasets.manifest";
-    marioh::api::Status restored = cache->RestoreFromManifest(
-        manifest, [&cache](const std::string& basename,
-                           const std::string& profile, uint64_t seed) {
-          return marioh::net::GenerateDataset(cache.get(), basename,
-                                              profile, seed);
-        });
-    if (!restored.ok()) {
-      std::cerr << "warning: " << restored.message() << "\n";
-    }
-    marioh::api::Status manifest_on = cache->EnableManifest(manifest);
-    if (!manifest_on.ok()) {
-      std::cerr << "error: " << manifest_on.message() << "\n";
+    if (!parsed->ok()) {
+      std::cerr << "error: " << parsed->message() << "\n";
       return 1;
     }
+    ++i;
   }
-  Service service(cache, options);
-  if (!service.startup_status().ok()) {
-    std::cerr << "error: " << service.startup_status().message() << "\n";
+
+  auto cache = std::make_shared<marioh::api::DatasetCache>();
+  marioh::api::StatusOr<std::unique_ptr<marioh::api::Service>> started =
+      marioh::net::StartService(cache, options, std::cerr);
+  if (!started.ok()) {
+    std::cerr << "error: " << started.status().message() << "\n";
     return 1;
   }
+  marioh::api::Service& service = **started;
   marioh::net::LineProtocol protocol(cache.get(), &service);
   // stdin is a local, single-operator surface: whoever can type here can
   // also set MARIOH_FAILPOINTS, so gating the admin verb would add

@@ -7,8 +7,7 @@
 //   marioh_served [--port P] [--workers N] [--max-connections N]
 //                 [--cache-bytes N] [--job-ttl SECONDS]
 //                 [--max-queued N] [--max-inflight N]
-//                 [--max-output-bytes N] [--stats-json PATH]
-//                 [--metrics-json PATH]
+//                 [--max-output-bytes N] [--metrics-json PATH]
 //                 [--stall-timeout SECONDS] [--shed-batch-above N]
 //                 [--journal-dir PATH] [--fsync always|never]
 //                 [--allow-failpoint-admin] [--force-poll]
@@ -23,9 +22,6 @@
 //   --max-inflight N     per-client in-flight job cap (0 = unbounded)
 //   --max-output-bytes N per-connection write-buffer cap before a slow
 //                        reader is disconnected
-//   --stats-json PATH    write a final stats snapshot here on shutdown
-//                        (the legacy key set, rendered from the metric
-//                        registry — same values as the `stats` verb)
 //   --metrics-json PATH  write the full observability snapshot here on
 //                        shutdown: every counter/gauge/histogram plus
 //                        recent trace spans (obs::SnapshotJson)
@@ -51,8 +47,6 @@
 // binding port 0 can read the real port back. SIGINT/SIGTERM stop the
 // event loop; shutdown drains through the Service destructor (queued jobs
 // cancelled, running ones preempted mid-kernel) and exits 0.
-
-#include <sys/stat.h>
 
 #include <csignal>
 #include <cstdio>
@@ -101,21 +95,6 @@ void WriteFileAtomic(const std::string& path, const std::string& body) {
   }
 }
 
-// The legacy stats keys, rendered from the same registry collection the
-// `stats` verb uses — the file and the wire cannot drift. Every value is
-// already a JSON-safe number string.
-void WriteStatsJson(const std::string& path) {
-  std::vector<std::pair<std::string, std::string>> fields =
-      marioh::net::LegacyStatsFields();
-  std::string body = "{\n";
-  for (size_t i = 0; i < fields.size(); ++i) {
-    body += "  \"" + fields[i].first + "\": " + fields[i].second;
-    body += i + 1 < fields.size() ? ",\n" : "\n";
-  }
-  body += "}\n";
-  WriteFileAtomic(path, body);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,25 +102,27 @@ int main(int argc, char** argv) {
   marioh::net::TcpServerOptions net_options;
   marioh::net::EventLoopOptions loop_options;
   size_t cache_bytes = 0;
-  std::string stats_json;
   std::string metrics_json;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value = i + 1 < argc ? argv[i + 1] : "";
-    if (arg == "--port" && i + 1 < argc) {
+    std::optional<marioh::api::Status> shared =
+        i + 1 < argc
+            ? marioh::net::ParseServiceFlag(arg, value, &service_options)
+            : std::nullopt;
+    if (shared.has_value()) {
+      if (!shared->ok()) {
+        std::cerr << "error: " << shared->message() << "\n";
+        return 1;
+      }
+      ++i;
+    } else if (arg == "--port" && i + 1 < argc) {
       std::optional<uint64_t> port = marioh::util::ParseUint64(value);
       if (!port.has_value() || *port > 65535) {
         return FlagError(arg, "a port number (0 = ephemeral)");
       }
       net_options.port = static_cast<uint16_t>(*port);
-      ++i;
-    } else if (arg == "--workers" && i + 1 < argc) {
-      std::optional<int> workers = marioh::util::ParseNonNegativeInt(value);
-      if (!workers.has_value()) {
-        return FlagError(arg, "a non-negative integer (0 = all cores)");
-      }
-      service_options.num_workers = *workers;
       ++i;
     } else if (arg == "--max-connections" && i + 1 < argc) {
       std::optional<uint64_t> cap = marioh::util::ParseUint64(value);
@@ -185,9 +166,6 @@ int main(int argc, char** argv) {
       }
       net_options.max_output_bytes = *cap;
       ++i;
-    } else if (arg == "--stats-json" && i + 1 < argc) {
-      stats_json = value;
-      ++i;
     } else if (arg == "--metrics-json" && i + 1 < argc) {
       metrics_json = value;
       ++i;
@@ -205,15 +183,6 @@ int main(int argc, char** argv) {
       }
       service_options.shed_batch_above_queued = *cap;
       ++i;
-    } else if (arg == "--journal-dir" && i + 1 < argc) {
-      service_options.journal_dir = value;
-      ++i;
-    } else if (arg == "--fsync" && i + 1 < argc) {
-      if (!marioh::util::ParseJournalFsync(
-              value, &service_options.journal_fsync)) {
-        return FlagError(arg, "'always' or 'never'");
-      }
-      ++i;
     } else if (arg == "--allow-failpoint-admin") {
       net_options.allow_failpoint_admin = true;
     } else if (arg == "--force-poll") {
@@ -226,47 +195,19 @@ int main(int argc, char** argv) {
   }
 
   auto cache = std::make_shared<marioh::api::DatasetCache>(cache_bytes);
-  if (!service_options.journal_dir.empty()) {
-    // Datasets first, jobs second: the manifest restore must finish
-    // before Service replays the journal, or re-admitted jobs would not
-    // resolve their handles. A partially failed restore is a warning,
-    // not a refusal — the affected jobs fail with a precise status,
-    // everything else recovers. The directory must exist before the
-    // manifest writes into it (Journal::Open creates it too, but only
-    // once the Service is constructed — after this block).
-    ::mkdir(service_options.journal_dir.c_str(), 0755);
-    std::string manifest =
-        service_options.journal_dir + "/datasets.manifest";
-    marioh::api::Status restored = cache->RestoreFromManifest(
-        manifest,
-        [&cache](const std::string& basename, const std::string& profile,
-                 uint64_t seed) {
-          return marioh::net::GenerateDataset(cache.get(), basename,
-                                              profile, seed);
-        });
-    if (!restored.ok()) {
-      std::cerr << "warning: " << restored.message() << "\n";
-    }
-    marioh::api::Status manifest_on = cache->EnableManifest(manifest);
-    if (!manifest_on.ok()) {
-      std::cerr << "error: " << manifest_on.message() << "\n";
-      return 1;
-    }
-  }
-  marioh::api::Service service(cache, service_options);
-  if (!service.startup_status().ok()) {
-    // A journal that cannot be opened/replayed means the durability the
-    // operator asked for is not there — refuse to serve rather than
-    // silently drop the promise.
-    std::cerr << "error: " << service.startup_status().message() << "\n";
+  marioh::api::StatusOr<std::unique_ptr<marioh::api::Service>> started =
+      marioh::net::StartService(cache, service_options, std::cerr);
+  if (!started.ok()) {
+    std::cerr << "error: " << started.status().message() << "\n";
     return 1;
   }
+  marioh::api::Service& service = **started;
   marioh::net::EventLoop loop(loop_options);
   marioh::net::TcpServer server(&loop, cache.get(), &service, net_options);
 
-  marioh::api::Status started = server.Start();
-  if (!started.ok()) {
-    std::cerr << "error: " << started.message() << "\n";
+  marioh::api::Status listening = server.Start();
+  if (!listening.ok()) {
+    std::cerr << "error: " << listening.message() << "\n";
     return 1;
   }
 
@@ -291,14 +232,11 @@ int main(int argc, char** argv) {
 
   loop.Run();
 
-  if (!stats_json.empty()) {
-    WriteStatsJson(stats_json);
-  }
   if (!metrics_json.empty()) {
     WriteFileAtomic(
         metrics_json,
         marioh::obs::MetricRegistry::Global().SnapshotJson() + "\n");
   }
-  std::cout << "ok bye " << server.StatsFields() << std::endl;
+  std::cout << "ok bye" << std::endl;
   return 0;
 }

@@ -1,11 +1,35 @@
-#include "api/marioh_method.hpp"
+// Adapter exposing core::Marioh (any ablation variant) through the common
+// `api::Reconstructor` interface, and the registry entries for MARIOH /
+// MARIOH-M / MARIOH-F / MARIOH-B.
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "api/method.hpp"
 #include "api/registry.hpp"
+#include "core/marioh.hpp"
 
 namespace marioh::api {
+namespace {
+
+class MariohMethod : public Reconstructor {
+ public:
+  MariohMethod(core::MariohVariant variant, core::MariohOptions options);
+
+  std::string Name() const override;
+  bool IsSupervised() const override { return true; }
+  void Train(const ProjectedGraph& g_source,
+             const Hypergraph& h_source) override;
+  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
+  std::vector<std::pair<std::string, double>> ReconstructionStats()
+      const override;
+
+ private:
+  core::MariohVariant variant_;
+  core::Marioh marioh_;
+};
 
 MariohMethod::MariohMethod(core::MariohVariant variant,
                            core::MariohOptions options)
@@ -49,10 +73,10 @@ MariohMethod::ReconstructionStats() const {
       {"snapshot_rebuilds", static_cast<double>(s.snapshot_rebuilds)},
       {"cliques_truncated", s.cliques_truncated ? 1.0 : 0.0},
       {"cancelled", s.cancelled ? 1.0 : 0.0},
+      {"filtering_seconds", s.filtering_seconds},
+      {"bidirectional_seconds", s.bidirectional_seconds},
   };
 }
-
-namespace {
 
 /// Shared factory body for the four registered variants: typed base
 /// options (if provided) + string overrides + the config seed.

@@ -43,12 +43,13 @@ class Reconstructor {
   /// Reconstructs a hypergraph from the target projected graph.
   virtual Hypergraph Reconstruct(const ProjectedGraph& g_target) = 0;
 
-  /// Named counters describing the most recent Reconstruct call — e.g.
-  /// {"cliques_truncated", 1} when an enumeration cap produced a partial
-  /// candidate pool. `api::Session` *accumulates* each entry into its
-  /// stage timer under "reconstruct.<name>" — session-lifetime totals,
-  /// exactly like the stage times themselves — so callers see degraded
-  /// runs instead of a silently partial result (a nonzero
+  /// Named counters and phase times (`*_seconds`) describing the most
+  /// recent Reconstruct call — e.g. {"cliques_truncated", 1} when an
+  /// enumeration cap produced a partial candidate pool. `api::Session`
+  /// *accumulates* each entry into its stage timer under
+  /// "reconstruct.<name>" — session-lifetime totals, exactly like the
+  /// stage times themselves — so callers see degraded runs instead of a
+  /// silently partial result (a nonzero
   /// reconstruct.cliques_truncated means at least one reconstruction of
   /// the session was truncated). Default: none.
   virtual std::vector<std::pair<std::string, double>> ReconstructionStats()

@@ -128,8 +128,7 @@ void Service::PublishMetrics() const {
   r.GetCounter("marioh_cache_evictions_total")->Set(cache_->evictions());
   if (journal_ != nullptr) {
     // Created lazily only when a journal exists, so journal-less
-    // processes expose no journal series (and the legacy stats line
-    // keeps its journal keys conditional, as before).
+    // processes expose no journal series.
     util::JournalStats js = journal_->stats();
     r.GetCounter("marioh_journal_records_total")->Set(js.records_appended);
     r.GetCounter("marioh_journal_fsyncs_total")->Set(js.fsyncs);
@@ -703,14 +702,6 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
               std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - *job->cancelled_at)
                   .count();
-          ++totals_.cancel_latency_count;
-          totals_.cancel_latency_total_seconds +=
-              job->cancel_latency_seconds;
-          totals_.cancel_latency_max_seconds =
-              std::max(totals_.cancel_latency_max_seconds,
-                       job->cancel_latency_seconds);
-          // Same sample, distribution form: count/sum/max of the
-          // histogram match the legacy totals by construction.
           cancel_latency_seconds_->Observe(job->cancel_latency_seconds);
         }
       }

@@ -129,12 +129,6 @@ struct ServiceStats {
   uint64_t queued_interactive = 0;
   uint64_t queued_normal = 0;
   uint64_t queued_batch = 0;
-  /// Cancel-to-stop latency over jobs preempted by an explicit Cancel()
-  /// while running: sample count, running sum, and worst case. The mean
-  /// is total / count.
-  uint64_t cancel_latency_count = 0;
-  double cancel_latency_total_seconds = 0.0;
-  double cancel_latency_max_seconds = 0.0;
   /// Submits turned away by admission control (queued-work cap or
   /// per-client in-flight quota) with kResourceExhausted. Rejected
   /// submits are never `accepted`, so the terminal-partition invariant
@@ -261,8 +255,8 @@ class Service {
   /// running job's CancelToken trips and the kernels stop at their next
   /// preemption point — mid-kernel, within bounded latency (the
   /// cancel-to-stop time lands in the job's `cancel_latency_seconds` and
-  /// the service latency counters). Best-effort — a job that finishes
-  /// first stays done/failed. kNotFound for unknown ids,
+  /// the `marioh_cancel_latency_seconds` histogram). Best-effort — a job
+  /// that finishes first stays done/failed. kNotFound for unknown ids,
   /// kFailedPrecondition if the job is already terminal.
   Status Cancel(JobId id);
 

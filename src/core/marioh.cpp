@@ -30,7 +30,6 @@ Marioh::Marioh(MariohOptions options)
 
 void Marioh::Train(const ProjectedGraph& g_source,
                    const Hypergraph& h_source) {
-  util::ScopedStage stage(&timer_, "train");
   util::Rng rng(options_.seed);
   classifier_.Train(g_source, h_source, &rng, options_.cancel);
 }
@@ -70,19 +69,21 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
   };
 
   if (options_.use_filtering) {
-    util::ScopedStage stage(&timer_, "filtering");
+    util::Timer watch;
     CsrGraph pre_filter;
     FilteringStats fstats = Filtering(&g, &h, options_.num_threads,
                                       &pre_filter, options_.cancel);
     last_stats_.filtering_edges = fstats.edges_identified;
     if (util::ShouldStop(options_.cancel)) {
       last_stats_.cancelled = true;
+      last_stats_.filtering_seconds = watch.Seconds();
       return h;
     }
     // Filtering already paid for a snapshot of the pre-filter graph;
     // reuse it for the first iteration instead of building a third.
     snapshot = refresh_snapshot(std::move(pre_filter),
                                 fstats.touched_nodes);
+    last_stats_.filtering_seconds = watch.Seconds();
   } else {
     snapshot = CsrGraph(g, options_.num_threads);
     ++last_stats_.snapshot_rebuilds;
@@ -91,59 +92,58 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
   util::Rng rng(options_.seed ^ 0x9e3779b97f4a7c15ULL);
   double theta = options_.theta_init;
   size_t iterations = 0;
-  {
-    util::ScopedStage stage(&timer_, "bidirectional");
-    while (!g.Empty() && iterations < options_.max_iterations &&
-           !last_stats_.cancelled) {
-      BidirectionalOptions bopt;
-      bopt.theta = theta;
-      bopt.r_percent = options_.r_percent;
-      bopt.explore_subcliques = options_.use_bidirectional;
-      bopt.num_threads = options_.num_threads;
-      bopt.cancel = options_.cancel;
-      BidirectionalStats stats =
-          BidirectionalSearch(&g, snapshot, classifier_, bopt, &rng, &h);
-      last_stats_.maximal_cliques += stats.maximal_cliques;
-      last_stats_.accepted_phase1 += stats.accepted_phase1;
-      last_stats_.accepted_phase2 += stats.accepted_phase2;
-      last_stats_.subcliques_scored += stats.subcliques_scored;
-      last_stats_.cliques_truncated |= stats.cliques_truncated;
-      last_stats_.cancelled |= stats.cancelled;
-      theta = std::max(theta - options_.alpha * options_.theta_init, 0.0);
-      ++iterations;
-      std::vector<NodeId> touched = std::move(stats.touched_nodes);
-      // Termination safeguard: once theta is 0 every maximal clique scores
-      // above the threshold (sigmoid output > 0), so Phase 1 must accept at
-      // least one clique per iteration. If nothing was accepted anyway
-      // (degenerate classifier), peel the best-scoring maximal clique via
-      // a plain maximal-clique step to guarantee progress. Nothing was
-      // peeled this iteration, so the snapshot is still exact and serves
-      // the fallback enumeration directly.
-      if (theta == 0.0 && stats.accepted_phase1 == 0 &&
-          stats.accepted_phase2 == 0 && !g.Empty() &&
-          !last_stats_.cancelled) {
-        CliqueOptions copts;
-        copts.num_threads = options_.num_threads;
-        copts.cancel = options_.cancel;
-        MaximalCliqueResult fallback =
-            EnumerateMaximalCliques(snapshot, copts);
-        if (fallback.cancelled) {
-          last_stats_.cancelled = true;
-          break;
-        }
-        MARIOH_CHECK(!fallback.cliques.empty());
-        NodeSet first = fallback.cliques.Materialize(0);
-        h.AddEdge(first, 1);
-        g.PeelClique(first);
-        touched.insert(touched.end(), first.begin(), first.end());
-        Canonicalize(&touched);
+  util::Timer watch;
+  while (!g.Empty() && iterations < options_.max_iterations &&
+         !last_stats_.cancelled) {
+    BidirectionalOptions bopt;
+    bopt.theta = theta;
+    bopt.r_percent = options_.r_percent;
+    bopt.explore_subcliques = options_.use_bidirectional;
+    bopt.num_threads = options_.num_threads;
+    bopt.cancel = options_.cancel;
+    BidirectionalStats stats =
+        BidirectionalSearch(&g, snapshot, classifier_, bopt, &rng, &h);
+    last_stats_.maximal_cliques += stats.maximal_cliques;
+    last_stats_.accepted_phase1 += stats.accepted_phase1;
+    last_stats_.accepted_phase2 += stats.accepted_phase2;
+    last_stats_.subcliques_scored += stats.subcliques_scored;
+    last_stats_.cliques_truncated |= stats.cliques_truncated;
+    last_stats_.cancelled |= stats.cancelled;
+    theta = std::max(theta - options_.alpha * options_.theta_init, 0.0);
+    ++iterations;
+    std::vector<NodeId> touched = std::move(stats.touched_nodes);
+    // Termination safeguard: once theta is 0 every maximal clique scores
+    // above the threshold (sigmoid output > 0), so Phase 1 must accept at
+    // least one clique per iteration. If nothing was accepted anyway
+    // (degenerate classifier), peel the best-scoring maximal clique via
+    // a plain maximal-clique step to guarantee progress. Nothing was
+    // peeled this iteration, so the snapshot is still exact and serves
+    // the fallback enumeration directly.
+    if (theta == 0.0 && stats.accepted_phase1 == 0 &&
+        stats.accepted_phase2 == 0 && !g.Empty() &&
+        !last_stats_.cancelled) {
+      CliqueOptions copts;
+      copts.num_threads = options_.num_threads;
+      copts.cancel = options_.cancel;
+      MaximalCliqueResult fallback =
+          EnumerateMaximalCliques(snapshot, copts);
+      if (fallback.cancelled) {
+        last_stats_.cancelled = true;
+        break;
       }
-      if (!g.Empty() && iterations < options_.max_iterations &&
-          !last_stats_.cancelled) {
-        snapshot = refresh_snapshot(std::move(snapshot), touched);
-      }
+      MARIOH_CHECK(!fallback.cliques.empty());
+      NodeSet first = fallback.cliques.Materialize(0);
+      h.AddEdge(first, 1);
+      g.PeelClique(first);
+      touched.insert(touched.end(), first.begin(), first.end());
+      Canonicalize(&touched);
+    }
+    if (!g.Empty() && iterations < options_.max_iterations &&
+        !last_stats_.cancelled) {
+      snapshot = refresh_snapshot(std::move(snapshot), touched);
     }
   }
+  last_stats_.bidirectional_seconds = watch.Seconds();
   // Catch a trip that landed after the last kernel poll (e.g. between
   // iterations, or with filtering disabled on a graph the loop never
   // entered) so callers get a consistent cancelled flag.

@@ -97,6 +97,10 @@ struct ReconstructionStats {
   /// its next preemption point and the returned hypergraph is partial —
   /// discard it.
   bool cancelled = false;
+  /// Wall-clock seconds of Algorithm 2 (filtering, with the first
+  /// snapshot it hands on) and of the bidirectional-search loop.
+  double filtering_seconds = 0.0;
+  double bidirectional_seconds = 0.0;
 };
 
 /// Supervised multiplicity-aware hypergraph reconstructor.
@@ -112,19 +116,15 @@ class Marioh {
   explicit Marioh(MariohOptions options = {});
 
   /// Trains the clique classifier on the source pair (Problem 1's
-  /// supervision). Records time under stage "train".
+  /// supervision).
   void Train(const ProjectedGraph& g_source, const Hypergraph& h_source);
 
   /// Reconstructs a hypergraph from the target projected graph
-  /// (Algorithm 1). Records time under stages "filtering" and
-  /// "bidirectional".
+  /// (Algorithm 1).
   Hypergraph Reconstruct(const ProjectedGraph& g_target) const;
 
-  /// Wall-clock per stage from the most recent Train/Reconstruct calls;
-  /// powers the Fig. 6 runtime-breakdown bench.
-  const util::StageTimer& stage_timer() const { return timer_; }
-
-  /// Counters of the most recent Reconstruct call (zeroed at its start).
+  /// Counters and phase times of the most recent Reconstruct call
+  /// (zeroed at its start).
   const ReconstructionStats& last_reconstruction_stats() const {
     return last_stats_;
   }
@@ -137,7 +137,6 @@ class Marioh {
  private:
   MariohOptions options_;
   CliqueClassifier classifier_;
-  mutable util::StageTimer timer_;
   mutable ReconstructionStats last_stats_;
 };
 

@@ -1,10 +1,10 @@
 #include "net/line_protocol.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "api/registry.hpp"
 #include "api/request.hpp"
@@ -72,81 +72,47 @@ api::Status GenerateDataset(api::DatasetCache* cache,
   return Status::Ok();
 }
 
-std::vector<std::pair<std::string, std::string>> LegacyStatsFields() {
-  using obs::MetricSnapshot;
-  // One Collect() = one coherent set of values: the hooks publish under
-  // their subsystems' locks, so the counter partition holds across the
-  // whole line.
-  std::vector<MetricSnapshot> metrics =
-      obs::MetricRegistry::Global().Collect();
-  std::map<std::string, const MetricSnapshot*> index;
-  for (const MetricSnapshot& m : metrics) {
-    index[m.labels.empty() ? m.name : m.name + "{" + m.labels + "}"] = &m;
+std::optional<Status> ParseServiceFlag(const std::string& flag,
+                                       const std::string& value,
+                                       api::ServiceOptions* options) {
+  if (flag == "--workers") {
+    std::optional<int> workers = util::ParseNonNegativeInt(value);
+    if (!workers.has_value()) {
+      return Status::InvalidArgument(
+          "--workers needs a non-negative integer (0 = all cores)");
+    }
+    options->num_workers = *workers;
+  } else if (flag == "--journal-dir") {
+    options->journal_dir = value;
+  } else if (flag == "--fsync") {
+    if (!util::ParseJournalFsync(value, &options->journal_fsync)) {
+      return Status::InvalidArgument("--fsync needs 'always' or 'never'");
+    }
+  } else {
+    return std::nullopt;
   }
-  auto find = [&index](const std::string& key) -> const MetricSnapshot* {
-    auto it = index.find(key);
-    return it == index.end() ? nullptr : it->second;
-  };
-  auto integer = [&find](const std::string& key) {
-    const MetricSnapshot* m = find(key);
-    if (m == nullptr) return std::string("0");
-    return std::to_string(m->kind == MetricSnapshot::Kind::kCounter
-                              ? m->counter_value
-                              : static_cast<uint64_t>(m->gauge_value));
-  };
-  std::vector<std::pair<std::string, std::string>> fields;
-  auto add = [&fields, &integer](const char* legacy,
-                                 const std::string& name) {
-    fields.emplace_back(legacy, integer(name));
-  };
-  add("accepted", "marioh_jobs_accepted_total");
-  add("queued", "marioh_jobs_queued");
-  add("running", "marioh_jobs_running");
-  add("done", "marioh_jobs_done_total");
-  add("failed", "marioh_jobs_failed_total");
-  add("cancelled", "marioh_jobs_cancelled_total");
-  add("deadline_exceeded", "marioh_jobs_deadline_exceeded_total");
-  add("budget_overruns", "marioh_budget_overruns_total");
-  add("preempted", "marioh_jobs_preempted_total");
-  add("queued_interactive",
-      "marioh_queue_depth{priority=\"interactive\"}");
-  add("queued_normal", "marioh_queue_depth{priority=\"normal\"}");
-  add("queued_batch", "marioh_queue_depth{priority=\"batch\"}");
-  if (const MetricSnapshot* cancel =
-          find("marioh_cancel_latency_seconds");
-      cancel != nullptr && cancel->count > 0) {
-    fields.emplace_back(
-        "cancel_latency_mean",
-        obs::FormatMetricValue(cancel->sum /
-                               static_cast<double>(cancel->count)));
-    fields.emplace_back("cancel_latency_max",
-                        obs::FormatMetricValue(cancel->max));
+  return Status::Ok();
+}
+
+StatusOr<std::unique_ptr<api::Service>> StartService(
+    const std::shared_ptr<api::DatasetCache>& cache,
+    const api::ServiceOptions& options, std::ostream& warnings) {
+  if (!options.journal_dir.empty()) {
+    // The manifest writes into the directory before Journal::Open (in
+    // the Service constructor) would create it.
+    ::mkdir(options.journal_dir.c_str(), 0755);
+    std::string manifest = options.journal_dir + "/datasets.manifest";
+    Status restored = cache->RestoreFromManifest(
+        manifest, [&cache](const std::string& basename,
+                           const std::string& profile, uint64_t seed) {
+          return GenerateDataset(cache.get(), basename, profile, seed);
+        });
+    if (!restored.ok()) warnings << "warning: " << restored.message() << "\n";
+    MARIOH_RETURN_IF_ERROR(cache->EnableManifest(manifest));
   }
-  add("submits_rejected", "marioh_submits_rejected_total");
-  add("jobs_retired", "marioh_jobs_retired_total");
-  add("jobs_retried", "marioh_jobs_retried_total");
-  add("retries_exhausted", "marioh_retries_exhausted_total");
-  add("jobs_stalled", "marioh_jobs_stalled_total");
-  add("loadshed_rejects", "marioh_loadshed_rejects_total");
-  add("jobs_recovered", "marioh_jobs_recovered_total");
-  add("faults_injected", "marioh_faults_injected_total");
-  add("cache_bytes", "marioh_cache_bytes");
-  add("cache_evictions", "marioh_cache_evictions_total");
-  if (find("marioh_journal_records_total") != nullptr) {
-    add("journal_records", "marioh_journal_records_total");
-    add("journal_fsyncs", "marioh_journal_fsyncs_total");
-    add("journal_segments", "marioh_journal_segments");
-    add("journal_replayed", "marioh_journal_replayed_total");
-    add("journal_torn_tails", "marioh_journal_torn_tails_total");
-    add("journal_compacted", "marioh_journal_compacted_total");
-  }
-  if (find("marioh_connections_total") != nullptr) {
-    add("connections_active", "marioh_connections_active");
-    add("connections_total", "marioh_connections_total");
-    add("connections_rejected", "marioh_connections_rejected_total");
-    add("lines_served", "marioh_lines_served_total");
-  }
-  return fields;
+  auto service = std::make_unique<api::Service>(cache, options);
+  if (!service->startup_status().ok()) return service->startup_status();
+  return service;
 }
 
 LineProtocol::LineProtocol(api::DatasetCache* cache, api::Service* service)
@@ -196,15 +162,6 @@ std::string LineProtocol::FormatJob(const JobSnapshot& job) const {
   }
   out << "\n";
   return out.str();
-}
-
-std::string LineProtocol::FormatStats() const {
-  std::string out = "ok stats";
-  for (const auto& [key, value] : LegacyStatsFields()) {
-    out += " " + key + "=" + value;
-  }
-  out += "\n";
-  return out;
 }
 
 std::string LineProtocol::FormatMetrics() {
@@ -325,7 +282,6 @@ LineProtocol::Result LineProtocol::Handle(const std::string& line) {
     return {"ok " + verb + " " + std::to_string(*id) + "\n", false,
             std::nullopt};
   }
-  if (verb == "stats") return {FormatStats(), false, std::nullopt};
   if (verb == "metrics") {
     std::string format;
     args >> format;
@@ -375,7 +331,7 @@ LineProtocol::Result LineProtocol::Handle(const std::string& line) {
   return {FormatError(Status::InvalidArgument(
               "unknown request '" + verb +
               "' (load gen datasets methods submit poll wait cancel forget "
-              "stats metrics failpoints quit)")),
+              "metrics failpoints quit)")),
           false, std::nullopt};
 }
 

@@ -14,27 +14,16 @@
 
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "api/dataset_cache.hpp"
 #include "api/service.hpp"
 #include "api/status.hpp"
 
 namespace marioh::net {
-
-/// The legacy `stats` fields (`accepted=`, `queued=`, ...,
-/// `lines_served=`) rendered from one `obs::MetricRegistry::Global()`
-/// collection, in the order the `stats` verb has always printed them.
-/// Optional groups keep their old conditionality: cancel-latency fields
-/// appear once a cancel was sampled, `journal_*` once a journal
-/// published, `connections_*`/`lines_served` once a TCP server did.
-/// Shared by the `stats` verb and `marioh_served --stats-json`, so the
-/// two surfaces (and the `metrics` endpoint they are derived from)
-/// cannot drift.
-std::vector<std::pair<std::string, std::string>> LegacyStatsFields();
 
 /// Prepares the dataset triple `<basename>.train/.target/.truth` from
 /// evaluation-harness generator `profile` under `seed` and inserts it
@@ -46,6 +35,27 @@ std::vector<std::pair<std::string, std::string>> LegacyStatsFields();
 api::Status GenerateDataset(api::DatasetCache* cache,
                             const std::string& basename,
                             const std::string& profile, uint64_t seed);
+
+/// Parses `flag value` when `flag` is one of the ServiceOptions flags
+/// both front ends take: `--workers N`, `--journal-dir PATH`,
+/// `--fsync always|never`. nullopt for any other flag; otherwise OK, or
+/// kInvalidArgument saying what the flag needs.
+std::optional<api::Status> ParseServiceFlag(const std::string& flag,
+                                            const std::string& value,
+                                            api::ServiceOptions* options);
+
+/// The start-up sequence both front ends run. With a journal directory
+/// it creates the directory, restores the datasets recorded in its
+/// `datasets.manifest` through GenerateDataset, then enables the
+/// manifest. Datasets come first because the Service replays the
+/// journal on construction and re-admitted jobs must resolve their
+/// handles. A failed restore is written to `warnings` (only the jobs
+/// that need a missing dataset fail); a manifest that cannot be enabled,
+/// or a Service whose `startup_status()` is not OK, is an error: the
+/// durability the operator asked for is not there, so refuse to serve.
+api::StatusOr<std::unique_ptr<api::Service>> StartService(
+    const std::shared_ptr<api::DatasetCache>& cache,
+    const api::ServiceOptions& options, std::ostream& warnings);
 
 class LineProtocol {
  public:
@@ -89,10 +99,6 @@ class LineProtocol {
 
   /// "error CODE: message".
   static std::string FormatError(const api::Status& status);
-
-  /// The `stats` response: the legacy key=value line, rendered from the
-  /// metric registry (see LegacyStatsFields).
-  std::string FormatStats() const;
 
   /// The `metrics` response: `ok metrics lines=N\n` followed by exactly
   /// N lines of Prometheus text exposition from the global registry —

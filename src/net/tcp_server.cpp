@@ -94,8 +94,8 @@ api::Status TcpServer::Start() {
   MARIOH_RETURN_IF_ERROR(loop_->Add(
       listen_fd_, EventLoop::kRead, [this](uint32_t) { OnAcceptable(); }));
   loop_->set_tick(options_.tick_period, [this] { Tick(); });
-  // Publish connection counters through the registry: the stats verb,
-  // the metrics endpoint, and --stats-json all read the same series.
+  // Publish connection counters through the registry: the metrics
+  // endpoint and --metrics-json read the same series.
   metrics_hook_ = obs::MetricRegistry::Global().AddCollectionHook([this] {
     obs::MetricRegistry& r = obs::MetricRegistry::Global();
     NetStatsSnapshot s = stats();
@@ -119,14 +119,6 @@ NetStatsSnapshot TcpServer::stats() const {
       connections_rejected_.load(std::memory_order_relaxed);
   snapshot.lines_served = lines_served_.load(std::memory_order_relaxed);
   return snapshot;
-}
-
-std::string TcpServer::StatsFields() const {
-  NetStatsSnapshot s = stats();
-  return "connections_active=" + std::to_string(s.connections_active) +
-         " connections_total=" + std::to_string(s.connections_total) +
-         " connections_rejected=" + std::to_string(s.connections_rejected) +
-         " lines_served=" + std::to_string(s.lines_served);
 }
 
 void TcpServer::OnAcceptable() {

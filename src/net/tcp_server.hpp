@@ -66,7 +66,7 @@ struct TcpServerOptions {
 };
 
 /// Connection counters, readable from any thread (the loop publishes,
-/// tests and the stats verb read).
+/// tests and the metrics hook read).
 struct NetStatsSnapshot {
   uint64_t connections_active = 0;
   uint64_t connections_total = 0;
@@ -93,10 +93,6 @@ class TcpServer {
   uint16_t port() const { return port_; }
 
   NetStatsSnapshot stats() const;
-
-  /// The `key=value ...` fields this server appends to every `stats`
-  /// response (also handy for the shutdown report).
-  std::string StatsFields() const;
 
  private:
   struct Connection {

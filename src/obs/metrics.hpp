@@ -5,9 +5,9 @@
 /// and two exposition formats — Prometheus text (`PrometheusText`) and a
 /// machine-readable JSON snapshot (`SnapshotJson`). Every subsystem
 /// publishes into `MetricRegistry::Global()` and every surface (the
-/// `metrics` / `stats` verbs, `--stats-json`, `--metrics-json`, the soak
-/// scrapers, CI artifacts) reads out of it, so the numbers cannot drift
-/// between exposition paths.
+/// `metrics` verb, `--metrics-json`, the soak scrapers, CI artifacts)
+/// reads out of it, so the numbers cannot drift between exposition
+/// paths.
 ///
 /// Two publication styles coexist:
 ///  - *event-time* instruments (histograms, spans): observed at the

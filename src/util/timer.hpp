@@ -26,8 +26,8 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates wall-clock time per named stage. MARIOH uses this to report
-/// the load/train/filter/bidirectional-search breakdown of Fig. 6.
+/// Accumulates wall-clock time per named stage. api::Session keeps its
+/// stage times and run counters in one (the Fig. 6 breakdown reads it).
 class StageTimer {
  public:
   /// Adds `seconds` to the stage named `stage`.

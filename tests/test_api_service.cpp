@@ -22,6 +22,7 @@
 #include "api/session.hpp"
 #include "eval/harness.hpp"
 #include "io/text_io.hpp"
+#include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
 
 namespace marioh::api {
@@ -53,6 +54,13 @@ bool WaitUntilRunning(Service& service, JobId id) {
     if (job->terminal()) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+}
+
+/// The process-wide cancel-to-stop histogram every Service observes
+/// into; tests compare its count/sum before and after a run.
+const obs::Histogram& CancelLatency() {
+  return *obs::MetricRegistry::Global().GetHistogram(
+      "marioh_cancel_latency_seconds");
 }
 
 TEST(DatasetCache, InsertGetEraseAndListing) {
@@ -431,12 +439,15 @@ TEST(Service, FairSharePriorityOrderingOnOneWorker) {
 
 // Cancelling a running job preempts it mid-kernel: the job ends
 // kCancelled with a measured cancel-to-stop latency, and the service
-// accounts it under preempted + the latency counters.
+// accounts it under preempted + the cancel-latency histogram.
 TEST(Service, CancelRunningJobMeasuresPreemptionLatency) {
   eval::PreparedDataset data = SmallDataset();
   ServiceOptions options;
   options.num_workers = 1;
   Service service(CacheWithCrime(data), options);
+  const obs::Histogram& latency = CancelLatency();
+  uint64_t count_before = latency.count();
+  double sum_before = latency.sum();
 
   ReconstructRequest request;
   request.method = "MARIOH";
@@ -464,9 +475,9 @@ TEST(Service, CancelRunningJobMeasuresPreemptionLatency) {
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.preempted, 1u);
-  EXPECT_EQ(stats.cancel_latency_count, 1u);
-  EXPECT_EQ(stats.cancel_latency_total_seconds, job->cancel_latency_seconds);
-  EXPECT_EQ(stats.cancel_latency_max_seconds, job->cancel_latency_seconds);
+  EXPECT_EQ(latency.count() - count_before, 1u);
+  EXPECT_DOUBLE_EQ(latency.sum() - sum_before, job->cancel_latency_seconds);
+  EXPECT_GE(latency.max(), job->cancel_latency_seconds);
 }
 
 // A hard deadline aborts the job with the dedicated terminal state —
@@ -474,6 +485,7 @@ TEST(Service, CancelRunningJobMeasuresPreemptionLatency) {
 TEST(Service, HardDeadlineEndsJobsAsDeadlineExceeded) {
   eval::PreparedDataset data = SmallDataset();
   Service service(CacheWithCrime(data));
+  uint64_t cancels_before = CancelLatency().count();
 
   ReconstructRequest request;
   request.method = "MARIOH";
@@ -496,7 +508,7 @@ TEST(Service, HardDeadlineEndsJobsAsDeadlineExceeded) {
   EXPECT_EQ(stats.preempted, 1u);
   EXPECT_EQ(stats.cancelled, 0u);
   EXPECT_EQ(stats.budget_overruns, 0u);
-  EXPECT_EQ(stats.cancel_latency_count, 0u);
+  EXPECT_EQ(CancelLatency().count(), cancels_before);
 
   // Cancelling the already-aborted job is a precise FailedPrecondition.
   EXPECT_EQ(service.Cancel(*id).code(), StatusCode::kFailedPrecondition);

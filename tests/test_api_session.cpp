@@ -277,6 +277,10 @@ TEST(Session, ReconstructionCountersLandInStageStats) {
       session.stage_timer().Get("reconstruct.snapshot_patches") +
       session.stage_timer().Get("reconstruct.snapshot_rebuilds");
   EXPECT_GT(snapshots, 0.0);
+  // The per-phase seconds of Algorithm 1 ride the same channel.
+  EXPECT_GT(session.stage_timer().Get("reconstruct.filtering_seconds"), 0.0);
+  EXPECT_GT(session.stage_timer().Get("reconstruct.bidirectional_seconds"),
+            0.0);
 }
 
 TEST(Session, SnapshotReuseOverrideIsAPureWallClockKnob) {

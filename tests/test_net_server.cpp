@@ -341,12 +341,12 @@ TEST(NetServer, SlowReaderIsDisconnectedByBackpressure) {
   // hold the rest.
   Client slow(fixture.port(), /*rcvbuf_bytes=*/4096);
   ASSERT_TRUE(slow.connected());
-  // Never read: each `stats` response (~350 bytes) stacks up. Once the
+  // Never read: each `metrics json` response (a few KB) stacks up. Once the
   // socket buffers are full, the server-side buffer crosses the 16 KiB
   // cap and the connection is dropped mid-stream — visible here as a
   // failed send (RST) or the active-connection gauge hitting zero.
   std::string burst;
-  for (int i = 0; i < 2000; ++i) burst += "stats\n";
+  for (int i = 0; i < 2000; ++i) burst += "metrics json\n";
   bool disconnected = false;
   for (int round = 0; round < 20 && !disconnected; ++round) {
     if (!slow.SendRaw(burst)) {
@@ -365,7 +365,7 @@ TEST(NetServer, SlowReaderIsDisconnectedByBackpressure) {
   Client polite(fixture.port());
   ASSERT_TRUE(polite.connected());
   EXPECT_EQ(polite.ReadLine().rfind("ok marioh_served", 0), 0u);
-  EXPECT_EQ(polite.Roundtrip("stats").rfind("ok stats", 0), 0u);
+  EXPECT_EQ(polite.Roundtrip("datasets").rfind("ok datasets", 0), 0u);
 }
 
 // Framing abuse — unknown verbs, binary junk, and a line far beyond
@@ -477,8 +477,8 @@ TEST(NetServer, EventLoopSurvivesEintrDuringRun) {
 // terminal counters plus the queued/running gauges — exactly, because
 // the Service publishes one mutex-coherent snapshot per collection. Also
 // covers the framing (`ok metrics lines=N` + N raw lines), the
-// single-line `metrics json` variant, and the `stats` verb still serving
-// the legacy key order from the same registry.
+// single-line `metrics json` variant, and the retired `stats` verb
+// answering as an unknown request.
 TEST(NetServer, MetricsVerbExposesAnExactCounterPartition) {
   eval::PreparedDataset data = SmallDataset();
   ServerFixture fixture(data, ServiceOptions{}, TcpServerOptions{});
@@ -495,12 +495,14 @@ TEST(NetServer, MetricsVerbExposesAnExactCounterPartition) {
               std::string::npos);
   }
 
-  // The stats verb renders its legacy line from the registry — key order
-  // unchanged, values from this fixture's Service.
+  // The registry is the one way to read service counters: `stats` is no
+  // longer a verb.
   std::string stats = client.Roundtrip("stats");
-  EXPECT_EQ(stats.rfind("ok stats accepted=2 queued=0 running=0 done=2", 0),
+  EXPECT_EQ(stats.rfind("error INVALID_ARGUMENT: unknown request 'stats' (",
+                        0),
             0u)
       << stats;
+  EXPECT_EQ(stats.find(" stats "), std::string::npos) << stats;
 
   std::string header = client.Roundtrip("metrics");
   ASSERT_EQ(header.rfind("ok metrics lines=", 0), 0u) << header;

@@ -1,13 +1,16 @@
 // Smoke test for the marioh_serve front end: drives the line protocol
-// end-to-end over a pipe — load → submit → wait → stats → quit must exit
-// 0 with the expected `ok ...` responses, and bad requests must produce
-// `error ...` lines without killing the serving loop. Mirrors the
-// test_examples_smoke CLI contract: never an abort.
+// end-to-end over a pipe — load → submit → wait → metrics → quit must
+// exit 0 with the expected `ok ...` responses, and bad requests must
+// produce `error ...` lines without killing the serving loop. Mirrors
+// the test_examples_smoke CLI contract: never an abort. Also covers the
+// start-up both daemons share: flag parsing and the journal directory's
+// dataset-manifest restore.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,18 +27,19 @@ namespace {
 
 #if defined(MARIOH_SERVE_PATH) && (defined(__unix__) || defined(__APPLE__))
 
-/// Feeds `script` to marioh_serve's stdin, captures combined
-/// stdout+stderr into `output`, and returns the exit code (-1 if killed
-/// by a signal, e.g. an abort).
-int RunServe(const std::string& script, std::string* output) {
+/// Feeds `script` to marioh_serve's stdin (started with the extra
+/// command-line `args`), captures combined stdout+stderr into `output`,
+/// and returns the exit code (-1 if killed by a signal, e.g. an abort).
+int RunServe(const std::string& script, std::string* output,
+             const std::string& args = "") {
   const std::string script_path = "serve_smoke_input.txt";
   const std::string capture_path = "serve_smoke_output.txt";
   {
     std::ofstream out(script_path);
     out << script;
   }
-  std::string command = std::string("\"") + MARIOH_SERVE_PATH +
-                        "\" < \"" + script_path + "\" > \"" +
+  std::string command = std::string("\"") + MARIOH_SERVE_PATH + "\" " +
+                        args + " < \"" + script_path + "\" > \"" +
                         capture_path + "\" 2>&1";
   int raw = std::system(command.c_str());
   std::ifstream in(capture_path);
@@ -48,9 +52,9 @@ int RunServe(const std::string& script, std::string* output) {
   return WEXITSTATUS(raw);
 }
 
-TEST(ServeSmoke, LoadSubmitWaitStatsQuitEndToEnd) {
+TEST(ServeSmoke, LoadSubmitWaitMetricsQuitEndToEnd) {
   // Real files on disk, loaded through the `load` verb — the acceptance
-  // path: load → submit → wait → stats → quit.
+  // path: load → submit → wait → metrics → quit.
   eval::PreparedDataset data =
       eval::PrepareDataset("crime", /*multiplicity_reduced=*/true,
                            /*seed=*/1);
@@ -67,7 +71,7 @@ TEST(ServeSmoke, LoadSubmitWaitStatsQuitEndToEnd) {
           "datasets\n"
           "submit method=MARIOH train=train target=target seed=7\n"
           "wait 1\n"
-          "stats\n"
+          "metrics json\n"
           "quit\n",
       &output);
   EXPECT_EQ(exit_code, 0) << output;
@@ -79,9 +83,13 @@ TEST(ServeSmoke, LoadSubmitWaitStatsQuitEndToEnd) {
   EXPECT_NE(output.find("ok job 1"), std::string::npos) << output;
   EXPECT_NE(output.find("state=DONE"), std::string::npos) << output;
   EXPECT_NE(output.find("unique_edges="), std::string::npos) << output;
-  EXPECT_NE(output.find("ok stats accepted=1"), std::string::npos)
+  EXPECT_NE(output.find("ok metrics-json {"), std::string::npos) << output;
+  EXPECT_NE(output.find(R"({"name":"marioh_jobs_accepted_total","value":1})"),
+            std::string::npos)
       << output;
-  EXPECT_NE(output.find("done=1"), std::string::npos) << output;
+  EXPECT_NE(output.find(R"({"name":"marioh_jobs_done_total","value":1})"),
+            std::string::npos)
+      << output;
   EXPECT_NE(output.find("ok bye"), std::string::npos) << output;
   EXPECT_EQ(output.find("error"), std::string::npos) << output;
 
@@ -100,7 +108,7 @@ TEST(ServeSmoke, GeneratedDatasetsEvaluateInProcess) {
       "submit method=MaxClique target=d.target truth=d.truth seed=2\n"
       "wait 1\n"
       "wait 2\n"
-      "stats\n"
+      "metrics json\n"
       "quit\n",
       &output);
   EXPECT_EQ(exit_code, 0) << output;
@@ -108,9 +116,12 @@ TEST(ServeSmoke, GeneratedDatasetsEvaluateInProcess) {
             std::string::npos)
       << output;
   EXPECT_NE(output.find("jaccard="), std::string::npos) << output;
-  EXPECT_NE(output.find("ok stats accepted=2"), std::string::npos)
+  EXPECT_NE(output.find(R"({"name":"marioh_jobs_accepted_total","value":2})"),
+            std::string::npos)
       << output;
-  EXPECT_NE(output.find("done=2"), std::string::npos) << output;
+  EXPECT_NE(output.find(R"({"name":"marioh_jobs_done_total","value":2})"),
+            std::string::npos)
+      << output;
   EXPECT_EQ(output.find("error"), std::string::npos) << output;
 }
 
@@ -125,6 +136,7 @@ TEST(ServeSmoke, BadRequestsAreErrorsNotCrashes) {
       "cancel 42\n"
       "wait notanumber\n"
       "stats\n"
+      "metrics json\n"
       "quit\n",
       &output);
   // Every request failed, yet the loop served all of them and exited 0.
@@ -140,9 +152,52 @@ TEST(ServeSmoke, BadRequestsAreErrorsNotCrashes) {
   EXPECT_NE(output.find("no job with id 42"), std::string::npos) << output;
   EXPECT_NE(output.find("usage: wait <job-id>"), std::string::npos)
       << output;
-  EXPECT_NE(output.find("ok stats accepted=0"), std::string::npos)
+  // `stats` is retired; the registry serves the counters.
+  EXPECT_NE(output.find("error INVALID_ARGUMENT: unknown request 'stats'"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find(R"({"name":"marioh_jobs_accepted_total","value":0})"),
+            std::string::npos)
       << output;
   EXPECT_NE(output.find("ok bye"), std::string::npos) << output;
+}
+
+TEST(ServeSmoke, MalformedWorkerCountIsRejected) {
+  // Strict flag parsing: trailing garbage or padding is not a number.
+  for (const char* workers : {"2x", "\" 3\"", "-1"}) {
+    std::string output;
+    int exit_code =
+        RunServe("quit\n", &output, std::string("--workers ") + workers);
+    EXPECT_EQ(exit_code, 1) << workers << ": " << output;
+    EXPECT_NE(output.find("error: --workers needs a non-negative integer"),
+              std::string::npos)
+        << workers << ": " << output;
+    EXPECT_EQ(output.find("ok marioh_serve"), std::string::npos) << output;
+  }
+}
+
+TEST(ServeSmoke, JournalDirRestoresGeneratedDatasetsOnRestart) {
+  // First life generates a dataset into a journal directory; the second
+  // life on the same directory restores it from the dataset manifest
+  // before serving.
+  const std::string dir = "serve_smoke_journal";
+  std::filesystem::remove_all(dir);
+  std::string output;
+  EXPECT_EQ(RunServe("gen d crime 2\nquit\n", &output,
+                     "--journal-dir " + dir + " --fsync never"),
+            0)
+      << output;
+  EXPECT_NE(output.find("ok generated d.train d.target d.truth"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(RunServe("datasets\nquit\n", &output, "--journal-dir " + dir),
+            0)
+      << output;
+  EXPECT_NE(output.find("ok datasets d.target d.train d.truth"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("warning"), std::string::npos) << output;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServeSmoke, EofWithRunningJobsStillExitsZero) {

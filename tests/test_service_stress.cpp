@@ -10,8 +10,9 @@
 // happens under one mutex, so the books must balance in every snapshot,
 // not just at quiescence). The suite runs under TSan in CI, where it
 // doubles as the data-race battery for the CancelToken plumbing; it also
-// writes the measured cancel-to-stop latencies to cancel_latency.json,
-// which CI uploads next to bench_micro.json.
+// writes the cancel-to-stop latencies the run added to the
+// marioh_cancel_latency_seconds histogram to cancel_latency.json, which
+// CI uploads next to bench_micro.json.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "api/request.hpp"
 #include "api/service.hpp"
 #include "eval/harness.hpp"
+#include "obs/metrics.hpp"
 
 namespace marioh::api {
 namespace {
@@ -35,19 +37,25 @@ namespace {
 constexpr int kProducers = 4;
 constexpr int kJobsPerProducer = 12;
 
-void CheckInvariant(const ServiceStats& stats) {
+/// The process-wide cancel-to-stop histogram every Service observes into.
+const obs::Histogram& CancelLatency() {
+  return *obs::MetricRegistry::Global().GetHistogram(
+      "marioh_cancel_latency_seconds");
+}
+
+/// Checks the books of one stats() snapshot. `cancel_samples` is how far
+/// the cancel-latency histogram grew since the run began, read *before*
+/// `stats`: the service observes a sample under the lock that counts the
+/// cancel, so the sample count can only trail the cancelled total.
+void CheckInvariant(const ServiceStats& stats, uint64_t cancel_samples) {
   EXPECT_EQ(stats.accepted, stats.done + stats.failed + stats.cancelled +
                                 stats.deadline_exceeded + stats.queued +
                                 stats.running);
   EXPECT_EQ(stats.queued, stats.queued_interactive + stats.queued_normal +
                               stats.queued_batch);
   EXPECT_LE(stats.preempted, stats.cancelled + stats.deadline_exceeded);
-  EXPECT_LE(stats.cancel_latency_count, stats.cancelled);
+  EXPECT_LE(cancel_samples, stats.cancelled);
   EXPECT_LE(stats.budget_overruns, stats.done);
-  EXPECT_LE(stats.cancel_latency_total_seconds,
-            stats.cancel_latency_max_seconds *
-                    static_cast<double>(stats.cancel_latency_count) +
-                1e-9);
 }
 
 TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
@@ -61,6 +69,9 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
   ServiceOptions options;
   options.num_workers = 2;
   Service service(cache, options);
+  const obs::Histogram& latency = CancelLatency();
+  const uint64_t count_before = latency.count();
+  const double sum_before = latency.sum();
 
   std::atomic<bool> producing{true};
   std::vector<std::thread> producers;
@@ -115,9 +126,10 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
 
   // The sampler hammers stats() while producers and workers run: the
   // invariant must hold in every mid-flight snapshot.
-  std::thread sampler([&service, &producing] {
+  std::thread sampler([&service, &producing, &latency, count_before] {
     while (producing.load()) {
-      CheckInvariant(service.stats());
+      uint64_t cancel_samples = latency.count() - count_before;
+      CheckInvariant(service.stats(), cancel_samples);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -138,8 +150,12 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
     }
   }
 
+  uint64_t cancel_count = latency.count() - count_before;
+  double cancel_total = latency.sum() - sum_before;
   ServiceStats stats = service.stats();
-  CheckInvariant(stats);
+  CheckInvariant(stats, cancel_count);
+  EXPECT_LE(cancel_total,
+            latency.max() * static_cast<double>(cancel_count) + 1e-9);
   EXPECT_EQ(stats.accepted,
             static_cast<uint64_t>(kProducers * kJobsPerProducer));
   EXPECT_EQ(stats.queued, 0u);
@@ -155,16 +171,13 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
   std::ofstream out("cancel_latency.json");
   ASSERT_TRUE(out.good());
   double mean =
-      stats.cancel_latency_count == 0
-          ? 0.0
-          : stats.cancel_latency_total_seconds /
-                static_cast<double>(stats.cancel_latency_count);
+      cancel_count == 0 ? 0.0
+                        : cancel_total / static_cast<double>(cancel_count);
   out << "{\n"
-      << "  \"cancel_latency_count\": " << stats.cancel_latency_count
-      << ",\n"
+      << "  \"cancel_latency_count\": " << cancel_count << ",\n"
       << "  \"cancel_latency_mean_seconds\": " << mean << ",\n"
       << "  \"cancel_latency_max_seconds\": "
-      << stats.cancel_latency_max_seconds << ",\n"
+      << (cancel_count == 0 ? 0.0 : latency.max()) << ",\n"
       << "  \"preempted\": " << stats.preempted << ",\n"
       << "  \"cancelled\": " << stats.cancelled << ",\n"
       << "  \"deadline_exceeded\": " << stats.deadline_exceeded << "\n"

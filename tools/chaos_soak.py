@@ -29,39 +29,45 @@ pair sharing one --journal-dir:
                       SIGKILLed — no destructor, no flush. A second
                       daemon on the same journal dir must report every
                       accepted-but-unfinished job recovered (banner
-                      recovered=N, stats jobs_recovered=N), run each to
+                      recovered=N, marioh_jobs_recovered_total=N in the
+                      `metrics` scrape and --metrics-json), run each to
                       DONE under its ORIGINAL job id, and keep the
                       counter partition exact: zero accepted jobs lost.
 
-Then SIGTERMs the daemon and asserts from its --stats-json snapshot:
+Then SIGTERMs the daemon and asserts from its --metrics-json snapshot:
 
-  * >= 200 requests served across >= 6 connections, zero crashes,
+  * >= 200 requests served across >= 6 connections, zero crashes
+    (marioh_lines_served_total, marioh_connections_total),
   * the service counter partition holds:
-      accepted == done + failed + cancelled + deadline_exceeded
-                  + queued + running
-  * the fault machinery actually engaged: faults_injected > 0,
-    jobs_retried > 0, jobs_stalled >= 1,
+      marioh_jobs_accepted_total == done + failed + cancelled
+          + deadline_exceeded (the *_total counters)
+          + marioh_jobs_queued + marioh_jobs_running
+  * the fault machinery actually engaged: marioh_faults_injected_total
+    > 0, marioh_jobs_retried_total > 0, marioh_jobs_stalled_total >= 1,
   * clean exit 0.
 
 Between phases the harness also scrapes the `metrics` verb and asserts
 the same partition holds *live* from the Prometheus exposition — chaos
 must never produce even a transiently incoherent counter snapshot.
 
-Usage: chaos_soak.py /path/to/marioh_served [stats.json]
+Usage: chaos_soak.py /path/to/marioh_served [metrics.json]
+
+Phase E's second daemon writes its snapshot to metrics.json.recovery.
 
 Exit status 0 on success; nonzero with a diagnostic on any failure.
 No dependencies beyond the Python 3 standard library.
 """
 
-import json
 import os
 import shutil
 import signal
-import socket
 import subprocess
 import sys
 import threading
 import time
+
+from soak_client import (Client, assert_partition, fail, load_metrics_json,
+                         read_banner)
 
 CONNECTIONS = 8          # concurrent clients per phase (>= 6 required)
 JOBS_PHASE_A = 5         # retry-storm jobs per connection
@@ -72,73 +78,11 @@ FAILPOINT_SEED = "427"   # fixed: a failing run replays bit-for-bit
 STALL_TIMEOUT = 1.0      # watchdog budget for phase C (seconds)
 
 
-def fail(message):
-    print("chaos_soak: FAIL: " + message, file=sys.stderr)
-    sys.exit(1)
-
-
-class Client:
-    """One line-protocol conversation over a fresh TCP connection."""
-
-    def __init__(self, port):
-        self.sock = socket.create_connection(("127.0.0.1", port),
-                                             timeout=120)
-        self.buf = b""
-        self.requests = 0
-        self.greeting = self.read_line()
-        if not self.greeting.startswith("ok marioh_served client=conn-"):
-            fail("bad greeting: %r" % self.greeting)
-
-    def read_line(self):
-        while b"\n" not in self.buf:
-            chunk = self.sock.recv(4096)
-            if not chunk:
-                fail("connection closed mid-conversation")
-            self.buf += chunk
-        line, self.buf = self.buf.split(b"\n", 1)
-        return line.decode()
-
-    def request(self, line):
-        self.sock.sendall((line + "\n").encode())
-        self.requests += 1
-        reply = self.read_line()
-        if not (reply.startswith("ok ") or reply.startswith("error ")):
-            fail("malformed reply to %r: %r" % (line, reply))
-        return reply
-
-    def close(self):
-        self.sock.close()
-
-    def scrape_metrics(self):
-        """Scrapes the `metrics` verb: `ok metrics lines=N` header, then N
-        Prometheus text lines; returns {series: float} minus comments."""
-        reply = self.request("metrics")
-        if not reply.startswith("ok metrics lines="):
-            fail("bad metrics header: %r" % reply)
-        count = int(reply.split("lines=", 1)[1])
-        series = {}
-        for _ in range(count):
-            line = self.read_line()
-            if line.startswith("#"):
-                continue
-            name, _, value = line.rpartition(" ")
-            series[name] = float(value)
-        return series
-
-
 def assert_live_partition(client, where):
     """Scrapes the metrics endpoint and asserts the counter partition
     holds at this instant — mid-chaos, not just at shutdown."""
     series = client.scrape_metrics()
-    terminal = (series["marioh_jobs_done_total"] +
-                series["marioh_jobs_failed_total"] +
-                series["marioh_jobs_cancelled_total"] +
-                series["marioh_jobs_deadline_exceeded_total"] +
-                series["marioh_jobs_queued"] +
-                series["marioh_jobs_running"])
-    if series["marioh_jobs_accepted_total"] != terminal:
-        fail("%s: live partition violated: accepted=%s vs sum=%s"
-             % (where, series["marioh_jobs_accepted_total"], terminal))
+    assert_partition(series, where)
     print("chaos_soak: %s: live partition holds (accepted=%d, "
           "faults_injected=%d)"
           % (where, series["marioh_jobs_accepted_total"],
@@ -222,32 +166,10 @@ def run_phase(name, port, tally, jobs, submit_suffix="",
         fail("phase %s: %s" % (name, "; ".join(errors)))
 
 
-def read_banner(daemon):
-    """Reads the daemon's startup banner and returns its key=value fields."""
-    banner = daemon.stdout.readline().strip()
-    fields = dict(f.split("=", 1) for f in banner.split()[2:] if "=" in f)
-    if not banner.startswith("ok marioh_served") or "port" not in fields:
-        fail("bad banner: %r" % banner)
-    return fields
-
-
-def parse_stats_line(reply):
-    """Turns an `ok stats k=v ...` reply into a {key: int} dict."""
-    fields = {}
-    for token in reply.split():
-        if "=" in token:
-            key, value = token.split("=", 1)
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                pass
-    return fields
-
-
-def run_kill_phase(binary, stats_path):
+def run_kill_phase(binary, metrics_path):
     """Phase E: SIGKILL a journaling daemon mid-load; its successor on the
     same journal dir must lose zero accepted jobs."""
-    journal_dir = stats_path + ".journal"
+    journal_dir = metrics_path + ".journal"
     shutil.rmtree(journal_dir, ignore_errors=True)
     print("chaos_soak: phase E (kill-mid-load): %d jobs, then SIGKILL"
           % JOBS_PHASE_E)
@@ -285,7 +207,7 @@ def run_kill_phase(binary, stats_path):
     # job is re-admitted under its original id.
     daemon = subprocess.Popen(
         [binary, "--port", "0", "--workers", "2",
-         "--journal-dir", journal_dir, "--stats-json", stats_path],
+         "--journal-dir", journal_dir, "--metrics-json", metrics_path],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
         fields = read_banner(daemon)
@@ -299,10 +221,10 @@ def run_kill_phase(binary, stats_path):
             if "state=DONE" not in reply:
                 fail("phase E recovered job %s did not finish: %r"
                      % (job_id, reply))
-        stats = parse_stats_line(client.request("stats"))
-        if stats.get("jobs_recovered") != JOBS_PHASE_E:
-            fail("phase E stats jobs_recovered=%s; expected %d"
-                 % (stats.get("jobs_recovered"), JOBS_PHASE_E))
+        recovered = client.scrape_metrics()["marioh_jobs_recovered_total"]
+        if recovered != JOBS_PHASE_E:
+            fail("phase E metrics jobs_recovered=%s; expected %d"
+                 % (recovered, JOBS_PHASE_E))
         client.request("quit")
         client.close()
 
@@ -319,20 +241,14 @@ def run_kill_phase(binary, stats_path):
             daemon.kill()
             daemon.wait()
 
-    with open(stats_path) as f:
-        snapshot = json.load(f)
-    terminal = (snapshot["done"] + snapshot["failed"] +
-                snapshot["cancelled"] + snapshot["deadline_exceeded"] +
-                snapshot["queued"] + snapshot["running"])
-    if snapshot["accepted"] != terminal:
-        fail("phase E partition violated: accepted=%d vs sum=%d in %s"
-             % (snapshot["accepted"], terminal, json.dumps(snapshot)))
-    if snapshot["jobs_recovered"] != JOBS_PHASE_E:
+    snapshot = load_metrics_json(metrics_path)
+    assert_partition(snapshot, "phase E snapshot")
+    if snapshot["marioh_jobs_recovered_total"] != JOBS_PHASE_E:
         fail("phase E snapshot jobs_recovered=%d; expected %d"
-             % (snapshot["jobs_recovered"], JOBS_PHASE_E))
-    if snapshot["done"] < JOBS_PHASE_E:
+             % (snapshot["marioh_jobs_recovered_total"], JOBS_PHASE_E))
+    if snapshot["marioh_jobs_done_total"] < JOBS_PHASE_E:
         fail("phase E snapshot done=%d < %d recovered jobs"
-             % (snapshot["done"], JOBS_PHASE_E))
+             % (snapshot["marioh_jobs_done_total"], JOBS_PHASE_E))
     shutil.rmtree(journal_dir, ignore_errors=True)
     print("chaos_soak: phase E: OK — %d jobs survived SIGKILL, zero lost, "
           "all DONE under original ids, partition holds" % JOBS_PHASE_E)
@@ -340,9 +256,10 @@ def run_kill_phase(binary, stats_path):
 
 def main():
     if len(sys.argv) < 2:
-        fail("usage: chaos_soak.py /path/to/marioh_served [stats.json]")
+        fail("usage: chaos_soak.py /path/to/marioh_served [metrics.json]")
     binary = sys.argv[1]
-    stats_path = sys.argv[2] if len(sys.argv) > 2 else "chaos_soak_stats.json"
+    metrics_path = (sys.argv[2] if len(sys.argv) > 2
+                    else "chaos_soak_metrics.json")
 
     env = dict(os.environ)
     env["MARIOH_FAILPOINTS_SEED"] = FAILPOINT_SEED
@@ -351,15 +268,11 @@ def main():
          "--max-connections", "32", "--job-ttl", "600",
          "--stall-timeout", str(STALL_TIMEOUT),
          "--allow-failpoint-admin",
-         "--stats-json", stats_path],
+         "--metrics-json", metrics_path],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env)
     try:
-        banner = daemon.stdout.readline().strip()
-        fields = dict(f.split("=", 1) for f in banner.split()[2:] if "=" in f)
-        if not banner.startswith("ok marioh_served") or "port" not in fields:
-            fail("bad banner: %r" % banner)
-        port = int(fields["port"])
+        port = int(read_banner(daemon)["port"])
 
         # The admin connection seeds the shared dataset and rotates the
         # failpoint schedule between phases.
@@ -419,8 +332,6 @@ def main():
         run_phase("D (recovery)", port, tally, JOBS_PHASE_D)
         assert_live_partition(admin, "after phase D")
 
-        stats = admin.request("stats")
-        print("chaos_soak: final stats: " + stats)
         admin.request("quit")
         with tally.lock:
             tally.requests += admin.requests
@@ -443,40 +354,32 @@ def main():
             daemon.kill()
             daemon.wait()
 
-    if not os.path.exists(stats_path):
-        fail("daemon exited without writing %s" % stats_path)
-    with open(stats_path) as f:
-        snapshot = json.load(f)
-
-    terminal = (snapshot["done"] + snapshot["failed"] +
-                snapshot["cancelled"] + snapshot["deadline_exceeded"] +
-                snapshot["queued"] + snapshot["running"])
-    if snapshot["accepted"] != terminal:
-        fail("partition violated: accepted=%d vs partition sum=%d in %s"
-             % (snapshot["accepted"], terminal, json.dumps(snapshot)))
-    if snapshot["faults_injected"] <= 0:
+    snapshot = load_metrics_json(metrics_path)
+    assert_partition(snapshot, "shutdown snapshot")
+    faults = snapshot["marioh_faults_injected_total"]
+    retried = snapshot["marioh_jobs_retried_total"]
+    stalled = snapshot["marioh_jobs_stalled_total"]
+    connections = snapshot["marioh_connections_total"]
+    if faults <= 0:
         fail("no faults were injected — the chaos schedule never engaged")
-    if snapshot["jobs_retried"] <= 0:
+    if retried <= 0:
         fail("no retries recorded despite the phase-A error storm")
-    if snapshot["jobs_stalled"] < 1:
+    if stalled < 1:
         fail("the phase-C wedge was never declared stalled")
-    if snapshot["connections_total"] < 6:
-        fail("expected >= 6 connections, snapshot says %d"
-             % snapshot["connections_total"])
-    if snapshot["lines_served"] < 200:
+    if connections < 6:
+        fail("expected >= 6 connections, snapshot says %d" % connections)
+    if snapshot["marioh_lines_served_total"] < 200:
         fail("daemon served %d lines; harness drove %d requests"
-             % (snapshot["lines_served"], total_requests))
+             % (snapshot["marioh_lines_served_total"], total_requests))
 
     print("chaos_soak: phases A-D OK — %d requests over %d connections, "
           "%d faults injected, %d retries (%d jobs healed, %d exhausted "
           "cleanly), %d stall cancelled, partition holds, clean shutdown "
           "(%s)"
-          % (total_requests, snapshot["connections_total"],
-             snapshot["faults_injected"], snapshot["jobs_retried"],
-             tally.done, tally.failed_unavailable,
-             snapshot["jobs_stalled"], stats_path))
+          % (total_requests, connections, faults, retried, tally.done,
+             tally.failed_unavailable, stalled, metrics_path))
 
-    run_kill_phase(binary, stats_path + ".recovery")
+    run_kill_phase(binary, metrics_path + ".recovery")
     print("chaos_soak: OK — all phases passed")
 
 

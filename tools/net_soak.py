@@ -2,108 +2,41 @@
 """Socketed soak for marioh_served.
 
 Spawns the daemon on an ephemeral port, drives ~50 requests across
-several concurrent TCP connections (gen / submit / wait / poll / stats /
-forget plus deliberate protocol errors), then SIGTERMs it and asserts:
+several concurrent TCP connections (gen / submit / wait / poll / forget
+plus deliberate protocol errors), then SIGTERMs it and asserts:
 
   * every request got a well-formed one-line reply (ok/error, never EOF
     mid-conversation),
-  * the daemon exits 0 and writes its --stats-json snapshot,
+  * the daemon exits 0 and writes its --metrics-json snapshot, which
+    parses as JSON with the counters/gauges/histograms/spans sections,
   * the service counter partition holds in that snapshot:
-      accepted == done + failed + cancelled + deadline_exceeded
-                  + queued + running
+      marioh_jobs_accepted_total == done + failed + cancelled
+          + deadline_exceeded (the *_total counters)
+          + marioh_jobs_queued + marioh_jobs_running
     (all jobs terminal at shutdown, and rejected submits stay out of
-    `accepted`),
+    `accepted`), with every expected job accepted and every connection
+    counted,
   * the same partition holds *live*, scraped from the `metrics` verb
     mid-run while worker connections are still submitting — the
     registry's collection hooks publish mutex-coherent snapshots, so
-    the invariant is exact at any instant, not just at quiescence,
-  * with a metrics.json argument, the daemon also writes its full
-    --metrics-json observability snapshot and it parses as JSON with
-    the counters/gauges/histograms/spans sections.
+    the invariant is exact at any instant, not just at quiescence.
 
-Usage: net_soak.py /path/to/marioh_served [stats.json] [metrics.json]
+Usage: net_soak.py /path/to/marioh_served [metrics.json]
 
 Exit status 0 on success; nonzero with a diagnostic on any failure.
 No dependencies beyond the Python 3 standard library.
 """
 
-import json
-import os
 import signal
-import socket
 import subprocess
 import sys
 import threading
-import time
+
+from soak_client import (Client, assert_partition, fail, load_metrics_json,
+                         read_banner)
 
 CONNECTIONS = 5
 JOBS_PER_CONNECTION = 3  # gen is shared; each conn submits+waits this many
-
-
-def fail(message):
-    print("net_soak: FAIL: " + message, file=sys.stderr)
-    sys.exit(1)
-
-
-class Client:
-    """One line-protocol conversation over a fresh TCP connection."""
-
-    def __init__(self, port):
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=60)
-        self.buf = b""
-        self.greeting = self.read_line()
-        if not self.greeting.startswith("ok marioh_served client=conn-"):
-            fail("bad greeting: %r" % self.greeting)
-
-    def read_line(self):
-        while b"\n" not in self.buf:
-            chunk = self.sock.recv(4096)
-            if not chunk:
-                fail("connection closed mid-conversation")
-            self.buf += chunk
-        line, self.buf = self.buf.split(b"\n", 1)
-        return line.decode()
-
-    def request(self, line):
-        self.sock.sendall((line + "\n").encode())
-        reply = self.read_line()
-        if not (reply.startswith("ok ") or reply.startswith("error ")):
-            fail("malformed reply to %r: %r" % (line, reply))
-        return reply
-
-    def close(self):
-        self.sock.close()
-
-    def scrape_metrics(self):
-        """Scrapes the `metrics` verb: reads the `ok metrics lines=N`
-        header, then exactly N Prometheus text lines, and returns
-        {series_signature: float} (comment lines skipped)."""
-        reply = self.request("metrics")
-        if not reply.startswith("ok metrics lines="):
-            fail("bad metrics header: %r" % reply)
-        count = int(reply.split("lines=", 1)[1])
-        series = {}
-        for _ in range(count):
-            line = self.read_line()
-            if line.startswith("#"):
-                continue
-            name, _, value = line.rpartition(" ")
-            series[name] = float(value)
-        return series
-
-
-def assert_partition(series, where):
-    """accepted == terminals + queued + running, exactly, in a metrics
-    scrape (counters are integers, so float equality is exact)."""
-    terminal = (series["marioh_jobs_done_total"] +
-                series["marioh_jobs_failed_total"] +
-                series["marioh_jobs_cancelled_total"] +
-                series["marioh_jobs_deadline_exceeded_total"] +
-                series["marioh_jobs_queued"] +
-                series["marioh_jobs_running"])
-    if series["marioh_jobs_accepted_total"] != terminal:
-        fail("%s: live partition violated: accepted=%s vs sum=%s"
-             % (where, series["marioh_jobs_accepted_total"], terminal))
 
 
 def drive_connection(port, index, errors):
@@ -126,7 +59,6 @@ def drive_connection(port, index, errors):
         reply = client.request("definitely-not-a-verb")
         if not reply.startswith("error "):
             fail("unknown verb not an error: %r" % reply)
-        client.request("stats")
         reply = client.request("quit")
         if reply != "ok bye":
             fail("quit reply: %r" % reply)
@@ -141,27 +73,18 @@ def drive_connection(port, index, errors):
 
 def main():
     if len(sys.argv) < 2:
-        fail("usage: net_soak.py /path/to/marioh_served "
-             "[stats.json] [metrics.json]")
+        fail("usage: net_soak.py /path/to/marioh_served [metrics.json]")
     binary = sys.argv[1]
-    stats_path = sys.argv[2] if len(sys.argv) > 2 else "net_soak_stats.json"
-    metrics_path = sys.argv[3] if len(sys.argv) > 3 else ""
+    metrics_path = (sys.argv[2] if len(sys.argv) > 2
+                    else "net_soak_metrics.json")
 
-    command = [binary, "--port", "0", "--workers", "2",
-               "--max-connections", "32", "--job-ttl", "600",
-               "--stats-json", stats_path]
-    if metrics_path:
-        command += ["--metrics-json", metrics_path]
     daemon = subprocess.Popen(
-        command,
+        [binary, "--port", "0", "--workers", "2",
+         "--max-connections", "32", "--job-ttl", "600",
+         "--metrics-json", metrics_path],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
-        banner = daemon.stdout.readline().strip()
-        # "ok marioh_served port=NNNN workers=..."
-        fields = dict(f.split("=", 1) for f in banner.split()[2:] if "=" in f)
-        if not banner.startswith("ok marioh_served") or "port" not in fields:
-            fail("bad banner: %r" % banner)
-        port = int(fields["port"])
+        port = int(read_banner(daemon)["port"])
 
         # One connection seeds the shared dataset for everyone.
         seeder = Client(port)
@@ -190,9 +113,9 @@ def main():
         assert_partition(final, "post-run scrape")
         if final["marioh_process_rss_bytes"] <= 0:
             fail("process RSS gauge missing from metrics scrape")
-
-        stats = seeder.request("stats")
-        print("net_soak: final stats: " + stats)
+        print("net_soak: post-run scrape: accepted=%d done=%d"
+              % (final["marioh_jobs_accepted_total"],
+                 final["marioh_jobs_done_total"]))
         seeder.request("quit")
         seeder.close()
 
@@ -209,44 +132,20 @@ def main():
             daemon.kill()
             daemon.wait()
 
-    if not os.path.exists(stats_path):
-        fail("daemon exited without writing %s" % stats_path)
-    with open(stats_path) as f:
-        snapshot = json.load(f)
-
-    terminal = (snapshot["done"] + snapshot["failed"] +
-                snapshot["cancelled"] + snapshot["deadline_exceeded"] +
-                snapshot["queued"] + snapshot["running"])
-    if snapshot["accepted"] != terminal:
-        fail("partition violated: accepted=%d vs partition sum=%d in %s"
-             % (snapshot["accepted"], terminal, json.dumps(snapshot)))
+    snapshot = load_metrics_json(metrics_path)
+    assert_partition(snapshot, "shutdown snapshot")
+    accepted = snapshot["marioh_jobs_accepted_total"]
     expected_jobs = CONNECTIONS * JOBS_PER_CONNECTION
-    if snapshot["accepted"] < expected_jobs:
+    if accepted < expected_jobs:
         fail("expected >= %d accepted jobs, snapshot says %d"
-             % (expected_jobs, snapshot["accepted"]))
-    if snapshot["connections_total"] < CONNECTIONS + 1:
+             % (expected_jobs, accepted))
+    connections = snapshot["marioh_connections_total"]
+    if connections < CONNECTIONS + 1:
         fail("expected >= %d connections, snapshot says %d"
-             % (CONNECTIONS + 1, snapshot["connections_total"]))
-
-    if metrics_path:
-        if not os.path.exists(metrics_path):
-            fail("daemon exited without writing %s" % metrics_path)
-        with open(metrics_path) as f:
-            metrics = json.load(f)
-        for section in ("counters", "gauges", "histograms", "spans"):
-            if section not in metrics:
-                fail("metrics snapshot missing %r section" % section)
-        counters = {m["name"]: m["value"] for m in metrics["counters"]}
-        if counters.get("marioh_jobs_accepted_total") != snapshot["accepted"]:
-            fail("metrics snapshot accepted=%s disagrees with stats %d"
-             % (counters.get("marioh_jobs_accepted_total"),
-                snapshot["accepted"]))
-        print("net_soak: metrics snapshot OK (%d counters, %d spans)"
-              % (len(metrics["counters"]), len(metrics["spans"])))
+             % (CONNECTIONS + 1, connections))
 
     print("net_soak: OK — %d jobs over %d connections, partition holds, "
-          "clean shutdown (%s)"
-          % (snapshot["accepted"], snapshot["connections_total"], stats_path))
+          "clean shutdown (%s)" % (accepted, connections, metrics_path))
 
 
 if __name__ == "__main__":
