@@ -10,7 +10,7 @@
 //                 [--max-output-bytes N] [--metrics-json PATH]
 //                 [--stall-timeout SECONDS] [--shed-batch-above N]
 //                 [--journal-dir PATH] [--fsync always|never]
-//                 [--allow-failpoint-admin] [--force-poll]
+//                 [--allow-failpoint-admin]
 //
 //   --port P             bind 127.0.0.1:P; 0 (default) picks a free port
 //   --workers N          Service worker threads (0 = all cores)
@@ -40,8 +40,6 @@
 //   --allow-failpoint-admin
 //                        let clients drive the `failpoints` verb (chaos
 //                        testing only — never on a shared server)
-//   --force-poll         use the portable poll(2) event-loop backend
-//                        (MARIOH_NET_FORCE_POLL=1 does the same)
 //
 // The first stdout line is `ok marioh_served port=<P> ...` so a launcher
 // binding port 0 can read the real port back. SIGINT/SIGTERM stop the
@@ -100,7 +98,6 @@ void WriteFileAtomic(const std::string& path, const std::string& body) {
 int main(int argc, char** argv) {
   marioh::api::ServiceOptions service_options;
   marioh::net::TcpServerOptions net_options;
-  marioh::net::EventLoopOptions loop_options;
   size_t cache_bytes = 0;
   std::string metrics_json;
 
@@ -185,8 +182,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--allow-failpoint-admin") {
       net_options.allow_failpoint_admin = true;
-    } else if (arg == "--force-poll") {
-      loop_options.force_poll = true;
     } else {
       std::cerr << "error: unknown flag '" << arg
                 << "' (see the header comment of marioh_served.cpp)\n";
@@ -202,7 +197,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   marioh::api::Service& service = **started;
-  marioh::net::EventLoop loop(loop_options);
+  marioh::net::EventLoop loop;
   marioh::net::TcpServer server(&loop, cache.get(), &service, net_options);
 
   marioh::api::Status listening = server.Start();
@@ -222,8 +217,7 @@ int main(int argc, char** argv) {
                     : std::to_string(service_options.num_workers))
             << " max_connections=" << net_options.max_connections
             << " cache_bytes=" << cache_bytes
-            << " job_ttl=" << service_options.job_ttl_seconds
-            << " backend=" << loop.backend();
+            << " job_ttl=" << service_options.job_ttl_seconds;
   if (!service_options.journal_dir.empty()) {
     std::cout << " journal=" << service_options.journal_dir
               << " recovered=" << service.stats().jobs_recovered;

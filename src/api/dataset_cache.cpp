@@ -187,19 +187,6 @@ StatusOr<DatasetHandle> DatasetCache::Insert(const std::string& name,
       /*path=*/"");
 }
 
-StatusOr<DatasetHandle> DatasetCache::InsertHypergraph(
-    const std::string& name, Hypergraph hypergraph) {
-  auto h = std::make_shared<const Hypergraph>(std::move(hypergraph));
-  auto graph = std::make_shared<const ProjectedGraph>(h->Project());
-  return Insert(name, std::move(h), std::move(graph));
-}
-
-StatusOr<DatasetHandle> DatasetCache::InsertProjectedGraph(
-    const std::string& name, ProjectedGraph graph) {
-  return Insert(name, nullptr,
-                std::make_shared<const ProjectedGraph>(std::move(graph)));
-}
-
 StatusOr<DatasetHandle> DatasetCache::Get(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(name);

@@ -96,16 +96,6 @@ class DatasetCache {
                                  HypergraphHandle hypergraph,
                                  GraphHandle graph);
 
-  /// Moves a hypergraph into the cache under `name`, projecting it so the
-  /// handle is immediately trainable. kAlreadyExists if the name is taken.
-  StatusOr<DatasetHandle> InsertHypergraph(const std::string& name,
-                                           Hypergraph hypergraph);
-
-  /// Moves a projected graph into the cache under `name` (graph-only
-  /// dataset). kAlreadyExists if the name is taken.
-  StatusOr<DatasetHandle> InsertProjectedGraph(const std::string& name,
-                                               ProjectedGraph graph);
-
   /// The dataset stored under `name`, or kNotFound listing the resident
   /// names.
   StatusOr<DatasetHandle> Get(const std::string& name) const;

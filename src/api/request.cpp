@@ -204,9 +204,10 @@ Status ParseReconstructRequest(const std::string& text,
       bad_value = !threads.has_value();
       if (!bad_value) request->kernel_threads = *threads;
     } else if (key == "retries") {
-      // retries=N grants N retries on top of the first attempt.
+      // retries=N grants N retries on top of the first attempt; the total
+      // must still fit an int.
       std::optional<int> retries = util::ParseNonNegativeInt(value);
-      bad_value = !retries.has_value();
+      bad_value = !retries.has_value() || *retries == INT32_MAX;
       if (!bad_value) request->retry.max_attempts = 1 + *retries;
     } else if (key == "backoff") {
       std::optional<double> backoff = util::ParseDouble(value);

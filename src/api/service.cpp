@@ -154,7 +154,6 @@ void Service::RecoverFromJournal() {
   };
   std::map<JobId, Replayed> replayed;
   util::JournalOptions journal_options;
-  journal_options.rotate_bytes = options_.journal_rotate_bytes;
   journal_options.fsync = options_.journal_fsync;
   StatusOr<std::unique_ptr<util::Journal>> journal = util::Journal::Open(
       options_.journal_dir,
@@ -213,25 +212,20 @@ void Service::RecoverFromJournal() {
       // Un-re-admittable (dataset gone, drifted record): the job still
       // counts, as a recovered failure under its original id — silently
       // dropping it is exactly what the journal exists to prevent.
+      // Its terminal record closes the key, so the failure is itself
+      // durable (best-effort: a failed append just means one more doomed
+      // re-admission).
       auto job = std::make_shared<Job>();
       job->id = id;
       job->request = request;
-      job->state = JobState::kFailed;
-      job->status = Status(admitted.status().code(),
-                           "recovery could not re-admit the job: " +
-                               admitted.status().message());
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job->finish_seq = next_finish_seq_++;
-        job->finished_at = std::chrono::steady_clock::now();
-        jobs_.emplace(id, job);
-        ++totals_.accepted;
-        ++totals_.failed;
-        ++totals_.jobs_recovered;
-      }
-      // Close the key so the failure is itself durable (best-effort:
-      // a failed append just means one more doomed re-admission).
-      (void)journal_->Append(id, "terminal FAILED", /*terminal=*/true);
+      std::lock_guard<std::mutex> lock(mutex_);
+      jobs_.emplace(id, job);
+      ++totals_.accepted;
+      ++totals_.jobs_recovered;
+      FinishLocked(*job, JobState::kFailed,
+                   Status(admitted.status().code(),
+                          "recovery could not re-admit the job: " +
+                              admitted.status().message()));
     }
   }
 }
@@ -258,18 +252,14 @@ Service::~Service() {
     retry_heap_.clear();
     for (auto& [id, job] : jobs_) {
       if (job->state == JobState::kQueued) {
-        job->state = JobState::kCancelled;
-        job->status = Status::Cancelled("service shut down before the job "
-                                        "started");
-        job->finish_seq = next_finish_seq_++;
-        job->finished_at = std::chrono::steady_clock::now();
-        ++totals_.cancelled;
+        FinishLocked(*job, JobState::kCancelled,
+                     Status::Cancelled("service shut down before the job "
+                                       "started"));
       }
       // Running jobs stop at their next mid-kernel preemption point.
       job->cancel.Cancel();
     }
   }
-  job_done_.notify_all();
   pool_->Shutdown();
 }
 
@@ -411,37 +401,9 @@ Status Service::AdmitCapacityLocked(const std::string& client,
 }
 
 StatusOr<JobId> Service::Submit(const ReconstructRequest& request) {
-  StatusOr<std::shared_ptr<Job>> admitted = Admit(request);
-  if (!admitted.ok()) return admitted.status();
-  std::shared_ptr<Job> job = std::move(admitted).value();
-  // Serialize outside the lock; both steps are no-ops when the journal
-  // is disabled (no validation, no allocation, no syscalls).
-  std::string wire;
-  if (journal_ != nullptr) {
-    MARIOH_RETURN_IF_ERROR(ValidateRequestSerializable(request));
-    wire = SerializeReconstructRequest(request);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RetireExpiredLocked();
-    MARIOH_RETURN_IF_ERROR(
-        AdmitCapacityLocked(request.client_id, request.priority, 0, 0));
-    if (journal_ != nullptr) {
-      // Write-ahead: the accept record is on stable storage before the
-      // job exists anywhere else. If the append fails, the submit fails
-      // — an accepted-but-unjournaled job would be exactly the silent
-      // loss this layer exists to prevent. The unused id is safely
-      // reused by the next submit.
-      MARIOH_RETURN_IF_ERROR(
-          journal_->Append(next_id_, "accept " + wire, /*terminal=*/false));
-    }
-    job->id = next_id_++;
-    job->admitted_at = std::chrono::steady_clock::now();
-    jobs_.emplace(job->id, job);
-    ++totals_.accepted;
-  }
-  Enqueue(job);
-  return job->id;
+  StatusOr<std::vector<JobId>> ids = SubmitBatch({request});
+  if (!ids.ok()) return ids.status();
+  return ids->front();
 }
 
 StatusOr<std::vector<JobId>> Service::SubmitBatch(
@@ -454,6 +416,8 @@ StatusOr<std::vector<JobId>> Service::SubmitBatch(
     if (!job.ok()) return job.status();
     admitted.push_back(std::move(job).value());
   }
+  // Serialize outside the lock; both steps are no-ops when the journal
+  // is disabled (no validation, no allocation, no syscalls).
   std::vector<std::string> wires;
   if (journal_ != nullptr) {
     wires.reserve(requests.size());
@@ -484,6 +448,11 @@ StatusOr<std::vector<JobId>> Service::SubmitBatch(
           same_client));
     }
     if (journal_ != nullptr) {
+      // Write-ahead: the accept records are on stable storage before the
+      // jobs exist anywhere else. If an append fails, the submit fails —
+      // an accepted-but-unjournaled job would be exactly the silent loss
+      // this layer exists to prevent. The unused ids are safely reused
+      // by the next submit.
       for (size_t i = 0; i < wires.size(); ++i) {
         Status logged = journal_->Append(
             next_id_ + i, "accept " + wires[i], /*terminal=*/false);
@@ -519,16 +488,8 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (job->state != JobState::kQueued) return;  // cancelled while queued
     if (job->cancel.cancelled()) {
-      job->state = JobState::kCancelled;
-      job->status = Status::Cancelled("job cancelled before it started");
-      job->finish_seq = next_finish_seq_++;
-      job->finished_at = std::chrono::steady_clock::now();
-      ++totals_.cancelled;
-      if (journal_ != nullptr && !stopping_) {
-        (void)journal_->Append(job->id, "terminal CANCELLED",
-                               /*terminal=*/true);
-      }
-      job_done_.notify_all();
+      FinishLocked(*job, JobState::kCancelled,
+                   Status::Cancelled("job cancelled before it started"));
       return;
     }
     job->state = JobState::kRunning;
@@ -638,12 +599,11 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
         // original admission.
         job->admitted_at = std::chrono::steady_clock::now();
         ++totals_.jobs_retried;
-        double backoff =
-            BackoffSeconds(job->request.retry, job->id, job->attempts);
-        auto due = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(backoff));
+        // Saturating: with backoff_cap=0 an uncapped backoff can exceed
+        // the clock's range, which parks the retry until a Cancel.
+        auto due = util::SaturatingAfter(
+            std::chrono::steady_clock::now(),
+            BackoffSeconds(job->request.retry, job->id, job->attempts));
         retry_heap_.emplace_back(due, job);
         std::push_heap(retry_heap_.begin(), retry_heap_.end(),
                        [](const auto& a, const auto& b) {
@@ -656,20 +616,12 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
       }
     }
     if (!scheduled_retry) {
-      job->status = status;
-      job->budget_overrun = session.deadline_exceeded();
-      job->evaluation = evaluation;
-      job->stage_stats = session.stage_timer().stages();
-      job->reconstruction = std::move(reconstruction);
-      job->finish_seq = next_finish_seq_++;
-      job->finished_at = std::chrono::steady_clock::now();
+      JobState state = JobState::kFailed;
       bool preempted = false;
       if (status.ok()) {
-        job->state = JobState::kDone;
-        ++totals_.done;
+        state = JobState::kDone;
       } else if (status.code() == StatusCode::kCancelled) {
-        job->state = JobState::kCancelled;
-        ++totals_.cancelled;
+        state = JobState::kCancelled;
         preempted = true;
       } else if (status.code() == StatusCode::kDeadlineExceeded &&
                  job->cancel.deadline_passed()) {
@@ -678,26 +630,25 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
         // first. (A plain kDeadlineExceeded without a passed deadline is
         // the soft time_budget_seconds gate refusing a later stage — that
         // run produced and kept nothing extra, but it was not preempted.)
-        job->state = JobState::kDeadlineExceeded;
-        ++totals_.deadline_exceeded;
+        state = JobState::kDeadlineExceeded;
         preempted = true;
-      } else {
-        job->state = JobState::kFailed;
-        ++totals_.failed;
       }
-      if (job->stalled && job->state == JobState::kCancelled) {
+      if (job->stalled && state == JobState::kCancelled) {
         // A watchdog cancel, not a user one: say so. (If the job beat
         // the cancel to the finish line it stays kDone — best effort.)
-        job->status = Status::Cancelled(
+        status = Status::Cancelled(
             "job stalled: watchdog observed no heartbeat for " +
             std::to_string(options_.stall_timeout_seconds) +
             "s and cancelled it");
       }
+      job->budget_overrun = session.deadline_exceeded();
+      job->evaluation = evaluation;
+      job->stage_stats = session.stage_timer().stages();
+      job->reconstruction = std::move(reconstruction);
       if (job->budget_overrun) ++totals_.budget_overruns;
       if (preempted) {
         ++totals_.preempted;
-        if (job->cancelled_at.has_value() &&
-            job->state == JobState::kCancelled) {
+        if (job->cancelled_at.has_value() && state == JobState::kCancelled) {
           job->cancel_latency_seconds =
               std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - *job->cancelled_at)
@@ -705,25 +656,48 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
           cancel_latency_seconds_->Observe(job->cancel_latency_seconds);
         }
       }
-      // Close the job's journal key — except when shutdown preempted
-      // it: a job the *service's death* cancelled is exactly the kind
-      // the journal must keep open, so the next life re-admits it.
-      bool shutdown_preempted =
-          stopping_ && job->state == JobState::kCancelled;
-      if (journal_ != nullptr && !shutdown_preempted) {
-        (void)journal_->Append(
-            job->id, std::string("terminal ") + JobStateName(job->state),
-            /*terminal=*/true);
-      }
+      FinishLocked(*job, state, std::move(status));
     }
   }
   if (scheduled_retry) {
     // Wake the maintenance thread so it can (re)compute its next due
     // time; Wait()ers have nothing to see yet.
     maintenance_wake_.notify_all();
-  } else {
-    job_done_.notify_all();
   }
+}
+
+void Service::FinishLocked(Job& job, JobState state, Status status) {
+  MARIOH_CHECK(state != JobState::kQueued && state != JobState::kRunning);
+  job.state = state;
+  job.status = std::move(status);
+  job.finish_seq = next_finish_seq_++;
+  job.finished_at = std::chrono::steady_clock::now();
+  switch (state) {
+    case JobState::kDone:
+      ++totals_.done;
+      break;
+    case JobState::kFailed:
+      ++totals_.failed;
+      break;
+    case JobState::kCancelled:
+      ++totals_.cancelled;
+      break;
+    case JobState::kDeadlineExceeded:
+      ++totals_.deadline_exceeded;
+      break;
+    case JobState::kQueued:
+    case JobState::kRunning:
+      break;
+  }
+  // Close the job's journal key — except when shutdown cancelled it: a
+  // job the *service's death* cancelled is exactly the kind the journal
+  // must keep open, so the next life re-admits it.
+  if (journal_ != nullptr && !(stopping_ && state == JobState::kCancelled)) {
+    (void)journal_->Append(job.id,
+                           std::string("terminal ") + JobStateName(state),
+                           /*terminal=*/true);
+  }
+  job_done_.notify_all();
 }
 
 void Service::WatchdogTickLocked(
@@ -864,19 +838,11 @@ Status Service::Cancel(JobId id) {
   switch (job.state) {
     case JobState::kQueued:
       // The worker that eventually pops this job sees a non-queued state
-      // and returns immediately.
-      job.state = JobState::kCancelled;
-      job.status = Status::Cancelled("job cancelled while queued");
-      job.finish_seq = next_finish_seq_++;
-      job.finished_at = std::chrono::steady_clock::now();
-      ++totals_.cancelled;
-      if (journal_ != nullptr) {
-        // An *explicit* cancel is terminal and durable — unlike the
-        // shutdown sweep, which leaves jobs open for the next life.
-        (void)journal_->Append(id, "terminal CANCELLED",
-                               /*terminal=*/true);
-      }
-      job_done_.notify_all();
+      // and returns immediately. An *explicit* cancel is journaled
+      // terminal and durable — unlike the shutdown sweep, which leaves
+      // jobs open for the next life.
+      FinishLocked(job, JobState::kCancelled,
+                   Status::Cancelled("job cancelled while queued"));
       return Status::Ok();
     case JobState::kRunning:
       // Timestamp first so the measured latency can only over-count the

@@ -214,8 +214,6 @@ struct ServiceOptions {
   /// an accepted job survives even power loss, kNever trades the most
   /// recent accepts for speed.
   util::JournalFsync journal_fsync = util::JournalFsync::kAlways;
-  /// Journal segment rotation threshold (see JournalOptions).
-  size_t journal_rotate_bytes = 4u << 20;
 };
 
 /// Runs reconstruction jobs asynchronously over a shared `DatasetCache`.
@@ -234,7 +232,7 @@ class Service {
   /// (unknown method / unknown or ill-typed datasets / reserved override
   /// keys fail here, before any work is queued) and enqueues it.
   /// The job holds handles to its datasets from this point on, so cache
-  /// eviction cannot affect an admitted job.
+  /// eviction cannot affect an admitted job. A one-request SubmitBatch.
   StatusOr<JobId> Submit(const ReconstructRequest& request);
 
   /// Submits all requests atomically: either every request is admitted
@@ -341,6 +339,12 @@ class Service {
   StatusOr<std::shared_ptr<Job>> Admit(const ReconstructRequest& request);
   void Enqueue(const std::shared_ptr<Job>& job);
   void RunJob(const std::shared_ptr<Job>& job);
+  /// The one terminal transition: sets `state` (terminal) and `status`,
+  /// stamps finish_seq/finished_at, bumps the matching terminal total,
+  /// journals `terminal <STATE>` (except for a shutdown cancel, which
+  /// stays open for the next life to re-admit) and wakes Wait()ers.
+  /// Site-specific bookkeeping stays with the caller. Requires `mutex_`.
+  void FinishLocked(Job& job, JobState state, Status status);
   /// Snapshot of `job` under `mutex_`.
   JobSnapshot SnapshotLocked(const Job& job) const;
   /// The TTL sweep. Requires `mutex_` held; returns jobs dropped.

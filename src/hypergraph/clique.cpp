@@ -751,30 +751,4 @@ std::vector<NodeSet> MaximalCliquesHashMapReference(
   return out;
 }
 
-NodeSet GreedyCliqueAround(const ProjectedGraph& g, NodeId seed) {
-  NodeSet clique = {seed};
-  // Candidates sorted by descending degree for a large greedy clique.
-  std::vector<NodeId> cands;
-  for (const auto& [v, w] : g.Neighbors(seed)) {
-    (void)w;
-    cands.push_back(v);
-  }
-  std::sort(cands.begin(), cands.end(), [&](NodeId a, NodeId b) {
-    size_t da = g.Degree(a), db = g.Degree(b);
-    return da != db ? da > db : a < b;
-  });
-  for (NodeId v : cands) {
-    bool ok = true;
-    for (NodeId u : clique) {
-      if (!g.HasEdge(u, v)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) clique.push_back(v);
-  }
-  Canonicalize(&clique);
-  return clique;
-}
-
 }  // namespace marioh

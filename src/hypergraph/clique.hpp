@@ -191,8 +191,4 @@ std::vector<NodeId> DegeneracyOrdering(const ProjectedGraph& g,
 std::vector<NodeId> DegeneracyOrdering(const CsrGraph& g,
                                        size_t* degeneracy = nullptr);
 
-/// Finds one maximum-cardinality clique containing `seed` greedily (used by
-/// baselines); returns just `{seed}` if the node is isolated.
-NodeSet GreedyCliqueAround(const ProjectedGraph& g, NodeId seed);
-
 }  // namespace marioh

@@ -1,8 +1,6 @@
 #include "net/event_loop.hpp"
 
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -10,82 +8,30 @@
 #include <poll.h>
 #include <unistd.h>
 
-// The poll(2) backend is always compiled — it is the portable fallback
-// *and* the runtime alternative behind EventLoopOptions::force_poll /
-// MARIOH_NET_FORCE_POLL. epoll is compiled in on Linux and selected at
-// runtime iff the epoll instance was actually created (backend_fd_ >= 0).
-#if defined(__linux__)
-#define MARIOH_NET_EPOLL 1
-#include <sys/epoll.h>
-#else
-#define MARIOH_NET_EPOLL 0
-#endif
-
 namespace marioh::net {
 
 namespace {
-
-api::Status Errno(const std::string& what) {
-  return api::Status::Internal(what + ": " + std::strerror(errno));
-}
 
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-#if MARIOH_NET_EPOLL
-uint32_t ToEpoll(uint32_t interest) {
-  uint32_t events = 0;
-  if (interest & EventLoop::kRead) events |= EPOLLIN;
-  if (interest & EventLoop::kWrite) events |= EPOLLOUT;
-  return events;
-}
-
-uint32_t FromEpoll(uint32_t events) {
-  uint32_t mask = 0;
-  if (events & (EPOLLIN | EPOLLPRI)) mask |= EventLoop::kRead;
-  if (events & EPOLLOUT) mask |= EventLoop::kWrite;
-  if (events & (EPOLLERR | EPOLLHUP)) mask |= EventLoop::kError;
-  return mask;
-}
-#endif
-
 }  // namespace
 
-EventLoop::EventLoop(EventLoopOptions options) {
-  bool force_poll = options.force_poll;
-  const char* env = std::getenv("MARIOH_NET_FORCE_POLL");
-  if (env != nullptr && env[0] != '\0' &&
-      !(env[0] == '0' && env[1] == '\0')) {
-    force_poll = true;
-  }
-#if MARIOH_NET_EPOLL
-  if (!force_poll) backend_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-#else
-  (void)force_poll;
-#endif
+EventLoop::EventLoop() {
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) == 0) {
     wake_read_ = pipe_fds[0];
     wake_write_ = pipe_fds[1];
     SetNonBlocking(wake_read_);
     SetNonBlocking(wake_write_);
-#if MARIOH_NET_EPOLL
-    if (backend_fd_ >= 0) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = wake_read_;
-      ::epoll_ctl(backend_fd_, EPOLL_CTL_ADD, wake_read_, &ev);
-    }
-#endif
   }
 }
 
 EventLoop::~EventLoop() {
   if (wake_read_ >= 0) ::close(wake_read_);
   if (wake_write_ >= 0) ::close(wake_write_);
-  if (backend_fd_ >= 0) ::close(backend_fd_);
 }
 
 api::Status EventLoop::Add(int fd, uint32_t interest, Callback callback) {
@@ -94,16 +40,6 @@ api::Status EventLoop::Add(int fd, uint32_t interest, Callback callback) {
     return api::Status::AlreadyExists("fd " + std::to_string(fd) +
                                       " is already registered");
   }
-#if MARIOH_NET_EPOLL
-  if (backend_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = ToEpoll(interest);
-    ev.data.fd = fd;
-    if (::epoll_ctl(backend_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      return Errno("epoll_ctl(ADD)");
-    }
-  }
-#endif
   fds_[fd] = Registration{interest, std::move(callback), ++generation_};
   return api::Status::Ok();
 }
@@ -114,16 +50,6 @@ api::Status EventLoop::Modify(int fd, uint32_t interest) {
     return api::Status::NotFound("fd " + std::to_string(fd) +
                                  " is not registered");
   }
-#if MARIOH_NET_EPOLL
-  if (backend_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = ToEpoll(interest);
-    ev.data.fd = fd;
-    if (::epoll_ctl(backend_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-      return Errno("epoll_ctl(MOD)");
-    }
-  }
-#endif
   it->second.interest = interest;
   return api::Status::Ok();
 }
@@ -134,18 +60,13 @@ api::Status EventLoop::Remove(int fd) {
     return api::Status::NotFound("fd " + std::to_string(fd) +
                                  " is not registered");
   }
-#if MARIOH_NET_EPOLL
-  if (backend_fd_ >= 0) {
-    ::epoll_ctl(backend_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-#endif
   fds_.erase(it);
   return api::Status::Ok();
 }
 
 void EventLoop::set_tick(std::chrono::milliseconds period,
                          std::function<void()> tick) {
-  if (period.count() > 0) tick_period_ = period;
+  if (period.count() > 0) tick_interval_ = period;
   tick_ = std::move(tick);
 }
 
@@ -170,12 +91,12 @@ void EventLoop::WakeupDrain() {
 
 void EventLoop::Run() {
   using clock = std::chrono::steady_clock;
-  auto next_tick = clock::now() + tick_period_;
+  auto next_tick = clock::now() + tick_interval_;
   while (!stopped()) {
     auto now = clock::now();
     if (now >= next_tick) {
       if (tick_) tick_();
-      next_tick = now + tick_period_;
+      next_tick = now + tick_interval_;
       continue;  // re-check stop_ before blocking again
     }
     int timeout_ms = static_cast<int>(
@@ -195,61 +116,36 @@ void EventLoop::Run() {
       uint64_t generation;
     };
     std::vector<Ready> ready;
-#if MARIOH_NET_EPOLL
-    if (backend_fd_ >= 0) {
-      epoll_event events[64];
-      int n = ::epoll_wait(backend_fd_, events, 64, timeout_ms);
-      if (n < 0) {
-        // A signal (profiler tick, SIGCHLD, test harness) interrupting
-        // the wait is routine: re-enter. Anything else is a broken
-        // backend — exit the loop rather than spin on it.
-        if (errno == EINTR) continue;
-        break;
+    std::vector<pollfd> pfds;
+    pfds.reserve(fds_.size() + 1);
+    if (wake_read_ >= 0) pfds.push_back({wake_read_, POLLIN, 0});
+    for (const auto& [fd, reg] : fds_) {
+      short mask = 0;
+      if (reg.interest & kRead) mask |= POLLIN;
+      if (reg.interest & kWrite) mask |= POLLOUT;
+      pfds.push_back({fd, mask, 0});
+    }
+    int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    if (n < 0) {
+      // A signal (profiler tick, SIGCHLD, test harness) interrupting
+      // the wait is routine: re-enter. Anything else is a broken
+      // poll set — exit the loop rather than spin on it.
+      if (errno == EINTR) continue;
+      break;
+    }
+    for (const pollfd& p : pfds) {
+      if (p.revents == 0) continue;
+      if (p.fd == wake_read_) {
+        WakeupDrain();
+        continue;
       }
-      for (int i = 0; i < n; ++i) {
-        int fd = events[i].data.fd;
-        if (fd == wake_read_) {
-          WakeupDrain();
-          continue;
-        }
-        auto it = fds_.find(fd);
-        if (it == fds_.end()) continue;
-        ready.push_back({fd, FromEpoll(events[i].events),
-                         it->second.generation});
-      }
-    } else
-#endif
-    {
-      std::vector<pollfd> pfds;
-      pfds.reserve(fds_.size() + 1);
-      if (wake_read_ >= 0) pfds.push_back({wake_read_, POLLIN, 0});
-      for (const auto& [fd, reg] : fds_) {
-        short mask = 0;
-        if (reg.interest & kRead) mask |= POLLIN;
-        if (reg.interest & kWrite) mask |= POLLOUT;
-        pfds.push_back({fd, mask, 0});
-      }
-      int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-      if (n < 0) {
-        // Same contract as the epoll branch: EINTR re-enters, real
-        // errors end the loop.
-        if (errno == EINTR) continue;
-        break;
-      }
-      for (const pollfd& p : pfds) {
-        if (p.revents == 0) continue;
-        if (p.fd == wake_read_) {
-          WakeupDrain();
-          continue;
-        }
-        uint32_t mask = 0;
-        if (p.revents & (POLLIN | POLLPRI)) mask |= kRead;
-        if (p.revents & POLLOUT) mask |= kWrite;
-        if (p.revents & (POLLERR | POLLHUP | POLLNVAL)) mask |= kError;
-        auto it = fds_.find(p.fd);
-        if (it == fds_.end()) continue;
-        ready.push_back({p.fd, mask, it->second.generation});
-      }
+      uint32_t mask = 0;
+      if (p.revents & (POLLIN | POLLPRI)) mask |= kRead;
+      if (p.revents & POLLOUT) mask |= kWrite;
+      if (p.revents & (POLLERR | POLLHUP | POLLNVAL)) mask |= kError;
+      auto it = fds_.find(p.fd);
+      if (it == fds_.end()) continue;
+      ready.push_back({p.fd, mask, it->second.generation});
     }
     for (const Ready& r : ready) {
       auto it = fds_.find(r.fd);

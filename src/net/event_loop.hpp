@@ -1,8 +1,9 @@
 /// \file event_loop.hpp
-/// \brief Single-threaded fd-readiness dispatch: epoll on Linux, poll(2)
-/// everywhere else. The loop that lets one thread serve many sockets —
-/// `net::TcpServer` registers its listener and every connection here and
-/// never blocks on any of them.
+/// \brief Single-threaded fd-readiness dispatch over poll(2), which runs
+/// on Linux and elsewhere alike. The loop that lets one thread serve many
+/// sockets — `net::TcpServer` registers its listener and every connection
+/// here and never blocks on any of them. Level-triggered: a fd stays
+/// ready until its callback consumes the condition.
 ///
 /// Threading model: Add/Modify/Remove/Run and all callbacks happen on the
 /// loop thread; the only cross-thread (and async-signal-safe) entry point
@@ -23,17 +24,6 @@
 
 namespace marioh::net {
 
-struct EventLoopOptions {
-  /// Use the portable poll(2) backend even where epoll is available.
-  /// The same switch is forced by setting the MARIOH_NET_FORCE_POLL
-  /// environment variable to anything but "" or "0" — so a deployed
-  /// binary can be flipped without a rebuild, and the test suite runs a
-  /// slice over both backends. Everything observable except syscall
-  /// choice is identical: both are level-triggered and feed the same
-  /// dispatch path.
-  bool force_poll = false;
-};
-
 class EventLoop {
  public:
   /// Readiness bits, both for interest masks and callback events.
@@ -45,7 +35,7 @@ class EventLoop {
   /// Invoked with the ready-event mask of the fd.
   using Callback = std::function<void(uint32_t events)>;
 
-  explicit EventLoop(EventLoopOptions options = {});
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -77,9 +67,6 @@ class EventLoop {
 
   bool stopped() const;
 
-  /// The backend this loop actually uses: "epoll" or "poll".
-  const char* backend() const { return backend_fd_ >= 0 ? "epoll" : "poll"; }
-
  private:
   struct Registration {
     uint32_t interest = 0;
@@ -91,12 +78,11 @@ class EventLoop {
 
   void WakeupDrain();
 
-  int backend_fd_ = -1;  ///< epoll instance on Linux; unused under poll
-  int wake_read_ = -1;   ///< self-pipe: Stop() writes, the loop drains
+  int wake_read_ = -1;  ///< self-pipe: Stop() writes, the loop drains
   int wake_write_ = -1;
   std::map<int, Registration> fds_;
   uint64_t generation_ = 0;
-  std::chrono::milliseconds tick_period_{50};
+  std::chrono::milliseconds tick_interval_{50};
   std::function<void()> tick_;
   /// Lock-free so Stop() stays async-signal-safe.
   std::atomic<bool> stop_{false};

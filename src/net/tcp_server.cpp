@@ -1,6 +1,7 @@
 #include "net/tcp_server.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -17,6 +18,9 @@
 namespace marioh::net {
 
 namespace {
+
+/// Loop tick period: deferred-wait resolution + TTL retirement cadence.
+constexpr std::chrono::milliseconds kTickPeriod{20};
 
 api::Status Errno(const std::string& what) {
   return api::Status::Internal(what + ": " + std::strerror(errno));
@@ -93,7 +97,7 @@ api::Status TcpServer::Start() {
 
   MARIOH_RETURN_IF_ERROR(loop_->Add(
       listen_fd_, EventLoop::kRead, [this](uint32_t) { OnAcceptable(); }));
-  loop_->set_tick(options_.tick_period, [this] { Tick(); });
+  loop_->set_tick(kTickPeriod, [this] { Tick(); });
   // Publish connection counters through the registry: the metrics
   // endpoint and --metrics-json read the same series.
   metrics_hook_ = obs::MetricRegistry::Global().AddCollectionHook([this] {
@@ -122,7 +126,7 @@ NetStatsSnapshot TcpServer::stats() const {
 }
 
 void TcpServer::OnAcceptable() {
-  // Drain the accept queue completely — with level-triggered backends one
+  // Drain the accept queue completely — with the level-triggered loop one
   // accept per wakeup would also work, but this keeps accept latency flat
   // under bursts.
   for (;;) {
@@ -304,7 +308,7 @@ bool TcpServer::FlushOutput(Connection& conn) {
     size_t len = conn.output.size();
     if (util::FailPoints::active()) {
       // Fault surface "net.write": error = simulated EAGAIN (stop
-      // flushing; EPOLLOUT interest drains the rest later), short =
+      // flushing; write interest drains the rest later), short =
       // 1-byte write (forces the partial-write resume path every call).
       util::FailAction action = util::FailPoints::Eval("net.write");
       if (action == util::FailAction::kError) break;

@@ -12,12 +12,12 @@
 ///    discarded (to the next newline) and answered with an error — it
 ///    never buffers unboundedly and never kills the loop;
 ///  - write backpressure: responses buffer up to `max_output_bytes`
-///    per connection and drain on EPOLLOUT; a reader too slow to keep
-///    its buffer under the cap is disconnected;
+///    per connection and drain on write readiness; a reader too slow to
+///    keep its buffer under the cap is disconnected;
 ///  - deferred waits: `wait <id>` parks the connection (read interest
 ///    paused, so TCP flow control pushes back on the sender) and the
-///    loop tick resolves it via `Service::Poll` — no loop thread ever
-///    blocks on a job;
+///    20 ms loop tick resolves it via `Service::Poll` — no loop thread
+///    ever blocks on a job;
 ///  - the tick also calls `Service::RetireExpired`, so TTL retirement
 ///    runs even when no request arrives.
 ///
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -56,8 +55,6 @@ struct TcpServerOptions {
   /// Per-connection output-buffer cap; exceeding it means the reader is
   /// too slow and the connection is dropped.
   size_t max_output_bytes = 1 << 20;
-  /// Loop tick period: deferred-wait resolution + TTL retirement cadence.
-  std::chrono::milliseconds tick_period{20};
   /// Expose the `failpoints` admin verb to connected clients (see
   /// LineProtocol::set_allow_failpoint_admin). Off by default — fault
   /// injection over the wire is a chaos-testing opt-in, not a stock

@@ -32,6 +32,22 @@ enum class CancelReason {
   kDeadline,   ///< the armed deadline passed on the steady clock
 };
 
+/// `from + seconds` on the steady clock for a non-negative `seconds`,
+/// saturating at the clock's last instant: a time too far out to
+/// represent (or NaN) becomes "never". The unsaturated arithmetic would
+/// overflow the double-to-ticks cast or the addition.
+inline std::chrono::steady_clock::time_point SaturatingAfter(
+    std::chrono::steady_clock::time_point from, double seconds) {
+  using clock = std::chrono::steady_clock;
+  const double ticks = std::chrono::duration<double, clock::period>(
+                           std::chrono::duration<double>(seconds))
+                           .count();
+  const double headroom =
+      static_cast<double>((clock::time_point::max() - from).count());
+  if (!(ticks < headroom)) return clock::time_point::max();
+  return from + clock::duration(static_cast<clock::rep>(ticks));
+}
+
 /// Shared stop signal. Immovable: kernels hold raw pointers to it, so the
 /// owner must keep it at a stable address for the duration of the run
 /// (api::Service stores one per Job; tests keep it on the stack).
@@ -45,17 +61,20 @@ class CancelToken {
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
   /// Arms (or re-arms) a hard deadline `seconds` from now on the steady
-  /// clock; negative disarms. Unlike the soft Session time budget — which
-  /// lets the overrunning run finish and score (the paper's OOT
-  /// semantics) — an armed deadline aborts mid-kernel.
+  /// clock; negative disarms, and one past the clock's range never trips.
+  /// Unlike the soft Session time budget — which lets the overrunning run
+  /// finish and score (the paper's OOT semantics) — an armed deadline
+  /// aborts mid-kernel.
   void SetDeadline(double seconds_from_now) {
     if (seconds_from_now < 0.0) {
-      deadline_ns_.store(0, std::memory_order_relaxed);
+      deadline_ticks_.store(0, std::memory_order_relaxed);
       return;
     }
-    int64_t now = NowNanos();
-    int64_t delta = static_cast<int64_t>(seconds_from_now * 1e9);
-    deadline_ns_.store(now + delta, std::memory_order_relaxed);
+    deadline_ticks_.store(
+        SaturatingAfter(std::chrono::steady_clock::now(), seconds_from_now)
+            .time_since_epoch()
+            .count(),
+        std::memory_order_relaxed);
   }
 
   bool cancelled() const {
@@ -77,8 +96,11 @@ class CancelToken {
   /// called (which reason() reports first). Lets an owner attribute a
   /// hard-deadline status to its deadline when a Cancel lands after it.
   bool deadline_passed() const {
-    int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
-    return deadline != 0 && NowNanos() >= deadline;
+    std::chrono::steady_clock::rep deadline =
+        deadline_ticks_.load(std::memory_order_relaxed);
+    return deadline != 0 &&
+           std::chrono::steady_clock::now().time_since_epoch().count() >=
+               deadline;
   }
 
   /// Publishes liveness: bumps the heartbeat counter the service
@@ -99,15 +121,10 @@ class CancelToken {
   }
 
  private:
-  static int64_t NowNanos() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-
   std::atomic<bool> cancelled_{false};
-  /// Steady-clock deadline in ns since the clock's epoch; 0 = disarmed.
-  std::atomic<int64_t> deadline_ns_{0};
+  /// Steady-clock deadline in clock ticks since the clock's epoch;
+  /// 0 = disarmed.
+  std::atomic<std::chrono::steady_clock::rep> deadline_ticks_{0};
   /// Liveness counter for the watchdog; mutable so the polling kernels'
   /// `const CancelToken*` view can still beat (see Beat()).
   mutable std::atomic<uint64_t> heartbeat_{0};

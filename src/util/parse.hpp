@@ -8,6 +8,8 @@
 
 #pragma once
 
+#include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -41,14 +43,17 @@ inline std::optional<int> ParseNonNegativeInt(const std::string& token) {
   return static_cast<int>(*value);
 }
 
-/// Parses a finite double (sign allowed); rejects whitespace and
-/// trailing characters.
+/// Parses a finite double (sign allowed); rejects whitespace, trailing
+/// characters, `nan`/`inf`, and values out of double range.
 inline std::optional<double> ParseDouble(const std::string& token) {
-  if (token.empty() || token.front() == ' ') return std::nullopt;
+  if (token.empty() ||
+      std::isspace(static_cast<unsigned char>(token.front())) != 0) {
+    return std::nullopt;
+  }
   try {
     size_t pos = 0;
     double value = std::stod(token, &pos);
-    if (pos != token.size()) return std::nullopt;
+    if (pos != token.size() || !std::isfinite(value)) return std::nullopt;
     return value;
   } catch (const std::exception&) {
     return std::nullopt;

@@ -59,21 +59,4 @@ class StageTimer {
   std::map<std::string, double> totals_;
 };
 
-/// RAII helper that adds the scope's elapsed time to a StageTimer entry.
-class ScopedStage {
- public:
-  ScopedStage(StageTimer* timer, std::string stage)
-      : timer_(timer), stage_(std::move(stage)) {}
-  ~ScopedStage() {
-    if (timer_ != nullptr) timer_->Add(stage_, watch_.Seconds());
-  }
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
-
- private:
-  StageTimer* timer_;
-  std::string stage_;
-  Timer watch_;
-};
-
 }  // namespace marioh::util

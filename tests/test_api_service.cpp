@@ -24,6 +24,7 @@
 #include "io/text_io.hpp"
 #include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
+#include "util/rng.hpp"
 
 namespace marioh::api {
 namespace {
@@ -820,10 +821,8 @@ TEST(Service, ForgetAfterTtlRetirementIsNotFound) {
   EXPECT_EQ(keeper.stats().jobs_retired, 0u);
 }
 
-// The wire grammar shared by the LineProtocol `submit` verb and the
-// journal's accept records: every typed field round-trips exactly,
-// defaults are omitted, and overrides survive in order.
-TEST(RequestWire, SerializeParseRoundTripsEveryField) {
+/// A request with every typed field off its default, plus overrides.
+ReconstructRequest FullyPopulatedRequest() {
   ReconstructRequest request;
   request.method = "MARIOH";
   request.train_dataset = "crime.train";
@@ -843,6 +842,14 @@ TEST(RequestWire, SerializeParseRoundTripsEveryField) {
   request.retry.retryable = {StatusCode::kUnavailable,
                              StatusCode::kInternal};
   request.overrides = {{"threads", "2"}, {"theta_init", "0.8"}};
+  return request;
+}
+
+// The wire grammar shared by the LineProtocol `submit` verb and the
+// journal's accept records: every typed field round-trips exactly,
+// defaults are omitted, and overrides survive in order.
+TEST(RequestWire, SerializeParseRoundTripsEveryField) {
+  const ReconstructRequest request = FullyPopulatedRequest();
   ASSERT_TRUE(ValidateRequestSerializable(request).ok());
 
   std::string wire = SerializeReconstructRequest(request);
@@ -946,6 +953,72 @@ TEST(RequestWire, ValidateRejectsWhatCannotRoundTrip) {
             StatusCode::kInvalidArgument);
   request.overrides = {{"threads", "2"}};
   EXPECT_TRUE(ValidateRequestSerializable(request).ok());
+}
+
+// Every double key takes finite values only: `deadline=inf` would reach
+// CancelToken::SetDeadline, and a NaN is not equal to itself, so it
+// could never round-trip. `retries` must leave room for the first
+// attempt in an int.
+TEST(RequestWire, ParserRejectsNonFiniteAndOutOfRangeNumbers) {
+  for (const char* key :
+       {"budget", "deadline", "backoff", "backoff_mult", "backoff_cap",
+        "jitter"}) {
+    for (const char* value :
+         {"inf", "-inf", "infinity", "nan", "-nan", "1e400", "-1e400"}) {
+      std::string text = std::string(key) + "=" + value;
+      ReconstructRequest request;
+      EXPECT_EQ(ParseReconstructRequest(text, &request).code(),
+                StatusCode::kInvalidArgument)
+          << text;
+    }
+  }
+  ReconstructRequest request;
+  EXPECT_EQ(ParseReconstructRequest("retries=2147483647", &request).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(ParseReconstructRequest("retries=2147483646", &request).ok());
+  EXPECT_EQ(request.retry.max_attempts, 2147483647);
+}
+
+// Seeded mutation test of the wire grammar: every truncation of a fully
+// populated request line, and at every offset all eight single-bit flips
+// plus seeded random bytes. No mutant may crash the parser (the suite
+// runs under ASan+UBSan), and every mutant that parses and passes
+// ValidateRequestSerializable must be a Serialize→Parse fixed point —
+// the property the journal's accept records rely on.
+TEST(RequestWire, MutatedLinesNeverCrashAndAcceptedOnesRoundTrip) {
+  const std::string wire = SerializeReconstructRequest(FullyPopulatedRequest());
+  size_t accepted = 0;
+  auto check = [&accepted](const std::string& text) {
+    ReconstructRequest parsed;
+    if (!ParseReconstructRequest(text, &parsed).ok()) return;
+    if (!ValidateRequestSerializable(parsed).ok()) return;
+    ++accepted;
+    const std::string once = SerializeReconstructRequest(parsed);
+    ReconstructRequest reparsed;
+    Status again = ParseReconstructRequest(once, &reparsed);
+    ASSERT_TRUE(again.ok()) << "mutant '" << text << "' serialized to '"
+                            << once << "': " << again.ToString();
+    EXPECT_EQ(SerializeReconstructRequest(reparsed), once)
+        << "mutant '" << text << "'";
+  };
+  for (size_t length = 0; length <= wire.size(); ++length) {
+    check(wire.substr(0, length));
+  }
+  util::Rng rng(20261017);
+  for (size_t offset = 0; offset < wire.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = wire;
+      mutant[offset] = static_cast<char>(mutant[offset] ^ (1 << bit));
+      check(mutant);
+    }
+    for (int draw = 0; draw < 4; ++draw) {
+      std::string mutant = wire;
+      mutant[offset] = static_cast<char>(rng.UniformInt(0, 255));
+      check(mutant);
+    }
+  }
+  // Not vacuous: most flips land inside a value and still parse.
+  EXPECT_GT(accepted, wire.size());
 }
 
 // The crash-recovery acceptance test: kill a journaling Service mid-queue

@@ -88,6 +88,21 @@ TEST(Cancellation, UntrippedTokenKeepsOutputBitIdentical) {
   EXPECT_EQ(gated.edges(), reference.edges());
 }
 
+// A deadline beyond the steady clock's range saturates to "never trips"
+// instead of overflowing the seconds-to-ticks conversion into the past.
+TEST(Cancellation, HugeDeadlineNeverTrips) {
+  for (double seconds : {1e10, 1e300}) {
+    util::CancelToken token;
+    token.SetDeadline(seconds);
+    EXPECT_FALSE(token.deadline_passed()) << seconds;
+    EXPECT_FALSE(token.ShouldStop()) << seconds;
+  }
+  const auto now = std::chrono::steady_clock::now();
+  EXPECT_EQ(util::SaturatingAfter(now, 1e300),
+            std::chrono::steady_clock::time_point::max());
+  EXPECT_EQ(util::SaturatingAfter(now, 1.0), now + std::chrono::seconds(1));
+}
+
 // A token tripped before the run starts stops the kernels at their first
 // preemption point: the reconstruction comes back flagged cancelled
 // (partial — the caller's cue to discard it).

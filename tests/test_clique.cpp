@@ -221,20 +221,6 @@ TEST(DegeneracyOrdering, CompleteGraphDegeneracy) {
   EXPECT_EQ(degeneracy, 5u);
 }
 
-TEST(GreedyCliqueAround, FindsTriangle) {
-  ProjectedGraph g(4);
-  g.AddWeight(0, 1, 1);
-  g.AddWeight(0, 2, 1);
-  g.AddWeight(1, 2, 1);
-  NodeSet clique = GreedyCliqueAround(g, 0);
-  EXPECT_EQ(clique, (NodeSet{0, 1, 2}));
-}
-
-TEST(GreedyCliqueAround, IsolatedNode) {
-  ProjectedGraph g(3);
-  EXPECT_EQ(GreedyCliqueAround(g, 1), (NodeSet{1}));
-}
-
 // Property test: on random graphs, every enumerated clique is (a) a clique
 // and (b) maximal, and (c) every edge is inside at least one clique.
 class MaximalCliquesProperty : public ::testing::TestWithParam<uint64_t> {};

@@ -61,10 +61,9 @@ std::shared_ptr<DatasetCache> CacheWithCrime(
 class ServerFixture {
  public:
   ServerFixture(const eval::PreparedDataset& data, ServiceOptions sopts,
-                TcpServerOptions nopts, EventLoopOptions lopts = {})
+                TcpServerOptions nopts)
       : cache_(CacheWithCrime(data)),
-        service_(std::make_unique<Service>(cache_, sopts)),
-        loop_(lopts) {
+        service_(std::make_unique<Service>(cache_, sopts)) {
     server_ = std::make_unique<TcpServer>(&loop_, cache_.get(),
                                           service_.get(), nopts);
     api::Status started = server_->Start();
@@ -81,7 +80,6 @@ class ServerFixture {
   uint16_t port() const { return server_->port(); }
   Service& service() { return *service_; }
   const TcpServer& server() const { return *server_; }
-  const EventLoop& loop() const { return loop_; }
   std::thread& loop_thread() { return loop_thread_; }
 
  private:
@@ -407,36 +405,11 @@ TEST(NetServer, MalformedAndOversizedFramesDontKillTheLoop) {
   EXPECT_EQ(after.ReadLine().rfind("ok marioh_served", 0), 0u);
 }
 
-// The portable poll(2) backend is not just compile-time insurance: forced
-// on at runtime (EventLoopOptions::force_poll, as --force-poll or
-// MARIOH_NET_FORCE_POLL would), the same submit/wait slice must behave
-// identically to the default epoll backend — correct results, same
-// protocol responses, clean shutdown.
-TEST(NetServer, PollBackendServesTheSameSlice) {
-  eval::PreparedDataset data = SmallDataset();
-  EventLoopOptions lopts;
-  lopts.force_poll = true;
-  ServerFixture fixture(data, ServiceOptions{}, TcpServerOptions{}, lopts);
-  ASSERT_STREQ(fixture.loop().backend(), "poll");
-
-  Client client(fixture.port());
-  ASSERT_TRUE(client.connected());
-  EXPECT_EQ(client.ReadLine().rfind("ok marioh_served", 0), 0u);
-  EXPECT_EQ(client.Roundtrip("methods").rfind("ok methods", 0), 0u);
-  JobId id = ParseJobId(client.Roundtrip(
-      "submit method=MARIOH train=crime.train target=crime.target "
-      "truth=crime.truth seed=1"));
-  ASSERT_NE(id, 0u);
-  std::string waited = client.Roundtrip("wait " + std::to_string(id));
-  EXPECT_NE(waited.find("state=DONE"), std::string::npos) << waited;
-  EXPECT_EQ(client.Roundtrip("quit"), "ok bye");
-}
-
-// EINTR regression: a signal delivered to the loop thread mid-epoll_wait
-// (or mid-poll) must re-enter the wait, not kill Run(). We install a no-op
-// SIGUSR1 handler (no SA_RESTART, so the syscall really does return
-// EINTR), batter the loop thread with signals, and require the server to
-// keep answering afterwards.
+// EINTR regression: a signal delivered to the loop thread mid-poll must
+// re-enter the wait, not kill Run(). We install a no-op SIGUSR1 handler
+// (no SA_RESTART, so the syscall really does return EINTR), batter the
+// loop thread with signals, and require the server to keep answering
+// afterwards.
 TEST(NetServer, EventLoopSurvivesEintrDuringRun) {
   struct sigaction action {};
   action.sa_handler = [](int) {};
