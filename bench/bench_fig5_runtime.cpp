@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
             : std::vector<std::string>{"crime", "directors", "hosts",
                                        "enron", "foursquare", "pschool",
                                        "eu"};
-  std::vector<std::string> methods = marioh::eval::Table2Methods();
+  std::vector<std::string> methods = marioh::api::Table2Roster();
 
   marioh::util::TextTable table(
       "Fig. 5: average runtime (seconds) per method");
@@ -39,9 +39,7 @@ int main(int argc, char** argv) {
           dataset, /*multiplicity_reduced=*/true, /*seed=*/42);
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
       marioh::util::Timer timer;
-      if (reconstructor->IsSupervised()) {
-        reconstructor->Train(*data.g_source, *data.source);
-      }
+      reconstructor->Train(*data.g_source, *data.source);
       reconstructor->Reconstruct(*data.g_target);
       double elapsed = timer.Seconds();
       stats.Add(elapsed);

@@ -41,9 +41,7 @@ int main(int argc, char** argv) {
         dataset, /*multiplicity_reduced=*/true, /*seed=*/42);
     for (const std::string& method : methods) {
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
-      if (reconstructor->IsSupervised()) {
-        reconstructor->Train(*data.g_source, *data.source);
-      }
+      reconstructor->Train(*data.g_source, *data.source);
       marioh::Hypergraph reconstructed =
           reconstructor->Reconstruct(*data.g_target);
       marioh::eval::StructuralReport report =

@@ -63,9 +63,7 @@ int main(int argc, char** argv) {
         marioh::util::TextTable::Num(nmi_of_graph(*data.g_target), 4));
     for (const std::string& method : methods) {
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
-      if (reconstructor->IsSupervised()) {
-        reconstructor->Train(*data.g_source, *data.source);
-      }
+      reconstructor->Train(*data.g_source, *data.source);
       marioh::Hypergraph reconstructed =
           reconstructor->Reconstruct(*data.g_target);
       double nmi = nmi_of_hypergraph(reconstructed);

@@ -80,9 +80,7 @@ int main(int argc, char** argv) {
                    data.labels, data.num_classes));
     for (const std::string& method : methods) {
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
-      if (reconstructor->IsSupervised()) {
-        reconstructor->Train(*data.g_source, *data.source);
-      }
+      reconstructor->Train(*data.g_source, *data.source);
       marioh::Hypergraph reconstructed =
           reconstructor->Reconstruct(*data.g_target);
       marioh::eval::F1Scores f1 = AverageF1(

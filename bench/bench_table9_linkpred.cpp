@@ -71,9 +71,7 @@ int main(int argc, char** argv) {
               << "\n";
     for (const std::string& method : methods) {
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
-      if (reconstructor->IsSupervised()) {
-        reconstructor->Train(*data.g_source, *data.source);
-      }
+      reconstructor->Train(*data.g_source, *data.source);
       marioh::Hypergraph reconstructed =
           reconstructor->Reconstruct(*data.g_target);
       double auc = AverageAuc(*data.g_target, &reconstructed, use_gcn);

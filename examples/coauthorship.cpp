@@ -60,7 +60,7 @@ int main() {
   {
     baselines::ShyreUnsup method;
     Hypergraph rec = method.Reconstruct(g_2017);
-    table.AddRow({method.Name(),
+    table.AddRow({"SHyRe-Unsup",
                   util::TextTable::Num(eval::Jaccard(split.target, rec), 3),
                   util::TextTable::Num(eval::MultiJaccard(split.target, rec),
                                        3),
@@ -73,7 +73,7 @@ int main() {
     baselines::Shyre method(options);
     method.Train(g_2015, split.source);
     Hypergraph rec = method.Reconstruct(g_2017);
-    table.AddRow({method.Name(),
+    table.AddRow({"SHyRe-Count",
                   util::TextTable::Num(eval::Jaccard(split.target, rec), 3),
                   util::TextTable::Num(eval::MultiJaccard(split.target, rec),
                                        3),

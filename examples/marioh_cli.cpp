@@ -1,5 +1,6 @@
 // Command-line reconstruction tool: the workflow a downstream user runs on
-// their own files, built entirely on the public `api::Session` façade.
+// their own files. It reads the two inputs with io/text_io.hpp and runs
+// them through the public `api::Session` façade.
 //
 //   marioh_cli [flags] train.hg target.eg out.hg [theta_init r alpha]
 //
@@ -20,22 +21,23 @@
 //                     reported as out of time with exit code 1
 //   --list-methods    print the registered methods and exit
 //
-// Errors (unknown method, unreadable/malformed files, bad options) are
-// reported on stderr with exit code 1 — never an abort. When invoked
+// Errors (unknown method, unreadable/malformed files, bad options —
+// including non-finite or out-of-range theta/r/alpha) are reported on
+// stderr with exit code 1 — never an abort. When invoked
 // without arguments, runs a self-contained demo on generated files in the
 // current directory.
 
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "api/dataset_cache.hpp"
 #include "api/registry.hpp"
 #include "api/session.hpp"
 #include "gen/profiles.hpp"
 #include "gen/split.hpp"
 #include "io/text_io.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -62,21 +64,24 @@ int Run(const std::string& train_path, const std::string& target_path,
         marioh::api::SessionOptions options) {
   using marioh::api::Session;
   using marioh::api::Status;
+  using marioh::api::StatusOr;
 
-  // Route the file loads through a DatasetCache: a single CLI run loads
-  // each path once, and the same wiring scales to N sessions sharing one
-  // process-wide cache (see api/dataset_cache.hpp and marioh_serve).
-  options.cache = std::make_shared<marioh::api::DatasetCache>();
   Session session;
   if (Status status = session.Configure(std::move(options)); !status.ok()) {
     return Fail(status);
   }
 
-  if (Status status = session.TrainFromFile(train_path); !status.ok()) {
+  StatusOr<marioh::Hypergraph> source =
+      marioh::io::TryReadHypergraphFile(train_path);
+  if (!source.ok()) return Fail(source.status());
+  if (Status status = session.Train(source->Project(), *source);
+      !status.ok()) {
     return Fail(status);
   }
-  if (Status status = session.ReconstructFromFile(target_path);
-      !status.ok()) {
+  StatusOr<marioh::ProjectedGraph> target =
+      marioh::io::TryReadProjectedGraphFile(target_path);
+  if (!target.ok()) return Fail(target.status());
+  if (Status status = session.Reconstruct(*target); !status.ok()) {
     return Fail(status);
   }
   if (Status status = session.WriteReconstruction(out_path);
@@ -148,17 +153,17 @@ int main(int argc, char** argv) {
   }
 
   if (positional.size() >= 3) {
-    // Backward-compatible positional knobs: [theta_init r alpha].
-    try {
-      if (positional.size() >= 4)
-        options.marioh.theta_init = std::stod(positional[3]);
-      if (positional.size() >= 5)
-        options.marioh.r_percent = std::stod(positional[4]);
-      if (positional.size() >= 6)
-        options.marioh.alpha = std::stod(positional[5]);
-    } catch (const std::exception&) {
-      std::cerr << "error: theta/r/alpha must be numbers\n";
-      return 1;
+    // Backward-compatible positional knobs: [theta_init r alpha]. Their
+    // ranges are checked by the method factory at Configure.
+    double* knobs[] = {&options.marioh.theta_init, &options.marioh.r_percent,
+                       &options.marioh.alpha};
+    for (size_t i = 3; i < positional.size() && i < 6; ++i) {
+      std::optional<double> value = marioh::util::ParseDouble(positional[i]);
+      if (!value.has_value()) {
+        std::cerr << "error: theta/r/alpha must be numbers\n";
+        return 1;
+      }
+      *knobs[i - 3] = *value;
     }
     return Run(positional[0], positional[1], positional[2],
                std::move(options));

@@ -50,7 +50,7 @@ struct DatasetHandle {
 
 /// Thread-safe name → immutable dataset map. Normally one cache is shared
 /// by every consumer of a process (the `api::Service` takes one at
-/// construction; `Session` uses one through `SessionOptions::cache`), but
+/// construction; a `Session` runs on its handles), but
 /// the class is instantiable so tests can build isolated fixtures.
 ///
 /// **Resource governance.** The cache tracks an approximate byte

@@ -1,13 +1,14 @@
 // Adapter exposing core::Marioh (any ablation variant) through the common
-// `api::Reconstructor` interface, and the registry entries for MARIOH /
+// `api::Reconstructor` interface, and the factories for MARIOH /
 // MARIOH-M / MARIOH-F / MARIOH-B.
 
-#include <memory>
+#include "api/marioh_method.hpp"
+
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "api/method.hpp"
 #include "api/registry.hpp"
 #include "core/marioh.hpp"
 
@@ -18,8 +19,6 @@ class MariohMethod : public Reconstructor {
  public:
   MariohMethod(core::MariohVariant variant, core::MariohOptions options);
 
-  std::string Name() const override;
-  bool IsSupervised() const override { return true; }
   void Train(const ProjectedGraph& g_source,
              const Hypergraph& h_source) override;
   Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
@@ -27,28 +26,12 @@ class MariohMethod : public Reconstructor {
       const override;
 
  private:
-  core::MariohVariant variant_;
   core::Marioh marioh_;
 };
 
 MariohMethod::MariohMethod(core::MariohVariant variant,
                            core::MariohOptions options)
-    : variant_(variant),
-      marioh_(core::OptionsForVariant(variant, std::move(options))) {}
-
-std::string MariohMethod::Name() const {
-  switch (variant_) {
-    case core::MariohVariant::kFull:
-      return "MARIOH";
-    case core::MariohVariant::kNoMulti:
-      return "MARIOH-M";
-    case core::MariohVariant::kNoFilter:
-      return "MARIOH-F";
-    case core::MariohVariant::kNoBidir:
-      return "MARIOH-B";
-  }
-  return "MARIOH";
-}
+    : marioh_(core::OptionsForVariant(variant, std::move(options))) {}
 
 void MariohMethod::Train(const ProjectedGraph& g_source,
                          const Hypergraph& h_source) {
@@ -78,11 +61,29 @@ MariohMethod::ReconstructionStats() const {
   };
 }
 
-/// Shared factory body for the four registered variants: typed base
-/// options (if provided) + string overrides + the config seed.
+/// kInvalidArgument naming the first option outside its domain, checked
+/// on the final options so typed bases and string overrides are held to
+/// the same rules: a non-finite theta never converges, a non-positive
+/// alpha never lowers theta to the termination safeguard, and r is a
+/// percentage.
+Status CheckRunSettings(const core::MariohOptions& options) {
+  if (!std::isfinite(options.theta_init)) {
+    return Status::InvalidArgument("option 'theta_init' must be finite");
+  }
+  if (!std::isfinite(options.alpha) || options.alpha <= 0.0) {
+    return Status::InvalidArgument(
+        "option 'alpha' must be finite and > 0");
+  }
+  if (!(options.r_percent >= 0.0 && options.r_percent <= 100.0)) {
+    return Status::InvalidArgument("option 'r_percent' must be in [0, 100]");
+  }
+  return Status::Ok();
+}
+
+/// Shared factory body for the four variants: typed base options (if
+/// provided) + string overrides + the config seed.
 StatusOr<std::unique_ptr<Reconstructor>> MakeVariant(
-    core::MariohVariant variant, const std::string& name,
-    const MethodConfig& config) {
+    core::MariohVariant variant, const MethodConfig& config) {
   core::MariohOptions options =
       config.marioh_base != nullptr ? *config.marioh_base
                                     : core::MariohOptions{};
@@ -91,9 +92,9 @@ StatusOr<std::unique_ptr<Reconstructor>> MakeVariant(
   reader.Get("r_percent", &options.r_percent);
   reader.Get("alpha", &options.alpha);
   reader.Get("max_iterations", &options.max_iterations);
-  reader.Get("num_threads", &options.num_threads);
   reader.Get("snapshot_reuse", &options.snapshot_reuse);
-  MARIOH_RETURN_IF_ERROR(reader.Finish(name));
+  MARIOH_RETURN_IF_ERROR(reader.Finish());
+  MARIOH_RETURN_IF_ERROR(CheckRunSettings(options));
   options.seed = config.seed;
   std::unique_ptr<Reconstructor> method =
       std::make_unique<MariohMethod>(variant, std::move(options));
@@ -101,63 +102,25 @@ StatusOr<std::unique_ptr<Reconstructor>> MakeVariant(
 }
 
 }  // namespace
+
+StatusOr<std::unique_ptr<Reconstructor>> MakeMarioh(
+    const MethodConfig& config) {
+  return MakeVariant(core::MariohVariant::kFull, config);
+}
+
+StatusOr<std::unique_ptr<Reconstructor>> MakeMariohM(
+    const MethodConfig& config) {
+  return MakeVariant(core::MariohVariant::kNoMulti, config);
+}
+
+StatusOr<std::unique_ptr<Reconstructor>> MakeMariohF(
+    const MethodConfig& config) {
+  return MakeVariant(core::MariohVariant::kNoFilter, config);
+}
+
+StatusOr<std::unique_ptr<Reconstructor>> MakeMariohB(
+    const MethodConfig& config) {
+  return MakeVariant(core::MariohVariant::kNoBidir, config);
+}
+
 }  // namespace marioh::api
-
-MARIOH_REGISTER_METHOD(
-    Marioh,
-    (marioh::api::MethodInfo{
-        .name = "MARIOH",
-        .summary = "multiplicity-aware supervised reconstruction "
-                   "(filtering + bidirectional search, the paper's full "
-                   "method)",
-        .supervised = true,
-        .multiplicity_aware = true,
-        .table2_order = 11,
-        .table3_order = 5}),
-    [](const marioh::api::MethodConfig& config) {
-      return marioh::api::MakeVariant(marioh::core::MariohVariant::kFull,
-                                      "MARIOH", config);
-    })
-
-MARIOH_REGISTER_METHOD(
-    MariohM,
-    (marioh::api::MethodInfo{
-        .name = "MARIOH-M",
-        .summary = "MARIOH ablation: structural features only (no "
-                   "multiplicity-aware features)",
-        .supervised = true,
-        .multiplicity_aware = true,
-        .table2_order = 8,
-        .table3_order = 2}),
-    [](const marioh::api::MethodConfig& config) {
-      return marioh::api::MakeVariant(marioh::core::MariohVariant::kNoMulti,
-                                      "MARIOH-M", config);
-    })
-
-MARIOH_REGISTER_METHOD(
-    MariohF,
-    (marioh::api::MethodInfo{
-        .name = "MARIOH-F",
-        .summary = "MARIOH ablation: no guaranteed-recovery filtering",
-        .supervised = true,
-        .multiplicity_aware = true,
-        .table2_order = 9,
-        .table3_order = 3}),
-    [](const marioh::api::MethodConfig& config) {
-      return marioh::api::MakeVariant(marioh::core::MariohVariant::kNoFilter,
-                                      "MARIOH-F", config);
-    })
-
-MARIOH_REGISTER_METHOD(
-    MariohB,
-    (marioh::api::MethodInfo{
-        .name = "MARIOH-B",
-        .summary = "MARIOH ablation: no bidirectional sub-clique search",
-        .supervised = true,
-        .multiplicity_aware = true,
-        .table2_order = 10,
-        .table3_order = 4}),
-    [](const marioh::api::MethodConfig& config) {
-      return marioh::api::MakeVariant(marioh::core::MariohVariant::kNoBidir,
-                                      "MARIOH-B", config);
-    })

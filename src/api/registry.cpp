@@ -1,9 +1,11 @@
 #include "api/registry.hpp"
 
 #include <algorithm>
-#include <type_traits>
+#include <limits>
+#include <optional>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace marioh::api {
 namespace {
@@ -18,89 +20,48 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return out;
 }
 
-template <typename T>
-bool ParseNumber(const std::string& text, T* out) {
-  try {
-    size_t pos = 0;
-    if constexpr (std::is_same_v<T, double>) {
-      *out = std::stod(text, &pos);
-    } else if constexpr (std::is_same_v<T, int>) {
-      *out = std::stoi(text, &pos);
-    } else {
-      unsigned long long v = std::stoull(text, &pos);
-      if (text.find('-') != std::string::npos) return false;
-      *out = static_cast<T>(v);
-    }
-    return pos == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 }  // namespace
 
-MethodRegistry& MethodRegistry::Global() {
-  static MethodRegistry* registry = new MethodRegistry();
-  EnsureBuiltinMethodsRegistered();
-  return *registry;
-}
-
-Status MethodRegistry::Register(MethodInfo info, MethodFactory factory) {
-  if (info.name.empty()) {
-    return Status::InvalidArgument("method name must not be empty");
+MethodRegistry::MethodRegistry(std::vector<MethodEntry> rows) {
+  for (MethodEntry& row : rows) {
+    MARIOH_CHECK(!row.info.name.empty());
+    MARIOH_CHECK(row.factory != nullptr);
+    const std::string name = row.info.name;
+    if (!entries_.try_emplace(name, std::move(row)).second) {
+      util::CheckFailed(__FILE__, __LINE__,
+                        "duplicate method name '" + name + "'");
+    }
   }
-  if (!factory) {
-    return Status::InvalidArgument("method '" + info.name +
-                                   "' registered without a factory");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Copy the key out before moving `info` into the entry: the key and
-  // value expressions are unsequenced relative to each other.
-  std::string name = info.name;
-  auto [it, inserted] = entries_.try_emplace(
-      std::move(name), Entry{std::move(info), std::move(factory)});
-  if (!inserted) {
-    return Status::AlreadyExists("method '" + it->first +
-                                 "' is already registered");
-  }
-  return Status::Ok();
 }
 
 Status MethodRegistry::UnknownMethod(const std::string& name) const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
   return Status::NotFound("unknown method '" + name +
-                          "'; known methods: " + JoinNames(names));
+                          "'; known methods: " + JoinNames(Names()));
 }
 
 StatusOr<std::unique_ptr<Reconstructor>> MethodRegistry::Create(
     const std::string& name, const MethodConfig& config) const {
-  MethodFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(name);
-    if (it == entries_.end()) return UnknownMethod(name);
-    factory = it->second.factory;
+  auto it = entries_.find(name);
+  if (it == entries_.end()) return UnknownMethod(name);
+  StatusOr<std::unique_ptr<Reconstructor>> method = it->second.factory(config);
+  if (!method.ok()) {
+    return Status(method.status().code(),
+                  name + ": " + method.status().message());
   }
-  // Invoked outside the lock: factories may touch the registry.
-  return factory(config);
+  return method;
 }
 
 StatusOr<MethodInfo> MethodRegistry::Info(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(name);
   if (it == entries_.end()) return UnknownMethod(name);
   return it->second.info;
 }
 
 bool MethodRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return entries_.count(name) > 0;
 }
 
 std::vector<std::string> MethodRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> names;
   names.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) names.push_back(key);
@@ -108,7 +69,6 @@ std::vector<std::string> MethodRegistry::Names() const {
 }
 
 std::vector<MethodInfo> MethodRegistry::Methods() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MethodInfo> out;
   out.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) out.push_back(entry.info);
@@ -168,76 +128,58 @@ const std::string* OverrideReader::Find(const std::string& key) {
   return value;
 }
 
+void OverrideReader::BadValue(const std::string& key,
+                              const std::string& value) {
+  if (first_error_.empty()) {
+    first_error_ = "bad value '" + value + "' for option '" + key + "'";
+  }
+}
+
+void OverrideReader::Get(const std::string& key, double* out) {
+  const std::string* value = Find(key);
+  if (value == nullptr) return;
+  if (std::optional<double> parsed = util::ParseDouble(*value)) {
+    *out = *parsed;
+  } else {
+    BadValue(key, *value);
+  }
+}
+
 namespace {
 
 template <typename T>
-void ReadOverride(const std::string& key, const std::string* value, T* out,
-                  std::string* first_error) {
-  if (value == nullptr) return;
-  T parsed{};
-  if (!ParseNumber(*value, &parsed)) {
-    if (first_error->empty()) {
-      *first_error = "bad value '" + *value + "' for option '" + key + "'";
-    }
-    return;
+bool ParseUnsigned(const std::string& text, T* out) {
+  std::optional<uint64_t> parsed = util::ParseUint64(text);
+  if (!parsed.has_value() || *parsed > std::numeric_limits<T>::max()) {
+    return false;
   }
-  *out = parsed;
+  *out = static_cast<T>(*parsed);
+  return true;
 }
 
 }  // namespace
 
-void OverrideReader::Get(const std::string& key, double* out) {
-  ReadOverride(key, Find(key), out, &first_error_);
-}
 void OverrideReader::Get(const std::string& key, unsigned long* out) {
-  ReadOverride(key, Find(key), out, &first_error_);
+  const std::string* value = Find(key);
+  if (value != nullptr && !ParseUnsigned(*value, out)) BadValue(key, *value);
 }
 void OverrideReader::Get(const std::string& key, unsigned long long* out) {
-  ReadOverride(key, Find(key), out, &first_error_);
-}
-void OverrideReader::Get(const std::string& key, int* out) {
-  ReadOverride(key, Find(key), out, &first_error_);
-}
-void OverrideReader::Get(const std::string& key, bool* out) {
   const std::string* value = Find(key);
-  if (value == nullptr) return;
-  if (*value == "true" || *value == "1") {
-    *out = true;
-  } else if (*value == "false" || *value == "0") {
-    *out = false;
-  } else if (first_error_.empty()) {
-    first_error_ = "bad value '" + *value + "' for option '" + key +
-                   "' (expected true/false)";
-  }
+  if (value != nullptr && !ParseUnsigned(*value, out)) BadValue(key, *value);
 }
 
-Status OverrideReader::Finish(const std::string& method_name) const {
-  std::string supported = known_keys_.empty()
-                              ? std::string("none")
-                              : JoinNames(known_keys_);
-  if (!first_error_.empty()) {
-    return Status::InvalidArgument(method_name + ": " + first_error_);
-  }
+Status OverrideReader::Finish() const {
+  if (!first_error_.empty()) return Status::InvalidArgument(first_error_);
   for (size_t i = 0; i < consumed_.size(); ++i) {
     if (!consumed_[i]) {
       return Status::InvalidArgument(
-          method_name + ": unknown option '" + config_.overrides[i].first +
-          "'; supported options: " + supported);
+          "unknown option '" + config_.overrides[i].first +
+          "'; supported options: " +
+          (known_keys_.empty() ? std::string("none")
+                               : JoinNames(known_keys_)));
     }
   }
   return Status::Ok();
 }
 
-namespace internal {
-
-MethodRegistrar::MethodRegistrar(MethodInfo info, MethodFactory factory) {
-  Status status =
-      MethodRegistry::Global().Register(std::move(info), std::move(factory));
-  if (!status.ok()) {
-    // A duplicate in-tree registration is a programming error.
-    util::CheckFailed(__FILE__, __LINE__, status.ToString());
-  }
-}
-
-}  // namespace internal
 }  // namespace marioh::api

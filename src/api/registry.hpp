@@ -1,39 +1,25 @@
 /// \file registry.hpp
-/// \brief Self-registering method registry: the one place that maps table
-/// names ("MARIOH", "CFinder", ...) to `Reconstructor` factories.
+/// \brief The method registry: the one map from table names ("MARIOH",
+/// "CFinder", ...) to `Reconstructor` factories and their metadata.
 ///
-/// Each implementation translation unit registers itself with
-/// `MARIOH_REGISTER_METHOD` at static-initialization time, so adding a
-/// method never touches a central switch. Lookups of unknown names return
-/// a `Status` that lists the known methods instead of aborting, which is
-/// what lets `marioh_cli` (and a future server) report bad requests and
-/// keep running.
-///
-/// Because the library is a static archive, a registration TU is only
-/// linked into a binary if some symbol in it is referenced; the
-/// force-link tokens emitted by the macro (and collected in
-/// `builtin_methods.cpp`) guarantee the in-tree roster is always present.
-/// Out-of-tree methods compiled directly into an executable need no
-/// token: their registrar runs because executable objects are always
-/// linked.
+/// The roster is one explicit table, `builtin_methods.cpp`, with a row of
+/// `{MethodInfo, factory}` per method; each implementation TU exports its
+/// plain factory function. `Global()` builds the registry from that table
+/// once, and it is immutable afterwards, so lookups need no lock. Lookups
+/// of unknown names return a `Status` that lists the known methods
+/// instead of aborting, which is what lets `marioh_cli` and the serving
+/// front ends report bad requests and keep running.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/method.hpp"
 #include "api/status.hpp"
-
-namespace marioh::core {
-struct MariohOptions;  // typed base options, forwarded opaquely
-}  // namespace marioh::core
 
 namespace marioh::api {
 
@@ -48,34 +34,26 @@ struct MethodInfo {
   int table3_order = -1;  ///< row position in Table III (-1: not listed)
 };
 
-/// Construction-time configuration handed to a method factory.
-struct MethodConfig {
-  uint64_t seed = 1;
-  /// Typed base options for the MARIOH family; null means defaults.
-  /// Opaque here so the registry stays below `core/` in the layering.
-  const core::MariohOptions* marioh_base = nullptr;
-  /// `key=value` overrides. Factories must reject unknown keys and bad
-  /// values with kInvalidArgument (see OverrideReader).
-  std::vector<std::pair<std::string, std::string>> overrides;
+/// One row of the method roster.
+struct MethodEntry {
+  MethodInfo info;
+  MethodFactory factory = nullptr;
 };
 
-using MethodFactory =
-    std::function<StatusOr<std::unique_ptr<Reconstructor>>(
-        const MethodConfig&)>;
-
-/// Name → factory + metadata map. Thread-safe; normally used through the
-/// process-wide `Global()` instance, but instantiable so tests can
-/// exercise registration in isolation.
+/// Name → factory + metadata map, immutable after construction. Normally
+/// used through the process-wide `Global()` instance.
 class MethodRegistry {
  public:
-  /// The process-wide registry, with every in-tree method registered.
-  static MethodRegistry& Global();
+  /// The process-wide registry, built from the in-tree roster table
+  /// (defined in builtin_methods.cpp).
+  static const MethodRegistry& Global();
 
-  /// Adds a method. kAlreadyExists if `info.name` is taken, and
-  /// kInvalidArgument if the name or factory is empty.
-  Status Register(MethodInfo info, MethodFactory factory);
+  /// Builds a registry from `rows`. A duplicate or empty name, or a null
+  /// factory, is a programming error and fails a check.
+  explicit MethodRegistry(std::vector<MethodEntry> rows);
 
-  /// Instantiates `name`, or kNotFound listing the known methods.
+  /// Instantiates `name`, or kNotFound listing the known methods. A
+  /// factory error comes back with the method's name prefixed.
   StatusOr<std::unique_ptr<Reconstructor>> Create(
       const std::string& name, const MethodConfig& config) const;
 
@@ -91,15 +69,9 @@ class MethodRegistry {
   std::vector<MethodInfo> Methods() const;
 
  private:
-  struct Entry {
-    MethodInfo info;
-    MethodFactory factory;
-  };
-
   Status UnknownMethod(const std::string& name) const;
 
-  mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, MethodEntry> entries_;
 };
 
 /// The Table II method roster, in row order (from registry metadata).
@@ -116,13 +88,10 @@ std::unique_ptr<Reconstructor> MustCreateMethod(
     const std::string& name, uint64_t seed,
     const core::MariohOptions* marioh_base = nullptr);
 
-/// Force-links every in-tree registration TU (defined in
-/// builtin_methods.cpp). Called by `MethodRegistry::Global()`.
-void EnsureBuiltinMethodsRegistered();
-
 /// Typed consumption of `MethodConfig::overrides` inside a factory: call
 /// `Get` once per supported key, then `Finish` to fail on unknown keys or
-/// unparsable values.
+/// unparsable values. Values parse strictly (`util/parse.hpp`): the whole
+/// token must be one finite number, and unsigned keys take digits only.
 class OverrideReader {
  public:
   explicit OverrideReader(const MethodConfig& config);
@@ -132,16 +101,16 @@ class OverrideReader {
   // platform (they are different underlying types on e.g. macOS).
   void Get(const std::string& key, unsigned long* out);       // NOLINT
   void Get(const std::string& key, unsigned long long* out);  // NOLINT
-  void Get(const std::string& key, int* out);
-  void Get(const std::string& key, bool* out);
 
-  /// kInvalidArgument naming the offending key (and the supported keys
-  /// of `method_name`) if any override was left unconsumed or failed to
-  /// parse; OK otherwise.
-  Status Finish(const std::string& method_name) const;
+  /// kInvalidArgument naming the offending key (and the supported keys)
+  /// if any override was left unconsumed or failed to parse; OK
+  /// otherwise.
+  Status Finish() const;
 
  private:
   const std::string* Find(const std::string& key);
+  /// Records the first bad value; later errors keep the first.
+  void BadValue(const std::string& key, const std::string& value);
 
   const MethodConfig& config_;
   std::vector<bool> consumed_;
@@ -149,33 +118,4 @@ class OverrideReader {
   std::string first_error_;
 };
 
-namespace internal {
-
-/// Performs registration at static-init time; duplicate in-tree names are
-/// programming errors and fail a check.
-struct MethodRegistrar {
-  MethodRegistrar(MethodInfo info, MethodFactory factory);
-};
-
-}  // namespace internal
 }  // namespace marioh::api
-
-/// Registers a method from an implementation TU. Use at namespace scope
-/// (global namespace), typically at the bottom of the .cpp file:
-///
-///   MARIOH_REGISTER_METHOD(
-///       CFinder,
-///       (marioh::api::MethodInfo{...}),
-///       [](const marioh::api::MethodConfig& config) -> ... { ... });
-///
-/// `tag` must be a unique identifier; it names the force-link token
-/// (`MariohMethodLinkToken_<tag>`) that keeps the TU in static-library
-/// links (see builtin_methods.cpp).
-#define MARIOH_REGISTER_METHOD(tag, info, factory)                     \
-  namespace marioh::api::internal {                                    \
-  int MariohMethodLinkToken_##tag() { return 0; }                      \
-  namespace {                                                          \
-  const ::marioh::api::internal::MethodRegistrar                       \
-      marioh_method_registrar_##tag((info), (factory));                \
-  }                                                                    \
-  }

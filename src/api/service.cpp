@@ -356,10 +356,9 @@ size_t Service::RetireExpired() {
 }
 
 Status Service::AdmitCapacityLocked(const std::string& client,
-                                    Priority priority, size_t extra_queued,
-                                    size_t extra_same_client) {
-  size_t queued = extra_queued;
-  size_t inflight_client = extra_same_client;
+                                    Priority priority) {
+  size_t queued = 0;
+  size_t inflight_client = 0;
   for (const auto& [id, job] : jobs_) {
     if (job->state == JobState::kQueued) ++queued;
     if ((job->state == JobState::kQueued ||
@@ -401,86 +400,37 @@ Status Service::AdmitCapacityLocked(const std::string& client,
 }
 
 StatusOr<JobId> Service::Submit(const ReconstructRequest& request) {
-  StatusOr<std::vector<JobId>> ids = SubmitBatch({request});
-  if (!ids.ok()) return ids.status();
-  return ids->front();
-}
-
-StatusOr<std::vector<JobId>> Service::SubmitBatch(
-    const std::vector<ReconstructRequest>& requests) {
-  // Validate everything before admitting anything: a batch is atomic.
-  std::vector<std::shared_ptr<Job>> admitted;
-  admitted.reserve(requests.size());
-  for (const ReconstructRequest& request : requests) {
-    StatusOr<std::shared_ptr<Job>> job = Admit(request);
-    if (!job.ok()) return job.status();
-    admitted.push_back(std::move(job).value());
-  }
-  // Serialize outside the lock; both steps are no-ops when the journal
-  // is disabled (no validation, no allocation, no syscalls).
-  std::vector<std::string> wires;
+  StatusOr<std::shared_ptr<Job>> admitted = Admit(request);
+  if (!admitted.ok()) return admitted.status();
+  std::shared_ptr<Job> job = std::move(admitted).value();
+  // Serialize outside the lock; skipped entirely when the journal is
+  // disabled (no validation, no allocation, no syscalls).
+  std::string wire;
   if (journal_ != nullptr) {
-    wires.reserve(requests.size());
-    for (const ReconstructRequest& request : requests) {
-      MARIOH_RETURN_IF_ERROR(ValidateRequestSerializable(request));
-      wires.push_back(SerializeReconstructRequest(request));
-    }
+    MARIOH_RETURN_IF_ERROR(ValidateRequestSerializable(request));
+    wire = SerializeReconstructRequest(request);
   }
-  std::vector<JobId> ids;
-  ids.reserve(admitted.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     RetireExpiredLocked();
-    // Capacity is checked for the batch as a whole before anything is
-    // inserted, counting the earlier batch members as already queued —
-    // atomicity means a batch that would only half-fit is rejected
-    // entirely.
-    for (size_t i = 0; i < admitted.size(); ++i) {
-      size_t same_client = 0;
-      for (size_t j = 0; j < i; ++j) {
-        if (admitted[j]->request.client_id ==
-            admitted[i]->request.client_id) {
-          ++same_client;
-        }
-      }
-      MARIOH_RETURN_IF_ERROR(AdmitCapacityLocked(
-          admitted[i]->request.client_id, admitted[i]->request.priority, i,
-          same_client));
-    }
+    MARIOH_RETURN_IF_ERROR(
+        AdmitCapacityLocked(request.client_id, request.priority));
     if (journal_ != nullptr) {
-      // Write-ahead: the accept records are on stable storage before the
-      // jobs exist anywhere else. If an append fails, the submit fails —
+      // Write-ahead: the accept record is on stable storage before the
+      // job exists anywhere else. If the append fails, the submit fails —
       // an accepted-but-unjournaled job would be exactly the silent loss
-      // this layer exists to prevent. The unused ids are safely reused
-      // by the next submit.
-      for (size_t i = 0; i < wires.size(); ++i) {
-        Status logged = journal_->Append(
-            next_id_ + i, "accept " + wires[i], /*terminal=*/false);
-        if (!logged.ok()) {
-          // Batch atomicity extends to the journal: close the accepts
-          // already written so a crash cannot resurrect half a batch
-          // the caller was told failed (best-effort — if these appends
-          // fail too, recovery re-admits jobs whose datasets were
-          // pinned at this submit, which at-least-once semantics
-          // tolerate).
-          for (size_t j = 0; j < i; ++j) {
-            (void)journal_->Append(next_id_ + j, "terminal CANCELLED",
-                                   /*terminal=*/true);
-          }
-          return logged;
-        }
-      }
+      // this layer exists to prevent. The unused id is safely reused by
+      // the next submit.
+      MARIOH_RETURN_IF_ERROR(
+          journal_->Append(next_id_, "accept " + wire, /*terminal=*/false));
     }
-    for (const std::shared_ptr<Job>& job : admitted) {
-      job->id = next_id_++;
-      job->admitted_at = std::chrono::steady_clock::now();
-      jobs_.emplace(job->id, job);
-      ++totals_.accepted;
-      ids.push_back(job->id);
-    }
+    job->id = next_id_++;
+    job->admitted_at = std::chrono::steady_clock::now();
+    jobs_.emplace(job->id, job);
+    ++totals_.accepted;
   }
-  for (const std::shared_ptr<Job>& job : admitted) Enqueue(job);
-  return ids;
+  Enqueue(job);
+  return job->id;
 }
 
 void Service::RunJob(const std::shared_ptr<Job>& job) {

@@ -1,7 +1,7 @@
 /// \file service.hpp
 /// \brief The async job layer: `ReconstructRequest` → `JobId` on a worker
-/// pool, with Submit/SubmitBatch/Poll/Wait/Cancel, per-job `Status` +
-/// stage stats + `EvaluationResult`, and service-level counters. This is
+/// pool, with Submit/Poll/Wait/Cancel, per-job `Status` + stage stats +
+/// `EvaluationResult`, and service-level counters. This is
 /// the serving loop the ROADMAP's "server front end" item asked for:
 /// N jobs run concurrently over shared `DatasetCache` handles, each
 /// inside its own `Session`, and — because datasets are immutable and
@@ -232,13 +232,8 @@ class Service {
   /// (unknown method / unknown or ill-typed datasets / reserved override
   /// keys fail here, before any work is queued) and enqueues it.
   /// The job holds handles to its datasets from this point on, so cache
-  /// eviction cannot affect an admitted job. A one-request SubmitBatch.
+  /// eviction cannot affect an admitted job.
   StatusOr<JobId> Submit(const ReconstructRequest& request);
-
-  /// Submits all requests atomically: either every request is admitted
-  /// (ids returned in order) or none is and the first error is returned.
-  StatusOr<std::vector<JobId>> SubmitBatch(
-      const std::vector<ReconstructRequest>& requests);
 
   /// Non-blocking state snapshot. kNotFound for unknown ids — including
   /// ids whose record the job TTL just retired (the lazy sweep runs
@@ -285,11 +280,6 @@ class Service {
   /// silently dropped its durability promise is worse than one that
   /// won't start). Always OK when `journal_dir` is empty.
   const Status& startup_status() const { return startup_status_; }
-
-  /// The write-ahead journal, or nullptr when journaling is disabled
-  /// (or failed to open — see startup_status()). For stats surfaces and
-  /// tests; never needed on the request path.
-  const util::Journal* journal() const { return journal_.get(); }
 
  private:
   struct Job {
@@ -349,13 +339,10 @@ class Service {
   JobSnapshot SnapshotLocked(const Job& job) const;
   /// The TTL sweep. Requires `mutex_` held; returns jobs dropped.
   size_t RetireExpiredLocked();
-  /// Admission control for one more job of `client` at `priority`, with
-  /// `extra_queued` jobs (of which `extra_same_client` share the client
-  /// id) already admitted ahead of it in the same batch. Requires
-  /// `mutex_` held; OK or kResourceExhausted (counted in
+  /// Admission control for one more job of `client` at `priority`.
+  /// Requires `mutex_` held; OK or kResourceExhausted (counted in
   /// submits_rejected, plus loadshed_rejects when shed by priority).
-  Status AdmitCapacityLocked(const std::string& client, Priority priority,
-                             size_t extra_queued, size_t extra_same_client);
+  Status AdmitCapacityLocked(const std::string& client, Priority priority);
   /// The retry/watchdog thread: re-enqueues backoff-expired retries and
   /// runs the stall scan. Sleeps indefinitely when there is nothing to
   /// watch (no pending retries, watchdog disabled or no running jobs).

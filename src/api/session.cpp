@@ -1,5 +1,6 @@
 #include "api/session.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "eval/metrics.hpp"
@@ -8,6 +9,7 @@
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
+#include "util/parse.hpp"
 
 namespace marioh::api {
 
@@ -68,25 +70,20 @@ Status ApplySessionOverride(SessionOptions* options,
   }
   if (key == "seed" || key == "time_budget_seconds" || key == "threads") {
     MARIOH_RETURN_IF_ERROR(CheckNotDuplicate(*options, key));
-    try {
-      size_t pos = 0;
-      if (key == "seed") {
-        // stoull would silently wrap negatives; reject them instead.
-        if (value.find('-') != std::string::npos) {
-          throw std::invalid_argument(value);
-        }
-        options->seed = std::stoull(value, &pos);
-      } else if (key == "threads") {
-        int threads = std::stoi(value, &pos);
-        if (threads < 0) throw std::invalid_argument(value);
-        options->marioh.num_threads = threads;
-      } else {
-        options->time_budget_seconds = std::stod(value, &pos);
-      }
-      if (pos != value.size()) throw std::invalid_argument(value);
-    } catch (const std::exception&) {
-      return Status::InvalidArgument("bad value '" + value +
-                                     "' for option '" + key + "'");
+    const Status bad = Status::InvalidArgument(
+        "bad value '" + value + "' for option '" + key + "'");
+    if (key == "seed") {
+      std::optional<uint64_t> seed = util::ParseUint64(value);
+      if (!seed) return bad;
+      options->seed = *seed;
+    } else if (key == "threads") {
+      std::optional<int> threads = util::ParseNonNegativeInt(value);
+      if (!threads) return bad;
+      options->marioh.num_threads = *threads;
+    } else {
+      std::optional<double> budget = util::ParseDouble(value);
+      if (!budget) return bad;
+      options->time_budget_seconds = *budget;
     }
     options->applied_session_keys.push_back(key);
     return Status::Ok();
@@ -126,9 +123,6 @@ Status Session::Configure(SessionOptions options) {
   options_ = std::move(options);
   info_ = std::move(info).value();
   method_ = std::move(method).value();
-  // The instantiated method is the source of truth for supervision; keep
-  // the metadata the session enforces in sync with it.
-  info_.supervised = method_->IsSupervised();
   return Status::Ok();
 }
 
@@ -148,7 +142,6 @@ Status Session::BeginStage(const std::string& stage) {
         "'");
   }
   if (!clock_) clock_.emplace();
-  double elapsed = clock_->Seconds();
   if (deadline_exceeded_) {
     return Status::DeadlineExceeded(
         info_.name + ": time budget of " +
@@ -161,10 +154,6 @@ Status Session::BeginStage(const std::string& stage) {
       return StatusForTrip(reason, info_.name,
                            "before stage '" + stage + "'");
     }
-  }
-  if (options_.progress && !options_.progress(stage, elapsed)) {
-    return Status::Cancelled(info_.name + ": run cancelled before stage '" +
-                             stage + "'");
   }
   // Stage gates double as liveness beats: a session that keeps crossing
   // stage boundaries is alive even if its kernels never poll a
@@ -259,20 +248,6 @@ Status Session::Train(const DatasetHandle& source) {
   return Train(*source.graph, *source.hypergraph);
 }
 
-Status Session::TrainFromFile(const std::string& path) {
-  if (options_.cache != nullptr) {
-    // Shared load-once path: the cache keys the dataset by its path, so
-    // N sessions reading the same file share one in-memory copy.
-    StatusOr<DatasetHandle> handle =
-        options_.cache->LoadHypergraphFile(path, path);
-    if (!handle.ok()) return handle.status();
-    return Train(*handle);
-  }
-  StatusOr<Hypergraph> source = io::TryReadHypergraphFile(path);
-  if (!source.ok()) return source.status();
-  return Train(source->Project(), *source);
-}
-
 Status Session::Reconstruct(const ProjectedGraph& g_target) {
   if (configured() && info_.supervised && !trained_) {
     return Status::FailedPrecondition(
@@ -313,18 +288,6 @@ Status Session::Reconstruct(const DatasetHandle& target) {
   }
   target_handle_ = target;  // pin: outlives any cache eviction
   return Reconstruct(*target.graph);
-}
-
-Status Session::ReconstructFromFile(const std::string& path) {
-  if (options_.cache != nullptr) {
-    StatusOr<DatasetHandle> handle =
-        options_.cache->LoadProjectedGraphFile(path, path);
-    if (!handle.ok()) return handle.status();
-    return Reconstruct(*handle);
-  }
-  StatusOr<ProjectedGraph> target = io::TryReadProjectedGraphFile(path);
-  if (!target.ok()) return target.status();
-  return Reconstruct(*target);
 }
 
 StatusOr<EvaluationResult> Session::Evaluate(

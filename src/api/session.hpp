@@ -3,18 +3,18 @@
 /// paper's whole protocol — configure a method, Train on the source pair,
 /// Reconstruct the target, Evaluate against ground truth — with per-stage
 /// timing, a wall-clock budget (the harness's OOT semantics), and a
-/// progress/cancellation callback.
+/// cooperative `util::CancelToken`.
 ///
 /// Every consumer of the library goes through this façade (or the
 /// registry below it): the evaluation harness, `marioh_cli`, the bench
-/// drivers, and examples. It is the surface a multi-request server front
-/// end will sit on: all failure modes arrive as `Status` values, never
-/// aborts.
+/// drivers, examples, and `api::Service` (one Session per job). Inputs
+/// are in-memory graphs or shared `DatasetHandle`s; reading files is the
+/// caller's business (`io/text_io.hpp`, `DatasetCache`). All failure
+/// modes arrive as `Status` values, never aborts.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,13 +31,6 @@
 #include "util/timer.hpp"
 
 namespace marioh::api {
-
-/// Invoked at the start of each stage ("train", "reconstruct",
-/// "evaluate") with the wall-clock seconds elapsed since the first stage
-/// began. Returning false cancels the run: the stage is not executed and
-/// fails with kCancelled.
-using ProgressCallback =
-    std::function<bool(const std::string& stage, double elapsed_seconds)>;
 
 /// Full configuration of a Session.
 struct SessionOptions {
@@ -69,13 +62,6 @@ struct SessionOptions {
   /// `key=value` overrides forwarded to the method factory (e.g.
   /// "theta_init=0.8"); unknown keys fail Configure.
   std::vector<std::pair<std::string, std::string>> overrides;
-  ProgressCallback progress;
-  /// Shared dataset cache consulted by the `*FromFile` entry points:
-  /// when set, files are loaded once per path across every session (and
-  /// service) sharing the cache, and the session trains/reconstructs on
-  /// the shared immutable handle. Null keeps the classic
-  /// one-read-per-call behavior.
-  std::shared_ptr<DatasetCache> cache;
   /// Session-level keys already consumed by `ApplySessionOverride`, used
   /// to reject duplicate assignments (e.g. two `seed=` overrides) with a
   /// precise error. Managed by ApplySessionOverride; leave it alone.
@@ -135,11 +121,6 @@ class Session {
   /// is not a source pair.
   Status Train(const DatasetHandle& source);
 
-  /// Loads a source hypergraph from `path` (text format), projects it,
-  /// and trains on the pair. With `SessionOptions::cache` set, the load
-  /// is shared: one read per path process-wide, keyed by the path.
-  Status TrainFromFile(const std::string& path);
-
   /// Reconstructs a hypergraph from the target projected graph; the
   /// result is available through `reconstruction()` (no copy is made).
   /// kFailedPrecondition if a supervised method was not trained.
@@ -149,11 +130,6 @@ class Session {
   /// graph); the session keeps the handle alive. kInvalidArgument if the
   /// handle holds no graph.
   Status Reconstruct(const DatasetHandle& target);
-
-  /// Loads a projected graph from `path` (text format) and reconstructs.
-  /// With `SessionOptions::cache` set, the load is shared like
-  /// TrainFromFile's.
-  Status ReconstructFromFile(const std::string& path);
 
   /// Scores the most recent reconstruction against `ground_truth`.
   StatusOr<EvaluationResult> Evaluate(const Hypergraph& ground_truth);

@@ -25,10 +25,10 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,     ///< malformed user input (option values, file syntax)
   kNotFound,            ///< unknown method / profile / missing file
-  kAlreadyExists,       ///< duplicate registration
+  kAlreadyExists,       ///< dataset name already bound to another path
   kFailedPrecondition,  ///< API misuse (e.g. Reconstruct before Configure)
   kDeadlineExceeded,    ///< wall-clock budget exhausted (the paper's OOT)
-  kCancelled,           ///< progress callback requested a stop
+  kCancelled,           ///< a CancelToken tripped (Cancel or shutdown)
   kResourceExhausted,   ///< admission control: queue/quota/connection limit hit
   kInternal,            ///< invariant violation surfaced as an error
   /// Transient infrastructure failure (an injected or real load/read

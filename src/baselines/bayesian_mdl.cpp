@@ -126,27 +126,15 @@ Hypergraph BayesianMdl::Reconstruct(const ProjectedGraph& g_target) {
   return h;
 }
 
-}  // namespace marioh::baselines
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeBayesianMdl(
+    const api::MethodConfig& config) {
+  size_t anneal_steps = 2000;
+  api::OverrideReader reader(config);
+  reader.Get("anneal_steps", &anneal_steps);
+  MARIOH_RETURN_IF_ERROR(reader.Finish());
+  std::unique_ptr<api::Reconstructor> method =
+      std::make_unique<BayesianMdl>(config.seed, anneal_steps);
+  return method;
+}
 
-MARIOH_REGISTER_METHOD(
-    BayesianMdl,
-    (marioh::api::MethodInfo{
-        .name = "Bayesian-MDL",
-        .summary = "minimum-description-length clique cover with "
-                   "simulated-annealing refinement",
-        .supervised = false,
-        .multiplicity_aware = true,
-        .table2_order = 4,
-        .table3_order = 0}),
-    [](const marioh::api::MethodConfig& config)
-        -> marioh::api::StatusOr<
-            std::unique_ptr<marioh::api::Reconstructor>> {
-      size_t anneal_steps = 2000;
-      marioh::api::OverrideReader reader(config);
-      reader.Get("anneal_steps", &anneal_steps);
-      MARIOH_RETURN_IF_ERROR(reader.Finish("Bayesian-MDL"));
-      std::unique_ptr<marioh::api::Reconstructor> method =
-          std::make_unique<marioh::baselines::BayesianMdl>(config.seed,
-                                                           anneal_steps);
-      return method;
-    })
+}  // namespace marioh::baselines

@@ -25,12 +25,16 @@ class BayesianMdl : public api::Reconstructor {
   explicit BayesianMdl(uint64_t seed = 1, size_t anneal_steps = 2000)
       : seed_(seed), anneal_steps_(anneal_steps) {}
 
-  std::string Name() const override { return "Bayesian-MDL"; }
   Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
 
  private:
   uint64_t seed_;
   size_t anneal_steps_;
 };
+
+/// Factory of this method's row in api/builtin_methods.cpp. Override keys:
+/// `anneal_steps`.
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeBayesianMdl(
+    const api::MethodConfig& config);
 
 }  // namespace marioh::baselines

@@ -122,25 +122,14 @@ Hypergraph CFinder::Reconstruct(const ProjectedGraph& g_target) {
   return h;
 }
 
-}  // namespace marioh::baselines
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeCFinder(
+    const api::MethodConfig& config) {
+  size_t k = 3;
+  api::OverrideReader reader(config);
+  reader.Get("k", &k);
+  MARIOH_RETURN_IF_ERROR(reader.Finish());
+  std::unique_ptr<api::Reconstructor> method = std::make_unique<CFinder>(k);
+  return method;
+}
 
-MARIOH_REGISTER_METHOD(
-    CFinder,
-    (marioh::api::MethodInfo{
-        .name = "CFinder",
-        .summary = "k-clique percolation communities as hyperedges",
-        .supervised = true,
-        .multiplicity_aware = false,
-        .table2_order = 0,
-        .table3_order = -1}),
-    [](const marioh::api::MethodConfig& config)
-        -> marioh::api::StatusOr<
-            std::unique_ptr<marioh::api::Reconstructor>> {
-      size_t k = 3;
-      marioh::api::OverrideReader reader(config);
-      reader.Get("k", &k);
-      MARIOH_RETURN_IF_ERROR(reader.Finish("CFinder"));
-      std::unique_ptr<marioh::api::Reconstructor> method =
-          std::make_unique<marioh::baselines::CFinder>(k);
-      return method;
-    })
+}  // namespace marioh::baselines

@@ -19,8 +19,6 @@ class CFinder : public api::Reconstructor {
  public:
   explicit CFinder(size_t k = 3) : k_(k) {}
 
-  std::string Name() const override { return "CFinder"; }
-  bool IsSupervised() const override { return true; }
   void Train(const ProjectedGraph& g_source,
              const Hypergraph& h_source) override;
   Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
@@ -30,5 +28,10 @@ class CFinder : public api::Reconstructor {
  private:
   size_t k_;
 };
+
+/// Factory of this method's row in api/builtin_methods.cpp. Override keys:
+/// `k`.
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeCFinder(
+    const api::MethodConfig& config);
 
 }  // namespace marioh::baselines

@@ -49,23 +49,12 @@ Hypergraph CliqueCovering::Reconstruct(const ProjectedGraph& g_target) {
   return h;
 }
 
-}  // namespace marioh::baselines
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeCliqueCovering(
+    const api::MethodConfig& config) {
+  MARIOH_RETURN_IF_ERROR(api::OverrideReader(config).Finish());
+  std::unique_ptr<api::Reconstructor> method =
+      std::make_unique<CliqueCovering>(config.seed);
+  return method;
+}
 
-MARIOH_REGISTER_METHOD(
-    CliqueCovering,
-    (marioh::api::MethodInfo{
-        .name = "CliqueCovering",
-        .summary = "greedy edge clique cover emitted as hyperedges",
-        .supervised = false,
-        .multiplicity_aware = false,
-        .table2_order = 3,
-        .table3_order = -1}),
-    [](const marioh::api::MethodConfig& config)
-        -> marioh::api::StatusOr<
-            std::unique_ptr<marioh::api::Reconstructor>> {
-      marioh::api::OverrideReader reader(config);
-      MARIOH_RETURN_IF_ERROR(reader.Finish("CliqueCovering"));
-      std::unique_ptr<marioh::api::Reconstructor> method =
-          std::make_unique<marioh::baselines::CliqueCovering>(config.seed);
-      return method;
-    })
+}  // namespace marioh::baselines

@@ -18,11 +18,15 @@ namespace marioh::baselines {
 class CliqueCovering : public api::Reconstructor {
  public:
   explicit CliqueCovering(uint64_t seed = 1) : seed_(seed) {}
-  std::string Name() const override { return "CliqueCovering"; }
   Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
 
  private:
   uint64_t seed_;
 };
+
+/// Factory of this method's row in api/builtin_methods.cpp. Override keys:
+/// none.
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeCliqueCovering(
+    const api::MethodConfig& config);
 
 }  // namespace marioh::baselines

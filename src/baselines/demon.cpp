@@ -130,29 +130,17 @@ Hypergraph Demon::Reconstruct(const ProjectedGraph& g_target) {
   return h;
 }
 
-}  // namespace marioh::baselines
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeDemon(
+    const api::MethodConfig& config) {
+  double epsilon = 1.0;
+  size_t min_size = 2;
+  api::OverrideReader reader(config);
+  reader.Get("epsilon", &epsilon);
+  reader.Get("min_size", &min_size);
+  MARIOH_RETURN_IF_ERROR(reader.Finish());
+  std::unique_ptr<api::Reconstructor> method =
+      std::make_unique<Demon>(epsilon, min_size, config.seed);
+  return method;
+}
 
-MARIOH_REGISTER_METHOD(
-    Demon,
-    (marioh::api::MethodInfo{
-        .name = "Demon",
-        .summary = "local-first overlapping community detection (ego-net "
-                   "label propagation)",
-        .supervised = false,
-        .multiplicity_aware = false,
-        .table2_order = 1,
-        .table3_order = -1}),
-    [](const marioh::api::MethodConfig& config)
-        -> marioh::api::StatusOr<
-            std::unique_ptr<marioh::api::Reconstructor>> {
-      double epsilon = 1.0;
-      size_t min_size = 2;
-      marioh::api::OverrideReader reader(config);
-      reader.Get("epsilon", &epsilon);
-      reader.Get("min_size", &min_size);
-      MARIOH_RETURN_IF_ERROR(reader.Finish("Demon"));
-      std::unique_ptr<marioh::api::Reconstructor> method =
-          std::make_unique<marioh::baselines::Demon>(epsilon, min_size,
-                                                     config.seed);
-      return method;
-    })
+}  // namespace marioh::baselines

@@ -22,7 +22,6 @@ class Demon : public api::Reconstructor {
                  uint64_t seed = 1)
       : epsilon_(epsilon), min_size_(min_size), seed_(seed) {}
 
-  std::string Name() const override { return "Demon"; }
   Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
 
  private:
@@ -30,5 +29,10 @@ class Demon : public api::Reconstructor {
   size_t min_size_;
   uint64_t seed_;
 };
+
+/// Factory of this method's row in api/builtin_methods.cpp. Override keys:
+/// `epsilon`, `min_size`.
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeDemon(
+    const api::MethodConfig& config);
 
 }  // namespace marioh::baselines

@@ -18,24 +18,12 @@ Hypergraph MaxCliqueDecomposition::Reconstruct(
   return h;
 }
 
-}  // namespace marioh::baselines
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeMaxClique(
+    const api::MethodConfig& config) {
+  MARIOH_RETURN_IF_ERROR(api::OverrideReader(config).Finish());
+  std::unique_ptr<api::Reconstructor> method =
+      std::make_unique<MaxCliqueDecomposition>();
+  return method;
+}
 
-MARIOH_REGISTER_METHOD(
-    MaxClique,
-    (marioh::api::MethodInfo{
-        .name = "MaxClique",
-        .summary = "every maximal clique of the projected graph becomes a "
-                   "hyperedge",
-        .supervised = false,
-        .multiplicity_aware = false,
-        .table2_order = 2,
-        .table3_order = -1}),
-    [](const marioh::api::MethodConfig& config)
-        -> marioh::api::StatusOr<
-            std::unique_ptr<marioh::api::Reconstructor>> {
-      marioh::api::OverrideReader reader(config);
-      MARIOH_RETURN_IF_ERROR(reader.Finish("MaxClique"));
-      std::unique_ptr<marioh::api::Reconstructor> method =
-          std::make_unique<marioh::baselines::MaxCliqueDecomposition>();
-      return method;
-    })
+}  // namespace marioh::baselines

@@ -12,8 +12,12 @@ namespace marioh::baselines {
 /// each with multiplicity 1. Fast but blind to overlaps and multiplicity.
 class MaxCliqueDecomposition : public api::Reconstructor {
  public:
-  std::string Name() const override { return "MaxClique"; }
   Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
 };
+
+/// Factory of this method's row in api/builtin_methods.cpp. Override keys:
+/// none.
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeMaxClique(
+    const api::MethodConfig& config);
 
 }  // namespace marioh::baselines

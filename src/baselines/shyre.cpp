@@ -118,57 +118,34 @@ Hypergraph Shyre::Reconstruct(const ProjectedGraph& g_target) {
   return h;
 }
 
-}  // namespace marioh::baselines
-
-namespace marioh::baselines {
 namespace {
 
-/// Shared factory body for the two registered SHyRe feature families.
-marioh::api::StatusOr<std::unique_ptr<marioh::api::Reconstructor>>
-MakeShyre(ShyreFeatures features, const std::string& name,
-          const marioh::api::MethodConfig& config) {
+/// Shared factory body for the two SHyRe feature families.
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeShyre(
+    ShyreFeatures features, const api::MethodConfig& config) {
   Shyre::Options options;
   options.features = features;
   options.seed = config.seed;
-  marioh::api::OverrideReader reader(config);
+  api::OverrideReader reader(config);
   reader.Get("threshold", &options.threshold);
   reader.Get("max_candidates_per_clique",
              &options.max_candidates_per_clique);
-  MARIOH_RETURN_IF_ERROR(reader.Finish(name));
-  std::unique_ptr<marioh::api::Reconstructor> method =
+  MARIOH_RETURN_IF_ERROR(reader.Finish());
+  std::unique_ptr<api::Reconstructor> method =
       std::make_unique<Shyre>(options);
   return method;
 }
 
 }  // namespace
+
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeShyreCount(
+    const api::MethodConfig& config) {
+  return MakeShyre(ShyreFeatures::kCount, config);
+}
+
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeShyreMotif(
+    const api::MethodConfig& config) {
+  return MakeShyre(ShyreFeatures::kMotif, config);
+}
+
 }  // namespace marioh::baselines
-
-MARIOH_REGISTER_METHOD(
-    ShyreCount,
-    (marioh::api::MethodInfo{
-        .name = "SHyRe-Count",
-        .summary = "supervised clique sampling + classification with "
-                   "structural count features",
-        .supervised = true,
-        .multiplicity_aware = false,
-        .table2_order = 7,
-        .table3_order = -1}),
-    [](const marioh::api::MethodConfig& config) {
-      return marioh::baselines::MakeShyre(
-          marioh::baselines::ShyreFeatures::kCount, "SHyRe-Count", config);
-    })
-
-MARIOH_REGISTER_METHOD(
-    ShyreMotif,
-    (marioh::api::MethodInfo{
-        .name = "SHyRe-Motif",
-        .summary = "supervised clique sampling + classification with "
-                   "count + motif features",
-        .supervised = true,
-        .multiplicity_aware = false,
-        .table2_order = 6,
-        .table3_order = -1}),
-    [](const marioh::api::MethodConfig& config) {
-      return marioh::baselines::MakeShyre(
-          marioh::baselines::ShyreFeatures::kMotif, "SHyRe-Motif", config);
-    })

@@ -41,12 +41,6 @@ class Shyre : public api::Reconstructor {
   Shyre();
   explicit Shyre(Options options);
 
-  std::string Name() const override {
-    return options_.features == ShyreFeatures::kCount ? "SHyRe-Count"
-                                                      : "SHyRe-Motif";
-  }
-  bool IsSupervised() const override { return true; }
-
   /// Learns rho(n, k) — the expected number of size-k hyperedges inside a
   /// size-n maximal clique — and trains the clique classifier.
   void Train(const ProjectedGraph& g_source,
@@ -66,5 +60,12 @@ class Shyre : public api::Reconstructor {
   // rho_[n][k] = average count; ragged, indexed by clique size.
   std::vector<std::vector<double>> rho_;
 };
+
+/// Factories of the two SHyRe rows in api/builtin_methods.cpp. Override keys:
+/// `threshold`, `max_candidates_per_clique`.
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeShyreCount(
+    const api::MethodConfig& config);
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeShyreMotif(
+    const api::MethodConfig& config);
 
 }  // namespace marioh::baselines

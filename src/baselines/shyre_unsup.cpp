@@ -72,25 +72,15 @@ Hypergraph ShyreUnsup::Reconstruct(const ProjectedGraph& g_target) {
   return h;
 }
 
-}  // namespace marioh::baselines
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeShyreUnsup(
+    const api::MethodConfig& config) {
+  size_t max_iterations = 1'000'000;
+  api::OverrideReader reader(config);
+  reader.Get("max_iterations", &max_iterations);
+  MARIOH_RETURN_IF_ERROR(reader.Finish());
+  std::unique_ptr<api::Reconstructor> method =
+      std::make_unique<ShyreUnsup>(max_iterations);
+  return method;
+}
 
-MARIOH_REGISTER_METHOD(
-    ShyreUnsup,
-    (marioh::api::MethodInfo{
-        .name = "SHyRe-Unsup",
-        .summary = "unsupervised multiplicity-aware maximal-clique peeling",
-        .supervised = false,
-        .multiplicity_aware = true,
-        .table2_order = 5,
-        .table3_order = 1}),
-    [](const marioh::api::MethodConfig& config)
-        -> marioh::api::StatusOr<
-            std::unique_ptr<marioh::api::Reconstructor>> {
-      size_t max_iterations = 1'000'000;
-      marioh::api::OverrideReader reader(config);
-      reader.Get("max_iterations", &max_iterations);
-      MARIOH_RETURN_IF_ERROR(reader.Finish("SHyRe-Unsup"));
-      std::unique_ptr<marioh::api::Reconstructor> method =
-          std::make_unique<marioh::baselines::ShyreUnsup>(max_iterations);
-      return method;
-    })
+}  // namespace marioh::baselines

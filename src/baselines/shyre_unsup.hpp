@@ -21,11 +21,15 @@ class ShyreUnsup : public api::Reconstructor {
   explicit ShyreUnsup(size_t max_iterations = 1'000'000)
       : max_iterations_(max_iterations) {}
 
-  std::string Name() const override { return "SHyRe-Unsup"; }
   Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
 
  private:
   size_t max_iterations_;
 };
+
+/// Factory of this method's row in api/builtin_methods.cpp. Override keys:
+/// `max_iterations`.
+api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeShyreUnsup(
+    const api::MethodConfig& config);
 
 }  // namespace marioh::baselines

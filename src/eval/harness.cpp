@@ -9,10 +9,6 @@
 
 namespace marioh::eval {
 
-std::vector<std::string> Table2Methods() { return api::Table2Roster(); }
-
-std::vector<std::string> Table3Methods() { return api::Table3Roster(); }
-
 api::StatusOr<PreparedDataset> TryPrepareDataset(
     const std::string& profile_name, bool multiplicity_reduced,
     uint64_t seed, SplitMode split_mode) {

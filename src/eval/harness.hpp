@@ -4,8 +4,8 @@
 /// project) and mean ± std accuracy evaluation with per-method time
 /// budgets (the paper's OOT semantics at laptop scale).
 ///
-/// Methods are resolved through the `api/` layer: the self-registering
-/// registry (`api/registry.hpp`) supplies the rosters and factories, and
+/// Methods are resolved through the `api/` layer: the method registry
+/// (`api/registry.hpp`) supplies the rosters and factories, and
 /// each seed runs inside an `api::Session` (train → reconstruct →
 /// evaluate under a wall-clock budget).
 
@@ -23,15 +23,6 @@
 #include "gen/profiles.hpp"
 
 namespace marioh::eval {
-
-/// The Table II method roster, in row order. Thin wrapper over
-/// `api::Table2Roster()`.
-std::vector<std::string> Table2Methods();
-
-/// The Table III roster (methods applicable to multiplicity-preserved
-/// reconstruction), in row order. Thin wrapper over
-/// `api::Table3Roster()`.
-std::vector<std::string> Table3Methods();
 
 /// A prepared experiment instance: the split halves and their
 /// projections, held through shared immutable handles so any number of

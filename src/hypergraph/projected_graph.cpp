@@ -52,12 +52,6 @@ uint64_t ProjectedGraph::WeightedDegree(NodeId u) const {
   return s;
 }
 
-size_t ProjectedGraph::MaxDegree() const {
-  size_t d = 0;
-  for (const AdjMap& m : adj_) d = std::max(d, m.size());
-  return d;
-}
-
 double ProjectedGraph::AverageWeight() const {
   if (num_edges_ == 0) return 0.0;
   return static_cast<double>(TotalWeight()) /

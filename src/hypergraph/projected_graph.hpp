@@ -59,9 +59,6 @@ class ProjectedGraph {
   /// Weighted degree: sum of w(u,v) over neighbors v.
   uint64_t WeightedDegree(NodeId u) const;
 
-  /// Maximum degree over all nodes.
-  size_t MaxDegree() const;
-
   /// Average edge weight (the `Avg. w` column of Table I); 0 if edgeless.
   double AverageWeight() const;
 

@@ -112,23 +112,6 @@ void Histogram::Observe(double value) {
   }
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  for (size_t i = 0; i <= kBucketCount; ++i) {
-    buckets_[i].fetch_add(other.bucket(i), std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  double sum = sum_.load(std::memory_order_relaxed);
-  double add = other.sum();
-  while (!sum_.compare_exchange_weak(sum, sum + add,
-                                     std::memory_order_relaxed)) {
-  }
-  double max = max_.load(std::memory_order_relaxed);
-  double theirs = other.max();
-  while (theirs > max && !max_.compare_exchange_weak(
-                             max, theirs, std::memory_order_relaxed)) {
-  }
-}
-
 std::optional<MemorySample> SampleProcessMemory() {
   std::ifstream status("/proc/self/status");
   if (!status) return std::nullopt;

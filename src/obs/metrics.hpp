@@ -107,9 +107,6 @@ class Histogram {
   static size_t BucketIndex(double value);
 
   void Observe(double value);
-  /// Adds another histogram's counts/sum into this one; max is the
-  /// pairwise max. Not atomic across instruments (snapshot semantics).
-  void MergeFrom(const Histogram& other);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }

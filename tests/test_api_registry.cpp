@@ -1,14 +1,18 @@
-// Tests for the self-registering method registry (api/registry.hpp): the
-// paper rosters resolve, metadata agrees with the instantiated methods,
-// duplicate registration is rejected, and unknown names come back as a
-// diagnosable Status naming the candidates — never an abort.
+// Tests for the method registry (api/registry.hpp): the paper rosters
+// resolve, malformed or out-of-range overrides are rejected, and unknown
+// names come back as a diagnosable Status naming the candidates — never
+// an abort.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "api/session.hpp"
+#include "core/marioh.hpp"
 
 namespace marioh::api {
 namespace {
@@ -39,12 +43,9 @@ TEST(Registry, EveryTable2NameResolvesWithMatchingMetadata) {
     StatusOr<std::unique_ptr<Reconstructor>> method =
         MethodRegistry::Global().Create(name, MethodConfig{});
     ASSERT_TRUE(method.ok()) << method.status().ToString();
-    EXPECT_EQ((*method)->Name(), name);
     StatusOr<MethodInfo> info = MethodRegistry::Global().Info(name);
     ASSERT_TRUE(info.ok());
-    // The registry's supervised flag must agree with the instantiated
-    // method's IsSupervised() — it is what the harness keys on.
-    EXPECT_EQ(info->supervised, (*method)->IsSupervised()) << name;
+    EXPECT_EQ(info->name, name);
   }
 }
 
@@ -82,25 +83,21 @@ TEST(Registry, UnknownNameReturnsNotFoundNamingCandidates) {
   EXPECT_NE(method.status().message().find("CFinder"), std::string::npos);
 }
 
-TEST(Registry, DuplicateRegistrationIsRejected) {
-  MethodRegistry registry;
-  MethodInfo info;
-  info.name = "Dup";
+TEST(Registry, MalformedRosterRowsFailACheck) {
   auto factory = [](const MethodConfig&)
       -> StatusOr<std::unique_ptr<Reconstructor>> {
     return Status::Internal("never constructed");
   };
-  ASSERT_TRUE(registry.Register(info, factory).ok());
-  Status dup = registry.Register(info, factory);
-  ASSERT_FALSE(dup.ok());
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
-  EXPECT_NE(dup.message().find("Dup"), std::string::npos);
-  // The global registry also rejects names the built-ins claimed.
-  MethodInfo clash;
-  clash.name = "MARIOH";
-  Status global_dup = MethodRegistry::Global().Register(clash, factory);
-  ASSERT_FALSE(global_dup.ok());
-  EXPECT_EQ(global_dup.code(), StatusCode::kAlreadyExists);
+  MethodEntry row;
+  row.info.name = "Dup";
+  row.factory = factory;
+  EXPECT_DEATH(MethodRegistry({row, row}), "duplicate method name 'Dup'");
+  MethodEntry unnamed = row;
+  unnamed.info.name.clear();
+  EXPECT_DEATH(MethodRegistry({unnamed}), "MARIOH_CHECK");
+  MethodEntry no_factory = row;
+  no_factory.factory = nullptr;
+  EXPECT_DEATH(MethodRegistry({no_factory}), "MARIOH_CHECK");
 }
 
 TEST(Registry, FactoriesRejectUnknownAndMalformedOverrides) {
@@ -118,6 +115,31 @@ TEST(Registry, FactoriesRejectUnknownAndMalformedOverrides) {
       MethodRegistry::Global().Create("MARIOH", config);
   ASSERT_FALSE(bad_value.ok());
   EXPECT_EQ(bad_value.status().code(), StatusCode::kInvalidArgument);
+
+  // Values the run cannot use: a non-finite theta never converges, a
+  // non-positive alpha never lowers theta, and r is a percentage. Each is
+  // rejected naming its key, whether it arrives as text or typed base.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"theta_init", "nan"}, {"theta_init", "inf"}, {"alpha", "0"},
+           {"alpha", "-0.05"}, {"r_percent", "101"}, {"r_percent", "-1"}}) {
+    config.overrides = {{key, value}};
+    StatusOr<std::unique_ptr<Reconstructor>> rejected =
+        MethodRegistry::Global().Create("MARIOH", config);
+    ASSERT_FALSE(rejected.ok()) << key << "=" << value;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find(key), std::string::npos)
+        << rejected.status().message();
+  }
+  core::MariohOptions typed;
+  typed.alpha = 0.0;
+  config.overrides.clear();
+  config.marioh_base = &typed;
+  EXPECT_EQ(MethodRegistry::Global().Create("MARIOH-B", config)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  config.marioh_base = nullptr;
 
   config.overrides = {{"theta_init", "0.8"}, {"r_percent", "10"}};
   EXPECT_TRUE(MethodRegistry::Global().Create("MARIOH", config).ok());

@@ -1,6 +1,6 @@
 // Tests for the service-grade API stack: DatasetCache (named, immutable,
-// load-once shared handles), the async job Service (Submit/SubmitBatch/
-// Poll/Wait/Cancel on a worker pool, service counters), and the
+// load-once shared handles), the async job Service (Submit/Poll/Wait/
+// Cancel on a worker pool, service counters), and the
 // determinism contract the whole design rests on — N concurrent jobs over
 // one shared dataset handle produce bit-identical hypergraphs to the same
 // runs executed sequentially through Session.
@@ -239,12 +239,15 @@ TEST(Service, ConcurrentJobsMatchSequentialSessionsBitForBit) {
     request.seed = static_cast<uint64_t>(s);
     batch.push_back(request);
   }
-  StatusOr<std::vector<JobId>> ids = service.SubmitBatch(batch);
-  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-  ASSERT_EQ(ids->size(), static_cast<size_t>(kJobs));
+  std::vector<JobId> ids;
+  for (const ReconstructRequest& request : batch) {
+    StatusOr<JobId> id = service.Submit(request);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
 
   for (int s = 0; s < kJobs; ++s) {
-    StatusOr<JobSnapshot> job = service.Wait((*ids)[static_cast<size_t>(s)]);
+    StatusOr<JobSnapshot> job = service.Wait(ids[static_cast<size_t>(s)]);
     ASSERT_TRUE(job.ok());
     EXPECT_EQ(job->state, JobState::kDone) << job->status.ToString();
     ASSERT_NE(job->reconstruction, nullptr);
@@ -386,15 +389,19 @@ TEST(Service, FairSharePriorityOrderingOnOneWorker) {
     request.client_id = client;
     return request;
   };
-  StatusOr<std::vector<JobId>> ids = service.SubmitBatch({
-      with(Priority::kBatch, "d"),        // submitted first, runs last
-      with(Priority::kNormal, "a"),       // A1
-      with(Priority::kNormal, "b"),       // B1
-      with(Priority::kNormal, "a"),       // A2
-      with(Priority::kNormal, "a"),       // A3
-      with(Priority::kInteractive, "c"),  // submitted last, runs first
-  });
-  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  std::vector<JobId> ids;
+  for (const ReconstructRequest& request : {
+           with(Priority::kBatch, "d"),        // submitted first, runs last
+           with(Priority::kNormal, "a"),       // A1
+           with(Priority::kNormal, "b"),       // B1
+           with(Priority::kNormal, "a"),       // A2
+           with(Priority::kNormal, "a"),       // A3
+           with(Priority::kInteractive, "c"),  // submitted last, runs first
+       }) {
+    StatusOr<JobId> id = service.Submit(request);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
 
   // The order is only deterministic if none of the six was dispatched
   // before all six were queued — i.e. the queue gauge still reads 6 in
@@ -411,7 +418,7 @@ TEST(Service, FairSharePriorityOrderingOnOneWorker) {
   }
 
   std::vector<JobSnapshot> jobs;
-  for (JobId id : *ids) {
+  for (JobId id : ids) {
     StatusOr<JobSnapshot> job = service.Wait(id);
     ASSERT_TRUE(job.ok());
     EXPECT_EQ(job->state, JobState::kDone) << job->status.ToString();
@@ -730,18 +737,12 @@ TEST(Service, AdmissionCapsRejectSubmitsWithResourceExhausted) {
   EXPECT_EQ(service.Submit(quick).status().code(),
             StatusCode::kResourceExhausted);
 
-  // Batch admission is atomic: a batch that would overflow is rejected
-  // whole, admitting none of its members.
-  quick.client_id = "fourth";
-  EXPECT_EQ(service.SubmitBatch({quick, quick, quick}).status().code(),
-            StatusCode::kResourceExhausted);
-
   ASSERT_TRUE(service.Wait(*blocker_id).ok());
   ASSERT_TRUE(service.Wait(*hog_queued).ok());
   ASSERT_TRUE(service.Wait(*other_queued).ok());
 
   ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submits_rejected, 3u);
+  EXPECT_EQ(stats.submits_rejected, 2u);
   EXPECT_EQ(stats.accepted, 3u);
   EXPECT_EQ(stats.accepted, stats.done + stats.failed + stats.cancelled +
                                 stats.deadline_exceeded + stats.queued +

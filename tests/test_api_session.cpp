@@ -1,7 +1,7 @@
 // Tests for the api::Session façade: the configure → train → reconstruct
 // → evaluate protocol, string overrides, per-stage timing, the wall-clock
-// budget (OOT semantics), the progress/cancellation callback, and the
-// file-based convenience entry points — all failure modes as Status.
+// budget (OOT semantics), and a file round trip through io/text_io — all
+// failure modes as Status.
 
 #include <gtest/gtest.h>
 
@@ -119,29 +119,6 @@ TEST(Session, ExhaustedTimeBudgetIsDeadlineExceededNotAnAbort) {
   EXPECT_NE(second.message().find("time budget"), std::string::npos);
 }
 
-TEST(Session, ProgressCallbackObservesStagesAndCanCancel) {
-  eval::PreparedDataset data = SmallDataset();
-  std::vector<std::string> stages;
-  SessionOptions options;
-  options.method = "MaxClique";
-  options.progress = [&stages](const std::string& stage, double elapsed) {
-    EXPECT_GE(elapsed, 0.0);
-    stages.push_back(stage);
-    return true;
-  };
-  Session session;
-  ASSERT_TRUE(session.Configure(options).ok());
-  ASSERT_TRUE(session.Reconstruct(*data.g_target).ok());
-  EXPECT_EQ(stages, std::vector<std::string>{"reconstruct"});
-
-  options.progress = [](const std::string&, double) { return false; };
-  Session cancelled;
-  ASSERT_TRUE(cancelled.Configure(options).ok());
-  Status result = cancelled.Reconstruct(*data.g_target);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.code(), StatusCode::kCancelled);
-}
-
 TEST(Session, StringOverridesConfigureTheSessionAndTheMethod) {
   SessionOptions options;
   ASSERT_TRUE(ApplySessionOverride(&options, "method=MARIOH-B").ok());
@@ -163,6 +140,11 @@ TEST(Session, StringOverridesConfigureTheSessionAndTheMethod) {
             StatusCode::kInvalidArgument);
   // stoull would silently wrap a negative seed; it must be rejected.
   EXPECT_EQ(ApplySessionOverride(&fresh, "seed=-1").code(),
+            StatusCode::kInvalidArgument);
+  // Numbers parse strictly: digits only for the seed, finite budgets.
+  EXPECT_EQ(ApplySessionOverride(&fresh, "seed=+5").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ApplySessionOverride(&fresh, "time_budget_seconds=nan").code(),
             StatusCode::kInvalidArgument);
   ASSERT_TRUE(ApplySessionOverride(&options, "bogus_key=1").ok());
   Session rejects;
@@ -322,8 +304,12 @@ TEST(Session, FileBasedRoundTripMatchesInMemoryRun) {
   options.method = "MARIOH";
   Session session;
   ASSERT_TRUE(session.Configure(options).ok());
-  ASSERT_TRUE(session.TrainFromFile(train_path).ok());
-  Status reconstructed = session.ReconstructFromFile(target_path);
+  StatusOr<Hypergraph> source = io::TryReadHypergraphFile(train_path);
+  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE(session.Train(source->Project(), *source).ok());
+  StatusOr<ProjectedGraph> target = io::TryReadProjectedGraphFile(target_path);
+  ASSERT_TRUE(target.ok());
+  Status reconstructed = session.Reconstruct(*target);
   ASSERT_TRUE(reconstructed.ok()) << reconstructed.ToString();
   ASSERT_TRUE(session.WriteReconstruction(out_path).ok());
 
@@ -334,52 +320,14 @@ TEST(Session, FileBasedRoundTripMatchesInMemoryRun) {
             session.reconstruction()->num_unique_edges());
 
   // Missing files surface as NotFound, not exceptions or aborts.
-  EXPECT_EQ(session.TrainFromFile("no_such_file.hg").code(),
+  EXPECT_EQ(io::TryReadHypergraphFile("no_such_file.hg").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(session.ReconstructFromFile("no_such_file.eg").code(),
+  EXPECT_EQ(io::TryReadProjectedGraphFile("no_such_file.eg").status().code(),
             StatusCode::kNotFound);
 
   std::remove(train_path.c_str());
   std::remove(target_path.c_str());
   std::remove(out_path.c_str());
-}
-
-TEST(Session, SharedCacheLoadsEachFileOnce) {
-  eval::PreparedDataset data = SmallDataset();
-  const std::string train_path = "session_cache_train.hg";
-  const std::string target_path = "session_cache_target.eg";
-  ASSERT_TRUE(io::TryWriteHypergraphFile(*data.source, train_path).ok());
-  ASSERT_TRUE(
-      io::TryWriteProjectedGraphFile(*data.g_target, target_path).ok());
-
-  auto cache = std::make_shared<DatasetCache>();
-  auto run = [&] {
-    SessionOptions options;
-    options.method = "MARIOH";
-    options.cache = cache;
-    Session session;
-    EXPECT_TRUE(session.Configure(options).ok());
-    EXPECT_TRUE(session.TrainFromFile(train_path).ok());
-    EXPECT_TRUE(session.ReconstructFromFile(target_path).ok());
-    return session.reconstruction()->edges();
-  };
-  auto first = run();
-
-  // The files are gone, yet a second session sharing the cache still
-  // runs — proof the data is served from the resident handles, not
-  // re-read per run — and reconstructs identically.
-  std::remove(train_path.c_str());
-  std::remove(target_path.c_str());
-  EXPECT_EQ(run(), first);
-  EXPECT_EQ(cache->size(), 2u);  // one entry per path
-
-  // Without the cache, the same session options now hit NotFound.
-  SessionOptions uncached;
-  uncached.method = "MARIOH";
-  Session session;
-  ASSERT_TRUE(session.Configure(uncached).ok());
-  EXPECT_EQ(session.TrainFromFile(train_path).code(),
-            StatusCode::kNotFound);
 }
 
 TEST(Session, ConfigureResetsStateForReuse) {

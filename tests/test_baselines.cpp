@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <unordered_set>
 
+#include "api/registry.hpp"
 #include "baselines/bayesian_mdl.hpp"
 #include "baselines/cfinder.hpp"
 #include "baselines/clique_covering.hpp"
@@ -217,7 +219,6 @@ TEST(Shyre, TrainAndReconstructRunsEndToEnd) {
   Shyre::Options options;
   options.seed = 9;
   Shyre method(options);
-  EXPECT_EQ(method.Name(), "SHyRe-Count");
   method.Train(split.source.Project(), split.source);
   Hypergraph h = method.Reconstruct(split.target.Project());
   // SHyRe is single-pass: accuracy is dataset-dependent, but on the
@@ -225,30 +226,27 @@ TEST(Shyre, TrainAndReconstructRunsEndToEnd) {
   EXPECT_GT(eval::Jaccard(split.target, h), 0.5);
 }
 
-TEST(Shyre, MotifVariantHasDistinctName) {
-  Shyre::Options options;
-  options.features = ShyreFeatures::kMotif;
-  Shyre method(options);
-  EXPECT_EQ(method.Name(), "SHyRe-Motif");
-}
-
-TEST(AllMethods, NamesAreStable) {
-  EXPECT_EQ(MaxCliqueDecomposition().Name(), "MaxClique");
-  EXPECT_EQ(CliqueCovering().Name(), "CliqueCovering");
-  EXPECT_EQ(BayesianMdl().Name(), "Bayesian-MDL");
-  EXPECT_EQ(Demon().Name(), "Demon");
-  EXPECT_EQ(CFinder().Name(), "CFinder");
-  EXPECT_EQ(ShyreUnsup().Name(), "SHyRe-Unsup");
-}
-
 TEST(AllMethods, UnsupervisedOnesIgnoreTrain) {
-  EXPECT_FALSE(MaxCliqueDecomposition().IsSupervised());
-  EXPECT_FALSE(CliqueCovering().IsSupervised());
-  EXPECT_FALSE(BayesianMdl().IsSupervised());
-  EXPECT_FALSE(Demon().IsSupervised());
-  EXPECT_FALSE(ShyreUnsup().IsSupervised());
-  EXPECT_TRUE(CFinder().IsSupervised());
-  EXPECT_TRUE(Shyre().IsSupervised());
+  // Callers may Train every method unconditionally: for the unsupervised
+  // methods it is the no-op default and leaves the output unchanged.
+  gen::GeneratedDataset data =
+      gen::Generate(gen::ProfileByName("crime"), 7);
+  util::Rng rng(8);
+  gen::SourceTargetSplit split =
+      gen::SplitHypergraph(data.hypergraph, &rng, 0.5);
+  ProjectedGraph g_source = split.source.Project();
+  ProjectedGraph g_target = split.target.Project();
+  for (const api::MethodInfo& info :
+       api::MethodRegistry::Global().Methods()) {
+    if (info.supervised) continue;
+    std::unique_ptr<api::Reconstructor> trained =
+        api::MustCreateMethod(info.name, 1);
+    trained->Train(g_source, split.source);
+    EXPECT_EQ(trained->Reconstruct(g_target).edges(),
+              api::MustCreateMethod(info.name, 1)->Reconstruct(g_target)
+                  .edges())
+        << info.name;
+  }
 }
 
 }  // namespace

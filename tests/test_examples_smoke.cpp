@@ -105,6 +105,11 @@ TEST(ExamplesSmoke, CliBadOverrideIsAReadableErrorAndExitsNonZero) {
       RunCli("--set theta_init=oops a.hg b.eg c.hg", &output);
   EXPECT_EQ(exit_code, 1) << output;
   EXPECT_NE(output.find("theta_init"), std::string::npos) << output;
+  // A non-finite value is as bad as a non-number: it must be rejected
+  // naming the key, before any file is read.
+  exit_code = RunCli("--set theta_init=nan a.hg b.eg c.hg", &output);
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("theta_init"), std::string::npos) << output;
 }
 
 TEST(ExamplesSmoke, CliListMethodsExitsZero) {

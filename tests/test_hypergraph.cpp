@@ -134,7 +134,6 @@ TEST(ProjectedGraph, DegreesAndEdges) {
   g.AddWeight(0, 3, 2);
   EXPECT_EQ(g.Degree(0), 3u);
   EXPECT_EQ(g.WeightedDegree(0), 8u);
-  EXPECT_EQ(g.MaxDegree(), 3u);
   auto edges = g.Edges();
   ASSERT_EQ(edges.size(), 3u);
   EXPECT_EQ(edges[0].u, 0u);

@@ -73,23 +73,6 @@ TEST(Histogram, ObserveRecordsCountSumMaxAndBuckets) {
   EXPECT_EQ(h.bucket(Histogram::kBucketCount), 1u);
 }
 
-TEST(Histogram, MergeFromAddsCountsAndTakesPairwiseMax) {
-  Histogram a;
-  a.Observe(2e-6);
-  a.Observe(1.0);
-  Histogram b;
-  b.Observe(0.5);
-  b.MergeFrom(a);
-  EXPECT_EQ(b.count(), 3u);
-  EXPECT_NEAR(b.sum(), 1.5 + 2e-6, 1e-12);
-  EXPECT_DOUBLE_EQ(b.max(), 1.0);
-  EXPECT_EQ(b.bucket(Histogram::BucketIndex(2e-6)), 1u);
-  EXPECT_EQ(b.bucket(Histogram::BucketIndex(0.5)), 1u);
-  EXPECT_EQ(b.bucket(Histogram::BucketIndex(1.0)), 1u);
-  // The merge source is untouched.
-  EXPECT_EQ(a.count(), 2u);
-}
-
 TEST(Registry, ConcurrentUpdatesFromManyThreadsLoseNothing) {
   MetricRegistry registry;
   Counter* counter = registry.GetCounter("test_total");
