@@ -228,21 +228,6 @@ void BM_FeatureExtractionCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtractionCsr);
 
-// Thread sweep of the batched extraction used by clique scoring.
-void BM_FeatureExtractAllThreads(benchmark::State& state) {
-  ProjectedGraph g = MakeGraph(800, 2400);
-  CsrGraph csr(g);
-  marioh::core::FeatureExtractor extractor(
-      marioh::core::FeatureMode::kMultiplicityAware);
-  std::vector<NodeSet> cliques = marioh::EnumerateMaximalCliques(g).cliques.ToNodeSets();
-  int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        extractor.ExtractAll(csr, cliques, true, threads));
-  }
-}
-BENCHMARK(BM_FeatureExtractAllThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 // ---- Filtering (Algorithm 2) --------------------------------------------
 
 void BM_FilteringThreads(benchmark::State& state) {
@@ -287,12 +272,13 @@ void BM_ParallelScoringScaling(benchmark::State& state) {
   int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     std::vector<double> sums(cliques.size());
-    marioh::util::ParallelFor(cliques.size(), threads, [&](size_t i) {
-      marioh::la::Vector f = extractor.Extract(csr, cliques[i], true);
-      double s = 0;
-      for (double v : f) s += v;
-      sums[i] = s;
-    });
+    marioh::util::ParallelFor(
+        cliques.size(), threads, nullptr, [&](size_t i) {
+          marioh::la::Vector f = extractor.Extract(csr, cliques[i], true);
+          double s = 0;
+          for (double v : f) s += v;
+          sums[i] = s;
+        });
     benchmark::DoNotOptimize(sums);
   }
 }
@@ -301,8 +287,8 @@ BENCHMARK(BM_ParallelScoringScaling)->Arg(1)->Arg(2)->Arg(4);
 // ---- Clique classifier: MLP fit and batched scoring --------------------
 // Guards for the batched MLP: the fit at the eu training shape (6708
 // examples x 23 multiplicity-aware features, default hidden {64, 32},
-// batch 64), and ScoreAll's blocked PredictBatch path against the
-// per-clique Score loop it replaced.
+// batch 64), and ScoreAll's blocked PredictBatch path at 1 and 4
+// threads.
 
 void BM_MlpFit(benchmark::State& state) {
   const size_t rows = 6708;
@@ -350,25 +336,6 @@ void BM_ScoreAll(benchmark::State& state) {
                           static_cast<int64_t>(cliques.size()));
 }
 BENCHMARK(BM_ScoreAll)->Arg(1)->Arg(4)->UseRealTime();
-
-// Baseline: the same scores through one Score call (and one single-row
-// forward pass) per clique.
-void BM_ScoreAllPerClique(benchmark::State& state) {
-  marioh::core::CliqueClassifier classifier = TrainedClassifier();
-  CsrGraph csr(MakeGraph(800, 2400));
-  marioh::CliqueStore cliques = marioh::EnumerateMaximalCliques(csr).cliques;
-  int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    std::vector<double> scores(cliques.size());
-    marioh::util::ParallelFor(cliques.size(), threads, [&](size_t i) {
-      scores[i] = classifier.Score(csr, cliques[i], /*is_maximal=*/true);
-    });
-    benchmark::DoNotOptimize(scores);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(cliques.size()));
-}
-BENCHMARK(BM_ScoreAllPerClique)->Arg(1)->Arg(4)->UseRealTime();
 
 // ---- One bidirectional-search iteration ---------------------------------
 // Guard for Algorithm 3 end to end: enumeration, batched scoring, Phase 1

@@ -92,7 +92,6 @@ StatusOr<std::unique_ptr<Reconstructor>> MakeVariant(
   reader.Get("r_percent", &options.r_percent);
   reader.Get("alpha", &options.alpha);
   reader.Get("max_iterations", &options.max_iterations);
-  reader.Get("snapshot_reuse", &options.snapshot_reuse);
   MARIOH_RETURN_IF_ERROR(reader.Finish());
   MARIOH_RETURN_IF_ERROR(CheckRunSettings(options));
   options.seed = config.seed;

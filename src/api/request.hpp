@@ -145,8 +145,8 @@ struct ReconstructRequest {
   RetryPolicy retry;
 
   /// Session/method `key=value` overrides, applied through
-  /// `ApplySessionOverride` (so `threads=N`, `snapshot_reuse=0.3`,
-  /// `theta_init=0.8`, ... all work). The structural keys `method`,
+  /// `ApplySessionOverride` (so `threads=N`, `theta_init=0.8`,
+  /// `alpha=0.1`, ... all work). The structural keys `method`,
   /// `seed`, and `time_budget_seconds` are reserved — set the typed
   /// fields above instead; Submit rejects them with kInvalidArgument.
   std::vector<std::pair<std::string, std::string>> overrides;

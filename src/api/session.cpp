@@ -222,6 +222,15 @@ void Session::EndStage(const std::string& stage, double stage_seconds) {
 
 Status Session::Train(const ProjectedGraph& g_source,
                       const Hypergraph& h_source) {
+  // A supervised method learns from the source's hyperedges; with none
+  // there is nothing to learn (and the classifier would refuse), so the
+  // request itself is at fault.
+  if (configured() && info_.supervised &&
+      h_source.num_unique_edges() == 0) {
+    return Status::InvalidArgument("supervised method '" + info_.name +
+                                   "' needs a training source with at "
+                                   "least one hyperedge");
+  }
   MARIOH_RETURN_IF_ERROR(BeginStage("train"));
   obs::TraceSpan span("session.train", info_.name);
   util::Timer watch;

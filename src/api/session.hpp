@@ -76,9 +76,8 @@ struct SessionOptions {
 /// hot kernels, with thread-count-invariant results; like the rest of
 /// the typed `marioh` options it only affects the MARIOH-family methods
 /// (baselines ignore it). Method-level keys ride the override list the
-/// same way — e.g. `snapshot_reuse=0.3` tunes the MARIOH loop's
-/// patch-vs-rebuild snapshot policy (a pure wall-clock knob; output is
-/// identical for any value). kInvalidArgument on syntax errors (missing
+/// same way — e.g. `theta_init=0.8` sets the MARIOH loop's initial
+/// classification threshold. kInvalidArgument on syntax errors (missing
 /// '=', empty key, empty value), bad session-level values, and duplicate
 /// session-level keys (each of `method`/`seed`/`time_budget_seconds`/
 /// `threads` may be assigned at most once per SessionOptions).
@@ -111,6 +110,8 @@ class Session {
 
   /// Trains the configured method on the source pair. A no-op stage for
   /// unsupervised methods (still recorded in the stage timer).
+  /// kInvalidArgument, before the stage starts, if the method is
+  /// supervised and `h_source` has no hyperedges.
   Status Train(const ProjectedGraph& g_source, const Hypergraph& h_source);
 
   /// Trains on a shared dataset handle (a hypergraph with its

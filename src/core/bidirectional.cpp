@@ -176,12 +176,4 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
   return stats;
 }
 
-BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
-                                       const CliqueClassifier& classifier,
-                                       const BidirectionalOptions& options,
-                                       util::Rng* rng, Hypergraph* h) {
-  CsrGraph snapshot(*g, options.num_threads);
-  return BidirectionalSearch(g, snapshot, classifier, options, rng, h);
-}
-
 }  // namespace marioh::core

@@ -64,20 +64,13 @@ struct BidirectionalOptions {
 /// hyperedges to `h`. `snapshot` must be a CSR snapshot of `*g` in its
 /// current (pre-iteration) state — the reconstruction loop owns it and
 /// keeps it fresh across iterations via patch-or-rebuild, so late
-/// iterations that peel little pay almost nothing for snapshot upkeep.
-/// Returns per-iteration statistics, including the nodes whose adjacency
-/// the peels changed. `rng` drives the random sub-clique sampling of
-/// Phase 2; its draws do not depend on `options.num_threads`.
+/// iterations that peel little pay almost nothing for snapshot upkeep; a
+/// single-shot caller passes `CsrGraph(*g)`. Returns per-iteration
+/// statistics, including the nodes whose adjacency the peels changed.
+/// `rng` drives the random sub-clique sampling of Phase 2; its draws do
+/// not depend on `options.num_threads`.
 BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
                                        const CsrGraph& snapshot,
-                                       const CliqueClassifier& classifier,
-                                       const BidirectionalOptions& options,
-                                       util::Rng* rng, Hypergraph* h);
-
-/// Convenience overload that builds the snapshot itself (tests,
-/// single-shot callers). The reconstruction loop uses the snapshot-reuse
-/// overload above.
-BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
                                        const CliqueClassifier& classifier,
                                        const BidirectionalOptions& options,
                                        util::Rng* rng, Hypergraph* h);

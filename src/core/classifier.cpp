@@ -165,23 +165,17 @@ double CliqueClassifier::Score(const ProjectedGraph& g, CliqueView clique,
   return mlp_->Predict(f);
 }
 
-double CliqueClassifier::Score(const CsrGraph& g, CliqueView clique,
-                               bool is_maximal) const {
-  MARIOH_CHECK(trained());
-  la::Vector f = extractor_.Extract(g, clique, is_maximal);
-  scaler_.Transform(&f);
-  return mlp_->Predict(f);
-}
-
-template <typename Cliques>
-std::vector<double> CliqueClassifier::ScoreBlocks(
-    const CsrGraph& g, const Cliques& cliques, bool is_maximal,
-    int num_threads, const util::CancelToken* cancel) const {
+std::vector<double> CliqueClassifier::ScoreAll(const CsrGraph& g,
+                                               const CliqueStore& cliques,
+                                               bool is_maximal,
+                                               int num_threads,
+                                               const util::CancelToken*
+                                                   cancel) const {
   MARIOH_CHECK(trained());
   std::vector<double> scores(cliques.size());
   const size_t dim = extractor_.dim();
   util::ParallelForRanges(
-      cliques.size(), num_threads, [&](size_t begin, size_t end) {
+      cliques.size(), num_threads, [&](size_t, size_t begin, size_t end) {
         util::CancelChecker checker(cancel);
         FeatureScratch scratch;
         la::Matrix features;
@@ -200,21 +194,6 @@ std::vector<double> CliqueClassifier::ScoreBlocks(
         }
       });
   return scores;
-}
-
-std::vector<double> CliqueClassifier::ScoreAll(
-    const CsrGraph& g, std::span<const NodeSet> cliques, bool is_maximal,
-    int num_threads, const util::CancelToken* cancel) const {
-  return ScoreBlocks(g, cliques, is_maximal, num_threads, cancel);
-}
-
-std::vector<double> CliqueClassifier::ScoreAll(const CsrGraph& g,
-                                               const CliqueStore& cliques,
-                                               bool is_maximal,
-                                               int num_threads,
-                                               const util::CancelToken*
-                                                   cancel) const {
-  return ScoreBlocks(g, cliques, is_maximal, num_threads, cancel);
 }
 
 }  // namespace marioh::core

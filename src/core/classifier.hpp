@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -61,28 +60,17 @@ class CliqueClassifier {
   double Score(const ProjectedGraph& g, CliqueView clique,
                bool is_maximal) const;
 
-  /// Score measured on a CSR snapshot; identical to the ProjectedGraph
-  /// overload on the same graph.
-  double Score(const CsrGraph& g, CliqueView clique, bool is_maximal) const;
-
-  /// Batched scoring against a frozen snapshot: element i is
-  /// `Score(g, cliques[i], is_maximal)`, bit for bit. Each thread's range
-  /// (`util::ParallelForRanges`, 0 = all cores) is scored in blocks of
-  /// `kScoreBlock` cliques: the block's features go into one small
-  /// buffer, are scaled, and pass through one `Mlp::PredictBatch`. A
-  /// row's score depends only on its own features, so scores are
-  /// identical for any thread count and block size. A tripped `cancel`
-  /// token (null = non-cancellable) stops each range within one block;
-  /// the returned vector then holds unwritten (zero) slots and must be
-  /// discarded by the caller.
-  std::vector<double> ScoreAll(const CsrGraph& g,
-                               std::span<const NodeSet> cliques,
-                               bool is_maximal, int num_threads,
-                               const util::CancelToken* cancel =
-                                   nullptr) const;
-
-  /// Batched scoring straight off a clique arena (no per-clique NodeSet
-  /// materialization) — the reconstruction loop's path.
+  /// Batched scoring straight off a clique arena against a frozen CSR
+  /// snapshot — the reconstruction loop's path: element i is
+  /// `Score(g, cliques[i], is_maximal)` on the same graph, bit for bit.
+  /// Each thread's range (`util::ParallelForRanges`, 0 = all cores) is
+  /// scored in blocks of `kScoreBlock` cliques: the block's features go
+  /// into one small buffer, are scaled, and pass through one
+  /// `Mlp::PredictBatch`. A row's score depends only on its own features,
+  /// so scores are identical for any thread count and block size. A
+  /// tripped `cancel` token (null = non-cancellable) stops each range
+  /// within one block; the returned vector then holds unwritten (zero)
+  /// slots and must be discarded by the caller.
   std::vector<double> ScoreAll(const CsrGraph& g, const CliqueStore& cliques,
                                bool is_maximal, int num_threads,
                                const util::CancelToken* cancel =
@@ -103,12 +91,6 @@ class CliqueClassifier {
   static constexpr size_t kScoreBlock = 64;
 
  private:
-  /// Shared body of the two ScoreAll overloads.
-  template <typename Cliques>
-  std::vector<double> ScoreBlocks(const CsrGraph& g, const Cliques& cliques,
-                                  bool is_maximal, int num_threads,
-                                  const util::CancelToken* cancel) const;
-
   FeatureExtractor extractor_;
   ClassifierOptions options_;
   ml::StandardScaler scaler_;

@@ -1,11 +1,11 @@
 #include "core/features.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/motif.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace marioh::core {
@@ -249,24 +249,6 @@ la::Vector ExtractImpl(FeatureMode mode, const Graph& g, CliqueView clique,
   return {};
 }
 
-/// Shared body of the two ExtractAll overloads.
-template <typename Cliques>
-la::Matrix ExtractRows(FeatureMode mode, size_t dim, const CsrGraph& g,
-                       const Cliques& cliques, bool is_maximal,
-                       int num_threads) {
-  la::Matrix x(cliques.size(), dim);
-  util::ParallelForRanges(
-      cliques.size(), num_threads, [&](size_t begin, size_t end) {
-        FeatureScratch scratch;
-        for (size_t i = begin; i < end; ++i) {
-          la::Vector f = ExtractImpl(mode, g, cliques[i], is_maximal,
-                                     &scratch);
-          std::copy(f.begin(), f.end(), x.Row(i));
-        }
-      });
-  return x;
-}
-
 }  // namespace
 
 size_t FeatureExtractor::dim() const { return FeatureDim(mode_); }
@@ -281,20 +263,6 @@ la::Vector FeatureExtractor::Extract(const CsrGraph& g, CliqueView clique,
                                      bool is_maximal,
                                      FeatureScratch* scratch) const {
   return ExtractImpl(mode_, g, clique, is_maximal, scratch);
-}
-
-la::Matrix FeatureExtractor::ExtractAll(const CsrGraph& g,
-                                        std::span<const NodeSet> cliques,
-                                        bool is_maximal,
-                                        int num_threads) const {
-  return ExtractRows(mode_, dim(), g, cliques, is_maximal, num_threads);
-}
-
-la::Matrix FeatureExtractor::ExtractAll(const CsrGraph& g,
-                                        const CliqueStore& cliques,
-                                        bool is_maximal,
-                                        int num_threads) const {
-  return ExtractRows(mode_, dim(), g, cliques, is_maximal, num_threads);
 }
 
 }  // namespace marioh::core

@@ -7,16 +7,13 @@
 /// hash-map `ProjectedGraph` or an immutable `CsrGraph` snapshot; both
 /// paths produce bit-identical vectors (work caps truncate neighbor sets
 /// in ascending-id order on both). The CSR overload is the reconstruction
-/// loop's hot path — `CliqueClassifier::ScoreAll` calls it per clique,
-/// block by block, inside one parallel loop over the frozen snapshot —
-/// and `ExtractAll` exposes the same batched parallel extraction
-/// standalone (benches, tests, batch training).
+/// loop's hot path: `CliqueClassifier::ScoreAll` calls it per clique,
+/// block by block, inside one parallel loop over the frozen snapshot.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "hypergraph/clique.hpp"
@@ -49,7 +46,7 @@ enum class FeatureMode {
 /// into at a time. It grows to the graph's node count on first use and is
 /// all zero between calls, so one instance serves any number of cliques
 /// and graphs. Not shareable across threads: keep one per thread (the
-/// batched paths keep one per parallel range).
+/// batched scorer keeps one per parallel range).
 struct FeatureScratch {
   std::vector<uint32_t> row_weights;
 };
@@ -77,18 +74,6 @@ class FeatureExtractor {
   /// ProjectedGraph overload on the same graph.
   la::Vector Extract(const CsrGraph& g, CliqueView clique, bool is_maximal,
                      FeatureScratch* scratch = nullptr) const;
-
-  /// Batched extraction over candidate cliques: row i of the result is
-  /// `Extract(g, cliques[i], is_maximal)`. Rows are independent output
-  /// slots filled with `util::ParallelForRanges` (0 = all cores), one
-  /// scratch per range, so the matrix is identical for any thread count.
-  la::Matrix ExtractAll(const CsrGraph& g, std::span<const NodeSet> cliques,
-                        bool is_maximal, int num_threads) const;
-
-  /// Batched extraction straight off a clique arena (no per-clique
-  /// NodeSet materialization) — the reconstruction loop's path.
-  la::Matrix ExtractAll(const CsrGraph& g, const CliqueStore& cliques,
-                        bool is_maximal, int num_threads) const;
 
   FeatureMode mode() const { return mode_; }
 

@@ -49,18 +49,18 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
 
   // The loop owns one CSR snapshot of `g` and keeps it fresh across
   // iterations: when an iteration's peels touch at most a
-  // `snapshot_reuse` fraction of the nodes, the snapshot is patched (only
-  // touched rows rebuilt — the common case late in a run, when a phase
-  // accepts a handful of cliques); otherwise it is rebuilt from scratch.
-  // Both routes yield bit-identical snapshots, so the reconstruction
-  // output does not depend on the policy.
+  // `MariohOptions::snapshot_reuse` fraction of the nodes, the snapshot is
+  // patched (only touched rows rebuilt — the common case late in a run,
+  // when a phase accepts a handful of cliques); otherwise it is rebuilt
+  // from scratch. Both routes yield bit-identical snapshots, so the
+  // reconstruction output does not depend on the route taken.
   CsrGraph snapshot;
   auto refresh_snapshot = [&](CsrGraph prev,
                               std::span<const NodeId> touched) {
     if (touched.empty()) return prev;  // no peels: still exact
     double fraction = static_cast<double>(touched.size()) /
                       static_cast<double>(g.num_nodes());
-    if (fraction <= options_.snapshot_reuse) {
+    if (fraction <= MariohOptions::snapshot_reuse) {
       ++last_stats_.snapshot_patches;
       return CsrGraph(prev, g, touched, options_.num_threads);
     }
@@ -115,10 +115,11 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
     // Termination safeguard: once theta is 0 every maximal clique scores
     // above the threshold (sigmoid output > 0), so Phase 1 must accept at
     // least one clique per iteration. If nothing was accepted anyway
-    // (degenerate classifier), peel the best-scoring maximal clique via
-    // a plain maximal-clique step to guarantee progress. Nothing was
-    // peeled this iteration, so the snapshot is still exact and serves
-    // the fallback enumeration directly.
+    // (degenerate classifier), peel the first maximal clique in the
+    // enumerator's canonical (lexicographic) order, unscored, to
+    // guarantee progress. Nothing was peeled this iteration, so the
+    // snapshot is still exact and serves the fallback enumeration
+    // directly.
     if (theta == 0.0 && stats.accepted_phase1 == 0 &&
         stats.accepted_phase2 == 0 && !g.Empty() &&
         !last_stats_.cancelled) {

@@ -35,17 +35,17 @@ struct MariohOptions {
   /// clique scoring (0 = all cores). Results are identical for any value
   /// (the determinism contract of docs/ARCHITECTURE.md).
   int num_threads = 1;
-  /// Snapshot-reuse policy for the reconstruction loop: when the fraction
-  /// of nodes touched by an iteration's peels is at most this threshold,
+  /// Snapshot-reuse threshold of the reconstruction loop: when the
+  /// fraction of nodes touched by an iteration's peels is at most this,
   /// the next iteration's CSR snapshot is *patched* from the previous one
   /// (only the touched adjacency rows are rebuilt; see CsrGraph's patch
-  /// constructor) instead of rebuilt from scratch. 0 always rebuilds,
-  /// 1 always patches. Either way the snapshot — and therefore the
-  /// reconstruction — is bit-identical; only wall-clock changes. The
-  /// default follows the BM_CsrPatchRebuild crossover (patching still
-  /// wins at 50% touched on the benchmark graphs, so the threshold sits
-  /// safely below that).
-  double snapshot_reuse = 0.4;
+  /// constructor) instead of rebuilt from scratch. Either way the
+  /// snapshot — and therefore the reconstruction — is bit-identical; only
+  /// wall-clock changes. The value follows the BM_CsrPatchRebuild
+  /// crossover (patching still wins at 50% touched on the benchmark
+  /// graphs, so the threshold sits safely below that). A constant, not a
+  /// per-run setting.
+  static constexpr double snapshot_reuse = 0.4;
   uint64_t seed = 1;  ///< seed for training and sub-clique sampling
   ClassifierOptions classifier;
   /// Cooperative stop signal for Reconstruct, threaded into every hot
@@ -86,7 +86,7 @@ struct ReconstructionStats {
   size_t filtering_edges = 0;    ///< size-2 hyperedges from Algorithm 2
   /// Snapshot upkeep: how many CSR snapshots were patched from the
   /// previous iteration's snapshot vs rebuilt from scratch (the
-  /// `snapshot_reuse` policy). Patches + rebuilds = snapshots built.
+  /// `snapshot_reuse` threshold). Patches + rebuilds = snapshots built.
   size_t snapshot_patches = 0;
   size_t snapshot_rebuilds = 0;
   /// True if any iteration's maximal-clique enumeration was truncated by

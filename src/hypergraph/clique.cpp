@@ -563,22 +563,16 @@ MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
   // within a range are processed sequentially in ascending root order, so
   // concatenating the range arenas in range order reproduces the exact
   // root-order clique sequence for any thread count, while emission costs
-  // zero allocations per clique (only amortized arena growth). The range
-  // partition mirrors util::ParallelForRanges' static block partition.
-  const size_t used_ranges = std::min(
-      static_cast<size_t>(util::ResolveThreads(options.num_threads)), n);
-  const size_t chunk = (n + used_ranges - 1) / used_ranges;
-  std::vector<std::pair<size_t, size_t>> ranges;  // root index [begin, end)
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    ranges.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  std::vector<CliqueStore> sub_arenas(ranges.size());
+  // zero allocations per clique (only amortized arena growth).
+  const size_t num_ranges = util::RangeCount(n, options.num_threads);
+  std::vector<CliqueStore> sub_arenas(num_ranges);
   // Per-range cancellation flags (one slot per range, no sharing): the
   // range that observes the trip records it; any set slot flags the
   // whole result `cancelled`.
-  std::vector<char> range_cancelled(ranges.size(), 0);
-  util::ParallelFor(ranges.size(), options.num_threads, [&](size_t ri) {
-    const auto [begin, end] = ranges[ri];
+  std::vector<char> range_cancelled(num_ranges, 0);
+  util::ParallelForRanges(n, options.num_threads, [&](size_t ri,
+                                                      size_t begin,
+                                                      size_t end) {
     CliqueStore& out = sub_arenas[ri];
     util::CancelChecker cancel_check(options.cancel);
     // Working state reused across this range's roots, so the hot loop

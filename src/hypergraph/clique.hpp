@@ -7,12 +7,12 @@
 ///
 /// The fast path runs on an immutable `CsrGraph` snapshot: the outer
 /// degeneracy-ordered roots are independent subproblems fanned out with
-/// `util::ParallelFor`, each worker appending its cliques to a per-range
-/// `CliqueStore` sub-arena. Sub-arenas are concatenated in root order and
-/// the result sorted, so the output is identical for any thread count (the
-/// determinism contract of docs/ARCHITECTURE.md). Cliques live in one flat
-/// arena — enumeration performs no per-clique allocation, and consumers
-/// read them as `CliqueView` spans.
+/// `util::ParallelForRanges`, each worker appending its cliques to its
+/// range's `CliqueStore` sub-arena. Sub-arenas are concatenated in root
+/// order and the result sorted, so the output is identical for any thread
+/// count (the determinism contract of docs/ARCHITECTURE.md). Cliques live
+/// in one flat arena — enumeration performs no per-clique allocation, and
+/// consumers read them as `CliqueView` spans.
 
 #pragma once
 

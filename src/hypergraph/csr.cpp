@@ -19,7 +19,7 @@ CsrGraph::CsrGraph(const ProjectedGraph& g, int num_threads) {
   weighted_degrees_.assign(n, 0);
   // Rows are independent slots, so sorting them is deterministic for any
   // thread count.
-  util::ParallelFor(n, num_threads, [&](size_t u) {
+  util::ParallelFor(n, num_threads, nullptr, [&](size_t u) {
     std::vector<std::pair<NodeId, uint32_t>> row(g.Neighbors(u).begin(),
                                                  g.Neighbors(u).end());
     std::sort(row.begin(), row.end());
@@ -59,7 +59,7 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
   // thread count: untouched rows are straight copies of `prev`'s sorted
   // rows, touched rows are re-gathered and re-sorted from `g` exactly as
   // in the from-scratch build.
-  util::ParallelFor(n, num_threads, [&](size_t u) {
+  util::ParallelFor(n, num_threads, nullptr, [&](size_t u) {
     const size_t base = offsets_[u];
     if (!is_touched[u]) {
       auto src_n = prev.Neighbors(u);

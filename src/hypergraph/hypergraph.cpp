@@ -7,13 +7,6 @@
 
 namespace marioh {
 
-Hypergraph Hypergraph::FromEdges(const std::vector<NodeSet>& edges,
-                                 size_t num_nodes) {
-  Hypergraph h(num_nodes);
-  for (const NodeSet& e : edges) h.AddEdge(e);
-  return h;
-}
-
 void Hypergraph::AddEdge(NodeSet e, uint32_t count) {
   if (count == 0) return;
   Canonicalize(&e);

@@ -27,12 +27,6 @@ class Hypergraph {
   /// Creates an empty hypergraph over `num_nodes` nodes.
   explicit Hypergraph(size_t num_nodes = 0) : num_nodes_(num_nodes) {}
 
-  /// Builds a hypergraph from a list of (possibly repeated) hyperedges.
-  /// Each edge is canonicalized; edges with fewer than two distinct nodes
-  /// are dropped. `num_nodes` of 0 means "infer as max node id + 1".
-  static Hypergraph FromEdges(const std::vector<NodeSet>& edges,
-                              size_t num_nodes = 0);
-
   /// Adds `count` copies of hyperedge `e` (canonicalized internally);
   /// silently ignores edges with fewer than two distinct nodes. Grows the
   /// node count if `e` mentions an unseen node.

@@ -25,12 +25,6 @@ inline void Canonicalize(NodeSet* nodes) {
   nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
 }
 
-/// Returns the canonical form of `nodes`.
-inline NodeSet Canonicalized(NodeSet nodes) {
-  Canonicalize(&nodes);
-  return nodes;
-}
-
 /// Unordered node pair stored canonically as (min, max).
 using NodePair = std::pair<NodeId, NodeId>;
 

@@ -1,12 +1,14 @@
 #include "io/text_io.hpp"
 
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/failpoint.hpp"
+#include "util/parse.hpp"
 
 namespace marioh::io {
 namespace {
@@ -33,26 +35,30 @@ bool IsCommentOrBlank(const std::string& line) {
   return true;
 }
 
-StatusOr<uint64_t> ParseNumber(const std::string& token,
-                               size_t line_number) {
-  try {
-    size_t pos = 0;
-    uint64_t value = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                   ": bad token '" + token + "'");
-  }
+Status BadLine(size_t line_number, const std::string& what) {
+  return Status::InvalidArgument("line " + std::to_string(line_number) +
+                                 ": " + what);
 }
 
-/// Unwraps a StatusOr for the throwing wrapper functions.
-template <typename T>
-T ValueOrThrow(StatusOr<T> result) {
-  if (!result.ok()) {
-    throw std::invalid_argument(result.status().message());
+/// Node ids stop one short of NodeId's range, so `id + 1` (a node
+/// count) still fits a NodeId; weights and multiplicities may use all of
+/// uint32_t.
+constexpr uint64_t kMaxNodeId = std::numeric_limits<NodeId>::max() - 1u;
+constexpr uint64_t kMaxCount = std::numeric_limits<uint32_t>::max();
+
+/// Parses an unsigned decimal `token` no greater than `max`; `what` names
+/// the field in the error.
+StatusOr<uint32_t> ParseBounded(const std::string& token, uint64_t max,
+                                const char* what, size_t line_number) {
+  std::optional<uint64_t> value = util::ParseUint64(token);
+  if (!value.has_value()) {
+    return BadLine(line_number, "bad token '" + token + "'");
   }
-  return std::move(result).value();
+  if (*value > max) {
+    return BadLine(line_number, std::string(what) + " '" + token +
+                                    "' exceeds " + std::to_string(max));
+  }
+  return static_cast<uint32_t>(*value);
 }
 
 }  // namespace
@@ -71,17 +77,19 @@ StatusOr<Hypergraph> TryReadHypergraph(std::istream& in) {
     uint32_t multiplicity = 1;
     // Optional trailing "x m".
     if (parts.size() >= 2 && parts[parts.size() - 2] == "x") {
-      StatusOr<uint64_t> m = ParseNumber(parts.back(), line_number);
+      StatusOr<uint32_t> m = ParseBounded(parts.back(), kMaxCount,
+                                          "multiplicity", line_number);
       if (!m.ok()) return m.status();
-      multiplicity = static_cast<uint32_t>(*m);
+      multiplicity = *m;
       parts.resize(parts.size() - 2);
     }
     NodeSet edge;
     edge.reserve(parts.size());
     for (const std::string& p : parts) {
-      StatusOr<uint64_t> id = ParseNumber(p, line_number);
+      StatusOr<uint32_t> id =
+          ParseBounded(p, kMaxNodeId, "node id", line_number);
       if (!id.ok()) return id.status();
-      edge.push_back(static_cast<NodeId>(*id));
+      edge.push_back(*id);
     }
     h.AddEdge(std::move(edge), multiplicity);
   }
@@ -144,28 +152,22 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
     std::string token;
     while (tokens >> token) parts.push_back(token);
     if (parts.size() < 2 || parts.size() > 3) {
-      return Status::InvalidArgument("line " +
-                                     std::to_string(line_number) +
-                                     ": expected 'u v [w]'");
+      return BadLine(line_number, "expected 'u v [w]'");
     }
-    StatusOr<uint64_t> u = ParseNumber(parts[0], line_number);
+    StatusOr<uint32_t> u =
+        ParseBounded(parts[0], kMaxNodeId, "node id", line_number);
     if (!u.ok()) return u.status();
-    StatusOr<uint64_t> v = ParseNumber(parts[1], line_number);
+    StatusOr<uint32_t> v =
+        ParseBounded(parts[1], kMaxNodeId, "node id", line_number);
     if (!v.ok()) return v.status();
-    Row row;
-    row.u = static_cast<NodeId>(*u);
-    row.v = static_cast<NodeId>(*v);
-    row.w = 1;
+    Row row{*u, *v, 1};
     if (parts.size() == 3) {
-      StatusOr<uint64_t> w = ParseNumber(parts[2], line_number);
+      StatusOr<uint32_t> w =
+          ParseBounded(parts[2], kMaxCount, "weight", line_number);
       if (!w.ok()) return w.status();
-      row.w = static_cast<uint32_t>(*w);
+      row.w = *w;
     }
-    if (row.u == row.v) {
-      return Status::InvalidArgument("line " +
-                                     std::to_string(line_number) +
-                                     ": self loop");
-    }
+    if (row.u == row.v) return BadLine(line_number, "self loop");
     max_node = std::max({max_node, row.u, row.v});
     rows.push_back(row);
   }
@@ -204,33 +206,6 @@ api::Status TryWriteProjectedGraphFile(const ProjectedGraph& g,
   }
   WriteProjectedGraph(g, out);
   return Status::Ok();
-}
-
-Hypergraph ReadHypergraph(std::istream& in) {
-  return ValueOrThrow(TryReadHypergraph(in));
-}
-
-Hypergraph ReadHypergraphFile(const std::string& path) {
-  return ValueOrThrow(TryReadHypergraphFile(path));
-}
-
-ProjectedGraph ReadProjectedGraph(std::istream& in) {
-  return ValueOrThrow(TryReadProjectedGraph(in));
-}
-
-ProjectedGraph ReadProjectedGraphFile(const std::string& path) {
-  return ValueOrThrow(TryReadProjectedGraphFile(path));
-}
-
-void WriteHypergraphFile(const Hypergraph& h, const std::string& path) {
-  api::Status status = TryWriteHypergraphFile(h, path);
-  if (!status.ok()) throw std::invalid_argument(status.message());
-}
-
-void WriteProjectedGraphFile(const ProjectedGraph& g,
-                             const std::string& path) {
-  api::Status status = TryWriteProjectedGraphFile(g, path);
-  if (!status.ok()) throw std::invalid_argument(status.message());
 }
 
 }  // namespace marioh::io

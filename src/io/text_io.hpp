@@ -17,8 +17,9 @@
 /// The `Try*` functions are the primary API: they report unopenable files
 /// and malformed lines as an `api::Status` (with the offending line
 /// number) so callers like `marioh_cli` can diagnose bad input without
-/// dying. The exception-throwing forms are thin wrappers kept for callers
-/// that prefer throw-on-error.
+/// dying. Numbers are unsigned decimals: node ids must be below
+/// 4294967295 (so a node count still fits a `NodeId`), and weights and
+/// multiplicities at most 4294967295; anything else is kInvalidArgument.
 
 #pragma once
 
@@ -58,16 +59,6 @@ api::StatusOr<ProjectedGraph> TryReadProjectedGraphFile(
 /// if the caller-supplied output path cannot be opened for writing.
 api::Status TryWriteProjectedGraphFile(const ProjectedGraph& g,
                                        const std::string& path);
-
-/// Throwing wrappers over the `Try*` forms: std::invalid_argument
-/// carrying the status message on any error.
-Hypergraph ReadHypergraph(std::istream& in);
-Hypergraph ReadHypergraphFile(const std::string& path);
-ProjectedGraph ReadProjectedGraph(std::istream& in);
-ProjectedGraph ReadProjectedGraphFile(const std::string& path);
-void WriteHypergraphFile(const Hypergraph& h, const std::string& path);
-void WriteProjectedGraphFile(const ProjectedGraph& g,
-                             const std::string& path);
 
 /// Stream writers (cannot fail short of stream errors, which the caller
 /// owns).

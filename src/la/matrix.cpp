@@ -1,6 +1,5 @@
 #include "la/matrix.hpp"
 
-#include <cmath>
 
 #include "util/check.hpp"
 
@@ -37,28 +36,6 @@ Matrix Matrix::Transposed() const {
 
 void Matrix::Scale(double s) {
   for (double& v : data_) v *= s;
-}
-
-double Matrix::FrobeniusNorm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
-double Dot(const Vector& a, const Vector& b) {
-  MARIOH_CHECK_EQ(a.size(), b.size());
-  double s = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double Norm(const Vector& v) { return std::sqrt(Dot(v, v)); }
-
-Vector Axpy(const Vector& a, double s, const Vector& b) {
-  MARIOH_CHECK_EQ(a.size(), b.size());
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * b[i];
-  return out;
 }
 
 double SquaredDistance(const Vector& a, const Vector& b) {

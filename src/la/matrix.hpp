@@ -47,23 +47,11 @@ class Matrix {
   /// In-place scalar multiply.
   void Scale(double s);
 
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
-
  private:
   size_t rows_;
   size_t cols_;
   std::vector<double> data_;
 };
-
-/// Dot product of equal-length vectors.
-double Dot(const Vector& a, const Vector& b);
-
-/// Euclidean norm.
-double Norm(const Vector& v);
-
-/// a + s * b, elementwise.
-Vector Axpy(const Vector& a, double s, const Vector& b);
 
 /// Squared Euclidean distance between equal-length vectors.
 double SquaredDistance(const Vector& a, const Vector& b);

@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <thread>
 #include <vector>
@@ -22,29 +23,51 @@ inline int ResolveThreads(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-/// Range-level primitive: `fn(begin, end)` receives each worker's
-/// contiguous index range [begin, end) under a static block partition.
-/// This lets callers keep per-range running state — in particular a
-/// within-range early exit whose outcome depends only on the range's own
-/// contents, the trick the clique enumerator uses to bound truncated
-/// enumerations without cross-thread coordination. ParallelFor delegates
-/// here, so the two share one partition by construction.
+namespace internal {
+
+/// The static block partition of [0, n) both primitives below share:
+/// ranges of `chunk` indices (the last one ragged), with `chunk` sized so
+/// that at most ResolveThreads(num_threads) ranges exist — one thread
+/// gives the single range [0, n).
+inline size_t RangeChunk(size_t n, int num_threads) {
+  size_t used =
+      std::min(static_cast<size_t>(ResolveThreads(num_threads)), n);
+  return used == 0 ? 0 : (n + used - 1) / used;
+}
+
+}  // namespace internal
+
+/// Number of ranges ParallelForRanges(n, num_threads, ...) hands out, so
+/// callers can size one output slot per range before the loop runs.
+inline size_t RangeCount(size_t n, int num_threads) {
+  if (n == 0) return 0;
+  size_t chunk = internal::RangeChunk(n, num_threads);
+  return (n + chunk - 1) / chunk;
+}
+
+/// Range-level primitive: `fn(range, begin, end)` receives each worker's
+/// contiguous index range [begin, end) under the static block partition,
+/// with `range` in [0, RangeCount(n, num_threads)) numbering the ranges
+/// in index order. This lets callers keep per-range running state and
+/// per-range output slots — in particular a within-range early exit whose
+/// outcome depends only on the range's own contents, the trick the clique
+/// enumerator uses to bound truncated enumerations without cross-thread
+/// coordination. ParallelFor delegates here, so the two share one
+/// partition by construction.
 template <typename Fn>
 void ParallelForRanges(size_t n, int num_threads, Fn&& fn) {
-  int threads = ResolveThreads(num_threads);
-  if (threads == 1 || n < 2) {
-    if (n > 0) fn(size_t{0}, n);
+  const size_t ranges = RangeCount(n, num_threads);
+  if (ranges <= 1) {
+    if (n > 0) fn(size_t{0}, size_t{0}, n);
     return;
   }
-  size_t used = std::min<size_t>(static_cast<size_t>(threads), n);
+  const size_t chunk = internal::RangeChunk(n, num_threads);
   std::vector<std::thread> pool;
-  pool.reserve(used);
-  size_t chunk = (n + used - 1) / used;
-  for (size_t t = 0; t < used; ++t) {
-    size_t begin = t * chunk;
+  pool.reserve(ranges);
+  for (size_t r = 0; r < ranges; ++r) {
+    size_t begin = r * chunk;
     size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([begin, end, &fn] { fn(begin, end); });
+    pool.emplace_back([r, begin, end, &fn] { fn(r, begin, end); });
   }
   for (std::thread& worker : pool) worker.join();
 }
@@ -52,27 +75,19 @@ void ParallelForRanges(size_t n, int num_threads, Fn&& fn) {
 /// Applies `fn(i)` for every i in [0, n) using `num_threads` threads
 /// (0 = auto). `fn` must be safe to call concurrently for distinct
 /// indices; iteration order within a thread is ascending, and the static
-/// block partition makes the schedule deterministic.
-template <typename Fn>
-void ParallelFor(size_t n, int num_threads, Fn&& fn) {
-  ParallelForRanges(n, num_threads, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
-/// Cancellable variant: each range polls `cancel` (null = never stops)
-/// through a per-range CancelChecker before every index and abandons its
-/// remaining indices once the token trips, so a mid-kernel Cancel lands
-/// within one index's work plus the checker stride. An untriggered token
-/// executes exactly the same index set as the overload above — the
-/// determinism contract is untouched — while a tripped token leaves some
-/// slots unwritten; callers must discard the partial output (the Session
-/// layer does).
+/// block partition makes the schedule deterministic. Each range polls
+/// `cancel` (null = never stops) through a per-range CancelChecker before
+/// every index and abandons its remaining indices once the token trips,
+/// so a mid-kernel Cancel lands within one index's work plus the checker
+/// stride. An untriggered token executes exactly the same index set as a
+/// null one — the determinism contract is untouched — while a tripped
+/// token leaves some slots unwritten; callers must discard the partial
+/// output (the Session layer does).
 template <typename Fn>
 void ParallelFor(size_t n, int num_threads, const CancelToken* cancel,
                  Fn&& fn) {
   ParallelForRanges(n, num_threads,
-                    [&fn, cancel](size_t begin, size_t end) {
+                    [&fn, cancel](size_t, size_t begin, size_t end) {
     CancelChecker checker(cancel);
     for (size_t i = begin; i < end; ++i) {
       if (checker.ShouldStop()) return;

@@ -98,10 +98,6 @@ class Rng {
     return SampleWithoutReplacement(std::span<const T>(items), k);
   }
 
-  /// Derives an independent child generator; used to give each worker or
-  /// repetition its own stream.
-  Rng Fork() { return Rng(engine_()); }
-
   /// Access to the raw engine for std distributions not wrapped above.
   std::mt19937_64& engine() { return engine_; }
 

@@ -591,6 +591,41 @@ TEST(Service, MethodLevelOverridesReachTheJob) {
             session.reconstruction()->edges());
 }
 
+TEST(Service, EmptyTrainingSourceFailsTheJobNotTheService) {
+  eval::PreparedDataset data = SmallDataset();
+  std::shared_ptr<DatasetCache> cache = CacheWithCrime(data);
+  auto empty = std::make_shared<const Hypergraph>();
+  ASSERT_TRUE(cache
+                  ->Insert("empty.train", empty,
+                           std::make_shared<const ProjectedGraph>(
+                               empty->Project()))
+                  .ok());
+  Service service(cache);
+
+  ReconstructRequest request;
+  request.method = "MARIOH";
+  request.train_dataset = "empty.train";
+  request.target_dataset = "crime.target";
+  StatusOr<JobId> bad = service.Submit(request);
+  ASSERT_TRUE(bad.ok());
+  StatusOr<JobSnapshot> failed = service.Wait(*bad);
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ(failed->state, JobState::kFailed);
+  EXPECT_EQ(failed->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(failed->status.message().find("MARIOH"), std::string::npos)
+      << failed->status.ToString();
+
+  // The same service keeps serving.
+  request.train_dataset = "crime.train";
+  StatusOr<JobId> good = service.Submit(request);
+  ASSERT_TRUE(good.ok());
+  StatusOr<JobSnapshot> done = service.Wait(*good);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done->state, JobState::kDone) << done->status.ToString();
+  EXPECT_EQ(service.stats().failed, 1u);
+  EXPECT_EQ(service.stats().done, 1u);
+}
+
 TEST(Service, ForgetRetiresTerminalJobsOnly) {
   eval::PreparedDataset data = SmallDataset();
   Service service(CacheWithCrime(data));
@@ -927,9 +962,9 @@ TEST(RequestWire, ParserRejectsMalformedAndDuplicateTokens) {
   // error here.
   ReconstructRequest with_override;
   ASSERT_TRUE(
-      ParseReconstructRequest("snapshot_reuse=0.3", &with_override).ok());
+      ParseReconstructRequest("theta_init=0.8", &with_override).ok());
   ASSERT_EQ(with_override.overrides.size(), 1u);
-  EXPECT_EQ(with_override.overrides[0].first, "snapshot_reuse");
+  EXPECT_EQ(with_override.overrides[0].first, "theta_init");
 }
 
 TEST(RequestWire, ValidateRejectsWhatCannotRoundTrip) {

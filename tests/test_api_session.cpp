@@ -98,6 +98,36 @@ TEST(Session, UnsupervisedMethodReconstructsWithoutTrain) {
   EXPECT_GT(session.reconstruction()->num_unique_edges(), 0u);
 }
 
+TEST(Session, SupervisedTrainOnAnEmptySourceIsInvalidArgument) {
+  eval::PreparedDataset data = SmallDataset();
+  const Hypergraph empty;
+  const ProjectedGraph empty_graph = empty.Project();
+  for (const char* method : {"MARIOH", "SHyRe-Count"}) {
+    SessionOptions options;
+    options.method = method;
+    Session session;
+    ASSERT_TRUE(session.Configure(options).ok());
+    Status status = session.Train(empty_graph, empty);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << method;
+    EXPECT_NE(status.message().find(method), std::string::npos)
+        << status.ToString();
+    // Refused before the stage started, and the session is not trained.
+    EXPECT_EQ(session.stage_timer().Get("train"), 0.0) << method;
+    EXPECT_EQ(session.Reconstruct(*data.g_target).code(),
+              StatusCode::kFailedPrecondition)
+        << method;
+  }
+  // An unsupervised method ignores the source, empty or not.
+  SessionOptions options;
+  options.method = "MaxClique";
+  Session session;
+  ASSERT_TRUE(session.Configure(options).ok());
+  ASSERT_TRUE(session.Train(empty_graph, empty).ok());
+  Status result = session.Reconstruct(*data.g_target);
+  ASSERT_TRUE(result.ok()) << result.ToString();
+  EXPECT_GT(session.reconstruction()->num_unique_edges(), 0u);
+}
+
 TEST(Session, ExhaustedTimeBudgetIsDeadlineExceededNotAnAbort) {
   eval::PreparedDataset data = SmallDataset();
   SessionOptions options;
@@ -263,32 +293,6 @@ TEST(Session, ReconstructionCountersLandInStageStats) {
   EXPECT_GT(session.stage_timer().Get("reconstruct.filtering_seconds"), 0.0);
   EXPECT_GT(session.stage_timer().Get("reconstruct.bidirectional_seconds"),
             0.0);
-}
-
-TEST(Session, SnapshotReuseOverrideIsAPureWallClockKnob) {
-  eval::PreparedDataset data = SmallDataset();
-  auto run = [&](const char* override_kv) {
-    SessionOptions options;
-    options.method = "MARIOH";
-    if (override_kv != nullptr) {
-      EXPECT_TRUE(ApplySessionOverride(&options, override_kv).ok());
-    }
-    Session session;
-    EXPECT_TRUE(session.Configure(options).ok());
-    EXPECT_TRUE(session.Train(*data.g_source, *data.source).ok());
-    EXPECT_TRUE(session.Reconstruct(*data.g_target).ok());
-    double patches =
-        session.stage_timer().Get("reconstruct.snapshot_patches");
-    return std::make_pair(session.reconstruction()->edges(), patches);
-  };
-  auto [default_edges, default_patches] = run(nullptr);
-  auto [rebuild_edges, rebuild_patches] = run("snapshot_reuse=0");
-  auto [patch_edges, patch_patches] = run("snapshot_reuse=1");
-  // The policy changes only which snapshot route ran, never the result.
-  EXPECT_EQ(rebuild_edges, default_edges);
-  EXPECT_EQ(patch_edges, default_edges);
-  EXPECT_EQ(rebuild_patches, 0.0);
-  EXPECT_GT(patch_patches, 0.0);
 }
 
 TEST(Session, FileBasedRoundTripMatchesInMemoryRun) {

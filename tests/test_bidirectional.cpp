@@ -69,7 +69,7 @@ TEST_F(BidirectionalTest, ThetaOnePutsEverythingInQneg) {
   options.r_percent = 100.0;
   util::Rng rng(7);
   BidirectionalStats stats =
-      BidirectionalSearch(&g, *classifier_, options, &rng, &h);
+      BidirectionalSearch(&g, CsrGraph(g), *classifier_, options, &rng, &h);
   EXPECT_EQ(stats.accepted_phase1, 0u);
   // Sub-cliques are scored but cannot pass theta = 1 either.
   EXPECT_EQ(stats.accepted_phase2, 0u);
@@ -85,7 +85,7 @@ TEST_F(BidirectionalTest, RZeroDisablesSubcliqueSampling) {
   options.r_percent = 0.0;
   util::Rng rng(8);
   BidirectionalStats stats =
-      BidirectionalSearch(&g, *classifier_, options, &rng, &h);
+      BidirectionalSearch(&g, CsrGraph(g), *classifier_, options, &rng, &h);
   EXPECT_EQ(stats.subcliques_scored, 0u);
 }
 
@@ -97,7 +97,7 @@ TEST_F(BidirectionalTest, RHundredExploresEveryNegClique) {
   options.r_percent = 100.0;
   util::Rng rng(9);
   BidirectionalStats stats =
-      BidirectionalSearch(&g, *classifier_, options, &rng, &h);
+      BidirectionalSearch(&g, CsrGraph(g), *classifier_, options, &rng, &h);
   // One sample per size k in [2, |Q|-1] per clique: the total equals
   // sum over cliques of (|Q| - 2); verify it is positive and bounded.
   size_t upper = 0;
@@ -116,7 +116,7 @@ TEST_F(BidirectionalTest, ThetaZeroConsumesWeightEveryIteration) {
   util::Rng rng(10);
   uint64_t before = g.TotalWeight();
   BidirectionalStats stats =
-      BidirectionalSearch(&g, *classifier_, options, &rng, &h);
+      BidirectionalSearch(&g, CsrGraph(g), *classifier_, options, &rng, &h);
   EXPECT_GT(stats.accepted_phase1, 0u);
   EXPECT_LT(g.TotalWeight(), before);
 }
@@ -127,7 +127,7 @@ TEST_F(BidirectionalTest, AcceptedHyperedgesAreCliquesOfPreGraph) {
   BidirectionalOptions options;
   options.theta = 0.3;
   util::Rng rng(11);
-  BidirectionalSearch(&g, *classifier_, options, &rng, &h);
+  BidirectionalSearch(&g, CsrGraph(g), *classifier_, options, &rng, &h);
   for (const auto& [e, m] : h.edges()) {
     (void)m;
     EXPECT_TRUE(g_target_->IsClique(e));
@@ -143,7 +143,7 @@ TEST_F(BidirectionalTest, WeightConservation) {
   options.theta = 0.2;
   util::Rng rng(12);
   uint64_t before = g.TotalWeight();
-  BidirectionalSearch(&g, *classifier_, options, &rng, &h);
+  BidirectionalSearch(&g, CsrGraph(g), *classifier_, options, &rng, &h);
   uint64_t footprint = 0;
   for (const auto& [e, m] : h.edges()) {
     footprint += static_cast<uint64_t>(e.size() * (e.size() - 1) / 2) * m;
@@ -158,8 +158,8 @@ TEST_F(BidirectionalTest, DeterministicGivenSeed) {
   ProjectedGraph g2 = *g_target_;
   Hypergraph h1(g1.num_nodes()), h2(g2.num_nodes());
   util::Rng r1(13), r2(13);
-  BidirectionalSearch(&g1, *classifier_, options, &r1, &h1);
-  BidirectionalSearch(&g2, *classifier_, options, &r2, &h2);
+  BidirectionalSearch(&g1, CsrGraph(g1), *classifier_, options, &r1, &h1);
+  BidirectionalSearch(&g2, CsrGraph(g2), *classifier_, options, &r2, &h2);
   EXPECT_EQ(h1.UniqueEdges(), h2.UniqueEdges());
 }
 
@@ -169,7 +169,7 @@ TEST_F(BidirectionalTest, EmptyGraphIsNoOp) {
   BidirectionalOptions options;
   util::Rng rng(14);
   BidirectionalStats stats =
-      BidirectionalSearch(&g, *classifier_, options, &rng, &h);
+      BidirectionalSearch(&g, CsrGraph(g), *classifier_, options, &rng, &h);
   EXPECT_EQ(stats.maximal_cliques, 0u);
   EXPECT_EQ(h.num_total_edges(), 0u);
 }
@@ -185,7 +185,7 @@ TEST_F(BidirectionalTest, Size2CliquesHaveNoSubcliques) {
   options.r_percent = 100.0;
   util::Rng rng(15);
   BidirectionalStats stats =
-      BidirectionalSearch(&g, *classifier_, options, &rng, &h);
+      BidirectionalSearch(&g, CsrGraph(g), *classifier_, options, &rng, &h);
   EXPECT_EQ(stats.subcliques_scored, 0u);
 }
 
@@ -267,8 +267,8 @@ void ExpectMatchesReference(const ProjectedGraph& start,
     options.r_percent = r_percent;
     options.num_threads = threads;
     util::Rng rng(seed);
-    got.stats = BidirectionalSearch(&got.g, classifier, options, &rng,
-                                    &got.h);
+    got.stats = BidirectionalSearch(&got.g, CsrGraph(got.g), classifier,
+                                    options, &rng, &got.h);
     EXPECT_EQ(got.h.edges(), want.h.edges());
     for (NodeId u = 0; u < start.num_nodes(); ++u) {
       ASSERT_EQ(got.g.Neighbors(u), want.g.Neighbors(u)) << "row " << u;

@@ -112,6 +112,22 @@ TEST(ExamplesSmoke, CliBadOverrideIsAReadableErrorAndExitsNonZero) {
   EXPECT_NE(output.find("theta_init"), std::string::npos) << output;
 }
 
+TEST(ExamplesSmoke, CliEmptyTrainingFileIsAReadableErrorAndExitsNonZero) {
+  const std::string train = "cli_smoke_empty_train.hg";
+  const std::string target = "cli_smoke_target.eg";
+  const std::string out = "cli_smoke_out.hg";
+  std::ofstream(train) << "# no hyperedges\n";
+  std::ofstream(target) << "1 2 1\n2 3 2\n1 3 1\n3 4 1\n";
+  std::string output;
+  int exit_code = RunCli(train + " " + target + " " + out, &output);
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("error"), std::string::npos) << output;
+  EXPECT_NE(output.find("hyperedge"), std::string::npos) << output;
+  for (const std::string& path : {train, target, out}) {
+    std::remove(path.c_str());
+  }
+}
+
 TEST(ExamplesSmoke, CliListMethodsExitsZero) {
   std::string output;
   int exit_code = RunCli("--list-methods", &output);

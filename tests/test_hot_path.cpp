@@ -98,17 +98,6 @@ TEST_P(HotPathEquivalence, FeaturesMatchBitForBitInAllModes) {
       la::Vector csr_path = extractor.Extract(csr, q, true);
       EXPECT_EQ(hash_path, csr_path);
     }
-    // Batched extraction: identical rows for any thread count.
-    la::Matrix one = extractor.ExtractAll(csr, cliques, true, 1);
-    for (int threads : {2, 8}) {
-      la::Matrix many = extractor.ExtractAll(csr, cliques, true, threads);
-      ASSERT_EQ(many.rows(), one.rows());
-      for (size_t i = 0; i < one.rows(); ++i) {
-        for (size_t j = 0; j < one.cols(); ++j) {
-          EXPECT_EQ(many(i, j), one(i, j)) << "row " << i << " col " << j;
-        }
-      }
-    }
   }
 }
 
@@ -274,8 +263,8 @@ TEST(HotPathScoring, ScoreAllMatchesScalarScoresForAnyThreadCount) {
 
   // Enough cliques for several full ScoreAll blocks plus a ragged last
   // one: the batched forward pass per block must reproduce per-clique
-  // Score exactly, for both overloads and any thread count (which moves
-  // the block boundaries).
+  // Score exactly, for any thread count (which moves the block
+  // boundaries).
   util::Rng target_rng(23);
   ProjectedGraph g =
       gen::HyperClLike(200, 420, 3.2, 0.7, &target_rng).Project();
@@ -291,10 +280,8 @@ TEST(HotPathScoring, ScoreAllMatchesScalarScoresForAnyThreadCount) {
     scalar.push_back(classifier.Score(g, q, true));
   }
   for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(classifier.ScoreAll(csr, cliques, true, threads), scalar)
-        << "NodeSet overload, threads=" << threads;
     EXPECT_EQ(classifier.ScoreAll(csr, store, true, threads), scalar)
-        << "arena overload, threads=" << threads;
+        << "threads=" << threads;
   }
 }
 
@@ -321,41 +308,6 @@ TEST(HotPathEndToEnd, ReconstructionIsThreadCountInvariant) {
     Hypergraph h_many = many.Reconstruct(g_target);
     EXPECT_EQ(h_many.edges(), h_one.edges()) << "threads=" << threads;
   }
-}
-
-TEST(HotPathEndToEnd, ReconstructionIsSnapshotPolicyInvariant) {
-  // The snapshot_reuse threshold is a pure wall-clock knob: always-patch,
-  // always-rebuild, and the default must reconstruct the exact same
-  // hypergraph, while the patch/rebuild counters reflect the policy.
-  gen::GeneratedDataset data = gen::Generate(gen::ProfileByName("hosts"), 3);
-  util::Rng split_rng(4);
-  gen::SourceTargetSplit split = gen::SplitHypergraph(
-      data.hypergraph.MultiplicityReduced(), &split_rng, 0.5);
-  ProjectedGraph g_source = split.source.Project();
-  ProjectedGraph g_target = split.target.Project();
-
-  core::MariohOptions options;
-  options.snapshot_reuse = 0.0;  // always rebuild
-  core::Marioh rebuild(options);
-  rebuild.Train(g_source, split.source);
-  Hypergraph h_rebuild = rebuild.Reconstruct(g_target);
-  EXPECT_EQ(rebuild.last_reconstruction_stats().snapshot_patches, 0u);
-  EXPECT_GT(rebuild.last_reconstruction_stats().snapshot_rebuilds, 0u);
-
-  options.snapshot_reuse = 1.0;  // always patch
-  core::Marioh patch(options);
-  patch.Train(g_source, split.source);
-  Hypergraph h_patch = patch.Reconstruct(g_target);
-  EXPECT_GT(patch.last_reconstruction_stats().snapshot_patches, 0u);
-  // The only full build is the one before the first iteration (skipped
-  // too when filtering's snapshot is patched instead).
-  EXPECT_LE(patch.last_reconstruction_stats().snapshot_rebuilds, 1u);
-  EXPECT_EQ(h_patch.edges(), h_rebuild.edges());
-
-  core::Marioh defaults;  // default threshold: a mix is fine, output equal
-  defaults.Train(g_source, split.source);
-  Hypergraph h_default = defaults.Reconstruct(g_target);
-  EXPECT_EQ(h_default.edges(), h_rebuild.edges());
 }
 
 }  // namespace

@@ -127,8 +127,13 @@ TEST(Integration, SerializedPipelineMatchesInMemory) {
   std::stringstream hyperedges, graph;
   io::WriteHypergraph(*data.source, hyperedges);
   io::WriteProjectedGraph(*data.g_target, graph);
-  Hypergraph source2 = io::ReadHypergraph(hyperedges);
-  ProjectedGraph g2 = io::ReadProjectedGraph(graph);
+  api::StatusOr<Hypergraph> parsed_source = io::TryReadHypergraph(hyperedges);
+  api::StatusOr<ProjectedGraph> parsed_graph =
+      io::TryReadProjectedGraph(graph);
+  ASSERT_TRUE(parsed_source.ok()) << parsed_source.status().ToString();
+  ASSERT_TRUE(parsed_graph.ok()) << parsed_graph.status().ToString();
+  const Hypergraph& source2 = *parsed_source;
+  const ProjectedGraph& g2 = *parsed_graph;
 
   core::MariohOptions options;
   options.seed = 5;

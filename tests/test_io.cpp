@@ -1,15 +1,38 @@
 // Tests for text serialization: round trips, format tolerance (comments,
-// blank lines, multiplicity suffixes), and error handling on malformed
-// input.
+// blank lines, multiplicity suffixes), error handling on malformed and
+// out-of-range input, and a seeded mutation test of both readers.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "io/text_io.hpp"
+#include "util/rng.hpp"
 
 namespace marioh::io {
 namespace {
+
+using api::StatusCode;
+using api::StatusOr;
+
+StatusOr<Hypergraph> ParseHypergraph(const std::string& text) {
+  std::istringstream in(text);
+  return TryReadHypergraph(in);
+}
+
+StatusOr<ProjectedGraph> ParseGraph(const std::string& text) {
+  std::istringstream in(text);
+  return TryReadProjectedGraph(in);
+}
+
+/// Expects `status` to be kInvalidArgument naming `line`.
+void ExpectBadLine(const api::Status& status, const std::string& line) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find(line), std::string::npos)
+      << status.ToString();
+}
 
 TEST(HypergraphIo, RoundTrip) {
   Hypergraph h;
@@ -18,40 +41,65 @@ TEST(HypergraphIo, RoundTrip) {
   h.AddEdge({2, 4, 5, 6}, 2);
   std::stringstream buffer;
   WriteHypergraph(h, buffer);
-  Hypergraph parsed = ReadHypergraph(buffer);
-  EXPECT_EQ(parsed.num_unique_edges(), h.num_unique_edges());
-  EXPECT_EQ(parsed.num_total_edges(), h.num_total_edges());
-  EXPECT_EQ(parsed.Multiplicity({1, 3}), 4u);
-  EXPECT_EQ(parsed.Multiplicity({0, 1, 2}), 1u);
+  StatusOr<Hypergraph> parsed = TryReadHypergraph(buffer);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->num_unique_edges(), h.num_unique_edges());
+  EXPECT_EQ(parsed->num_total_edges(), h.num_total_edges());
+  EXPECT_EQ(parsed->Multiplicity({1, 3}), 4u);
+  EXPECT_EQ(parsed->Multiplicity({0, 1, 2}), 1u);
 }
 
 TEST(HypergraphIo, ParsesCommentsAndBlankLines) {
-  std::stringstream in(
+  StatusOr<Hypergraph> h = ParseHypergraph(
       "# a co-authorship dump\n"
       "\n"
       "0 1 2\n"
       "   \n"
       "3 4 x 5\n");
-  Hypergraph h = ReadHypergraph(in);
-  EXPECT_EQ(h.num_unique_edges(), 2u);
-  EXPECT_EQ(h.Multiplicity({3, 4}), 5u);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h->num_unique_edges(), 2u);
+  EXPECT_EQ(h->Multiplicity({3, 4}), 5u);
 }
 
 TEST(HypergraphIo, SkipsDegenerateEdges) {
-  std::stringstream in("7\n5 5\n0 1\n");
-  Hypergraph h = ReadHypergraph(in);
-  EXPECT_EQ(h.num_unique_edges(), 1u);
-  EXPECT_TRUE(h.Contains({0, 1}));
+  StatusOr<Hypergraph> h = ParseHypergraph("7\n5 5\n0 1\n");
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h->num_unique_edges(), 1u);
+  EXPECT_TRUE(h->Contains({0, 1}));
 }
 
 TEST(HypergraphIo, RejectsBadTokens) {
-  std::stringstream in("0 banana\n");
-  EXPECT_THROW(ReadHypergraph(in), std::invalid_argument);
+  ExpectBadLine(ParseHypergraph("0 banana\n").status(), "line 1");
 }
 
-TEST(HypergraphIo, MissingFileThrows) {
-  EXPECT_THROW(ReadHypergraphFile("/nonexistent/path/h.txt"),
-               std::invalid_argument);
+TEST(HypergraphIo, MissingFileIsNotFound) {
+  EXPECT_EQ(TryReadHypergraphFile("/nonexistent/path/h.txt").status().code(),
+            StatusCode::kNotFound);
+}
+
+// Node id 4294967295 would make the node count `id + 1` wrap to 0, and
+// Project() would abort on its first pair.
+TEST(HypergraphIo, RejectsTheNodeIdWhoseCountWrapsNodeId) {
+  ExpectBadLine(ParseHypergraph("0 1\n4294967295 1\n").status(), "line 2");
+}
+
+// Narrowed to 32 bits, 2^32 would load as node 0, giving {0, 1, 2}.
+TEST(HypergraphIo, RejectsNodeIdsBeyondNodeIdRange) {
+  ExpectBadLine(ParseHypergraph("4294967296 1 2\n").status(), "line 1");
+}
+
+// Narrowed to 32 bits, 2^32 + 1 would load as multiplicity 1.
+TEST(HypergraphIo, RejectsMultiplicitiesBeyondUint32) {
+  ExpectBadLine(ParseHypergraph("1 2 x 4294967297\n").status(), "line 1");
+  ExpectBadLine(ParseHypergraph("1 2 x -1\n").status(), "line 1");
+}
+
+TEST(HypergraphIo, AcceptsTheLargestIdAndMultiplicity) {
+  StatusOr<Hypergraph> h =
+      ParseHypergraph("4294967294 1\n1 2 x 4294967295\n");
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h->num_nodes(), 4294967295u);
+  EXPECT_EQ(h->Multiplicity({1, 2}), 4294967295u);
 }
 
 TEST(ProjectedGraphIo, RoundTrip) {
@@ -61,46 +109,60 @@ TEST(ProjectedGraphIo, RoundTrip) {
   g.AddWeight(2, 3, 7);
   std::stringstream buffer;
   WriteProjectedGraph(g, buffer);
-  ProjectedGraph parsed = ReadProjectedGraph(buffer);
-  EXPECT_EQ(parsed.num_edges(), 3u);
-  EXPECT_EQ(parsed.Weight(0, 1), 3u);
-  EXPECT_EQ(parsed.Weight(2, 3), 7u);
-  EXPECT_EQ(parsed.Weight(1, 4), 1u);
+  StatusOr<ProjectedGraph> parsed = TryReadProjectedGraph(buffer);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->num_edges(), 3u);
+  EXPECT_EQ(parsed->Weight(0, 1), 3u);
+  EXPECT_EQ(parsed->Weight(2, 3), 7u);
+  EXPECT_EQ(parsed->Weight(1, 4), 1u);
 }
 
 TEST(ProjectedGraphIo, DefaultWeightIsOne) {
-  std::stringstream in("0 1\n2 3 9\n");
-  ProjectedGraph g = ReadProjectedGraph(in);
-  EXPECT_EQ(g.Weight(0, 1), 1u);
-  EXPECT_EQ(g.Weight(2, 3), 9u);
+  StatusOr<ProjectedGraph> g = ParseGraph("0 1\n2 3 9\n");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->Weight(0, 1), 1u);
+  EXPECT_EQ(g->Weight(2, 3), 9u);
 }
 
 TEST(ProjectedGraphIo, RejectsSelfLoops) {
-  std::stringstream in("3 3 1\n");
-  EXPECT_THROW(ReadProjectedGraph(in), std::invalid_argument);
+  ExpectBadLine(ParseGraph("3 3 1\n").status(), "line 1");
 }
 
 TEST(ProjectedGraphIo, RejectsWrongArity) {
-  std::stringstream in("1\n");
-  EXPECT_THROW(ReadProjectedGraph(in), std::invalid_argument);
-  std::stringstream in2("1 2 3 4\n");
-  EXPECT_THROW(ReadProjectedGraph(in2), std::invalid_argument);
+  ExpectBadLine(ParseGraph("1\n").status(), "line 1");
+  ExpectBadLine(ParseGraph("1 2 3 4\n").status(), "line 1");
 }
 
 TEST(ProjectedGraphIo, EmptyInputGivesEmptyGraph) {
-  std::stringstream in("# nothing\n");
-  ProjectedGraph g = ReadProjectedGraph(in);
-  EXPECT_EQ(g.num_nodes(), 0u);
-  EXPECT_TRUE(g.Empty());
+  StatusOr<ProjectedGraph> g = ParseGraph("# nothing\n");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->num_nodes(), 0u);
+  EXPECT_TRUE(g->Empty());
+}
+
+// Node id 4294967295 would make the node count wrap to 0, and AddWeight
+// would abort on `u < adj_.size()`.
+TEST(ProjectedGraphIo, RejectsTheNodeIdWhoseCountWrapsNodeId) {
+  ExpectBadLine(ParseGraph("0 1\n4294967295 1 1\n").status(), "line 2");
+}
+
+// A negative weight must not wrap to 4294967295.
+TEST(ProjectedGraphIo, RejectsNegativeAndOversizedWeights) {
+  ExpectBadLine(ParseGraph("0 1 -1\n").status(), "line 1");
+  ExpectBadLine(ParseGraph("0 1 4294967296\n").status(), "line 1");
+  StatusOr<ProjectedGraph> g = ParseGraph("0 1 4294967295\n");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->Weight(0, 1), 4294967295u);
 }
 
 TEST(Io, FileRoundTripThroughTempFile) {
   Hypergraph h;
   h.AddEdge({10, 20, 30}, 2);
   std::string path = testing::TempDir() + "/marioh_io_test.txt";
-  WriteHypergraphFile(h, path);
-  Hypergraph parsed = ReadHypergraphFile(path);
-  EXPECT_EQ(parsed.Multiplicity({10, 20, 30}), 2u);
+  ASSERT_TRUE(TryWriteHypergraphFile(h, path).ok());
+  StatusOr<Hypergraph> parsed = TryReadHypergraphFile(path);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Multiplicity({10, 20, 30}), 2u);
 }
 
 TEST(Io, HypergraphProjectionSurvivesSerialization) {
@@ -110,13 +172,77 @@ TEST(Io, HypergraphProjectionSurvivesSerialization) {
   h.AddEdge({2, 3}, 1);
   std::stringstream buffer;
   WriteHypergraph(h, buffer);
-  Hypergraph parsed = ReadHypergraph(buffer);
+  StatusOr<Hypergraph> parsed = TryReadHypergraph(buffer);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   auto a = h.Project().Edges();
-  auto b = parsed.Project().Edges();
+  auto b = parsed->Project().Edges();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].weight, b[i].weight);
   }
+}
+
+/// Every truncation of `text`, and at every offset all eight single-bit
+/// flips plus seeded random bytes, go through `check`.
+template <typename Check>
+void ForEachMutant(const std::string& text, uint64_t seed, Check check) {
+  for (size_t length = 0; length <= text.size(); ++length) {
+    check(text.substr(0, length));
+  }
+  util::Rng rng(seed);
+  for (size_t offset = 0; offset < text.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = text;
+      mutant[offset] = static_cast<char>(mutant[offset] ^ (1 << bit));
+      check(mutant);
+    }
+    for (int draw = 0; draw < 4; ++draw) {
+      std::string mutant = text;
+      mutant[offset] = static_cast<char>(rng.UniformInt(0, 255));
+      check(mutant);
+    }
+  }
+}
+
+// Seeded mutation tests of both readers: no mutant may crash (the suite
+// runs under ASan+UBSan), every one must come back OK or
+// kInvalidArgument, and an accepted hypergraph must project.
+TEST(HypergraphIo, MutatedFilesNeverCrashAndAcceptedOnesProject) {
+  const std::string text = "# sample\n0 1 2\n1 3 x 4\n\n2 4 5 6 x 2\n";
+  size_t accepted = 0;
+  ForEachMutant(text, 20261017, [&accepted](const std::string& mutant) {
+    StatusOr<Hypergraph> h = ParseHypergraph(mutant);
+    if (!h.ok()) {
+      EXPECT_EQ(h.status().code(), StatusCode::kInvalidArgument)
+          << "mutant '" << mutant << "': " << h.status().ToString();
+      return;
+    }
+    ++accepted;
+    ProjectedGraph g = h->Project();
+    EXPECT_EQ(g.num_nodes(), h->num_nodes()) << "mutant '" << mutant << "'";
+  });
+  // Not vacuous: most mutants still parse.
+  EXPECT_GT(accepted, text.size());
+}
+
+TEST(ProjectedGraphIo, MutatedFilesNeverCrashAndAcceptedOnesAreSane) {
+  const std::string text = "# sample\n0 1 3\n1 4\n\n2 3 7\n";
+  size_t accepted = 0;
+  ForEachMutant(text, 20261018, [&accepted](const std::string& mutant) {
+    StatusOr<ProjectedGraph> g = ParseGraph(mutant);
+    if (!g.ok()) {
+      EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument)
+          << "mutant '" << mutant << "': " << g.status().ToString();
+      return;
+    }
+    ++accepted;
+    for (const ProjectedGraph::Edge& e : g->Edges()) {
+      EXPECT_LT(e.u, e.v) << "mutant '" << mutant << "'";
+      EXPECT_LT(e.v, g->num_nodes()) << "mutant '" << mutant << "'";
+      EXPECT_GT(e.weight, 0u) << "mutant '" << mutant << "'";
+    }
+  });
+  EXPECT_GT(accepted, text.size());
 }
 
 }  // namespace

@@ -154,21 +154,17 @@ TEST(Gemm, HonorsRowStridesOfBAndC) {
   }
 }
 
-TEST(Matrix, ScaleAndFrobenius) {
+TEST(Matrix, Scale) {
   Matrix a(1, 2);
   a(0, 0) = 3; a(0, 1) = 4;
-  EXPECT_DOUBLE_EQ(a.FrobeniusNorm(), 5.0);
   a.Scale(2.0);
-  EXPECT_DOUBLE_EQ(a.FrobeniusNorm(), 10.0);
+  EXPECT_DOUBLE_EQ(a(0, 0), 6.0);
+  EXPECT_DOUBLE_EQ(a(0, 1), 8.0);
 }
 
-TEST(VectorOps, DotNormAxpyDistance) {
+TEST(VectorOps, SquaredDistance) {
   Vector a{1, 2, 3};
   Vector b{4, 5, 6};
-  EXPECT_DOUBLE_EQ(Dot(a, b), 32.0);
-  EXPECT_DOUBLE_EQ(Norm({3, 4}), 5.0);
-  Vector c = Axpy(a, 2.0, b);
-  EXPECT_DOUBLE_EQ(c[0], 9.0);
   EXPECT_DOUBLE_EQ(SquaredDistance(a, b), 27.0);
 }
 

@@ -117,7 +117,8 @@ TEST(BidirectionalSearch, AcceptsObviousCliqueAtLowTheta) {
   options.theta = 0.0;  // accept everything above score 0
   util::Rng search_rng(9);
   BidirectionalStats stats =
-      BidirectionalSearch(&g, classifier, options, &search_rng, &h);
+      BidirectionalSearch(&g, CsrGraph(g), classifier, options,
+                          &search_rng, &h);
   EXPECT_GT(stats.maximal_cliques, 0u);
   EXPECT_GT(stats.accepted_phase1, 0u);
   EXPECT_GT(h.num_total_edges(), 0u);
@@ -136,7 +137,8 @@ TEST(BidirectionalSearch, Phase2DisabledReproducesMariohB) {
   options.explore_subcliques = false;
   util::Rng search_rng(12);
   BidirectionalStats stats =
-      BidirectionalSearch(&g, classifier, options, &search_rng, &h);
+      BidirectionalSearch(&g, CsrGraph(g), classifier, options,
+                          &search_rng, &h);
   EXPECT_EQ(stats.subcliques_scored, 0u);
   EXPECT_EQ(stats.accepted_phase2, 0u);
 }

@@ -12,6 +12,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/marioh.hpp"
@@ -30,7 +31,7 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (int threads : {1, 2, 4, 0}) {
     std::vector<std::atomic<int>> hits(257);
     for (auto& h : hits) h = 0;
-    ParallelFor(hits.size(), threads, [&](size_t i) { hits[i]++; });
+    ParallelFor(hits.size(), threads, nullptr, [&](size_t i) { hits[i]++; });
     for (size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads "
                                    << threads;
@@ -40,9 +41,9 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelFor, EmptyAndSingleElement) {
   int count = 0;
-  ParallelFor(0, 4, [&](size_t) { ++count; });
+  ParallelFor(0, 4, nullptr, [&](size_t) { ++count; });
   EXPECT_EQ(count, 0);
-  ParallelFor(1, 4, [&](size_t) { ++count; });
+  ParallelFor(1, 4, nullptr, [&](size_t) { ++count; });
   EXPECT_EQ(count, 1);
 }
 
@@ -52,9 +53,40 @@ TEST(ParallelFor, ResultsMatchSequential) {
   auto work = [](size_t i) {
     return std::sin(static_cast<double>(i)) * std::sqrt(i + 1.0);
   };
-  ParallelFor(n, 1, [&](size_t i) { seq[i] = work(i); });
-  ParallelFor(n, 4, [&](size_t i) { par[i] = work(i); });
+  ParallelFor(n, 1, nullptr, [&](size_t i) { seq[i] = work(i); });
+  ParallelFor(n, 4, nullptr, [&](size_t i) { par[i] = work(i); });
   EXPECT_EQ(seq, par);
+}
+
+// The static block partition is a contract: clique truncation's
+// per-range early exit depends on it. Ranges tile [0, n) in index order,
+// range r is numbered r, and their count is RangeCount's.
+TEST(ParallelForRanges, RangesTileTheIndexSpaceInOrder) {
+  for (size_t n : {0, 1, 2, 7, 100}) {
+    for (int threads : {0, 1, 2, 3, 8}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      const size_t count = RangeCount(n, threads);
+      std::vector<std::pair<size_t, size_t>> ranges(
+          count, {size_t{1}, size_t{0}});  // empty-and-inverted = unseen
+      std::atomic<size_t> calls{0};
+      ParallelForRanges(
+          n, threads, [&](size_t range, size_t begin, size_t end) {
+            ++calls;
+            ASSERT_LT(range, count);
+            ranges[range] = {begin, end};
+          });
+      EXPECT_EQ(calls.load(), count);
+      EXPECT_LE(count, static_cast<size_t>(ResolveThreads(threads)));
+      size_t next = 0;
+      for (const auto& [begin, end] : ranges) {
+        EXPECT_EQ(begin, next);
+        EXPECT_LT(begin, end);
+        next = end;
+      }
+      EXPECT_EQ(next, n);
+    }
+  }
 }
 
 TEST(CancelToken, CancelAndDeadlineSetReasonOnce) {
@@ -112,7 +144,7 @@ TEST(ParallelFor, UntrippedTokenLeavesResultsIdentical) {
     return std::sin(static_cast<double>(i)) * std::sqrt(i + 1.0);
   };
   std::vector<double> plain(n);
-  ParallelFor(n, 2, [&](size_t i) { plain[i] = work(i); });
+  for (size_t i = 0; i < n; ++i) plain[i] = work(i);
 
   CancelToken token;  // never tripped
   for (int threads : {1, 2, 8}) {
@@ -120,7 +152,7 @@ TEST(ParallelFor, UntrippedTokenLeavesResultsIdentical) {
     ParallelFor(n, threads, &token, [&](size_t i) { gated[i] = work(i); });
     EXPECT_EQ(gated, plain) << "threads " << threads;
   }
-  // A null token is the plain overload.
+  // A null token never stops.
   std::vector<double> null_token(n);
   ParallelFor(n, 2, nullptr, [&](size_t i) { null_token[i] = work(i); });
   EXPECT_EQ(null_token, plain);

@@ -86,17 +86,6 @@ TEST(Rng, DiscreteRespectsZeroWeights) {
   }
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(21);
-  Rng child = a.Fork();
-  // The fork must be deterministic too.
-  Rng b(21);
-  Rng child2 = b.Fork();
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(child.UniformInt(0, 1 << 20), child2.UniformInt(0, 1 << 20));
-  }
-}
-
 TEST(Aggregate5, EmptyGivesZeros) {
   EXPECT_EQ(Aggregate5({}), (std::vector<double>{0, 0, 0, 0, 0}));
 }

@@ -19,7 +19,12 @@ plus deliberate protocol errors), then SIGTERMs it and asserts:
   * the same partition holds *live*, scraped from the `metrics` verb
     mid-run while worker connections are still submitting — the
     registry's collection hooks publish mutex-coherent snapshots, so
-    the invariant is exact at any instant, not just at quiescence.
+    the invariant is exact at any instant, not just at quiescence,
+  * hostile input fails the request, not the daemon: before the
+    traffic starts, the seeder loads an `.eg` file holding node id
+    4294967295 (must answer `error INVALID_ARGUMENT`) and a comment-only
+    `.hg` file (loads fine), then submits a MARIOH job that trains on
+    the empty one (must end `state=FAILED status=INVALID_ARGUMENT`).
 
 Usage: net_soak.py /path/to/marioh_served [metrics.json]
 
@@ -27,9 +32,11 @@ Exit status 0 on success; nonzero with a diagnostic on any failure.
 No dependencies beyond the Python 3 standard library.
 """
 
+import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 
 from soak_client import (Client, assert_partition, fail, load_metrics_json,
@@ -71,6 +78,33 @@ def drive_connection(port, index, errors):
         errors.append("connection %d: %r" % (index, exc))
 
 
+def check_hostile_input(client, scratch):
+    """Out-of-range and empty input files must fail their own request and
+    leave the daemon serving."""
+    wrapping_graph = os.path.join(scratch, "wrapping.eg")
+    with open(wrapping_graph, "w") as f:
+        f.write("0 1 1\n4294967295 1 1\n")
+    reply = client.request("load graph hostile.wrap " + wrapping_graph)
+    if not reply.startswith("error INVALID_ARGUMENT"):
+        fail("node id 4294967295 not rejected: %r" % reply)
+
+    empty_source = os.path.join(scratch, "empty.hg")
+    with open(empty_source, "w") as f:
+        f.write("# no hyperedges\n")
+    reply = client.request("load hypergraph hostile.empty " + empty_source)
+    if not reply.startswith("ok "):
+        fail("comment-only hypergraph not loaded: %r" % reply)
+    reply = client.request(
+        "submit method=MARIOH train=hostile.empty target=soak.target")
+    if not reply.startswith("ok job "):
+        fail("submit on the empty source rejected: %r" % reply)
+    job_id = reply.split()[2]
+    reply = client.request("wait " + job_id)
+    if "state=FAILED" not in reply or "status=INVALID_ARGUMENT" not in reply:
+        fail("training on an empty source did not fail cleanly: %r" % reply)
+    print("net_soak: hostile input answered with errors, daemon serving")
+
+
 def main():
     if len(sys.argv) < 2:
         fail("usage: net_soak.py /path/to/marioh_served [metrics.json]")
@@ -91,6 +125,9 @@ def main():
         reply = seeder.request("gen soak crime 42")
         if not reply.startswith("ok generated"):
             fail("gen failed: %r" % reply)
+
+        with tempfile.TemporaryDirectory() as scratch:
+            check_hostile_input(seeder, scratch)
 
         errors = []
         threads = [threading.Thread(target=drive_connection,
