@@ -648,6 +648,12 @@ void Service::FinishLocked(Job& job, JobState state, Status status) {
                            /*terminal=*/true);
   }
   job_done_.notify_all();
+  if (on_finish_) on_finish_(job.id);
+}
+
+void Service::set_on_finish(std::function<void(JobId)> on_finish) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  on_finish_ = std::move(on_finish);
 }
 
 void Service::WatchdogTickLocked(

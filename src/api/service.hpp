@@ -14,6 +14,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -272,6 +273,14 @@ class Service {
   /// Current service counters.
   ServiceStats stats() const;
 
+  /// Installs the one completion observer (nullptr clears it), called
+  /// with the job id exactly once per job, at its terminal transition
+  /// (a retry re-queue is not one). It runs on the finishing thread with
+  /// `mutex_` held, so it must not call back into the Service, only hand
+  /// the id on; lock order is `mutex_` → the observer's lock, never the
+  /// reverse. Once this returns, no call to the old observer is in flight.
+  void set_on_finish(std::function<void(JobId)> on_finish);
+
   const std::shared_ptr<DatasetCache>& cache() const { return cache_; }
 
   /// Whether construction-time recovery succeeded. A constructor cannot
@@ -332,7 +341,8 @@ class Service {
   /// The one terminal transition: sets `state` (terminal) and `status`,
   /// stamps finish_seq/finished_at, bumps the matching terminal total,
   /// journals `terminal <STATE>` (except for a shutdown cancel, which
-  /// stays open for the next life to re-admit) and wakes Wait()ers.
+  /// stays open for the next life to re-admit), wakes Wait()ers and
+  /// calls the completion observer.
   /// Site-specific bookkeeping stays with the caller. Requires `mutex_`.
   void FinishLocked(Job& job, JobState state, Status status);
   /// Snapshot of `job` under `mutex_`.
@@ -368,6 +378,8 @@ class Service {
 
   mutable std::mutex mutex_;
   std::condition_variable job_done_;  ///< Wait blocks here
+  /// The completion observer (see set_on_finish); guarded by mutex_.
+  std::function<void(JobId)> on_finish_;
   std::map<JobId, std::shared_ptr<Job>> jobs_;
   JobId next_id_ = 1;
   /// Next value of JobSnapshot::finish_seq, assigned at every terminal

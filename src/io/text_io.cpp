@@ -91,6 +91,12 @@ StatusOr<Hypergraph> TryReadHypergraph(std::istream& in) {
       if (!id.ok()) return id.status();
       edge.push_back(*id);
     }
+    Canonicalize(&edge);
+    if (h.Multiplicity(edge) > kMaxCount - multiplicity) {
+      return BadLine(line_number, "multiplicity of this hyperedge exceeds " +
+                                      std::to_string(kMaxCount) +
+                                      " after summing repeated lines");
+    }
     h.AddEdge(std::move(edge), multiplicity);
   }
   return h;
@@ -141,6 +147,7 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
     NodeId u;
     NodeId v;
     uint32_t w;
+    size_t line_number;
   };
   std::vector<Row> rows;
   NodeId max_node = 0;
@@ -160,7 +167,7 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
     StatusOr<uint32_t> v =
         ParseBounded(parts[1], kMaxNodeId, "node id", line_number);
     if (!v.ok()) return v.status();
-    Row row{*u, *v, 1};
+    Row row{*u, *v, 1, line_number};
     if (parts.size() == 3) {
       StatusOr<uint32_t> w =
           ParseBounded(parts[2], kMaxCount, "weight", line_number);
@@ -172,7 +179,17 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
     rows.push_back(row);
   }
   ProjectedGraph g(rows.empty() ? 0 : max_node + 1);
-  for (const Row& row : rows) g.AddWeight(row.u, row.v, row.w);
+  for (const Row& row : rows) {
+    if (g.Weight(row.u, row.v) > kMaxCount - row.w) {
+      NodePair pair = MakePair(row.u, row.v);
+      return BadLine(row.line_number,
+                     "weight of pair (" + std::to_string(pair.first) + ", " +
+                         std::to_string(pair.second) + ") exceeds " +
+                         std::to_string(kMaxCount) +
+                         " after summing repeated lines");
+    }
+    g.AddWeight(row.u, row.v, row.w);
+  }
   return g;
 }
 

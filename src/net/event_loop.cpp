@@ -72,15 +72,26 @@ void EventLoop::set_tick(std::chrono::milliseconds period,
 
 void EventLoop::Stop() {
   stop_.store(true, std::memory_order_release);
+  Wakeup();
+}
+
+void EventLoop::Post(std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> lock(post_mutex_);
+    posted_.push_back(std::move(fn));
+  }
+  // After the push: the loop drains the pipe before it swaps the queue
+  // out, so this byte either finds the closure already swapped (a
+  // harmless spurious wakeup) or wakes the poll that will.
+  Wakeup();
+}
+
+void EventLoop::Wakeup() {
   if (wake_write_ >= 0) {
-    // Async-signal-safe wakeup; a full pipe already wakes the loop.
+    // Async-signal-safe; a full pipe already wakes the loop.
     char byte = 0;
     [[maybe_unused]] ssize_t n = ::write(wake_write_, &byte, 1);
   }
-}
-
-bool EventLoop::stopped() const {
-  return stop_.load(std::memory_order_acquire);
 }
 
 void EventLoop::WakeupDrain() {
@@ -89,10 +100,20 @@ void EventLoop::WakeupDrain() {
   }
 }
 
+void EventLoop::RunPosted() {
+  std::vector<std::function<void()>> batch;
+  {
+    std::lock_guard<std::mutex> lock(post_mutex_);
+    batch.swap(posted_);
+  }
+  // Unlocked: a closure may Post again (it lands in the next batch).
+  for (std::function<void()>& fn : batch) fn();
+}
+
 void EventLoop::Run() {
   using clock = std::chrono::steady_clock;
   auto next_tick = clock::now() + tick_interval_;
-  while (!stopped()) {
+  while (!stop_.load(std::memory_order_acquire)) {
     auto now = clock::now();
     if (now >= next_tick) {
       if (tick_) tick_();
@@ -158,8 +179,11 @@ void EventLoop::Run() {
       Callback callback = it->second.callback;
       callback(r.mask);
     }
+    RunPosted();
   }
-  if (tick_) tick_();  // final tick so shutdown work runs on the loop
+  // Closures posted before Stop() still run — for TcpServer, the wait
+  // resolve of a job that finished just before shutdown.
+  RunPosted();
 }
 
 }  // namespace marioh::net

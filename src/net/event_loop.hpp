@@ -6,11 +6,14 @@
 /// ready until its callback consumes the condition.
 ///
 /// Threading model: Add/Modify/Remove/Run and all callbacks happen on the
-/// loop thread; the only cross-thread (and async-signal-safe) entry point
-/// is `Stop()`, which wakes the loop through a self-pipe. This keeps every
-/// connection data structure single-threaded by construction — the
-/// concurrency boundary is the `api::Service` the callbacks talk to, which
-/// is internally synchronized.
+/// loop thread. There are two cross-thread entry points, both waking the
+/// loop through one self-pipe: `Stop()` (lock-free, async-signal-safe)
+/// and `Post(fn)`, which hands a closure to the loop thread (it takes a
+/// mutex, so it is *not* signal-safe). This keeps every connection data
+/// structure single-threaded by construction — the concurrency boundary
+/// is the `api::Service` the callbacks talk to, which is internally
+/// synchronized, and the post queue, which is how the Service's worker
+/// threads tell the loop that a job finished.
 
 #pragma once
 
@@ -19,6 +22,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
+#include <vector>
 
 #include "api/status.hpp"
 
@@ -53,19 +58,24 @@ class EventLoop {
   api::Status Remove(int fd);
 
   /// Installs a periodic callback invoked on the loop thread roughly
-  /// every `period` even when no fd is ready — the driver for deferred
-  /// waits, TTL retirement, and shutdown-flag checks.
+  /// every `period` even when no fd is ready — the driver for TTL
+  /// retirement and shutdown-flag checks.
   void set_tick(std::chrono::milliseconds period, std::function<void()> tick);
 
-  /// Dispatches events until Stop(). Runs the tick at least once before
-  /// returning.
+  /// Dispatches events until Stop().
   void Run();
 
   /// Requests the loop to exit; callable from any thread and from signal
   /// handlers (atomic store + pipe write only). Idempotent.
   void Stop();
 
-  bool stopped() const;
+  /// Queues `fn` to run on the loop thread; callable from any thread,
+  /// but not from a signal handler (it locks a mutex and allocates).
+  /// Closures run in FIFO order, after the fd callbacks of the loop
+  /// iteration that sees them; Run drains the queue once more after
+  /// Stop() before it returns. Closures posted after Run returned are
+  /// destroyed with the loop without running.
+  void Post(std::function<void()> fn);
 
  private:
   struct Registration {
@@ -76,9 +86,13 @@ class EventLoop {
     uint64_t generation = 0;
   };
 
+  /// Writes one byte to the self-pipe (async-signal-safe).
+  void Wakeup();
   void WakeupDrain();
+  /// Runs the closures queued by Post so far, on the loop thread.
+  void RunPosted();
 
-  int wake_read_ = -1;  ///< self-pipe: Stop() writes, the loop drains
+  int wake_read_ = -1;  ///< self-pipe: Stop()/Post() write, the loop drains
   int wake_write_ = -1;
   std::map<int, Registration> fds_;
   uint64_t generation_ = 0;
@@ -86,6 +100,8 @@ class EventLoop {
   std::function<void()> tick_;
   /// Lock-free so Stop() stays async-signal-safe.
   std::atomic<bool> stop_{false};
+  std::mutex post_mutex_;
+  std::vector<std::function<void()>> posted_;  ///< guarded by post_mutex_
 };
 
 }  // namespace marioh::net

@@ -9,7 +9,8 @@
 /// blocking verb, `wait`, is returned to the caller as a *deferred* result
 /// (`Result::wait_for`) so each front end can implement it with its own
 /// idiom — the stdin loop blocks in `Service::Wait`, the event-loop TCP
-/// server parks the connection and polls from its tick, keeping every
+/// server parks the connection and answers the wait when the Service's
+/// completion observer posts the job's id to the loop, keeping every
 /// other client live.
 
 #pragma once

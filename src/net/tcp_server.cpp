@@ -19,7 +19,7 @@ namespace marioh::net {
 
 namespace {
 
-/// Loop tick period: deferred-wait resolution + TTL retirement cadence.
+/// Loop tick period: the TTL retirement cadence.
 constexpr std::chrono::milliseconds kTickPeriod{20};
 
 api::Status Errno(const std::string& what) {
@@ -57,6 +57,10 @@ TcpServer::TcpServer(EventLoop* loop, api::DatasetCache* cache,
     : loop_(loop), cache_(cache), service_(service), options_(options) {}
 
 TcpServer::~TcpServer() {
+  // First: the Service outlives the server, and its shutdown cancels
+  // still finish jobs. set_on_finish blocks out an in-flight observer
+  // call, so after this line no worker posts a resolve naming `this`.
+  service_->set_on_finish(nullptr);
   // Blocks out any in-flight Collect() before the counters the hook
   // reads are torn down.
   if (metrics_hook_ != 0) {
@@ -97,7 +101,13 @@ api::Status TcpServer::Start() {
 
   MARIOH_RETURN_IF_ERROR(loop_->Add(
       listen_fd_, EventLoop::kRead, [this](uint32_t) { OnAcceptable(); }));
-  loop_->set_tick(kTickPeriod, [this] { Tick(); });
+  loop_->set_tick(kTickPeriod, [this] { service_->RetireExpired(); });
+  // Every terminal transition wakes the loop, which then answers exactly
+  // the waits parked on that job. The observer runs on a worker under
+  // the Service's mutex, so it only enqueues.
+  service_->set_on_finish([this](api::JobId id) {
+    loop_->Post([this, id] { ResolveWaits(id); });
+  });
   // Publish connection counters through the registry: the metrics
   // endpoint and --metrics-json read the same series.
   metrics_hook_ = obs::MetricRegistry::Global().AddCollectionHook([this] {
@@ -355,22 +365,25 @@ void TcpServer::CloseConnection(int fd) {
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void TcpServer::Tick() {
-  service_->RetireExpired();
-  // Resolve parked waits. Collect fds first: queueing a response can
-  // close a connection (slow reader), which mutates the map.
+void TcpServer::ResolveWaits(api::JobId id) {
+  // No lost wakeup: LineProtocol's terminal check and the park both run
+  // on this thread, inside one callback. A job that turns terminal after
+  // the check posts this resolve only then, and posted closures run
+  // after the callback returns, so the resolve always finds the park.
+  // Collect fds first: queueing a response can close a connection (slow
+  // reader), which mutates the map.
   std::vector<int> waiting;
   for (const auto& [fd, conn] : connections_) {
-    if (conn->pending_wait.has_value()) waiting.push_back(fd);
+    if (conn->pending_wait == id) waiting.push_back(fd);
   }
   for (int fd : waiting) {
     auto it = connections_.find(fd);
     if (it == connections_.end()) continue;
     Connection& conn = *it->second;
-    api::StatusOr<api::JobSnapshot> job =
-        service_->Poll(*conn.pending_wait);
-    if (job.ok() && !job->terminal()) continue;  // still running
     conn.pending_wait.reset();
+    // A job retired between its finish and this resolve (TTL, or a
+    // `forget` from another connection) answers kNotFound.
+    api::StatusOr<api::JobSnapshot> job = service_->Poll(id);
     std::string response = job.ok()
                                ? conn.protocol.FormatJob(*job)
                                : LineProtocol::FormatError(job.status());

@@ -15,15 +15,18 @@
 ///    per connection and drain on write readiness; a reader too slow to
 ///    keep its buffer under the cap is disconnected;
 ///  - deferred waits: `wait <id>` parks the connection (read interest
-///    paused, so TCP flow control pushes back on the sender) and the
-///    20 ms loop tick resolves it via `Service::Poll` — no loop thread
-///    ever blocks on a job;
-///  - the tick also calls `Service::RetireExpired`, so TTL retirement
-///    runs even when no request arrives.
+///    paused, so TCP flow control pushes back on the sender) and no loop
+///    thread ever blocks on a job. The server installs the Service's
+///    completion observer, which posts the finished job's id to the
+///    loop (`EventLoop::Post`); the loop then answers exactly the waits
+///    parked on that job, as soon as it finishes;
+///  - a 20 ms loop tick calls `Service::RetireExpired`, so TTL
+///    retirement runs even when no request arrives.
 ///
-/// Threading: everything except `stats()` runs on the loop thread.
-/// `Start()` must be called before the loop runs; the destructor must
-/// run after `EventLoop::Run` has returned (or on the loop thread).
+/// Threading: everything except `stats()` and the completion observer
+/// (which only posts) runs on the loop thread. `Start()` must be called
+/// before the loop runs; the destructor must run after `EventLoop::Run`
+/// has returned (or on the loop thread) and before the Service dies.
 
 #pragma once
 
@@ -74,7 +77,8 @@ struct NetStatsSnapshot {
 class TcpServer {
  public:
   /// All pointers must outlive the server. The server owns the loop's
-  /// tick slot (see class comment).
+  /// tick slot and the Service's completion observer (see class
+  /// comment); the destructor clears the observer.
   TcpServer(EventLoop* loop, api::DatasetCache* cache,
             api::Service* service, TcpServerOptions options = {});
   ~TcpServer();
@@ -99,7 +103,7 @@ class TcpServer {
     std::string input;   ///< bytes read, not yet consumed as lines
     std::string output;  ///< bytes queued, not yet written
     /// Set while a `wait` is parked; read interest is off until the job
-    /// turns terminal (or disappears).
+    /// turns terminal.
     std::optional<api::JobId> pending_wait;
     /// A too-long line is being skipped until its newline arrives.
     bool discarding = false;
@@ -122,7 +126,9 @@ class TcpServer {
   bool FlushOutput(Connection& conn);
   void UpdateInterest(Connection& conn);
   void CloseConnection(int fd);
-  void Tick();
+  /// Answers every wait parked on `id`, which just turned terminal. Runs
+  /// on the loop thread, posted by the Service's completion observer.
+  void ResolveWaits(api::JobId id);
 
   EventLoop* loop_;
   api::DatasetCache* cache_;

@@ -11,7 +11,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -666,6 +669,133 @@ TEST(Service, ForgetRetiresTerminalJobsOnly) {
     ASSERT_TRUE(busy.Wait(*second).ok());
   }
   ASSERT_TRUE(busy.Wait(*first).ok());
+}
+
+/// Records completion-observer calls per job id. Outlives the Service it
+/// observes, so the shutdown cancels land here too.
+class FinishRecorder {
+ public:
+  std::function<void(JobId)> Observer() {
+    return [this](JobId id) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++calls_[id];
+    };
+  }
+  int Calls(JobId id) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = calls_.find(id);
+    return it == calls_.end() ? 0 : it->second;
+  }
+  std::map<JobId, int> All() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<JobId, int> calls_;
+};
+
+/// Clears every failpoint on scope exit, so a failed assertion cannot
+/// leak a wedge into later tests.
+struct FailPointsCleared {
+  ~FailPointsCleared() { util::FailPoints::Clear(); }
+};
+
+// The completion observer fires exactly once per terminal transition, on
+// every path into FinishLocked — done, failed, hard deadline, cancelled
+// while running, cancelled while queued, and the shutdown cancels of both
+// a queued and a running job — and never for a retry re-queue.
+TEST(Service, CompletionObserverFiresOncePerTerminalTransition) {
+  eval::PreparedDataset data = SmallDataset();
+  FinishRecorder recorder;
+  FailPointsCleared cleared;
+  std::vector<JobId> ids;
+  {
+    ServiceOptions options;
+    options.num_workers = 1;
+    Service service(CacheWithCrime(data), options);
+    service.set_on_finish(recorder.Observer());
+    ReconstructRequest request;
+    request.method = "MaxClique";
+    request.target_dataset = "crime.target";
+    auto submit = [&service, &ids](const ReconstructRequest& r) {
+      StatusOr<JobId> id = service.Submit(r);
+      EXPECT_TRUE(id.ok()) << id.status().ToString();
+      ids.push_back(id.ok() ? *id : 0);
+      return ids.back();
+    };
+    // Wait returns after the terminal transition, observer included.
+    auto finish = [&service, &recorder](JobId id, JobState state) {
+      StatusOr<JobSnapshot> job = service.Wait(id);
+      ASSERT_TRUE(job.ok());
+      EXPECT_EQ(job->state, state) << job->status.ToString();
+      EXPECT_EQ(recorder.Calls(id), 1) << "job " << id;
+    };
+
+    finish(submit(request), JobState::kDone);
+
+    ASSERT_TRUE(util::FailPoints::Configure("session.reconstruct",
+                                            "error|count=1"));
+    finish(submit(request), JobState::kFailed);
+
+    // The first attempt fails and re-queues; only the second, terminal
+    // one reaches the observer.
+    ASSERT_TRUE(util::FailPoints::Configure("session.reconstruct",
+                                            "error|count=1"));
+    ReconstructRequest retried = request;
+    retried.retry.max_attempts = 2;
+    retried.retry.initial_backoff_seconds = 0.01;
+    finish(submit(retried), JobState::kDone);
+    EXPECT_EQ(service.stats().jobs_retried, 1u);
+
+    ReconstructRequest doomed = request;
+    doomed.method = "MARIOH";
+    doomed.train_dataset = "crime.train";
+    doomed.deadline_seconds = 0.0;
+    finish(submit(doomed), JobState::kDeadlineExceeded);
+
+    // From here on every job wedges at its reconstruct stage until its
+    // token trips, so each cancel below finds the state it names.
+    ASSERT_TRUE(
+        util::FailPoints::Configure("session.reconstruct", "delay:60000"));
+    JobId running = submit(request);
+    ASSERT_TRUE(WaitUntilRunning(service, running));
+    ASSERT_TRUE(service.Cancel(running).ok());
+    finish(running, JobState::kCancelled);
+
+    JobId blocker = submit(request);
+    ASSERT_TRUE(WaitUntilRunning(service, blocker));
+    JobId queued = submit(request);
+    ASSERT_TRUE(service.Cancel(queued).ok());
+    finish(queued, JobState::kCancelled);
+
+    // Left for the destructor: `blocker` running, one more queued.
+    submit(request);
+    EXPECT_EQ(recorder.Calls(blocker), 0);
+  }
+  std::map<JobId, int> calls = recorder.All();
+  EXPECT_EQ(calls.size(), ids.size());
+  for (JobId id : ids) EXPECT_EQ(calls[id], 1) << "job " << id;
+}
+
+// set_on_finish(nullptr) detaches the observer: later terminal
+// transitions, shutdown cancels included, no longer reach it.
+TEST(Service, ClearedCompletionObserverIsNotCalled) {
+  eval::PreparedDataset data = SmallDataset();
+  FinishRecorder recorder;
+  {
+    Service service(CacheWithCrime(data));
+    service.set_on_finish(recorder.Observer());
+    service.set_on_finish(nullptr);
+    ReconstructRequest request;
+    request.method = "MaxClique";
+    request.target_dataset = "crime.target";
+    StatusOr<JobId> id = service.Submit(request);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(service.Wait(*id).ok());
+  }
+  EXPECT_TRUE(recorder.All().empty());
 }
 
 // Pin-aware LRU: under a byte budget the cache evicts the least recently

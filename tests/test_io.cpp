@@ -102,6 +102,22 @@ TEST(HypergraphIo, AcceptsTheLargestIdAndMultiplicity) {
   EXPECT_EQ(h->Multiplicity({1, 2}), 4294967295u);
 }
 
+// Repeated hyperedges sum their multiplicities; summed in 32 bits,
+// 4294967295 + 1 would load as multiplicity 0.
+TEST(HypergraphIo, RejectsMultiplicitiesThatOverflowWhenSummed) {
+  api::Status status =
+      ParseHypergraph("1 2 x 4294967295\n3 4\n2 1\n").status();
+  ExpectBadLine(status, "line 3");
+  EXPECT_NE(status.message().find("multiplicity of this hyperedge exceeds "
+                                  "4294967295 after summing repeated lines"),
+            std::string::npos)
+      << status.ToString();
+  StatusOr<Hypergraph> h =
+      ParseHypergraph("1 2 x 4294967294\n2 1 2\n");
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h->Multiplicity({1, 2}), 4294967295u);
+}
+
 TEST(ProjectedGraphIo, RoundTrip) {
   ProjectedGraph g(5);
   g.AddWeight(0, 1, 3);
@@ -153,6 +169,22 @@ TEST(ProjectedGraphIo, RejectsNegativeAndOversizedWeights) {
   StatusOr<ProjectedGraph> g = ParseGraph("0 1 4294967295\n");
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   EXPECT_EQ(g->Weight(0, 1), 4294967295u);
+}
+
+// Repeated lines for one pair sum their weights; summed in 32 bits,
+// `0 1 4294967295` then `0 1 1` would load as weight 0.
+TEST(ProjectedGraphIo, RejectsWeightsThatOverflowWhenSummed) {
+  api::Status status =
+      ParseGraph("0 1 4294967295\n2 3\n1 0 1\n").status();
+  ExpectBadLine(status, "line 3");
+  EXPECT_NE(status.message().find("weight of pair (0, 1) exceeds "
+                                  "4294967295 after summing repeated lines"),
+            std::string::npos)
+      << status.ToString();
+  StatusOr<ProjectedGraph> g = ParseGraph("0 1 4294967294\n1 0\n");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->Weight(0, 1), 4294967295u);
+  EXPECT_EQ(g->num_edges(), 1u);
 }
 
 TEST(Io, FileRoundTripThroughTempFile) {

@@ -6,7 +6,9 @@
 // through Session. On top of that: admission control answers
 // RESOURCE_EXHAUSTED at the configured caps, slow readers are
 // disconnected by write-side backpressure, and malformed or oversized
-// frames never kill the event loop.
+// frames never kill the event loop. Parked `wait`s are answered by the
+// Service's completion observer posting to the loop (there is no tick
+// sweep), so every wait-based test here exercises that posted path.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +21,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "eval/harness.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_server.hpp"
+#include "util/failpoint.hpp"
 
 namespace marioh::net {
 namespace {
@@ -78,6 +83,8 @@ class ServerFixture {
   }
 
   uint16_t port() const { return server_->port(); }
+  DatasetCache& cache() { return *cache_; }
+  EventLoop& loop() { return loop_; }
   Service& service() { return *service_; }
   const TcpServer& server() const { return *server_; }
   std::thread& loop_thread() { return loop_thread_; }
@@ -443,6 +450,240 @@ TEST(NetServer, EventLoopSurvivesEintrDuringRun) {
   }  // the fixture's Stop/join also proves Run still exits cleanly
 
   ::sigaction(SIGUSR1, &previous, nullptr);
+}
+
+/// Clears every failpoint on scope exit, so a failed assertion cannot
+/// leak a wedge into later tests.
+struct FailPointsCleared {
+  ~FailPointsCleared() { util::FailPoints::Clear(); }
+};
+
+/// Polls until the server has handled `lines` request lines in total.
+bool WaitForLinesServed(const TcpServer& server, uint64_t lines) {
+  for (int i = 0; i < 12000; ++i) {
+    if (server.stats().lines_served >= lines) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+// Post is the loop's cross-thread entry: closures posted from another
+// thread run on the loop thread, in the order they were posted.
+TEST(EventLoop, PostFromAnotherThreadRunsOnTheLoopInFifoOrder) {
+  constexpr int kPosts = 1000;
+  EventLoop loop;
+  std::thread::id loop_id;
+  std::vector<int> order;
+  std::vector<std::thread::id> ran_on;
+  std::thread loop_thread([&] {
+    loop_id = std::this_thread::get_id();
+    loop.Run();
+  });
+  std::thread poster([&] {
+    for (int i = 0; i < kPosts; ++i) {
+      loop.Post([&order, &ran_on, i] {
+        order.push_back(i);
+        ran_on.push_back(std::this_thread::get_id());
+      });
+    }
+    loop.Post([&loop] { loop.Stop(); });
+  });
+  poster.join();
+  loop_thread.join();
+  ASSERT_EQ(order.size(), static_cast<size_t>(kPosts));
+  for (int i = 0; i < kPosts; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+    EXPECT_EQ(ran_on[static_cast<size_t>(i)], loop_id);
+  }
+}
+
+// Stop() does not strand the queue: a closure posted before it runs
+// before Run returns, even when the loop sees the stop first.
+TEST(EventLoop, ClosurePostedBeforeStopRunsBeforeRunReturns) {
+  EventLoop loop;
+  bool ran = false;
+  loop.Post([&ran] { ran = true; });
+  loop.Stop();
+  loop.Run();
+  EXPECT_TRUE(ran);
+}
+
+// A job that finishes just before shutdown still answers the wait parked
+// on it: the loop is held inside a posted closure while the job turns
+// terminal (queueing its resolve) and Stop() arrives, so the loop sees
+// the stop before the resolve.
+TEST(NetServer, WaitOfAJobFinishedJustBeforeStopGetsItsTerminalLine) {
+  FailPointsCleared cleared;
+  eval::PreparedDataset data = SmallDataset();
+  auto fixture = std::make_unique<ServerFixture>(data, ServiceOptions{},
+                                                 TcpServerOptions{});
+  Client client(fixture->port());
+  ASSERT_TRUE(client.connected());
+  client.ReadLine();
+  ASSERT_TRUE(
+      util::FailPoints::Configure("session.reconstruct", "delay:60000"));
+  JobId id = ParseJobId(
+      client.Roundtrip("submit method=MaxClique target=crime.target"));
+  ASSERT_NE(id, 0u);
+  ASSERT_TRUE(client.Send("wait " + std::to_string(id)));
+  ASSERT_TRUE(WaitForLinesServed(fixture->server(), 2));
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  fixture->loop().Post([&entered, gate] {
+    entered.set_value();
+    gate.wait();
+  });
+  entered.get_future().wait();
+  ASSERT_TRUE(fixture->service().Cancel(id).ok());
+  for (;;) {  // the observer posts the resolve before Poll sees terminal
+    StatusOr<JobSnapshot> job = fixture->service().Poll(id);
+    ASSERT_TRUE(job.ok());
+    if (job->terminal()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  fixture->loop().Stop();
+  release.set_value();
+  fixture.reset();  // joins the loop, then closes the connection
+
+  std::string waited = client.ReadLine();
+  EXPECT_EQ(waited.rfind("ok job " + std::to_string(id) + " state=CANCELLED",
+                         0),
+            0u)
+      << waited;
+}
+
+// One job, several connections parked on it: its terminal transition
+// answers every one of them with the same line.
+TEST(NetServer, EveryWaitParkedOnAJobGetsItsTerminalLine) {
+  constexpr int kWaiters = 4;
+  FailPointsCleared cleared;
+  eval::PreparedDataset data = SmallDataset();
+  ServerFixture fixture(data, ServiceOptions{}, TcpServerOptions{});
+  Client control(fixture.port());
+  ASSERT_TRUE(control.connected());
+  control.ReadLine();
+  // The job wedges at its reconstruct stage until cancelled, so every
+  // waiter parks before it turns terminal.
+  ASSERT_TRUE(
+      util::FailPoints::Configure("session.reconstruct", "delay:60000"));
+  JobId id = ParseJobId(
+      control.Roundtrip("submit method=MaxClique target=crime.target"));
+  ASSERT_NE(id, 0u);
+
+  std::vector<std::unique_ptr<Client>> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.push_back(std::make_unique<Client>(fixture.port()));
+    ASSERT_TRUE(waiters.back()->connected());
+    waiters.back()->ReadLine();
+    ASSERT_TRUE(waiters.back()->Send("wait " + std::to_string(id)));
+  }
+  ASSERT_TRUE(WaitForLinesServed(fixture.server(), 1 + kWaiters));
+  EXPECT_EQ(control.Roundtrip("cancel " + std::to_string(id)),
+            "ok cancel " + std::to_string(id));
+
+  std::string first = waiters[0]->ReadLine();
+  EXPECT_EQ(first.rfind("ok job " + std::to_string(id) + " state=CANCELLED",
+                        0),
+            0u)
+      << first;
+  for (int i = 1; i < kWaiters; ++i) {
+    EXPECT_EQ(waiters[static_cast<size_t>(i)]->ReadLine(), first)
+        << "waiter " << i;
+  }
+}
+
+// Requests pipelined behind a parked wait stay queued until the wait is
+// answered, then are served in order on the same connection.
+TEST(NetServer, PipelinedRequestsBehindAWaitAreAnsweredInOrder) {
+  FailPointsCleared cleared;
+  eval::PreparedDataset data = SmallDataset();
+  ServerFixture fixture(data, ServiceOptions{}, TcpServerOptions{});
+  Client control(fixture.port());
+  Client client(fixture.port());
+  ASSERT_TRUE(control.connected());
+  ASSERT_TRUE(client.connected());
+  control.ReadLine();
+  client.ReadLine();
+  ASSERT_TRUE(
+      util::FailPoints::Configure("session.reconstruct", "delay:60000"));
+  JobId id = ParseJobId(
+      control.Roundtrip("submit method=MaxClique target=crime.target"));
+  ASSERT_NE(id, 0u);
+
+  ASSERT_TRUE(client.SendRaw("wait " + std::to_string(id) +
+                             "\ndatasets\npoll " + std::to_string(id) +
+                             "\nquit\n"));
+  // Only the wait has been handled; the rest sits behind it.
+  ASSERT_TRUE(WaitForLinesServed(fixture.server(), 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(fixture.server().stats().lines_served, 2u);
+  ASSERT_TRUE(control.Roundtrip("cancel " + std::to_string(id))
+                  .rfind("ok cancel", 0) == 0);
+
+  std::string waited = client.ReadLine();
+  EXPECT_EQ(waited.rfind("ok job " + std::to_string(id) +
+                             " state=CANCELLED",
+                         0),
+            0u)
+      << waited;
+  EXPECT_EQ(client.ReadLine().rfind("ok datasets", 0), 0u);
+  EXPECT_EQ(client.ReadLine(), waited);  // poll of the same terminal job
+  EXPECT_EQ(client.ReadLine(), "ok bye");
+}
+
+// Lost-wakeup stress: jobs on a tiny graph finish in microseconds, so a
+// job often turns terminal between its `submit` and the `wait` behind
+// it — before, during or after the wait's terminal check. Each wait
+// must still be answered (a lost one would hang its client until the
+// read timeout fails the test).
+TEST(NetServer, WaitsRacingTheirJobsAreNeverLost) {
+  constexpr int kClients = 8;
+  constexpr int kJobsPerClient = 150;
+  eval::PreparedDataset data = SmallDataset();
+  ServiceOptions sopts;
+  sopts.num_workers = 2;
+  ServerFixture fixture(data, sopts, TcpServerOptions{});
+  auto tiny = std::make_shared<ProjectedGraph>(4);
+  tiny->AddWeight(0, 1, 1);
+  tiny->AddWeight(1, 2, 1);
+  tiny->AddWeight(0, 2, 1);
+  tiny->AddWeight(2, 3, 2);
+  ASSERT_TRUE(fixture.cache().Insert("tiny", nullptr, tiny).ok());
+
+  std::mutex mutex;
+  std::vector<std::string> failures;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&] {
+      auto fail = [&](const std::string& what) {
+        std::lock_guard<std::mutex> lock(mutex);
+        failures.push_back(what);
+      };
+      Client client(fixture.port());
+      if (!client.connected()) return fail("connect");
+      client.ReadLine();
+      for (int j = 0; j < kJobsPerClient; ++j) {
+        std::string submitted =
+            client.Roundtrip("submit method=MaxClique target=tiny");
+        JobId id = ParseJobId(submitted);
+        if (id == 0) return fail("submit: " + submitted);
+        std::string waited = client.Roundtrip("wait " + std::to_string(id));
+        if (waited.find("state=DONE") == std::string::npos) {
+          return fail("wait " + std::to_string(id) + ": " + waited);
+        }
+        if (client.Roundtrip("forget " + std::to_string(id)).empty()) {
+          return fail("forget");
+        }
+      }
+      client.Roundtrip("quit");
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(failures.empty()) << failures.front();
+  EXPECT_EQ(fixture.service().stats().done,
+            static_cast<uint64_t>(kClients * kJobsPerClient));
 }
 
 // The observability acceptance test: the `metrics` verb over TCP returns
