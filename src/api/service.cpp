@@ -329,32 +329,6 @@ void Service::Enqueue(const std::shared_ptr<Job>& job) {
   pool_->Submit([this, job] { RunJob(job); }, std::move(scheduling));
 }
 
-size_t Service::RetireExpiredLocked() {
-  if (options_.job_ttl_seconds < 0.0) return 0;
-  const auto now = std::chrono::steady_clock::now();
-  size_t retired = 0;
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    const Job& job = *it->second;
-    bool terminal = job.state != JobState::kQueued &&
-                    job.state != JobState::kRunning;
-    if (terminal && job.finished_at.has_value() &&
-        std::chrono::duration<double>(now - *job.finished_at).count() >
-            options_.job_ttl_seconds) {
-      it = jobs_.erase(it);
-      ++retired;
-    } else {
-      ++it;
-    }
-  }
-  totals_.jobs_retired += retired;
-  return retired;
-}
-
-size_t Service::RetireExpired() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return RetireExpiredLocked();
-}
-
 Status Service::AdmitCapacityLocked(const std::string& client,
                                     Priority priority) {
   size_t queued = 0;
@@ -412,7 +386,6 @@ StatusOr<JobId> Service::Submit(const ReconstructRequest& request) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    RetireExpiredLocked();
     MARIOH_RETURN_IF_ERROR(
         AdmitCapacityLocked(request.client_id, request.priority));
     if (journal_ != nullptr) {
@@ -622,6 +595,13 @@ void Service::FinishLocked(Job& job, JobState state, Status status) {
   job.status = std::move(status);
   job.finish_seq = next_finish_seq_++;
   job.finished_at = std::chrono::steady_clock::now();
+  if (options_.job_ttl_seconds >= 0.0) {
+    // Saturating: a TTL past the clock's range expires "never" (max()).
+    if (expiry_.empty()) maintenance_wake_.notify_all();
+    expiry_.emplace_back(
+        util::SaturatingAfter(*job.finished_at, options_.job_ttl_seconds),
+        job.id);
+  }
   switch (state) {
     case JobState::kDone:
       ++totals_.done;
@@ -688,34 +668,35 @@ void Service::MaintenanceLoop() {
   // stall timeout itself, coarse enough to stay invisible in profiles.
   const auto period = std::chrono::duration_cast<steady_clock::duration>(
       std::chrono::duration<double>(
-          watchdog
-              ? std::clamp(options_.stall_timeout_seconds / 4.0, 0.010,
-                           0.250)
-              : 0.250));
+          std::clamp(options_.stall_timeout_seconds / 4.0, 0.010, 0.250)));
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_) {
-    bool anything_running = false;
-    if (watchdog) {
-      for (const auto& [id, job] : jobs_) {
-        if (job->state == JobState::kRunning) {
-          anything_running = true;
-          break;
-        }
-      }
+    // One wake time: the earliest due retry or expiry, and one scan
+    // period out while the watchdog has a running job to watch. max()
+    // means "never" (none of these, or only saturated due times): sleep
+    // until a retry is scheduled, a job starts or finishes, or shutdown.
+    steady_clock::time_point wake = steady_clock::time_point::max();
+    if (!retry_heap_.empty()) wake = retry_heap_.front().first;
+    if (!expiry_.empty()) wake = std::min(wake, expiry_.front().first);
+    if (watchdog && std::any_of(jobs_.begin(), jobs_.end(),
+                                [](const auto& entry) {
+                                  return entry.second->state ==
+                                         JobState::kRunning;
+                                })) {
+      wake = std::min(wake, steady_clock::now() + period);
     }
-    if (retry_heap_.empty() && !anything_running) {
-      // Nothing to pace: sleep until a retry is scheduled, a job starts
-      // running (with the watchdog on), or shutdown.
+    if (wake == steady_clock::time_point::max()) {
       maintenance_wake_.wait(lock);
     } else {
-      steady_clock::time_point wake = steady_clock::now() + period;
-      if (!retry_heap_.empty()) {
-        wake = std::min(wake, retry_heap_.front().first);
-      }
       maintenance_wake_.wait_until(lock, wake);
     }
     if (stopping_) break;
     const steady_clock::time_point now = steady_clock::now();
+    while (!expiry_.empty() && expiry_.front().first <= now) {
+      // A job Forget already erased is simply gone: not counted.
+      totals_.jobs_retired += jobs_.erase(expiry_.front().second);
+      expiry_.pop_front();
+    }
     std::vector<std::shared_ptr<Job>> due;
     while (!retry_heap_.empty() && retry_heap_.front().first <= now) {
       std::pop_heap(retry_heap_.begin(), retry_heap_.end(),
@@ -758,9 +739,6 @@ JobSnapshot Service::SnapshotLocked(const Job& job) const {
 
 StatusOr<JobSnapshot> Service::Poll(JobId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // TTL semantics before lookup: polling a job whose record just aged
-  // out must already be kNotFound (same for Wait/Cancel/Forget below).
-  RetireExpiredLocked();
   auto it = jobs_.find(id);
   if (it == jobs_.end()) {
     return Status::NotFound("no job with id " + std::to_string(id));
@@ -770,7 +748,6 @@ StatusOr<JobSnapshot> Service::Poll(JobId id) {
 
 StatusOr<JobSnapshot> Service::Wait(JobId id) {
   std::unique_lock<std::mutex> lock(mutex_);
-  RetireExpiredLocked();
   auto it = jobs_.find(id);
   if (it == jobs_.end()) {
     return Status::NotFound("no job with id " + std::to_string(id));
@@ -785,7 +762,6 @@ StatusOr<JobSnapshot> Service::Wait(JobId id) {
 
 Status Service::Cancel(JobId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  RetireExpiredLocked();
   auto it = jobs_.find(id);
   if (it == jobs_.end()) {
     return Status::NotFound("no job with id " + std::to_string(id));
@@ -819,10 +795,9 @@ Status Service::Cancel(JobId id) {
 
 Status Service::Forget(JobId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // The Forget-vs-TTL race resolves here: a job the TTL already retired
-  // (or retires in this very sweep) is kNotFound, exactly like a second
-  // Forget — never a crash, never a silent success.
-  RetireExpiredLocked();
+  // The Forget-vs-TTL race resolves under mutex_: whichever comes first
+  // erases the record, and the other finds nothing — Forget answers
+  // kNotFound, the maintenance thread skips the entry uncounted.
   auto it = jobs_.find(id);
   if (it == jobs_.end()) {
     return Status::NotFound("no job with id " + std::to_string(id));

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -183,9 +184,9 @@ struct ServiceOptions {
   /// Age-based retirement of terminal jobs: a job that has been terminal
   /// for longer than this many seconds is dropped from the job table as
   /// if Forget had been called (Poll/Wait/Forget on it then return
-  /// kNotFound). Swept lazily on every Service entry point and
-  /// explicitly via RetireExpired() — long-lived servers tick the
-  /// latter. Negative = keep forever (the pre-TTL behavior).
+  /// kNotFound). The maintenance thread retires each job when its TTL
+  /// runs out, idle or not; a TTL too large for the clock never
+  /// expires. Negative = keep forever (the pre-TTL behavior).
   double job_ttl_seconds = -1.0;
   /// Watchdog: a *running* job whose heartbeat — published by its
   /// kernels' CancelChecker polls and its session's stage gates — does
@@ -237,8 +238,7 @@ class Service {
   StatusOr<JobId> Submit(const ReconstructRequest& request);
 
   /// Non-blocking state snapshot. kNotFound for unknown ids — including
-  /// ids whose record the job TTL just retired (the lazy sweep runs
-  /// first). Non-const for exactly that reason.
+  /// ids whose record the job TTL retired.
   StatusOr<JobSnapshot> Poll(JobId id);
 
   /// Blocks until the job reaches a terminal state and returns its final
@@ -260,15 +260,9 @@ class Service {
   /// call this after consuming a result so memory stays bounded; the
   /// monotone counters in stats() are unaffected. kNotFound for unknown
   /// ids, kFailedPrecondition while the job is still queued/running
-  /// (Cancel and Wait first).
+  /// (Cancel and Wait first). A job the TTL already retired is
+  /// kNotFound, like a second Forget.
   Status Forget(JobId id);
-
-  /// Retires every terminal job older than `job_ttl_seconds` now and
-  /// returns how many were dropped (0 when the TTL is disabled). The
-  /// same sweep also runs lazily inside Submit/Poll/Wait/Cancel/Forget/
-  /// stats, so calling this is only needed to bound memory during long
-  /// idle stretches (the net server does, from its event-loop tick).
-  size_t RetireExpired();
 
   /// Current service counters.
   ServiceStats stats() const;
@@ -280,8 +274,6 @@ class Service {
   /// the id on; lock order is `mutex_` → the observer's lock, never the
   /// reverse. Once this returns, no call to the old observer is in flight.
   void set_on_finish(std::function<void(JobId)> on_finish);
-
-  const std::shared_ptr<DatasetCache>& cache() const { return cache_; }
 
   /// Whether construction-time recovery succeeded. A constructor cannot
   /// return a Status, so a journal that failed to open/replay lands
@@ -326,8 +318,8 @@ class Service {
     /// The watchdog cancelled this job for missing heartbeats; its
     /// terminal status is rewritten to say so.
     bool stalled = false;
-    /// When the job reached its terminal state; the TTL sweep measures
-    /// age from here. Unset while queued/running.
+    /// When the job reached its terminal state; the TTL counts from
+    /// here. Unset while queued/running.
     std::optional<std::chrono::steady_clock::time_point> finished_at;
     std::optional<EvaluationResult> evaluation;
     std::map<std::string, double> stage_stats;
@@ -341,21 +333,21 @@ class Service {
   /// The one terminal transition: sets `state` (terminal) and `status`,
   /// stamps finish_seq/finished_at, bumps the matching terminal total,
   /// journals `terminal <STATE>` (except for a shutdown cancel, which
-  /// stays open for the next life to re-admit), wakes Wait()ers and
-  /// calls the completion observer.
+  /// stays open for the next life to re-admit), schedules TTL expiry,
+  /// wakes Wait()ers and calls the completion observer.
   /// Site-specific bookkeeping stays with the caller. Requires `mutex_`.
   void FinishLocked(Job& job, JobState state, Status status);
   /// Snapshot of `job` under `mutex_`.
   JobSnapshot SnapshotLocked(const Job& job) const;
-  /// The TTL sweep. Requires `mutex_` held; returns jobs dropped.
-  size_t RetireExpiredLocked();
   /// Admission control for one more job of `client` at `priority`.
   /// Requires `mutex_` held; OK or kResourceExhausted (counted in
   /// submits_rejected, plus loadshed_rejects when shed by priority).
   Status AdmitCapacityLocked(const std::string& client, Priority priority);
-  /// The retry/watchdog thread: re-enqueues backoff-expired retries and
-  /// runs the stall scan. Sleeps indefinitely when there is nothing to
-  /// watch (no pending retries, watchdog disabled or no running jobs).
+  /// The maintenance thread, sole owner of time-driven transitions: it
+  /// re-enqueues backoff-expired retries, retires TTL-expired jobs and
+  /// runs the stall scan. It sleeps until the earliest due retry or
+  /// expiry, or one watchdog period while a watched job runs; with
+  /// none of these it sleeps until woken.
   void MaintenanceLoop();
   /// One stall scan over the running jobs. Requires `mutex_` held.
   void WatchdogTickLocked(std::chrono::steady_clock::time_point now);
@@ -393,6 +385,12 @@ class Service {
   std::vector<std::pair<std::chrono::steady_clock::time_point,
                         std::shared_ptr<Job>>>
       retry_heap_;
+  /// TTL expiries (due time, job), appended by FinishLocked (guarded by
+  /// mutex_). finished_at is stamped under mutex_ in call order, so the
+  /// deque is sorted by due time without a heap. An entry whose job was
+  /// forgotten first pops without effect (job ids are never reused).
+  std::deque<std::pair<std::chrono::steady_clock::time_point, JobId>>
+      expiry_;
   std::condition_variable maintenance_wake_;
   bool stopping_ = false;  ///< guarded by mutex_; set by the destructor
 
@@ -413,7 +411,7 @@ class Service {
   /// Created last, destroyed first: workers must be gone before the job
   /// table they touch.
   std::unique_ptr<util::WorkerPool> pool_;
-  /// The retry/watchdog thread (joined before the pool shuts down).
+  /// The maintenance thread (joined before the pool shuts down).
   std::thread maintenance_;
 };
 

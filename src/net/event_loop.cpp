@@ -8,6 +8,8 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "util/check.hpp"
+
 namespace marioh::net {
 
 namespace {
@@ -20,18 +22,19 @@ void SetNonBlocking(int fd) {
 }  // namespace
 
 EventLoop::EventLoop() {
+  // The self-pipe is the only way to wake a poll with no timeout, so a
+  // loop without one could never be stopped.
   int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) == 0) {
-    wake_read_ = pipe_fds[0];
-    wake_write_ = pipe_fds[1];
-    SetNonBlocking(wake_read_);
-    SetNonBlocking(wake_write_);
-  }
+  MARIOH_CHECK(::pipe(pipe_fds) == 0);
+  wake_read_ = pipe_fds[0];
+  wake_write_ = pipe_fds[1];
+  SetNonBlocking(wake_read_);
+  SetNonBlocking(wake_write_);
 }
 
 EventLoop::~EventLoop() {
-  if (wake_read_ >= 0) ::close(wake_read_);
-  if (wake_write_ >= 0) ::close(wake_write_);
+  ::close(wake_read_);
+  ::close(wake_write_);
 }
 
 api::Status EventLoop::Add(int fd, uint32_t interest, Callback callback) {
@@ -64,12 +67,6 @@ api::Status EventLoop::Remove(int fd) {
   return api::Status::Ok();
 }
 
-void EventLoop::set_tick(std::chrono::milliseconds period,
-                         std::function<void()> tick) {
-  if (period.count() > 0) tick_interval_ = period;
-  tick_ = std::move(tick);
-}
-
 void EventLoop::Stop() {
   stop_.store(true, std::memory_order_release);
   Wakeup();
@@ -87,11 +84,9 @@ void EventLoop::Post(std::function<void()> fn) {
 }
 
 void EventLoop::Wakeup() {
-  if (wake_write_ >= 0) {
-    // Async-signal-safe; a full pipe already wakes the loop.
-    char byte = 0;
-    [[maybe_unused]] ssize_t n = ::write(wake_write_, &byte, 1);
-  }
+  // Async-signal-safe; a full pipe already wakes the loop.
+  char byte = 0;
+  [[maybe_unused]] ssize_t n = ::write(wake_write_, &byte, 1);
 }
 
 void EventLoop::WakeupDrain() {
@@ -111,21 +106,7 @@ void EventLoop::RunPosted() {
 }
 
 void EventLoop::Run() {
-  using clock = std::chrono::steady_clock;
-  auto next_tick = clock::now() + tick_interval_;
   while (!stop_.load(std::memory_order_acquire)) {
-    auto now = clock::now();
-    if (now >= next_tick) {
-      if (tick_) tick_();
-      next_tick = now + tick_interval_;
-      continue;  // re-check stop_ before blocking again
-    }
-    int timeout_ms = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(next_tick -
-                                                              now)
-            .count() +
-        1);
-
     // Collect (fd, events) ready pairs, then dispatch. Each pair also
     // snapshots the registration generation: if a callback removes a fd
     // later in the batch — and an accept() inside the same batch reuses
@@ -139,14 +120,14 @@ void EventLoop::Run() {
     std::vector<Ready> ready;
     std::vector<pollfd> pfds;
     pfds.reserve(fds_.size() + 1);
-    if (wake_read_ >= 0) pfds.push_back({wake_read_, POLLIN, 0});
+    pfds.push_back({wake_read_, POLLIN, 0});
     for (const auto& [fd, reg] : fds_) {
       short mask = 0;
       if (reg.interest & kRead) mask |= POLLIN;
       if (reg.interest & kWrite) mask |= POLLOUT;
       pfds.push_back({fd, mask, 0});
     }
-    int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    int n = ::poll(pfds.data(), pfds.size(), -1);
     if (n < 0) {
       // A signal (profiler tick, SIGCHLD, test harness) interrupting
       // the wait is routine: re-enter. Anything else is a broken

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -57,12 +56,10 @@ class EventLoop {
   /// events for the removed fd are dropped.
   api::Status Remove(int fd);
 
-  /// Installs a periodic callback invoked on the loop thread roughly
-  /// every `period` even when no fd is ready — the driver for TTL
-  /// retirement and shutdown-flag checks.
-  void set_tick(std::chrono::milliseconds period, std::function<void()> tick);
-
-  /// Dispatches events until Stop().
+  /// Dispatches events until Stop(). Between events the loop sleeps in
+  /// poll(2) with no timeout: only a ready fd, a Post or Stop wakes it.
+  /// Time-driven work belongs to whoever owns the clock (for serving,
+  /// the api::Service maintenance thread), never to the loop.
   void Run();
 
   /// Requests the loop to exit; callable from any thread and from signal
@@ -96,8 +93,6 @@ class EventLoop {
   int wake_write_ = -1;
   std::map<int, Registration> fds_;
   uint64_t generation_ = 0;
-  std::chrono::milliseconds tick_interval_{50};
-  std::function<void()> tick_;
   /// Lock-free so Stop() stays async-signal-safe.
   std::atomic<bool> stop_{false};
   std::mutex post_mutex_;

@@ -67,7 +67,6 @@ class LineProtocol {
   /// Empty (the default) keeps the anonymous shared lane; the TCP server
   /// sets one per connection so each socket schedules as its own client.
   void set_default_client(std::string client_id);
-  const std::string& default_client() const { return default_client_; }
 
   /// Enables the `failpoints` admin verb (process-wide fault injection —
   /// see util/failpoint.hpp). Off by default: a fault-injection surface

@@ -1,7 +1,6 @@
 #include "net/tcp_server.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -18,9 +17,6 @@
 namespace marioh::net {
 
 namespace {
-
-/// Loop tick period: the TTL retirement cadence.
-constexpr std::chrono::milliseconds kTickPeriod{20};
 
 api::Status Errno(const std::string& what) {
   return api::Status::Internal(what + ": " + std::strerror(errno));
@@ -101,7 +97,6 @@ api::Status TcpServer::Start() {
 
   MARIOH_RETURN_IF_ERROR(loop_->Add(
       listen_fd_, EventLoop::kRead, [this](uint32_t) { OnAcceptable(); }));
-  loop_->set_tick(kTickPeriod, [this] { service_->RetireExpired(); });
   // Every terminal transition wakes the loop, which then answers exactly
   // the waits parked on that job. The observer runs on a worker under
   // the Service's mutex, so it only enqueues.

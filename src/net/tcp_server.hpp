@@ -19,9 +19,11 @@
 ///    thread ever blocks on a job. The server installs the Service's
 ///    completion observer, which posts the finished job's id to the
 ///    loop (`EventLoop::Post`); the loop then answers exactly the waits
-///    parked on that job, as soon as it finishes;
-///  - a 20 ms loop tick calls `Service::RetireExpired`, so TTL
-///    retirement runs even when no request arrives.
+///    parked on that job, as soon as it finishes.
+///
+/// The loop has no timer: it wakes only for a ready fd, a post or
+/// Stop. Job TTL retirement is the Service maintenance thread's job, so
+/// an idle server retires expired jobs without any loop wakeup.
 ///
 /// Threading: everything except `stats()` and the completion observer
 /// (which only posts) runs on the loop thread. `Start()` must be called
@@ -76,9 +78,9 @@ struct NetStatsSnapshot {
 
 class TcpServer {
  public:
-  /// All pointers must outlive the server. The server owns the loop's
-  /// tick slot and the Service's completion observer (see class
-  /// comment); the destructor clears the observer.
+  /// All pointers must outlive the server. The server owns the
+  /// Service's completion observer (see class comment); the destructor
+  /// clears it.
   TcpServer(EventLoop* loop, api::DatasetCache* cache,
             api::Service* service, TcpServerOptions options = {});
   ~TcpServer();

@@ -914,10 +914,9 @@ TEST(Service, AdmissionCapsRejectSubmitsWithResourceExhausted) {
                                 stats.running);
 }
 
-// TTL retirement: terminal jobs past the TTL vanish at the next sweep
-// (any job-table entry point, or the explicit RetireExpired the TCP
-// server ticks). Monotone counters are unaffected; jobs_retired counts
-// the drops.
+// TTL retirement: the maintenance thread drops a terminal job once its
+// TTL runs out, with no caller touching the job table. Monotone counters
+// are unaffected; jobs_retired counts the drops.
 TEST(Service, TtlRetiresTerminalJobs) {
   eval::PreparedDataset data = SmallDataset();
   ServiceOptions options;
@@ -933,8 +932,7 @@ TEST(Service, TtlRetiresTerminalJobs) {
   ASSERT_TRUE(job.ok());
   ASSERT_EQ(job->state, JobState::kDone);
 
-  // Within the TTL the record is still pollable; past it, the next
-  // lookup sweeps first and the record is gone.
+  // Within the TTL the record is still pollable; past it, it is gone.
   ASSERT_TRUE(service.Poll(*id).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
   EXPECT_EQ(service.Poll(*id).status().code(), StatusCode::kNotFound);
@@ -944,14 +942,52 @@ TEST(Service, TtlRetiresTerminalJobs) {
   // The snapshot's shared handle outlives the record.
   EXPECT_GT(job->reconstruction->num_unique_edges(), 0u);
 
-  // The explicit sweep entry point (what the TCP server ticks) reports
-  // its reaping.
+  // An idle service retires too: stats() reads the count without
+  // touching the job table in between.
   StatusOr<JobId> second = service.Submit(request);
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(service.Wait(*second).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
-  EXPECT_EQ(service.RetireExpired(), 1u);
   EXPECT_EQ(service.stats().jobs_retired, 2u);
+}
+
+// A TTL past the clock's range means "never": the due time saturates
+// instead of overflowing, and the job stays pollable.
+TEST(Service, HugeTtlNeverRetires) {
+  eval::PreparedDataset data = SmallDataset();
+  ServiceOptions options;
+  options.job_ttl_seconds = 1e300;
+  Service service(CacheWithCrime(data), options);
+
+  ReconstructRequest request;
+  request.method = "MaxClique";
+  request.target_dataset = "crime.target";
+  StatusOr<JobId> id = service.Submit(request);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(service.Wait(*id).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_TRUE(service.Poll(*id).ok());
+  EXPECT_EQ(service.stats().jobs_retired, 0u);
+}
+
+// A job forgotten inside its TTL leaves a stale expiry entry behind; when
+// it comes due, the maintenance thread skips it without counting it.
+TEST(Service, ForgottenJobIsNotCountedAsRetired) {
+  eval::PreparedDataset data = SmallDataset();
+  ServiceOptions options;
+  options.job_ttl_seconds = 0.3;
+  Service service(CacheWithCrime(data), options);
+
+  ReconstructRequest request;
+  request.method = "MaxClique";
+  request.target_dataset = "crime.target";
+  StatusOr<JobId> id = service.Submit(request);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(service.Wait(*id).ok());
+  ASSERT_TRUE(service.Forget(*id).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  EXPECT_EQ(service.Poll(*id).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.stats().jobs_retired, 0u);
 }
 
 // The Forget-vs-TTL race resolves to kNotFound: forgetting a job the TTL
@@ -971,7 +1007,7 @@ TEST(Service, ForgetAfterTtlRetirementIsNotFound) {
   ASSERT_TRUE(service.Wait(*id).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
 
-  // Forget's entry sweep retires the job before the lookup runs.
+  // The maintenance thread retired the job when its TTL ran out.
   EXPECT_EQ(service.Forget(*id).code(), StatusCode::kNotFound);
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.jobs_retired, 1u);

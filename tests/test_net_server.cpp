@@ -763,5 +763,39 @@ TEST(NetServer, MetricsVerbExposesAnExactCounterPartition) {
   client.Roundtrip("quit");
 }
 
+// Job TTL retirement needs no traffic: the Service maintenance thread
+// retires an expired job on an idle server, before any job-table verb
+// arrives. The event loop has no timer that could do it instead.
+TEST(NetServer, TtlRetiresJobsOnAnIdleServer) {
+  eval::PreparedDataset data = SmallDataset();
+  ServiceOptions sopts;
+  sopts.job_ttl_seconds = 0.2;
+  ServerFixture fixture(data, sopts, TcpServerOptions{});
+  Client client(fixture.port());
+  ASSERT_TRUE(client.connected());
+  client.ReadLine();  // greeting
+
+  JobId id = ParseJobId(
+      client.Roundtrip("submit method=MaxClique target=crime.target"));
+  ASSERT_NE(id, 0u);
+  EXPECT_NE(client.Roundtrip("wait " + std::to_string(id))
+                .find("state=DONE"),
+            std::string::npos);
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+
+  std::string header = client.Roundtrip("metrics");
+  ASSERT_EQ(header.rfind("ok metrics lines=", 0), 0u) << header;
+  int lines = std::atoi(header.c_str() + std::string("ok metrics lines=").size());
+  bool retired = false;
+  for (int i = 0; i < lines; ++i) {
+    if (client.ReadLine() == "marioh_jobs_retired_total 1") retired = true;
+  }
+  EXPECT_TRUE(retired);
+  EXPECT_EQ(client.Roundtrip("poll " + std::to_string(id))
+                .rfind("error NOT_FOUND", 0),
+            0u);
+  client.Roundtrip("quit");
+}
+
 }  // namespace
 }  // namespace marioh::net

@@ -24,7 +24,10 @@ plus deliberate protocol errors), then SIGTERMs it and asserts:
     traffic starts, the seeder loads an `.eg` file holding node id
     4294967295 (must answer `error INVALID_ARGUMENT`) and a comment-only
     `.hg` file (loads fine), then submits a MARIOH job that trains on
-    the empty one (must end `state=FAILED status=INVALID_ARGUMENT`).
+    the empty one (must end `state=FAILED status=INVALID_ARGUMENT`),
+  * an idle daemon sleeps: after the traffic, its event-loop thread (the
+    main thread) makes at most IDLE_MAX_WAKEUPS voluntary context
+    switches in IDLE_SECONDS (skipped where /proc is absent).
 
 Usage: net_soak.py /path/to/marioh_served [metrics.json]
 
@@ -38,12 +41,15 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 from soak_client import (Client, assert_partition, fail, load_metrics_json,
                          read_banner)
 
 CONNECTIONS = 5
 JOBS_PER_CONNECTION = 3  # gen is shared; each conn submits+waits this many
+IDLE_SECONDS = 1.0
+IDLE_MAX_WAKEUPS = 5
 
 
 def drive_connection(port, index, errors):
@@ -105,6 +111,31 @@ def check_hostile_input(client, scratch):
     print("net_soak: hostile input answered with errors, daemon serving")
 
 
+def voluntary_switches(pid):
+    """voluntary_ctxt_switches of the process's main thread."""
+    with open("/proc/%d/task/%d/status" % (pid, pid)) as f:
+        for line in f:
+            if line.startswith("voluntary_ctxt_switches:"):
+                return int(line.split()[1])
+    fail("no voluntary_ctxt_switches in /proc status of pid %d" % pid)
+
+
+def check_idle_loop(daemon):
+    """The event loop has no timer: with no traffic, its thread sleeps in
+    poll(2) and only a fd, a post or Stop wakes it."""
+    if not os.path.isdir("/proc/%d" % daemon.pid):
+        print("net_soak: /proc absent, idle-wakeup check skipped")
+        return
+    before = voluntary_switches(daemon.pid)
+    time.sleep(IDLE_SECONDS)
+    wakeups = voluntary_switches(daemon.pid) - before
+    if wakeups > IDLE_MAX_WAKEUPS:
+        fail("idle event-loop thread woke %d times in %.1fs (max %d)"
+             % (wakeups, IDLE_SECONDS, IDLE_MAX_WAKEUPS))
+    print("net_soak: idle event-loop thread woke %d times in %.1fs"
+          % (wakeups, IDLE_SECONDS))
+
+
 def main():
     if len(sys.argv) < 2:
         fail("usage: net_soak.py /path/to/marioh_served [metrics.json]")
@@ -155,6 +186,7 @@ def main():
                  final["marioh_jobs_done_total"]))
         seeder.request("quit")
         seeder.close()
+        check_idle_loop(daemon)
 
         daemon.send_signal(signal.SIGTERM)
         try:
