@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
         dataset, /*multiplicity_reduced=*/true, /*seed=*/42);
     auto method = marioh::api::MustCreateMethod("MARIOH", 42);
     method->Train(*data.g_source, *data.source);
-    marioh::Hypergraph reconstructed = method->Reconstruct(*data.g_target);
+    marioh::Hypergraph reconstructed =
+        method->Reconstruct(*data.g_target).hypergraph;
 
     size_t graph_cells = GraphCells(*data.g_target);
     size_t truth_cells = HypergraphCells(*data.target);

@@ -95,9 +95,10 @@ int main(int argc, char** argv) {
         /*degree_skew=*/0.6, &rng);
     marioh::ProjectedGraph g = h.Project();
 
-    marioh.Reconstruct(g);
-    double filter_t = marioh.last_reconstruction_stats().filtering_seconds;
-    double bidir_t = marioh.last_reconstruction_stats().bidirectional_seconds;
+    marioh::core::ReconstructionStats stats;
+    marioh.Reconstruct(g, &stats);
+    double filter_t = stats.filtering_seconds;
+    double bidir_t = stats.bidirectional_seconds;
 
     edge_counts.push_back(static_cast<double>(g.num_edges()));
     filter_times.push_back(filter_t);

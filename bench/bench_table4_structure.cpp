@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
       reconstructor->Train(*data.g_source, *data.source);
       marioh::Hypergraph reconstructed =
-          reconstructor->Reconstruct(*data.g_target);
+          reconstructor->Reconstruct(*data.g_target).hypergraph;
       marioh::eval::StructuralReport report =
           marioh::eval::CompareStructure(*data.target, reconstructed, 7);
       auto record = [&](const std::string& property, double err) {

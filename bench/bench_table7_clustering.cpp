@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
       reconstructor->Train(*data.g_source, *data.source);
       marioh::Hypergraph reconstructed =
-          reconstructor->Reconstruct(*data.g_target);
+          reconstructor->Reconstruct(*data.g_target).hypergraph;
       double nmi = nmi_of_hypergraph(reconstructed);
       rows[row_idx++].push_back(marioh::util::TextTable::Num(nmi, 4));
       std::cerr << "[table7] " << method << " / " << dataset << " NMI "

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
       reconstructor->Train(*data.g_source, *data.source);
       marioh::Hypergraph reconstructed =
-          reconstructor->Reconstruct(*data.g_target);
+          reconstructor->Reconstruct(*data.g_target).hypergraph;
       marioh::eval::F1Scores f1 = AverageF1(
           marioh::eval::HypergraphSpectralEmbedding(reconstructed,
                                                     embed_dim),

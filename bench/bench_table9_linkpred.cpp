@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       auto reconstructor = marioh::api::MustCreateMethod(method, 42);
       reconstructor->Train(*data.g_source, *data.source);
       marioh::Hypergraph reconstructed =
-          reconstructor->Reconstruct(*data.g_target);
+          reconstructor->Reconstruct(*data.g_target).hypergraph;
       double auc = AverageAuc(*data.g_target, &reconstructed, use_gcn);
       rows[row_idx++].push_back(marioh::util::TextTable::Num(auc));
       std::cerr << "[table9] " << method << " / " << dataset << " AUC "

@@ -71,7 +71,7 @@ int main() {
   options.seed = 7;
   baselines::Shyre shyre(options);
   shyre.Train(g_train, split.source);
-  Hypergraph by_shyre = shyre.Reconstruct(g_ego);
+  Hypergraph by_shyre = shyre.Reconstruct(g_ego).hypergraph;
   PrintHypergraph("Reconstructed by SHyRe-Count:", by_shyre);
   std::cout << "SHyRe-Count: Jaccard = " << eval::Jaccard(ego, by_shyre)
             << ", multi-Jaccard = " << eval::MultiJaccard(ego, by_shyre)

@@ -59,7 +59,7 @@ int main() {
   // SHyRe-Unsup (multiplicity-aware unsupervised baseline).
   {
     baselines::ShyreUnsup method;
-    Hypergraph rec = method.Reconstruct(g_2017);
+    Hypergraph rec = method.Reconstruct(g_2017).hypergraph;
     table.AddRow({"SHyRe-Unsup",
                   util::TextTable::Num(eval::Jaccard(split.target, rec), 3),
                   util::TextTable::Num(eval::MultiJaccard(split.target, rec),
@@ -72,7 +72,7 @@ int main() {
     options.seed = 9;
     baselines::Shyre method(options);
     method.Train(g_2015, split.source);
-    Hypergraph rec = method.Reconstruct(g_2017);
+    Hypergraph rec = method.Reconstruct(g_2017).hypergraph;
     table.AddRow({"SHyRe-Count",
                   util::TextTable::Num(eval::Jaccard(split.target, rec), 3),
                   util::TextTable::Num(eval::MultiJaccard(split.target, rec),

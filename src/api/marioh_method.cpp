@@ -17,47 +17,39 @@ namespace {
 
 class MariohMethod : public Reconstructor {
  public:
-  MariohMethod(core::MariohVariant variant, core::MariohOptions options);
+  MariohMethod(core::MariohVariant variant, core::MariohOptions options)
+      : marioh_(core::OptionsForVariant(variant, std::move(options))) {}
 
   void Train(const ProjectedGraph& g_source,
-             const Hypergraph& h_source) override;
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
-  std::vector<std::pair<std::string, double>> ReconstructionStats()
-      const override;
+             const Hypergraph& h_source) override {
+    marioh_.Train(g_source, h_source);
+  }
+  Reconstruction Reconstruct(const ProjectedGraph& g_target) const override;
 
  private:
   core::Marioh marioh_;
 };
 
-MariohMethod::MariohMethod(core::MariohVariant variant,
-                           core::MariohOptions options)
-    : marioh_(core::OptionsForVariant(variant, std::move(options))) {}
-
-void MariohMethod::Train(const ProjectedGraph& g_source,
-                         const Hypergraph& h_source) {
-  marioh_.Train(g_source, h_source);
-}
-
-Hypergraph MariohMethod::Reconstruct(const ProjectedGraph& g_target) {
-  return marioh_.Reconstruct(g_target);
-}
-
-std::vector<std::pair<std::string, double>>
-MariohMethod::ReconstructionStats() const {
-  const core::ReconstructionStats& s = marioh_.last_reconstruction_stats();
+Reconstruction MariohMethod::Reconstruct(
+    const ProjectedGraph& g_target) const {
+  core::ReconstructionStats s;
+  Hypergraph h = marioh_.Reconstruct(g_target, &s);
   return {
-      {"iterations", static_cast<double>(s.iterations)},
-      {"maximal_cliques", static_cast<double>(s.maximal_cliques)},
-      {"accepted_phase1", static_cast<double>(s.accepted_phase1)},
-      {"accepted_phase2", static_cast<double>(s.accepted_phase2)},
-      {"subcliques_scored", static_cast<double>(s.subcliques_scored)},
-      {"filtering_edges", static_cast<double>(s.filtering_edges)},
-      {"snapshot_patches", static_cast<double>(s.snapshot_patches)},
-      {"snapshot_rebuilds", static_cast<double>(s.snapshot_rebuilds)},
-      {"cliques_truncated", s.cliques_truncated ? 1.0 : 0.0},
-      {"cancelled", s.cancelled ? 1.0 : 0.0},
-      {"filtering_seconds", s.filtering_seconds},
-      {"bidirectional_seconds", s.bidirectional_seconds},
+      std::move(h),
+      {
+          {"iterations", static_cast<double>(s.iterations)},
+          {"maximal_cliques", static_cast<double>(s.maximal_cliques)},
+          {"accepted_phase1", static_cast<double>(s.accepted_phase1)},
+          {"accepted_phase2", static_cast<double>(s.accepted_phase2)},
+          {"subcliques_scored", static_cast<double>(s.subcliques_scored)},
+          {"filtering_edges", static_cast<double>(s.filtering_edges)},
+          {"snapshot_patches", static_cast<double>(s.snapshot_patches)},
+          {"snapshot_rebuilds", static_cast<double>(s.snapshot_rebuilds)},
+          {"cliques_truncated", s.cliques_truncated ? 1.0 : 0.0},
+          {"cancelled", s.cancelled ? 1.0 : 0.0},
+          {"filtering_seconds", s.filtering_seconds},
+          {"bidirectional_seconds", s.bidirectional_seconds},
+      },
   };
 }
 

@@ -1,7 +1,8 @@
 /// \file method.hpp
 /// \brief The `Reconstructor` interface every hypergraph-reconstruction
 /// method implements — MARIOH, its ablation variants, and all baselines —
-/// so one code path can run the paper's whole evaluation protocol, and
+/// so one code path can run the paper's whole evaluation protocol, the
+/// `Reconstruction` (hypergraph plus run stats) each call returns, and
 /// the factory signature each implementation exports.
 ///
 /// This is the bottom of the public `api/` layer: it depends only on the
@@ -30,9 +31,19 @@ struct MariohOptions;  // typed base options, forwarded opaquely
 
 namespace marioh::api {
 
+/// What one Reconstruct call returns: the hypergraph and that run's named
+/// counters and phase times (`*_seconds`), e.g. {"cliques_truncated", 1}
+/// for a partial candidate pool. `api::Session` sums each entry into its
+/// stage timer as "reconstruct.<name>", so degraded runs are visible.
+struct Reconstruction {
+  Hypergraph hypergraph;
+  std::vector<std::pair<std::string, double>> stats = {};
+};
+
 /// A hypergraph reconstruction method. Supervised methods receive the
 /// source pair through Train before Reconstruct is called; unsupervised
-/// methods ignore Train.
+/// methods ignore Train. A trained instance is immutable: several threads
+/// may call Reconstruct on it at once.
 class Reconstructor {
  public:
   virtual ~Reconstructor() = default;
@@ -45,21 +56,7 @@ class Reconstructor {
   }
 
   /// Reconstructs a hypergraph from the target projected graph.
-  virtual Hypergraph Reconstruct(const ProjectedGraph& g_target) = 0;
-
-  /// Named counters and phase times (`*_seconds`) describing the most
-  /// recent Reconstruct call — e.g. {"cliques_truncated", 1} when an
-  /// enumeration cap produced a partial candidate pool. `api::Session`
-  /// *accumulates* each entry into its stage timer under
-  /// "reconstruct.<name>" — session-lifetime totals, exactly like the
-  /// stage times themselves — so callers see degraded runs instead of a
-  /// silently partial result (a nonzero
-  /// reconstruct.cliques_truncated means at least one reconstruction of
-  /// the session was truncated). Default: none.
-  virtual std::vector<std::pair<std::string, double>> ReconstructionStats()
-      const {
-    return {};
-  }
+  virtual Reconstruction Reconstruct(const ProjectedGraph& g_target) const = 0;
 };
 
 /// Construction-time configuration handed to a method factory.

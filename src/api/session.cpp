@@ -266,14 +266,14 @@ Status Session::Reconstruct(const ProjectedGraph& g_target) {
   MARIOH_RETURN_IF_ERROR(BeginStage("reconstruct"));
   obs::TraceSpan span("session.reconstruct", info_.name);
   util::Timer watch;
-  reconstruction_ = method_->Reconstruct(g_target);
+  Reconstruction result = method_->Reconstruct(g_target);
+  reconstruction_ = std::move(result.hypergraph);
   EndStage("reconstruct", watch.Seconds());
-  // Accumulate the method's run counters alongside the stage times
-  // (StageTimer sums per key, so like the times these are session
-  // totals), making degraded runs — e.g. a truncated maximal-clique
-  // enumeration — visible to callers instead of silently producing a
-  // partial result.
-  for (const auto& [name, value] : method_->ReconstructionStats()) {
+  // Accumulate the run's counters alongside the stage times (StageTimer
+  // sums per key, so like the times these are session totals), making
+  // degraded runs — e.g. a truncated maximal-clique enumeration —
+  // visible to callers instead of silently producing a partial result.
+  for (const auto& [name, value] : result.stats) {
     stage_timer_.Add("reconstruct." + name, value);
   }
   if (util::ShouldStop(options_.cancel)) {

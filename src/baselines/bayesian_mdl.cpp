@@ -43,11 +43,12 @@ bool CoversAllEdges(const std::vector<NodeSet>& cover,
 
 }  // namespace
 
-Hypergraph BayesianMdl::Reconstruct(const ProjectedGraph& g_target) {
+api::Reconstruction BayesianMdl::Reconstruct(
+    const ProjectedGraph& g_target) const {
   util::Rng rng(seed_);
   std::vector<ProjectedGraph::Edge> edges = g_target.Edges();
   Hypergraph h(g_target.num_nodes());
-  if (edges.empty()) return h;
+  if (edges.empty()) return {std::move(h)};
 
   // Greedy weighted set cover over maximal cliques: repeatedly take the
   // clique covering the most uncovered edges per unit description length.
@@ -123,7 +124,7 @@ Hypergraph BayesianMdl::Reconstruct(const ProjectedGraph& g_target) {
   }
 
   for (const NodeSet& e : cover) h.AddEdge(e, 1);
-  return h;
+  return {std::move(h)};
 }
 
 api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeBayesianMdl(

@@ -25,7 +25,8 @@ class BayesianMdl : public api::Reconstructor {
   explicit BayesianMdl(uint64_t seed = 1, size_t anneal_steps = 2000)
       : seed_(seed), anneal_steps_(anneal_steps) {}
 
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
+  api::Reconstruction Reconstruct(
+      const ProjectedGraph& g_target) const override;
 
  private:
   uint64_t seed_;

@@ -72,10 +72,10 @@ void CFinder::Train(const ProjectedGraph& g_source,
   k_ = std::max<size_t>(3, q);
 }
 
-Hypergraph CFinder::Reconstruct(const ProjectedGraph& g_target) {
+api::Reconstruction CFinder::Reconstruct(const ProjectedGraph& g_target) const {
   Hypergraph h(g_target.num_nodes());
   std::vector<NodeSet> cliques = KCliques(g_target, k_);
-  if (cliques.empty()) return h;
+  if (cliques.empty()) return {std::move(h)};
 
   // Union-find over k-cliques; two cliques join when sharing k-1 nodes.
   // Index cliques by their (k-1)-subsets: cliques sharing a subset are
@@ -119,7 +119,7 @@ Hypergraph CFinder::Reconstruct(const ProjectedGraph& g_target) {
     Canonicalize(&nodes);
     h.AddEdge(nodes, 1);
   }
-  return h;
+  return {std::move(h)};
 }
 
 api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeCFinder(

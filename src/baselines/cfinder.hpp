@@ -21,7 +21,8 @@ class CFinder : public api::Reconstructor {
 
   void Train(const ProjectedGraph& g_source,
              const Hypergraph& h_source) override;
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
+  api::Reconstruction Reconstruct(
+      const ProjectedGraph& g_target) const override;
 
   size_t k() const { return k_; }
 

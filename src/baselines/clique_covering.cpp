@@ -10,7 +10,8 @@
 
 namespace marioh::baselines {
 
-Hypergraph CliqueCovering::Reconstruct(const ProjectedGraph& g_target) {
+api::Reconstruction CliqueCovering::Reconstruct(
+    const ProjectedGraph& g_target) const {
   Hypergraph h(g_target.num_nodes());
   std::vector<ProjectedGraph::Edge> edges = g_target.Edges();
   std::unordered_set<NodePair, util::PairHash> covered;
@@ -46,7 +47,7 @@ Hypergraph CliqueCovering::Reconstruct(const ProjectedGraph& g_target) {
       }
     }
   }
-  return h;
+  return {std::move(h)};
 }
 
 api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeCliqueCovering(

@@ -18,7 +18,8 @@ namespace marioh::baselines {
 class CliqueCovering : public api::Reconstructor {
  public:
   explicit CliqueCovering(uint64_t seed = 1) : seed_(seed) {}
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
+  api::Reconstruction Reconstruct(
+      const ProjectedGraph& g_target) const override;
 
  private:
   uint64_t seed_;

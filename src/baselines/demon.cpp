@@ -83,7 +83,7 @@ double Containment(const NodeSet& a, const NodeSet& b) {
 
 }  // namespace
 
-Hypergraph Demon::Reconstruct(const ProjectedGraph& g_target) {
+api::Reconstruction Demon::Reconstruct(const ProjectedGraph& g_target) const {
   util::Rng rng(seed_);
   std::vector<NodeSet> communities;
   std::unordered_set<NodeSet, util::VectorHash> seen;
@@ -127,7 +127,7 @@ Hypergraph Demon::Reconstruct(const ProjectedGraph& g_target) {
   for (size_t i = 0; i < communities.size(); ++i) {
     if (!absorbed[i]) h.AddEdge(communities[i], 1);
   }
-  return h;
+  return {std::move(h)};
 }
 
 api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeDemon(

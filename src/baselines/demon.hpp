@@ -22,7 +22,8 @@ class Demon : public api::Reconstructor {
                  uint64_t seed = 1)
       : epsilon_(epsilon), min_size_(min_size), seed_(seed) {}
 
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
+  api::Reconstruction Reconstruct(
+      const ProjectedGraph& g_target) const override;
 
  private:
   double epsilon_;

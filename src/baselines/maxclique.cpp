@@ -6,8 +6,8 @@
 
 namespace marioh::baselines {
 
-Hypergraph MaxCliqueDecomposition::Reconstruct(
-    const ProjectedGraph& g_target) {
+api::Reconstruction MaxCliqueDecomposition::Reconstruct(
+    const ProjectedGraph& g_target) const {
   Hypergraph h(g_target.num_nodes());
   // Read the cliques straight out of the enumeration arena; the only
   // per-clique copy is the NodeSet the hypergraph itself stores.
@@ -15,7 +15,7 @@ Hypergraph MaxCliqueDecomposition::Reconstruct(
   for (CliqueView q : enumerated.cliques) {
     h.AddEdge(NodeSet(q.begin(), q.end()), 1);
   }
-  return h;
+  return {std::move(h)};
 }
 
 api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeMaxClique(

@@ -12,7 +12,8 @@ namespace marioh::baselines {
 /// each with multiplicity 1. Fast but blind to overlaps and multiplicity.
 class MaxCliqueDecomposition : public api::Reconstructor {
  public:
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
+  api::Reconstruction Reconstruct(
+      const ProjectedGraph& g_target) const override;
 };
 
 /// Factory of this method's row in api/builtin_methods.cpp. Override keys:

@@ -78,7 +78,7 @@ double Shyre::Rho(size_t n, size_t k) const {
   return 0.0;
 }
 
-Hypergraph Shyre::Reconstruct(const ProjectedGraph& g_target) {
+api::Reconstruction Shyre::Reconstruct(const ProjectedGraph& g_target) const {
   Hypergraph h(g_target.num_nodes());
   util::Rng rng(options_.seed ^ 0xabcdef12345ULL);
   // Maximal cliques stay in the enumeration arena; candidates are scored
@@ -115,7 +115,7 @@ Hypergraph Shyre::Reconstruct(const ProjectedGraph& g_target) {
     }
   }
   for (const NodeSet& q : accepted) h.AddEdge(q, 1);
-  return h;
+  return {std::move(h)};
 }
 
 namespace {

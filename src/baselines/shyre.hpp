@@ -48,7 +48,8 @@ class Shyre : public api::Reconstructor {
 
   /// Samples candidates per maximal clique according to rho and keeps the
   /// ones the classifier accepts. One pass; no peeling.
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
+  api::Reconstruction Reconstruct(
+      const ProjectedGraph& g_target) const override;
 
  private:
   /// Expected count of size-k hyperedges within a maximal clique of size n

@@ -40,7 +40,8 @@ double AverageMultiplicity(const ProjectedGraph& g, CliqueView q) {
 
 }  // namespace
 
-Hypergraph ShyreUnsup::Reconstruct(const ProjectedGraph& g_target) {
+api::Reconstruction ShyreUnsup::Reconstruct(
+    const ProjectedGraph& g_target) const {
   ProjectedGraph g = g_target;
   Hypergraph h(g.num_nodes());
 
@@ -69,7 +70,7 @@ Hypergraph ShyreUnsup::Reconstruct(const ProjectedGraph& g_target) {
     g.PeelClique(top.nodes);
     ++iterations;
   }
-  return h;
+  return {std::move(h)};
 }
 
 api::StatusOr<std::unique_ptr<api::Reconstructor>> MakeShyreUnsup(

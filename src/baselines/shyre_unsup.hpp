@@ -21,7 +21,8 @@ class ShyreUnsup : public api::Reconstructor {
   explicit ShyreUnsup(size_t max_iterations = 1'000'000)
       : max_iterations_(max_iterations) {}
 
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) override;
+  api::Reconstruction Reconstruct(
+      const ProjectedGraph& g_target) const override;
 
  private:
   size_t max_iterations_;

@@ -34,18 +34,20 @@ void Marioh::Train(const ProjectedGraph& g_source,
   classifier_.Train(g_source, h_source, &rng, options_.cancel);
 }
 
-Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
+Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
+                               ReconstructionStats* stats) const {
+  ReconstructionStats unused;
+  ReconstructionStats& run = stats != nullptr ? *stats : unused;
+  run = {};
   // A tripped token may have interrupted Train and left no model: stop
   // at this first preemption point, flagged like any mid-run trip.
   if (util::ShouldStop(options_.cancel)) {
-    last_stats_ = {};
-    last_stats_.cancelled = true;
+    run.cancelled = true;
     return Hypergraph(g_target.num_nodes());
   }
   MARIOH_CHECK(classifier_.trained());
   ProjectedGraph g = g_target;  // working copy G'
   Hypergraph h(g.num_nodes());
-  last_stats_ = {};
 
   // The loop owns one CSR snapshot of `g` and keeps it fresh across
   // iterations: when an iteration's peels touch at most a
@@ -61,10 +63,10 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
     double fraction = static_cast<double>(touched.size()) /
                       static_cast<double>(g.num_nodes());
     if (fraction <= MariohOptions::snapshot_reuse) {
-      ++last_stats_.snapshot_patches;
+      ++run.snapshot_patches;
       return CsrGraph(prev, g, touched, options_.num_threads);
     }
-    ++last_stats_.snapshot_rebuilds;
+    ++run.snapshot_rebuilds;
     return CsrGraph(g, options_.num_threads);
   };
 
@@ -73,20 +75,20 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
     CsrGraph pre_filter;
     FilteringStats fstats = Filtering(&g, &h, options_.num_threads,
                                       &pre_filter, options_.cancel);
-    last_stats_.filtering_edges = fstats.edges_identified;
+    run.filtering_edges = fstats.edges_identified;
     if (util::ShouldStop(options_.cancel)) {
-      last_stats_.cancelled = true;
-      last_stats_.filtering_seconds = watch.Seconds();
+      run.cancelled = true;
+      run.filtering_seconds = watch.Seconds();
       return h;
     }
     // Filtering already paid for a snapshot of the pre-filter graph;
     // reuse it for the first iteration instead of building a third.
     snapshot = refresh_snapshot(std::move(pre_filter),
                                 fstats.touched_nodes);
-    last_stats_.filtering_seconds = watch.Seconds();
+    run.filtering_seconds = watch.Seconds();
   } else {
     snapshot = CsrGraph(g, options_.num_threads);
-    ++last_stats_.snapshot_rebuilds;
+    ++run.snapshot_rebuilds;
   }
 
   util::Rng rng(options_.seed ^ 0x9e3779b97f4a7c15ULL);
@@ -94,24 +96,24 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
   size_t iterations = 0;
   util::Timer watch;
   while (!g.Empty() && iterations < options_.max_iterations &&
-         !last_stats_.cancelled) {
+         !run.cancelled) {
     BidirectionalOptions bopt;
     bopt.theta = theta;
     bopt.r_percent = options_.r_percent;
     bopt.explore_subcliques = options_.use_bidirectional;
     bopt.num_threads = options_.num_threads;
     bopt.cancel = options_.cancel;
-    BidirectionalStats stats =
+    BidirectionalStats iteration =
         BidirectionalSearch(&g, snapshot, classifier_, bopt, &rng, &h);
-    last_stats_.maximal_cliques += stats.maximal_cliques;
-    last_stats_.accepted_phase1 += stats.accepted_phase1;
-    last_stats_.accepted_phase2 += stats.accepted_phase2;
-    last_stats_.subcliques_scored += stats.subcliques_scored;
-    last_stats_.cliques_truncated |= stats.cliques_truncated;
-    last_stats_.cancelled |= stats.cancelled;
+    run.maximal_cliques += iteration.maximal_cliques;
+    run.accepted_phase1 += iteration.accepted_phase1;
+    run.accepted_phase2 += iteration.accepted_phase2;
+    run.subcliques_scored += iteration.subcliques_scored;
+    run.cliques_truncated |= iteration.cliques_truncated;
+    run.cancelled |= iteration.cancelled;
     theta = std::max(theta - options_.alpha * options_.theta_init, 0.0);
     ++iterations;
-    std::vector<NodeId> touched = std::move(stats.touched_nodes);
+    std::vector<NodeId> touched = std::move(iteration.touched_nodes);
     // Termination safeguard: once theta is 0 every maximal clique scores
     // above the threshold (sigmoid output > 0), so Phase 1 must accept at
     // least one clique per iteration. If nothing was accepted anyway
@@ -120,16 +122,16 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
     // guarantee progress. Nothing was peeled this iteration, so the
     // snapshot is still exact and serves the fallback enumeration
     // directly.
-    if (theta == 0.0 && stats.accepted_phase1 == 0 &&
-        stats.accepted_phase2 == 0 && !g.Empty() &&
-        !last_stats_.cancelled) {
+    if (theta == 0.0 && iteration.accepted_phase1 == 0 &&
+        iteration.accepted_phase2 == 0 && !g.Empty() &&
+        !run.cancelled) {
       CliqueOptions copts;
       copts.num_threads = options_.num_threads;
       copts.cancel = options_.cancel;
       MaximalCliqueResult fallback =
           EnumerateMaximalCliques(snapshot, copts);
       if (fallback.cancelled) {
-        last_stats_.cancelled = true;
+        run.cancelled = true;
         break;
       }
       MARIOH_CHECK(!fallback.cliques.empty());
@@ -140,16 +142,16 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
       Canonicalize(&touched);
     }
     if (!g.Empty() && iterations < options_.max_iterations &&
-        !last_stats_.cancelled) {
+        !run.cancelled) {
       snapshot = refresh_snapshot(std::move(snapshot), touched);
     }
   }
-  last_stats_.bidirectional_seconds = watch.Seconds();
+  run.bidirectional_seconds = watch.Seconds();
   // Catch a trip that landed after the last kernel poll (e.g. between
   // iterations, or with filtering disabled on a graph the loop never
   // entered) so callers get a consistent cancelled flag.
-  last_stats_.cancelled |= util::ShouldStop(options_.cancel);
-  last_stats_.iterations = iterations;
+  run.cancelled |= util::ShouldStop(options_.cancel);
+  run.iterations = iterations;
   return h;
 }
 

@@ -76,7 +76,7 @@ enum class MariohVariant {
 MariohOptions OptionsForVariant(MariohVariant variant,
                                 MariohOptions base = {});
 
-/// Aggregate counters of the most recent Reconstruct call.
+/// Aggregate counters of one Reconstruct call.
 struct ReconstructionStats {
   size_t iterations = 0;         ///< bidirectional-search iterations run
   size_t maximal_cliques = 0;    ///< cliques enumerated, summed over iters
@@ -111,6 +111,7 @@ struct ReconstructionStats {
 /// m.Train(g_source, h_source);
 /// Hypergraph h_hat = m.Reconstruct(g_target);
 /// ```
+/// Reconstruct keeps no state, so threads may share one trained model.
 class Marioh {
  public:
   explicit Marioh(MariohOptions options = {});
@@ -120,24 +121,14 @@ class Marioh {
   void Train(const ProjectedGraph& g_source, const Hypergraph& h_source);
 
   /// Reconstructs a hypergraph from the target projected graph
-  /// (Algorithm 1).
-  Hypergraph Reconstruct(const ProjectedGraph& g_target) const;
-
-  /// Counters and phase times of the most recent Reconstruct call
-  /// (zeroed at its start).
-  const ReconstructionStats& last_reconstruction_stats() const {
-    return last_stats_;
-  }
-
-  /// Underlying classifier (trained after Train).
-  const CliqueClassifier& classifier() const { return classifier_; }
-
-  const MariohOptions& options() const { return options_; }
+  /// (Algorithm 1). When `stats` is non-null it receives this call's
+  /// counters and phase times.
+  Hypergraph Reconstruct(const ProjectedGraph& g_target,
+                         ReconstructionStats* stats = nullptr) const;
 
  private:
   MariohOptions options_;
   CliqueClassifier classifier_;
-  mutable ReconstructionStats last_stats_;
 };
 
 }  // namespace marioh::core

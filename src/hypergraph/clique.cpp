@@ -425,10 +425,8 @@ class HashMapBronKerbosch {
   void Expand(NodeSet* r, std::vector<NodeId> p, std::vector<NodeId> x) {
     if (out_->size() >= options_.max_cliques) return;
     if (p.empty() && x.empty()) {
-      if (r->size() >= options_.min_size) {
-        out_->push_back(*r);
-        std::sort(out_->back().begin(), out_->back().end());
-      }
+      out_->push_back(*r);
+      std::sort(out_->back().begin(), out_->back().end());
       return;
     }
     // Pivot: the vertex of p ∪ x with the most neighbors in p.
@@ -618,15 +616,12 @@ MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
           range_cancelled[ri] = 1;
           return false;
         }
-        if (r.size() + 1 >= options.min_size) {
-          clique_buf.clear();
-          clique_buf.push_back(v);
-          for (NodeId local_id : r) clique_buf.push_back(local.globals[local_id]);
-          std::sort(clique_buf.begin(), clique_buf.end());
-          out.PushClique(clique_buf);
-          if (out.size() - root_start >= per_root_cap) return false;
-        }
-        return true;
+        clique_buf.clear();
+        clique_buf.push_back(v);
+        for (NodeId local_id : r) clique_buf.push_back(local.globals[local_id]);
+        std::sort(clique_buf.begin(), clique_buf.end());
+        out.PushClique(clique_buf);
+        return out.size() - root_start < per_root_cap;
       };
       r_local.clear();
       // P: neighbors later in the ordering; X: earlier. Local ids

@@ -130,8 +130,6 @@ struct CliqueOptions {
   /// inputs); enumeration stops once reached and the result is flagged
   /// truncated.
   size_t max_cliques = 5'000'000;
-  /// Only emit cliques with at least this many nodes.
-  size_t min_size = 2;
   /// Threads for the per-root fan-out (0 = all cores). Output is
   /// identical for any value.
   int num_threads = 1;

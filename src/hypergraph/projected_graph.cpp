@@ -1,6 +1,7 @@
 #include "hypergraph/projected_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -19,6 +20,7 @@ void ProjectedGraph::AddWeight(NodeId u, NodeId v, uint32_t delta) {
   MARIOH_CHECK_LT(v, adj_.size());
   if (delta == 0) return;
   uint32_t& wu = adj_[u][v];
+  MARIOH_CHECK_LE(delta, std::numeric_limits<uint32_t>::max() - wu);
   if (wu == 0) ++num_edges_;
   wu += delta;
   adj_[v][u] = wu;

@@ -39,7 +39,8 @@ class ProjectedGraph {
   /// True if {u,v} is an edge.
   bool HasEdge(NodeId u, NodeId v) const { return Weight(u, v) > 0; }
 
-  /// Adds `delta` to w(u,v), inserting the edge if absent. `u != v`.
+  /// Adds `delta` to w(u,v), inserting the edge if absent. `u != v`, and
+  /// the sum must fit uint32_t (checked).
   void AddWeight(NodeId u, NodeId v, uint32_t delta);
 
   /// Subtracts `delta` from w(u,v); removes the edge if the weight reaches

@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/failpoint.hpp"
@@ -65,6 +66,9 @@ StatusOr<uint32_t> ParseBounded(const std::string& token, uint64_t max,
 
 StatusOr<Hypergraph> TryReadHypergraph(std::istream& in) {
   Hypergraph h;
+  // Weighted node degrees bound every pair weight of Project(), since
+  // w(u, v) <= deg(u); hashed, so a huge sparse node id costs nothing.
+  std::unordered_map<NodeId, uint64_t> degree;
   std::string line;
   size_t line_number = 0;
   while (std::getline(in, line)) {
@@ -96,6 +100,13 @@ StatusOr<Hypergraph> TryReadHypergraph(std::istream& in) {
       return BadLine(line_number, "multiplicity of this hyperedge exceeds " +
                                       std::to_string(kMaxCount) +
                                       " after summing repeated lines");
+    }
+    for (NodeId u : edge) {
+      if ((degree[u] += multiplicity) > kMaxCount) {
+        return BadLine(line_number, "weighted degree of node " +
+                                        std::to_string(u) + " exceeds " +
+                                        std::to_string(kMaxCount));
+      }
     }
     h.AddEdge(std::move(edge), multiplicity);
   }

@@ -1,18 +1,22 @@
 // Tests for the method registry (api/registry.hpp): the paper rosters
 // resolve, malformed or out-of-range overrides are rejected, and unknown
 // names come back as a diagnosable Status naming the candidates — never
-// an abort.
+// an abort — and a trained method serves concurrent reconstructions.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/session.hpp"
 #include "core/marioh.hpp"
+#include "gen/profiles.hpp"
+#include "gen/split.hpp"
+#include "util/rng.hpp"
 
 namespace marioh::api {
 namespace {
@@ -159,6 +163,51 @@ TEST(Registry, NamesAreSortedAndContainTheFullRoster) {
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const std::string& name : Table2Roster()) {
     EXPECT_TRUE(MethodRegistry::Global().Contains(name)) << name;
+  }
+}
+
+/// A reconstruction's stats without the wall-clock `*_seconds` entries.
+std::vector<std::pair<std::string, double>> Counters(
+    const Reconstruction& r) {
+  std::vector<std::pair<std::string, double>> counters;
+  for (const auto& entry : r.stats) {
+    if (!entry.first.ends_with("_seconds")) counters.push_back(entry);
+  }
+  return counters;
+}
+
+// A trained Reconstructor is an immutable value: threads sharing one
+// instance each get exactly what a sequential call returns, stats
+// included, because no call leaves state behind for another to read.
+TEST(Reconstructor, TrainedMethodsReconstructConcurrently) {
+  gen::GeneratedDataset data = gen::Generate(gen::ProfileByName("crime"), 7);
+  util::Rng rng(8);
+  gen::SourceTargetSplit split =
+      gen::SplitHypergraph(data.hypergraph, &rng, 0.5);
+  ProjectedGraph g_source = split.source.Project();
+  ProjectedGraph g_target = split.target.Project();
+  for (const MethodInfo& info : MethodRegistry::Global().Methods()) {
+    std::unique_ptr<Reconstructor> trained = MustCreateMethod(info.name, 1);
+    trained->Train(g_source, split.source);
+    const Reconstructor& shared = *trained;
+    const Reconstruction expected = shared.Reconstruct(g_target);
+    if (info.name == "MARIOH") {
+      EXPECT_FALSE(Counters(expected).empty());
+    }
+
+    std::vector<Reconstruction> results(4);
+    std::vector<std::thread> threads;
+    for (Reconstruction& result : results) {
+      threads.emplace_back([&shared, &g_target, &result] {
+        result = shared.Reconstruct(g_target);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const Reconstruction& result : results) {
+      EXPECT_EQ(result.hypergraph.edges(), expected.hypergraph.edges())
+          << info.name;
+      EXPECT_EQ(Counters(result), Counters(expected)) << info.name;
+    }
   }
 }
 

@@ -50,7 +50,7 @@ class BaselineProperties : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BaselineProperties, MaxCliqueOutputsAreMaximalCliques) {
   ProjectedGraph g = TargetGraph(GetParam(), 3);
-  Hypergraph h = MaxCliqueDecomposition().Reconstruct(g);
+  Hypergraph h = MaxCliqueDecomposition().Reconstruct(g).hypergraph;
   EXPECT_TRUE(CoversAllEdges(g, h));
   for (const auto& [e, m] : h.edges()) {
     EXPECT_EQ(m, 1u);
@@ -60,7 +60,7 @@ TEST_P(BaselineProperties, MaxCliqueOutputsAreMaximalCliques) {
 
 TEST_P(BaselineProperties, CliqueCoveringCoversAndEmitsCliques) {
   ProjectedGraph g = TargetGraph(GetParam(), 5);
-  Hypergraph h = CliqueCovering(7).Reconstruct(g);
+  Hypergraph h = CliqueCovering(7).Reconstruct(g).hypergraph;
   EXPECT_TRUE(CoversAllEdges(g, h));
   for (const auto& [e, m] : h.edges()) {
     (void)m;
@@ -70,7 +70,7 @@ TEST_P(BaselineProperties, CliqueCoveringCoversAndEmitsCliques) {
 
 TEST_P(BaselineProperties, BayesianMdlCoverIsValid) {
   ProjectedGraph g = TargetGraph(GetParam(), 7);
-  Hypergraph h = BayesianMdl(9, /*anneal_steps=*/200).Reconstruct(g);
+  Hypergraph h = BayesianMdl(9, /*anneal_steps=*/200).Reconstruct(g).hypergraph;
   EXPECT_TRUE(CoversAllEdges(g, h));
   // Parsimony: never more hyperedges than edges.
   EXPECT_LE(h.num_unique_edges(), g.num_edges());
@@ -78,7 +78,7 @@ TEST_P(BaselineProperties, BayesianMdlCoverIsValid) {
 
 TEST_P(BaselineProperties, ShyreUnsupConservesTotalWeight) {
   ProjectedGraph g = TargetGraph(GetParam(), 9);
-  Hypergraph h = ShyreUnsup().Reconstruct(g);
+  Hypergraph h = ShyreUnsup().Reconstruct(g).hypergraph;
   EXPECT_EQ(h.Project().TotalWeight(), g.TotalWeight());
   for (const auto& [e, m] : h.edges()) {
     (void)m;
@@ -88,7 +88,7 @@ TEST_P(BaselineProperties, ShyreUnsupConservesTotalWeight) {
 
 TEST_P(BaselineProperties, DemonCommunitiesAreConnectedSubsets) {
   ProjectedGraph g = TargetGraph(GetParam(), 11);
-  Hypergraph h = Demon(1.0, 2, 13).Reconstruct(g);
+  Hypergraph h = Demon(1.0, 2, 13).Reconstruct(g).hypergraph;
   // Communities come from ego networks, so every member pair is within
   // two hops; verify membership stays within the graph's node range.
   for (const auto& [e, m] : h.edges()) {
@@ -100,11 +100,11 @@ TEST_P(BaselineProperties, DemonCommunitiesAreConnectedSubsets) {
 
 TEST_P(BaselineProperties, SeededMethodsAreDeterministic) {
   ProjectedGraph g = TargetGraph(GetParam(), 15);
-  Hypergraph a = CliqueCovering(21).Reconstruct(g);
-  Hypergraph b = CliqueCovering(21).Reconstruct(g);
+  Hypergraph a = CliqueCovering(21).Reconstruct(g).hypergraph;
+  Hypergraph b = CliqueCovering(21).Reconstruct(g).hypergraph;
   EXPECT_EQ(a.UniqueEdges(), b.UniqueEdges());
-  Hypergraph c = BayesianMdl(23, 100).Reconstruct(g);
-  Hypergraph d = BayesianMdl(23, 100).Reconstruct(g);
+  Hypergraph c = BayesianMdl(23, 100).Reconstruct(g).hypergraph;
+  Hypergraph d = BayesianMdl(23, 100).Reconstruct(g).hypergraph;
   EXPECT_EQ(c.UniqueEdges(), d.UniqueEdges());
 }
 

@@ -54,7 +54,7 @@ bool CoversAllEdges(const ProjectedGraph& g, const Hypergraph& h) {
 TEST(MaxClique, RecoversDisjointTriangles) {
   ProjectedGraph g = TwoDisjointTriangles();
   MaxCliqueDecomposition method;
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_EQ(h.num_unique_edges(), 2u);
   EXPECT_TRUE(h.Contains({0, 1, 2}));
   EXPECT_TRUE(h.Contains({3, 4, 5}));
@@ -69,7 +69,7 @@ TEST(MaxClique, OutputsAreCliquesOfInput) {
     }
   }
   MaxCliqueDecomposition method;
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   for (const auto& [e, m] : h.edges()) {
     (void)m;
     EXPECT_TRUE(g.IsClique(e));
@@ -86,7 +86,7 @@ TEST(CliqueCovering, CoversEveryEdge) {
     }
   }
   CliqueCovering method(7);
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_TRUE(CoversAllEdges(g, h));
   for (const auto& [e, m] : h.edges()) {
     (void)m;
@@ -98,7 +98,7 @@ TEST(CliqueCovering, SingleEdgeGraph) {
   ProjectedGraph g(2);
   g.AddWeight(0, 1, 5);
   CliqueCovering method;
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_EQ(h.num_unique_edges(), 1u);
   EXPECT_TRUE(h.Contains({0, 1}));
 }
@@ -106,7 +106,7 @@ TEST(CliqueCovering, SingleEdgeGraph) {
 TEST(BayesianMdl, CoverIsValidAndParsimonious) {
   ProjectedGraph g = TwoDisjointTriangles();
   BayesianMdl method(11);
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_TRUE(CoversAllEdges(g, h));
   // Parsimony: two triangles explain the graph with 2 hyperedges; a cover
   // with more than 6 (one per edge) would be degenerate.
@@ -117,14 +117,14 @@ TEST(BayesianMdl, CoverIsValidAndParsimonious) {
 TEST(BayesianMdl, EmptyGraph) {
   ProjectedGraph g(4);
   BayesianMdl method;
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_EQ(h.num_total_edges(), 0u);
 }
 
 TEST(Demon, FindsCommunitiesInDisjointTriangles) {
   ProjectedGraph g = TwoDisjointTriangles();
   Demon method(1.0, 2, 13);
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_GT(h.num_unique_edges(), 0u);
   // Both triangles should be found as (contained in) communities.
   bool found_left = false, found_right = false;
@@ -141,7 +141,7 @@ TEST(Demon, MinSizeRespected) {
   ProjectedGraph g(4);
   g.AddWeight(0, 1, 1);
   Demon method(1.0, 3, 17);
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   for (const auto& [e, m] : h.edges()) {
     (void)m;
     EXPECT_GE(e.size(), 3u);
@@ -157,14 +157,14 @@ TEST(CFinder, PercolatesAdjacentTriangles) {
   g.AddWeight(1, 3, 1);
   g.AddWeight(2, 3, 1);
   CFinder method(3);
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_TRUE(h.Contains({0, 1, 2, 3}));
 }
 
 TEST(CFinder, DisjointTrianglesStaySeparate) {
   ProjectedGraph g = TwoDisjointTriangles();
   CFinder method(3);
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_TRUE(h.Contains({0, 1, 2}));
   EXPECT_TRUE(h.Contains({3, 4, 5}));
   EXPECT_EQ(h.num_unique_edges(), 2u);
@@ -185,7 +185,7 @@ TEST(ShyreUnsup, PeelsRepeatedPairExactly) {
   truth.AddEdge({0, 1}, 3);
   ProjectedGraph g = truth.Project();
   ShyreUnsup method;
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_EQ(h.Multiplicity({0, 1}), 3u);
 }
 
@@ -194,7 +194,7 @@ TEST(ShyreUnsup, ConsumesAllEdgeMultiplicity) {
       gen::Generate(gen::ProfileByName("hosts"), 3);
   ProjectedGraph g = data.hypergraph.Project();
   ShyreUnsup method;
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_EQ(h.Project().TotalWeight(), g.TotalWeight());
 }
 
@@ -205,7 +205,7 @@ TEST(ShyreUnsup, PrefersLargerCliques) {
   truth.AddEdge({0, 1, 2}, 1);
   ProjectedGraph g = truth.Project();
   ShyreUnsup method;
-  Hypergraph h = method.Reconstruct(g);
+  Hypergraph h = method.Reconstruct(g).hypergraph;
   EXPECT_TRUE(h.Contains({0, 1, 2}));
   EXPECT_EQ(h.num_total_edges(), 1u);
 }
@@ -220,7 +220,7 @@ TEST(Shyre, TrainAndReconstructRunsEndToEnd) {
   options.seed = 9;
   Shyre method(options);
   method.Train(split.source.Project(), split.source);
-  Hypergraph h = method.Reconstruct(split.target.Project());
+  Hypergraph h = method.Reconstruct(split.target.Project()).hypergraph;
   // SHyRe is single-pass: accuracy is dataset-dependent, but on the
   // near-disjoint crime profile it must recover a solid majority.
   EXPECT_GT(eval::Jaccard(split.target, h), 0.5);
@@ -242,9 +242,10 @@ TEST(AllMethods, UnsupervisedOnesIgnoreTrain) {
     std::unique_ptr<api::Reconstructor> trained =
         api::MustCreateMethod(info.name, 1);
     trained->Train(g_source, split.source);
-    EXPECT_EQ(trained->Reconstruct(g_target).edges(),
-              api::MustCreateMethod(info.name, 1)->Reconstruct(g_target)
-                  .edges())
+    EXPECT_EQ(trained->Reconstruct(g_target).hypergraph.edges(),
+              api::MustCreateMethod(info.name, 1)
+                  ->Reconstruct(g_target)
+                  .hypergraph.edges())
         << info.name;
   }
 }

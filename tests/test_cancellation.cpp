@@ -58,9 +58,7 @@ Hypergraph RunMarioh(const Workload& w, int threads,
   options.cancel = cancel;
   core::Marioh marioh(options);
   marioh.Train(w.g_source, w.split.source);
-  Hypergraph h = marioh.Reconstruct(w.g_target);
-  if (stats != nullptr) *stats = marioh.last_reconstruction_stats();
-  return h;
+  return marioh.Reconstruct(w.g_target, stats);
 }
 
 // The preemption counterpart of the determinism contract: plumbing a

@@ -62,7 +62,7 @@ TEST(CaseStudy, ShyreCountIsStrictlyWorseHere) {
   // The paper's Fig. 2 contrast: the single-pass multiplicity-blind
   // baseline cannot fully restore this ego network.
   Hypergraph ego = EgoHypergraph();
-  Hypergraph by_shyre = Models().shyre.Reconstruct(ego.Project());
+  Hypergraph by_shyre = Models().shyre.Reconstruct(ego.Project()).hypergraph;
   EXPECT_LT(eval::MultiJaccard(ego, by_shyre), 1.0);
 }
 

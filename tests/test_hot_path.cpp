@@ -297,9 +297,10 @@ TEST(HotPathEndToEnd, ReconstructionIsThreadCountInvariant) {
   options.num_threads = 1;
   core::Marioh one(options);
   one.Train(g_source, split.source);
-  Hypergraph h_one = one.Reconstruct(g_target);
-  EXPECT_FALSE(one.last_reconstruction_stats().cliques_truncated);
-  EXPECT_GT(one.last_reconstruction_stats().iterations, 0u);
+  core::ReconstructionStats stats;
+  Hypergraph h_one = one.Reconstruct(g_target, &stats);
+  EXPECT_FALSE(stats.cliques_truncated);
+  EXPECT_GT(stats.iterations, 0u);
 
   for (int threads : {4, 0}) {  // explicit fan-out and "all cores"
     options.num_threads = threads;

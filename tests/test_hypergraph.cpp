@@ -120,6 +120,14 @@ TEST(ProjectedGraph, AddAndSubtractWeight) {
   EXPECT_TRUE(g.Empty());
 }
 
+// A sum past uint32_t would wrap to a zero weight still counted as an
+// edge; AddWeight refuses it instead.
+TEST(ProjectedGraph, AddWeightThatWrapsDies) {
+  ProjectedGraph g(2);
+  g.AddWeight(0, 1, 4294967295u);
+  EXPECT_DEATH(g.AddWeight(0, 1, 1), "MARIOH_CHECK");
+}
+
 TEST(ProjectedGraph, SelfAndMissingWeightIsZero) {
   ProjectedGraph g(3);
   g.AddWeight(0, 1, 1);

@@ -95,11 +95,13 @@ TEST(HypergraphIo, RejectsMultiplicitiesBeyondUint32) {
 }
 
 TEST(HypergraphIo, AcceptsTheLargestIdAndMultiplicity) {
+  // Disjoint hyperedges: a node in both would reach weighted degree 2^32,
+  // which the reader rejects (RejectsWeightedDegreesThatOverflow...).
   StatusOr<Hypergraph> h =
-      ParseHypergraph("4294967294 1\n1 2 x 4294967295\n");
+      ParseHypergraph("4294967294 1\n2 3 x 4294967295\n");
   ASSERT_TRUE(h.ok()) << h.status().ToString();
   EXPECT_EQ(h->num_nodes(), 4294967295u);
-  EXPECT_EQ(h->Multiplicity({1, 2}), 4294967295u);
+  EXPECT_EQ(h->Multiplicity({2, 3}), 4294967295u);
 }
 
 // Repeated hyperedges sum their multiplicities; summed in 32 bits,
@@ -116,6 +118,26 @@ TEST(HypergraphIo, RejectsMultiplicitiesThatOverflowWhenSummed) {
       ParseHypergraph("1 2 x 4294967294\n2 1 2\n");
   ASSERT_TRUE(h.ok()) << h.status().ToString();
   EXPECT_EQ(h->Multiplicity({1, 2}), 4294967295u);
+}
+
+// Pair weights of Project() sum multiplicities across *distinct*
+// hyperedges: {0,1} x 4294967295 plus {0,1,2} x 1 would project w(0,1)
+// as a wrapped 0 counted as an edge. The reader bounds each node's
+// weighted degree instead, which bounds every pair weight.
+TEST(HypergraphIo, RejectsWeightedDegreesThatOverflowWhenProjected) {
+  api::Status status =
+      ParseHypergraph("0 1 x 4294967295\n0 1 2 x 1\n").status();
+  ExpectBadLine(status, "line 2");
+  EXPECT_NE(status.message().find(
+                "weighted degree of node 0 exceeds 4294967295"),
+            std::string::npos)
+      << status.ToString();
+  StatusOr<Hypergraph> h = ParseHypergraph("0 1 x 4294967294\n0 2 x 1\n");
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  ProjectedGraph g = h->Project();
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(g.Weight(0, 1), 4294967294u);
+  EXPECT_EQ(g.Weight(0, 2), 1u);
 }
 
 TEST(ProjectedGraphIo, RoundTrip) {

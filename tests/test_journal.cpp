@@ -1,19 +1,23 @@
 // Tests for util::Journal — the write-ahead record log under the
 // service's durability layer: record framing and replay order, CRC
 // corruption and torn tails truncating cleanly at the last good record,
-// segment rotation + compaction, fsync policy parsing, and the
-// journal.append / journal.fsync / journal.replay failpoints.
+// segment rotation + compaction, fsync policy parsing, the
+// journal.append / journal.fsync / journal.replay failpoints, and a
+// seeded mutation test of replay.
 
 #include "util/journal.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "util/failpoint.hpp"
+#include "util/rng.hpp"
 
 namespace marioh {
 namespace {
@@ -321,6 +325,107 @@ TEST_F(JournalTest, NeverFsyncStillReplaysCleanly) {
   ASSERT_TRUE(journal.ok());
   ASSERT_EQ(replayed.size(), 1u);
   EXPECT_EQ(replayed[0].key, 7u);
+}
+
+/// A record as one comparable, printable line.
+std::string Show(const JournalRecord& record) {
+  return std::to_string(record.key) + (record.terminal ? " T " : " - ") +
+         record.payload;
+}
+
+// Seeded mutation test of replay, like the ones the wire parser and the
+// .hg/.eg readers have: every truncation of a segment, every single-bit
+// flip and seeded random bytes at every offset, and random trailing
+// garbage. Open must never crash (the suite runs under ASan+UBSan) and
+// must replay exactly the records that precede the first damaged byte,
+// with exact payloads. Its truncation is physical: a second Open
+// replays the same records and finds no torn tail.
+TEST_F(JournalTest, MutatedSegmentsReplayTheIntactPrefix) {
+  const std::vector<JournalRecord> appended = {
+      {1, false, "accept target=x"},
+      {2, false, "accept target=y"},
+      {1, false, "attempt 1"},
+      {1, true, "terminal DONE"},
+      {3, false, std::string("\x00\xff\x7f bin", 7)},
+      {2, true, ""},
+  };
+  JournalOptions options;
+  options.fsync = JournalFsync::kNever;  // replay is policy-independent
+  {
+    StatusOr<std::unique_ptr<Journal>> journal =
+        OpenCollecting(nullptr, options);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    for (const JournalRecord& record : appended) {
+      ASSERT_TRUE(
+          (*journal)->Append(record.key, record.payload, record.terminal)
+              .ok());
+    }
+  }
+  std::string pristine;
+  {
+    std::ifstream in(SegmentPath(1), std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  // Record i occupies [ends[i-1], ends[i]): 17-byte header + payload.
+  std::vector<size_t> ends;
+  for (const JournalRecord& record : appended) {
+    ends.push_back((ends.empty() ? 0 : ends.back()) + 17 +
+                   record.payload.size());
+  }
+  ASSERT_EQ(pristine.size(), ends.back());
+  // How many records lie wholly before byte `offset`.
+  auto intact_before = [&ends](size_t offset) {
+    return static_cast<size_t>(
+        std::upper_bound(ends.begin(), ends.end(), offset) - ends.begin());
+  };
+
+  auto check = [&](const std::string& segment, size_t expected) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directory(dir_);
+    {
+      std::ofstream out(SegmentPath(1), std::ios::binary);
+      out << segment;
+    }
+    const std::string what = "segment of " + std::to_string(segment.size()) +
+                             " bytes, expected " + std::to_string(expected);
+    for (int open = 0; open < 2; ++open) {
+      std::vector<JournalRecord> replayed;
+      StatusOr<std::unique_ptr<Journal>> journal =
+          OpenCollecting(&replayed, options);
+      ASSERT_TRUE(journal.ok()) << what << ": " << journal.status().ToString();
+      ASSERT_EQ(replayed.size(), expected) << what << ", open " << open;
+      for (size_t i = 0; i < expected; ++i) {
+        EXPECT_EQ(Show(replayed[i]), Show(appended[i])) << what;
+      }
+      if (open == 1) {
+        EXPECT_EQ((*journal)->stats().torn_tails_truncated, 0u) << what;
+      }
+    }
+  };
+
+  for (size_t length = 0; length <= pristine.size(); ++length) {
+    check(pristine.substr(0, length), intact_before(length));
+  }
+  util::Rng rng(20261017);
+  for (size_t offset = 0; offset < pristine.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = pristine;
+      mutant[offset] = static_cast<char>(mutant[offset] ^ (1 << bit));
+      check(mutant, intact_before(offset));
+    }
+    for (int draw = 0; draw < 4; ++draw) {
+      std::string mutant = pristine;
+      mutant[offset] = static_cast<char>(rng.UniformInt(0, 255));
+      check(mutant, mutant == pristine ? appended.size()
+                                       : intact_before(offset));
+    }
+  }
+  for (int draw = 0; draw < 16; ++draw) {
+    std::string garbage(static_cast<size_t>(rng.UniformInt(1, 40)), '\0');
+    for (char& c : garbage) c = static_cast<char>(rng.UniformInt(0, 255));
+    check(pristine + garbage, appended.size());
+  }
 }
 
 }  // namespace

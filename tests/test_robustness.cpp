@@ -104,19 +104,22 @@ TEST(Robustness, UniformHugeWeights) {
 
 TEST(Robustness, BaselinesHandleEmptyAndTinyGraphs) {
   ProjectedGraph empty(5);
-  EXPECT_EQ(baselines::MaxCliqueDecomposition().Reconstruct(empty)
-                .num_total_edges(),
+  EXPECT_EQ(baselines::MaxCliqueDecomposition()
+                .Reconstruct(empty)
+                .hypergraph.num_total_edges(),
             0u);
-  EXPECT_EQ(baselines::CliqueCovering().Reconstruct(empty)
-                .num_total_edges(),
+  EXPECT_EQ(baselines::CliqueCovering()
+                .Reconstruct(empty)
+                .hypergraph.num_total_edges(),
             0u);
-  EXPECT_EQ(baselines::ShyreUnsup().Reconstruct(empty).num_total_edges(),
-            0u);
+  EXPECT_EQ(
+      baselines::ShyreUnsup().Reconstruct(empty).hypergraph.num_total_edges(),
+      0u);
   ProjectedGraph one_edge(2);
   one_edge.AddWeight(0, 1, 1);
   EXPECT_EQ(baselines::MaxCliqueDecomposition()
                 .Reconstruct(one_edge)
-                .num_unique_edges(),
+                .hypergraph.num_unique_edges(),
             1u);
 }
 
