@@ -1,9 +1,10 @@
 // Microbenchmarks of the hot kernels inside MARIOH's reconstruction loop:
 // MHH computation (Eq. (1)), maximal-clique enumeration, feature
-// extraction, filtering, clique peeling, and the clique classifier's MLP
-// fit and batched scoring — the graph kernels on both the mutable
-// hash-map path and the CSR snapshot fast path, with thread sweeps for the
-// parallel kernels. google-benchmark based; pass
+// extraction, filtering, clique peeling, the clique classifier's MLP fit
+// and batched scoring, and la::Gemm on each vector-width path — the
+// graph kernels on both the mutable hash-map path and the CSR snapshot
+// fast path, with thread sweeps for the parallel kernels.
+// google-benchmark based; pass
 // `--benchmark_out=bench_micro.json --benchmark_out_format=json` to record
 // a machine-readable trajectory (CI uploads this as an artifact).
 
@@ -18,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
+#include "la/gemm.hpp"
 #include "ml/mlp.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -310,6 +312,56 @@ void BM_MlpFit(benchmark::State& state) {
                           static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_MlpFit)->Arg(3)->Unit(benchmark::kMillisecond);
+
+// la::Gemm on each vector-width path at the MLP's eu shapes (23 features,
+// hidden {64, 32}, batch 64). Args are (path, m, n, depth, A transposed):
+// forward X·Wᵀ 64x64x23 and 64x32x64, backward Dᵀ·A 32x64x64 and
+// 64x23x64 (A read through strides, no copy), and D·W 64x64x32. Paths
+// the host lacks report an error instead of a time.
+void BM_Gemm(benchmark::State& state) {
+  const auto path =
+      static_cast<marioh::la::detail::GemmPath>(state.range(0));
+  const auto m = static_cast<size_t>(state.range(1));
+  const auto n = static_cast<size_t>(state.range(2));
+  const auto depth = static_cast<size_t>(state.range(3));
+  const bool transposed_a = state.range(4) != 0;
+  const size_t a_row_stride = transposed_a ? 1 : depth;
+  const size_t a_k_stride = transposed_a ? m : 1;
+  marioh::util::Rng rng(12);
+  std::vector<double> a(m * depth), b(depth * n), c(m * n);
+  for (double& x : a) x = rng.Normal();
+  for (double& x : b) x = rng.Normal();
+  auto run = [&] {
+    return marioh::la::detail::GemmOn(path, m, n, depth, a.data(),
+                                      a_row_stride, a_k_stride, b.data(), n,
+                                      c.data(), n);
+  };
+  if (!run()) {
+    state.SkipWithError("GEMM path not supported on this host");
+    return;
+  }
+  for (auto _ : state) {
+    run();
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(m * n * depth));
+}
+BENCHMARK(BM_Gemm)
+    ->ArgNames({"path", "m", "n", "depth", "At"})
+    ->Apply([](benchmark::internal::Benchmark* bench) {
+      const int64_t shapes[][4] = {{64, 64, 23, 0},
+                                   {64, 32, 64, 0},
+                                   {32, 64, 64, 1},
+                                   {64, 23, 64, 1},
+                                   {64, 64, 32, 0}};
+      for (int64_t path = 0; path < 2; ++path) {
+        for (const auto& s : shapes) {
+          bench->Args({path, s[0], s[1], s[2], s[3]});
+        }
+      }
+    });
 
 /// A classifier trained on a small synthetic source pair.
 marioh::core::CliqueClassifier TrainedClassifier() {

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -1444,6 +1446,110 @@ TEST(DatasetCache, ManifestRecordsAndRestoresDatasets) {
   Status lost = unlucky.RestoreFromManifest(manifest, nullptr);
   EXPECT_EQ(lost.code(), StatusCode::kUnavailable);
   EXPECT_NE(lost.message().find("src"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+// Seeded mutation test of manifest restore, like the ones the wire
+// parser, the .hg/.eg readers and journal replay have: every truncation
+// of a valid manifest, and at every offset all eight single-bit flips
+// plus seeded random bytes. ReadManifest must either return entries that
+// each fit the grammar or kInvalidArgument naming a line of the file,
+// and RestoreFromManifest must return (the suite runs under ASan+UBSan)
+// with OK, that same error, or kUnavailable for entries it could not
+// restore.
+TEST(DatasetCache, MutatedManifestsNeverCrashAndParseToTheGrammar) {
+  const std::string dir = testing::TempDir() + "/marioh_manifest_mutation";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  Hypergraph tiny;
+  tiny.AddEdge({0, 1, 2});
+  tiny.AddEdge({1, 2});
+  ASSERT_TRUE(io::TryWriteHypergraphFile(tiny, dir + "/h.hg").ok());
+  ASSERT_TRUE(
+      io::TryWriteProjectedGraphFile(tiny.Project(), dir + "/g.eg").ok());
+  const std::string manifest = dir + "/m";
+  {
+    DatasetCache cache;
+    ASSERT_TRUE(cache.EnableManifest(manifest).ok());
+    ASSERT_TRUE(cache.LoadHypergraphFile("h", dir + "/h.hg").ok());
+    ASSERT_TRUE(cache.LoadProjectedGraphFile("g", dir + "/g.eg").ok());
+    cache.RecordGenerated("syn", "crime", 7);
+  }
+  std::string pristine;
+  {
+    std::ifstream in(manifest, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(DatasetCache::ReadManifest(manifest)->size(), 3u);
+
+  auto token = [](const std::string& field) {
+    return !field.empty() &&
+           field.find_first_of(" \t\n\v\f\r") == std::string::npos;
+  };
+  size_t parsed = 0, rejected = 0;
+  auto check = [&](const std::string& text) {
+    {
+      std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    const size_t lines = static_cast<size_t>(
+        std::count(text.begin(), text.end(), '\n') +
+        (!text.empty() && text.back() != '\n' ? 1 : 0));
+    StatusOr<std::vector<DatasetCache::ManifestEntry>> entries =
+        DatasetCache::ReadManifest(manifest);
+    if (entries.ok()) {
+      ++parsed;
+      for (const DatasetCache::ManifestEntry& entry : *entries) {
+        const bool file = entry.kind == "hypergraph" || entry.kind == "graph";
+        EXPECT_TRUE(file || entry.kind == "gen") << "kind '" << entry.kind
+                                                 << "' from '" << text << "'";
+        EXPECT_TRUE(token(entry.name) && token(entry.path)) << text;
+        if (file) {
+          EXPECT_EQ(entry.seed, 0u) << text;
+        }
+      }
+    } else {
+      ++rejected;
+      EXPECT_EQ(entries.status().code(), StatusCode::kInvalidArgument);
+      const std::string& message = entries.status().message();
+      const size_t at = message.find("' line ");
+      ASSERT_NE(at, std::string::npos) << message;
+      const size_t line = std::stoul(message.substr(at + 7));
+      EXPECT_GE(line, 1u) << message;
+      EXPECT_LE(line, lines) << message;
+    }
+    DatasetCache restored;
+    Status status = restored.RestoreFromManifest(
+        manifest, [](const std::string&, const std::string&, uint64_t) {
+          return Status::Ok();
+        });
+    if (!entries.ok()) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    } else if (!status.ok()) {
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+    }
+  };
+
+  for (size_t length = 0; length <= pristine.size(); ++length) {
+    check(pristine.substr(0, length));
+  }
+  util::Rng rng(20261017);
+  for (size_t offset = 0; offset < pristine.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = pristine;
+      mutant[offset] = static_cast<char>(mutant[offset] ^ (1 << bit));
+      check(mutant);
+    }
+    for (int draw = 0; draw < 4; ++draw) {
+      std::string mutant = pristine;
+      mutant[offset] = static_cast<char>(rng.UniformInt(0, 255));
+      check(mutant);
+    }
+  }
+  // Not vacuous: both outcomes are common.
+  EXPECT_GT(parsed, pristine.size());
+  EXPECT_GT(rejected, pristine.size());
   std::filesystem::remove_all(dir);
 }
 

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "la/eigen.hpp"
@@ -88,26 +90,93 @@ void ExpectBitwiseEqual(const std::vector<double>& got,
             0);
 }
 
-TEST(Gemm, MatchesNaiveLoopBitwiseOnAwkwardShapes) {
+using detail::GemmPath;
+
+constexpr GemmPath kEveryGemmPath[] = {GemmPath::kSse2, GemmPath::kAvx2};
+
+/// Whether this build and host have `path`: an empty product runs on it.
+bool HostHas(GemmPath path) {
+  return detail::GemmOn(path, 0, 0, 0, nullptr, 0, 0, nullptr, 0, nullptr,
+                        0);
+}
+
+/// The Gemm tests, run on every vector-width path; paths the host lacks
+/// are skipped.
+class GemmOnPath : public testing::TestWithParam<GemmPath> {
+ protected:
+  void SetUp() override {
+    if (!HostHas(GetParam())) GTEST_SKIP() << "host lacks this GEMM path";
+  }
+
+  void Gemm(size_t m, size_t n, size_t depth, const double* a,
+            size_t a_row_stride, size_t a_k_stride, const double* b,
+            size_t b_row_stride, double* c, size_t c_row_stride) {
+    ASSERT_TRUE(detail::GemmOn(GetParam(), m, n, depth, a, a_row_stride,
+                               a_k_stride, b, b_row_stride, c,
+                               c_row_stride));
+  }
+};
+
+std::string PathName(const testing::TestParamInfo<GemmPath>& info) {
+  const char* const names[] = {"Sse2", "Avx2"};
+  return names[static_cast<size_t>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryPath, GemmOnPath,
+                         testing::ValuesIn(kEveryGemmPath), PathName);
+
+TEST_P(GemmOnPath, MatchesNaiveLoopBitwiseOnAwkwardShapes) {
   util::Rng rng(13);
-  // (m, n, depth): 1x1, remainder rows and columns on both sides of the
-  // 4x4 register block, the MLP's eu training shapes, and depth 0.
-  const size_t shapes[][3] = {{1, 1, 1},  {3, 17, 5},  {65, 23, 64},
-                              {4, 4, 1},  {5, 3, 7},   {64, 64, 23},
-                              {64, 1, 32}, {2, 9, 0},  {17, 65, 33}};
-  for (const auto& shape : shapes) {
-    const size_t m = shape[0], n = shape[1], depth = shape[2];
+  auto check = [this, &rng](size_t m, size_t n, size_t depth) {
     SCOPED_TRACE(testing::Message() << m << "x" << n << " depth " << depth);
     std::vector<double> a = RandomValues(m * depth, &rng);
     std::vector<double> b = RandomValues(depth * n, &rng);
     std::vector<double> c(m * n, -1.0);
+    const std::vector<double> naive =
+        NaiveProduct(m, n, depth, a.data(), depth, 1, b.data());
     Gemm(m, n, depth, a.data(), depth, 1, b.data(), n, c.data(), n);
-    ExpectBitwiseEqual(c, NaiveProduct(m, n, depth, a.data(), depth, 1,
-                                       b.data()));
+    ExpectBitwiseEqual(c, naive);
+    // The public entry, on whichever path it picked, agrees too.
+    std::fill(c.begin(), c.end(), -1.0);
+    la::Gemm(m, n, depth, a.data(), depth, 1, b.data(), n, c.data(), n);
+    ExpectBitwiseEqual(c, naive);
+  };
+  // (m, n, depth): 1x1, remainder rows and columns on both sides of the
+  // register tiles, the MLP's eu training shapes, and depth 0.
+  const size_t shapes[][3] = {{1, 1, 1},  {3, 17, 5},  {65, 23, 64},
+                              {4, 4, 1},  {5, 3, 7},   {64, 64, 23},
+                              {64, 1, 32}, {2, 9, 0},  {17, 65, 33}};
+  for (const auto& shape : shapes) check(shape[0], shape[1], shape[2]);
+  // n from 1 to 19 walks every column remainder of the widest
+  // (2 x 4-lane) tile, after zero, one and two full tiles, through each
+  // narrower width; m in {1, 3, 4, 5} covers single-row bands, a full
+  // 4-row band and both together.
+  for (size_t m : {1, 3, 4, 5}) {
+    for (size_t n = 1; n <= 19; ++n) check(m, n, 7);
   }
 }
 
-TEST(Gemm, StridedAReadsTheTransposeWithoutACopy) {
+TEST_P(GemmOnPath, NeverFusesMultiplyAndAdd) {
+  // a0*b0 = -1 and a1 = b1 = 1 + 2^-30: the rounded product a1*b1 is
+  // 1 + 2^-29, so multiply-then-add gives 2^-29, while a fused
+  // multiply-add would keep the 2^-60 term. Every row and column of a
+  // 5x19 C holds the same sum, so every tile kind is checked.
+  const size_t m = 5, n = 19;
+  const double x = 1.0 + std::ldexp(1.0, -30);
+  std::vector<double> a(m * 2), b(2 * n), c(m * n);
+  for (size_t r = 0; r < m; ++r) {
+    a[r * 2] = -1.0;
+    a[r * 2 + 1] = x;
+  }
+  for (size_t j = 0; j < n; ++j) {
+    b[j] = 1.0;
+    b[n + j] = x;
+  }
+  Gemm(m, n, 2, a.data(), 2, 1, b.data(), n, c.data(), n);
+  for (double got : c) EXPECT_EQ(got, std::ldexp(1.0, -29));
+}
+
+TEST_P(GemmOnPath, StridedAReadsTheTransposeWithoutACopy) {
   // C = Dᵀ · X with D stored row-major as depth x m: A-strides (1, m).
   util::Rng rng(14);
   const size_t m = 23, n = 10, depth = 65;
@@ -127,11 +196,12 @@ TEST(Gemm, StridedAReadsTheTransposeWithoutACopy) {
   ExpectBitwiseEqual(c, via_copy);
 }
 
-TEST(Gemm, HonorsRowStridesOfBAndC) {
+TEST_P(GemmOnPath, HonorsRowStridesOfBAndC) {
   // B and C embedded in wider buffers: only their first n columns are
-  // read and written.
+  // read and written. n = 15 = 8 + 4 + 2 + 1 reaches a full tile and
+  // every narrower remainder on the widest path.
   util::Rng rng(15);
-  const size_t m = 6, n = 5, depth = 4, ldb = 8, ldc = 7;
+  const size_t m = 6, n = 15, depth = 4, ldb = 16, ldc = 17;
   std::vector<double> a = RandomValues(m * depth, &rng);
   std::vector<double> b = RandomValues(depth * ldb, &rng);
   std::vector<double> c(m * ldc, 42.0);

@@ -12,7 +12,8 @@
 // doubles as the data-race battery for the CancelToken plumbing; it also
 // writes the cancel-to-stop latencies the run added to the
 // marioh_cancel_latency_seconds histogram to cancel_latency.json, which
-// CI uploads next to bench_micro.json.
+// CI uploads next to bench_micro.json. A second test times a mid-Train
+// cancel of a MARIOH Session and records it in the same file.
 
 #include <gtest/gtest.h>
 
@@ -23,13 +24,16 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/dataset_cache.hpp"
 #include "api/request.hpp"
 #include "api/service.hpp"
+#include "api/session.hpp"
 #include "eval/harness.hpp"
 #include "obs/metrics.hpp"
+#include "util/cancel.hpp"
 
 namespace marioh::api {
 namespace {
@@ -41,6 +45,23 @@ constexpr int kJobsPerProducer = 12;
 const obs::Histogram& CancelLatency() {
   return *obs::MetricRegistry::Global().GetHistogram(
       "marioh_cancel_latency_seconds");
+}
+
+/// Writes `fields` to cancel_latency.json together with every field the
+/// tests before it in this process published, so each test adds its own
+/// numbers to the one file.
+void PublishCancelLatency(
+    const std::vector<std::pair<std::string, double>>& fields) {
+  static std::vector<std::pair<std::string, double>> published;
+  published.insert(published.end(), fields.begin(), fields.end());
+  std::ofstream out("cancel_latency.json");
+  ASSERT_TRUE(out.good());
+  out << "{\n";
+  for (size_t i = 0; i < published.size(); ++i) {
+    out << "  \"" << published[i].first << "\": " << published[i].second
+        << (i + 1 < published.size() ? ",\n" : "\n");
+  }
+  out << "}\n";
 }
 
 /// Checks the books of one stats() snapshot. `cancel_samples` is how far
@@ -168,20 +189,55 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
 
   // Publish the measured cancel latencies for the CI artifact (empty
   // stats are valid: every Cancel may have caught its job queued).
-  std::ofstream out("cancel_latency.json");
-  ASSERT_TRUE(out.good());
   double mean =
       cancel_count == 0 ? 0.0
                         : cancel_total / static_cast<double>(cancel_count);
-  out << "{\n"
-      << "  \"cancel_latency_count\": " << cancel_count << ",\n"
-      << "  \"cancel_latency_mean_seconds\": " << mean << ",\n"
-      << "  \"cancel_latency_max_seconds\": "
-      << (cancel_count == 0 ? 0.0 : latency.max()) << ",\n"
-      << "  \"preempted\": " << stats.preempted << ",\n"
-      << "  \"cancelled\": " << stats.cancelled << ",\n"
-      << "  \"deadline_exceeded\": " << stats.deadline_exceeded << "\n"
-      << "}\n";
+  PublishCancelLatency(
+      {{"cancel_latency_count", static_cast<double>(cancel_count)},
+       {"cancel_latency_mean_seconds", mean},
+       {"cancel_latency_max_seconds",
+        cancel_count == 0 ? 0.0 : latency.max()},
+       {"preempted", static_cast<double>(stats.preempted)},
+       {"cancelled", static_cast<double>(stats.cancelled)},
+       {"deadline_exceeded", static_cast<double>(stats.deadline_exceeded)}});
+}
+
+// Mid-Train cancel latency: a MARIOH Session trains on an eu draw with
+// 500 MLP epochs, seconds of fit even on the widest GEMM path, so the
+// trip 300 ms in lands mid-Train; a cancel that never lands lets Train
+// finish with kOk, which fails the status check in seconds rather than
+// hanging. A second thread trips the token; the time from the trip
+// until Train returns kCancelled is bounded by how often the fit's
+// mini-batch loop (and the stages before it) poll the token. The bound
+// is generous enough for a TSan Debug build.
+TEST(ServiceStress, MidTrainCancelReturnsWithinASecond) {
+  eval::PreparedDataset data =
+      eval::PrepareDataset("eu", /*multiplicity_reduced=*/false,
+                           /*seed=*/1);
+  util::CancelToken token;
+  SessionOptions options;
+  options.method = "MARIOH";
+  options.cancel = &token;
+  options.marioh.classifier.mlp.epochs = 500;
+  Session session;
+  ASSERT_TRUE(session.Configure(options).ok());
+
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point tripped_at;
+  std::thread tripper([&token, &tripped_at] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    tripped_at = Clock::now();
+    token.Cancel();
+  });
+  Status status = session.Train(data.train());
+  const Clock::time_point returned_at = Clock::now();
+  tripper.join();
+
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
+  const double seconds =
+      std::chrono::duration<double>(returned_at - tripped_at).count();
+  EXPECT_LE(seconds, 1.0);
+  PublishCancelLatency({{"train_cancel_latency_seconds", seconds}});
 }
 
 }  // namespace
