@@ -23,10 +23,11 @@
 //   methods                         list registered method names
 //   submit key=value ...            submit a job; keys: method= train=
 //                                   target= truth= seed= budget=
-//                                   deadline= priority= client= kthreads=
-//                                   retries= backoff= plus any
-//                                   session/method override (threads=,
-//                                   theta_init=, ...). Responds `ok job N`.
+//                                   deadline= priority= client= retries=
+//                                   backoff= plus any session/method
+//                                   override (threads= sets the job's
+//                                   kernel threads, theta_init=, ...).
+//                                   Responds `ok job N`.
 //   poll <id>                       non-blocking job state
 //   wait <id>                       block until the job finishes
 //   cancel <id>                     cancel a queued job, or preempt a

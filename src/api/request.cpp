@@ -13,10 +13,8 @@ namespace {
 /// The typed keys of the wire grammar, in serialization order. Anything
 /// else is an override key.
 constexpr const char* kTypedKeys[] = {
-    "method",   "train",    "target",       "truth",       "seed",
-    "budget",   "deadline", "priority",     "client",      "kthreads",
-    "retries",  "backoff",  "backoff_mult", "backoff_cap", "jitter",
-    "retryable"};
+    "method",   "train",    "target", "truth",   "seed",   "budget",
+    "deadline", "priority", "client", "retries", "backoff"};
 
 bool IsTypedKey(const std::string& key) {
   for (const char* typed : kTypedKeys) {
@@ -30,48 +28,6 @@ std::string FormatDouble(double value) {
   std::ostringstream out;
   out << std::setprecision(17) << value;
   return out.str();
-}
-
-/// Lower-case wire names for the `retryable=` code list.
-const char* RetryableCodeName(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return "ok";
-    case StatusCode::kInvalidArgument:
-      return "invalid_argument";
-    case StatusCode::kNotFound:
-      return "not_found";
-    case StatusCode::kAlreadyExists:
-      return "already_exists";
-    case StatusCode::kFailedPrecondition:
-      return "failed_precondition";
-    case StatusCode::kDeadlineExceeded:
-      return "deadline_exceeded";
-    case StatusCode::kCancelled:
-      return "cancelled";
-    case StatusCode::kResourceExhausted:
-      return "resource_exhausted";
-    case StatusCode::kInternal:
-      return "internal";
-    case StatusCode::kUnavailable:
-      return "unavailable";
-  }
-  return "unknown";
-}
-
-bool ParseRetryableCode(const std::string& name, StatusCode* out) {
-  for (StatusCode code :
-       {StatusCode::kInvalidArgument, StatusCode::kNotFound,
-        StatusCode::kAlreadyExists, StatusCode::kFailedPrecondition,
-        StatusCode::kDeadlineExceeded, StatusCode::kCancelled,
-        StatusCode::kResourceExhausted, StatusCode::kInternal,
-        StatusCode::kUnavailable}) {
-    if (name == RetryableCodeName(code)) {
-      *out = code;
-      return true;
-    }
-  }
-  return false;
 }
 
 Status CheckNoWhitespace(const std::string& value, const std::string& what) {
@@ -115,34 +71,12 @@ std::string SerializeReconstructRequest(const ReconstructRequest& request) {
     emit("priority", PriorityName(request.priority));
   }
   if (!request.client_id.empty()) emit("client", request.client_id);
-  if (request.kernel_threads != defaults.kernel_threads) {
-    emit("kthreads", std::to_string(request.kernel_threads));
-  }
   if (request.retry.max_attempts > 1) {
     emit("retries", std::to_string(request.retry.max_attempts - 1));
   }
   if (request.retry.initial_backoff_seconds !=
       defaults.retry.initial_backoff_seconds) {
     emit("backoff", FormatDouble(request.retry.initial_backoff_seconds));
-  }
-  if (request.retry.backoff_multiplier !=
-      defaults.retry.backoff_multiplier) {
-    emit("backoff_mult", FormatDouble(request.retry.backoff_multiplier));
-  }
-  if (request.retry.max_backoff_seconds !=
-      defaults.retry.max_backoff_seconds) {
-    emit("backoff_cap", FormatDouble(request.retry.max_backoff_seconds));
-  }
-  if (request.retry.jitter_fraction != defaults.retry.jitter_fraction) {
-    emit("jitter", FormatDouble(request.retry.jitter_fraction));
-  }
-  if (request.retry.retryable != defaults.retry.retryable) {
-    std::string codes;
-    for (StatusCode code : request.retry.retryable) {
-      if (!codes.empty()) codes += ',';
-      codes += RetryableCodeName(code);
-    }
-    emit("retryable", codes);
   }
   for (const auto& [key, value] : request.overrides) emit(key.c_str(), value);
   return out.str();
@@ -199,10 +133,6 @@ Status ParseReconstructRequest(const std::string& text,
       }
     } else if (key == "client") {
       request->client_id = value;
-    } else if (key == "kthreads") {
-      std::optional<int> threads = util::ParseNonNegativeInt(value);
-      bad_value = !threads.has_value();
-      if (!bad_value) request->kernel_threads = *threads;
     } else if (key == "retries") {
       // retries=N grants N retries on top of the first attempt; the total
       // must still fit an int.
@@ -213,32 +143,6 @@ Status ParseReconstructRequest(const std::string& text,
       std::optional<double> backoff = util::ParseDouble(value);
       bad_value = !backoff.has_value() || *backoff < 0.0;
       if (!bad_value) request->retry.initial_backoff_seconds = *backoff;
-    } else if (key == "backoff_mult") {
-      std::optional<double> mult = util::ParseDouble(value);
-      bad_value = !mult.has_value() || *mult < 1.0;
-      if (!bad_value) request->retry.backoff_multiplier = *mult;
-    } else if (key == "backoff_cap") {
-      std::optional<double> cap = util::ParseDouble(value);
-      bad_value = !cap.has_value() || *cap < 0.0;
-      if (!bad_value) request->retry.max_backoff_seconds = *cap;
-    } else if (key == "jitter") {
-      std::optional<double> jitter = util::ParseDouble(value);
-      bad_value = !jitter.has_value() || *jitter < 0.0;
-      if (!bad_value) request->retry.jitter_fraction = *jitter;
-    } else if (key == "retryable") {
-      std::vector<StatusCode> codes;
-      std::istringstream list(value);
-      std::string name;
-      while (std::getline(list, name, ',')) {
-        StatusCode code;
-        if (!ParseRetryableCode(name, &code)) {
-          return Status::InvalidArgument("bad retryable code '" + name +
-                                         "' in '" + value + "'");
-        }
-        codes.push_back(code);
-      }
-      bad_value = codes.empty();
-      if (!bad_value) request->retry.retryable = std::move(codes);
     } else {
       request->overrides.emplace_back(std::move(key), std::move(value));
       continue;

@@ -56,39 +56,25 @@ inline bool ParsePriority(const std::string& name, Priority* out) {
 }
 
 /// Per-request retry policy for *transient* failures. When an attempt
-/// fails with a status code in `retryable` and attempts remain, the
-/// service re-queues the job through its normal fair-share lanes after
-/// an exponential backoff — the job stays the same JobId, returns to
-/// QUEUED during the backoff (so the stats partition invariant holds
-/// unchanged), and its hard deadline is re-armed per attempt. Trips are
-/// never retried: a kCancelled / kDeadlineExceeded attempt, or any
-/// failure after Cancel() was requested, is terminal regardless of the
-/// retryable set.
+/// fails with kUnavailable (the code every injected/transient fault
+/// surface reports) and attempts remain, the service re-queues the job
+/// through its normal fair-share lanes after an exponential backoff —
+/// the job stays the same JobId, returns to QUEUED during the backoff
+/// (so the stats partition invariant holds unchanged), and its hard
+/// deadline is re-armed per attempt. Permanent errors (kNotFound,
+/// kInvalidArgument, ...) stay fail-fast, and trips are never retried:
+/// a kCancelled / kDeadlineExceeded attempt, or any failure after
+/// Cancel() was requested, is terminal.
 struct RetryPolicy {
   /// Total attempts including the first; values below 1 mean 1 (the
   /// default: fail fast, no retries).
   int max_attempts = 1;
   /// Backoff before attempt k+1 after k failed attempts:
-  /// `initial * multiplier^(k-1)`, capped at `max_backoff_seconds`,
-  /// stretched by up to `jitter_fraction` of itself. The jitter is a
-  /// pure function of (job id, attempt), so a replayed schedule backs
-  /// off identically — determinism survives the fault path.
+  /// `initial * 2^(k-1)`, capped at 2 s, stretched by up to a tenth of
+  /// itself. The jitter is a pure function of (job id, attempt), so a
+  /// replayed schedule backs off identically — determinism survives the
+  /// fault path.
   double initial_backoff_seconds = 0.05;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 2.0;
-  double jitter_fraction = 0.1;
-  /// Status codes worth another attempt. Defaults to kUnavailable only —
-  /// the code every injected/transient fault surface reports; permanent
-  /// errors (kNotFound, kInvalidArgument, ...) stay fail-fast.
-  std::vector<StatusCode> retryable = {StatusCode::kUnavailable};
-
-  bool enabled() const { return max_attempts > 1; }
-  bool Retryable(StatusCode code) const {
-    for (StatusCode c : retryable) {
-      if (c == code) return true;
-    }
-    return false;
-  }
 };
 
 /// One reconstruction job. Dataset fields name entries of the service's
@@ -133,20 +119,16 @@ struct ReconstructRequest {
   /// order.
   std::string client_id;
 
-  /// Per-job thread budget for the reconstruction kernels' `ParallelFor`
-  /// fan-out: overrides the service-wide `MariohOptions::num_threads`
-  /// base when positive (0 keeps the base). Results are identical for
-  /// any value (the thread-count-invariance contract); only this job's
-  /// wall-clock and CPU share change.
-  int kernel_threads = 0;
-
   /// Retry policy for transient failures (see RetryPolicy). The default
   /// never retries.
   RetryPolicy retry;
 
   /// Session/method `key=value` overrides, applied through
   /// `ApplySessionOverride` (so `threads=N`, `theta_init=0.8`,
-  /// `alpha=0.1`, ... all work). The structural keys `method`,
+  /// `alpha=0.1`, ... all work). `threads=N` is the job's kernel thread
+  /// count (0 = all cores; unset = 1): results are identical for any
+  /// value (the thread-count-invariance contract), only the job's
+  /// wall-clock and CPU share change. The structural keys `method`,
   /// `seed`, and `time_budget_seconds` are reserved — set the typed
   /// fields above instead; Submit rejects them with kInvalidArgument.
   std::vector<std::pair<std::string, std::string>> overrides;
@@ -154,13 +136,12 @@ struct ReconstructRequest {
 
 /// Serializes `request` as one line of the `submit` wire grammar —
 /// space-separated `key=value` tokens (`method= train= target= truth=
-/// seed= budget= deadline= priority= client= kthreads= retries= backoff=
-/// backoff_mult= backoff_cap= jitter= retryable=` then overrides), with
-/// fields at their default value omitted. This is the single source of
-/// truth shared by the LineProtocol `submit` verb and the write-ahead
-/// journal's accept records, so the two formats cannot drift; doubles
-/// round-trip exactly (17 significant digits). Callers must hold a
-/// request that passes `ValidateRequestSerializable`.
+/// seed= budget= deadline= priority= client= retries= backoff=` then
+/// overrides), with fields at their default value omitted. This is the
+/// single source of truth shared by the LineProtocol `submit` verb and
+/// the write-ahead journal's accept records, so the two formats cannot
+/// drift; doubles round-trip exactly (17 significant digits). Callers
+/// must hold a request that passes `ValidateRequestSerializable`.
 std::string SerializeReconstructRequest(const ReconstructRequest& request);
 
 /// Parses the wire grammar above into `*request`, which the caller

@@ -13,6 +13,14 @@ namespace marioh::api {
 
 namespace {
 
+/// The fixed part of the retry schedule (RetryPolicy sets only the
+/// attempt count and the initial backoff): each failed attempt doubles
+/// the backoff up to a 2 s cap, then a jitter of up to a tenth of it is
+/// added.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffSeconds = 2.0;
+constexpr double kJitterFraction = 0.1;
+
 /// Backoff before the next attempt after `failed_attempts` have failed:
 /// exponential with a deterministic jitter (a pure function of job id
 /// and attempt — replayed schedules back off identically).
@@ -20,15 +28,10 @@ double BackoffSeconds(const RetryPolicy& policy, JobId id,
                       int failed_attempts) {
   double base = std::max(0.0, policy.initial_backoff_seconds);
   for (int i = 1; i < failed_attempts; ++i) {
-    base *= policy.backoff_multiplier;
-    if (policy.max_backoff_seconds > 0.0 &&
-        base >= policy.max_backoff_seconds) {
-      break;
-    }
+    base *= kBackoffMultiplier;
+    if (base >= kMaxBackoffSeconds) break;
   }
-  if (policy.max_backoff_seconds > 0.0) {
-    base = std::min(base, policy.max_backoff_seconds);
-  }
+  base = std::min(base, kMaxBackoffSeconds);
   // splitmix64 of (id, attempt) -> uniform in [0, 1).
   uint64_t x = (id * 0x9E3779B97F4A7C15ULL) ^
                (static_cast<uint64_t>(failed_attempts) + 0x42ULL);
@@ -37,19 +40,7 @@ double BackoffSeconds(const RetryPolicy& policy, JobId id,
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   x ^= x >> 31;
   double unit = static_cast<double>(x >> 11) * 0x1.0p-53;
-  return base * (1.0 + std::max(0.0, policy.jitter_fraction) * unit);
-}
-
-/// True for a failure worth another attempt: the code is in the
-/// request's retryable set and the failure is not a trip — cancellation
-/// and hard deadlines are deliberate preemption, never retried.
-bool RetryableFailure(const RetryPolicy& policy, const Status& status) {
-  if (status.ok()) return false;
-  if (status.code() == StatusCode::kCancelled ||
-      status.code() == StatusCode::kDeadlineExceeded) {
-    return false;
-  }
-  return policy.Retryable(status.code());
+  return base * (1.0 + kJitterFraction * unit);
 }
 
 }  // namespace
@@ -448,16 +439,14 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
     job->cancel.SetDeadline(job->request.deadline_seconds);
   }
 
+  // Kernels run on one thread (the SessionOptions default) unless the
+  // request's `threads=` override says otherwise, so job-level
+  // concurrency composes with kernel-level parallelism explicitly, not
+  // implicitly quadratically.
   SessionOptions options;
   options.method = job->request.method;
   options.seed = job->request.seed;
   options.time_budget_seconds = job->request.time_budget_seconds;
-  options.marioh = options_.marioh;
-  if (job->request.kernel_threads > 0) {
-    // Per-job thread budget: this job's ParallelFor fan-out width
-    // (results are thread-count invariant; only its CPU share changes).
-    options.marioh.num_threads = job->request.kernel_threads;
-  }
   // The token gates every stage entry *and* rides into the MARIOH-family
   // kernels, so Cancel/deadline trips land mid-kernel; baselines still
   // stop at their next stage boundary.
@@ -507,12 +496,13 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
   bool scheduled_retry = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Transient failure with attempts left and no cancel requested:
-    // back off, then re-queue through the normal fair-share lanes. The
-    // job keeps its id and returns to kQueued — not a terminal
-    // transition, so no finish_seq and Wait() keeps blocking; the stats
-    // partition flows through the `queued` gauge unbroken.
-    if (RetryableFailure(job->request.retry, status) &&
+    // Transient (kUnavailable) failure with attempts left and no cancel
+    // requested: back off, then re-queue through the normal fair-share
+    // lanes. Trips end kCancelled / kDeadlineExceeded, so they never
+    // retry. The job keeps its id and returns to kQueued — not a
+    // terminal transition, so no finish_seq and Wait() keeps blocking;
+    // the stats partition flows through the `queued` gauge unbroken.
+    if (status.code() == StatusCode::kUnavailable &&
         !job->cancel.cancelled() && !stopping_) {
       if (job->attempts < std::max(1, job->request.retry.max_attempts)) {
         job->state = JobState::kQueued;
@@ -522,8 +512,8 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
         // original admission.
         job->admitted_at = std::chrono::steady_clock::now();
         ++totals_.jobs_retried;
-        // Saturating: with backoff_cap=0 an uncapped backoff can exceed
-        // the clock's range, which parks the retry until a Cancel.
+        // Saturating: a huge `backoff=` can exceed the clock's range,
+        // which parks the retry until a Cancel.
         auto due = util::SaturatingAfter(
             std::chrono::steady_clock::now(),
             BackoffSeconds(job->request.retry, job->id, job->attempts));

@@ -28,7 +28,6 @@
 #include "api/request.hpp"
 #include "api/session.hpp"
 #include "api/status.hpp"
-#include "core/marioh.hpp"
 #include "util/cancel.hpp"
 #include "util/journal.hpp"
 #include "util/worker_pool.hpp"
@@ -167,11 +166,6 @@ struct ServiceStats {
 struct ServiceOptions {
   /// Concurrent jobs (worker threads); 0 = hardware concurrency.
   int num_workers = 0;
-  /// Typed base options inherited by every job's MARIOH-family method;
-  /// request overrides apply on top. The default keeps per-job kernels
-  /// sequential (num_threads = 1) so job-level concurrency composes with
-  /// kernel-level parallelism explicitly, not implicitly quadratically.
-  core::MariohOptions marioh;
   /// Admission control: Submit returns kResourceExhausted while this
   /// many jobs are already queued (running jobs don't count — they hold
   /// workers, not queue slots). 0 = unlimited.

@@ -1,5 +1,6 @@
 #include "io/text_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -151,6 +152,17 @@ api::Status TryWriteHypergraphFile(const Hypergraph& h,
   return Status::Ok();
 }
 
+Status CheckNodeIdsAreDense(size_t num_nodes, size_t id_occurrences) {
+  constexpr size_t kMinLimit = size_t{1} << 20;
+  const size_t limit = std::max(kMinLimit, 16 * id_occurrences);
+  if (num_nodes <= limit) return Status::Ok();
+  return Status::InvalidArgument(
+      "node id " + std::to_string(num_nodes - 1) + " is too sparse: " +
+      std::to_string(num_nodes) + " dense node slots for " +
+      std::to_string(id_occurrences) + " node-id occurrences (limit " +
+      std::to_string(limit) + ")");
+}
+
 StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
   std::string line;
   size_t line_number = 0;
@@ -189,7 +201,9 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
     max_node = std::max({max_node, row.u, row.v});
     rows.push_back(row);
   }
-  ProjectedGraph g(rows.empty() ? 0 : max_node + 1);
+  const size_t num_nodes = rows.empty() ? 0 : size_t{max_node} + 1;
+  MARIOH_RETURN_IF_ERROR(CheckNodeIdsAreDense(num_nodes, 2 * rows.size()));
+  ProjectedGraph g(num_nodes);
   for (const Row& row : rows) {
     if (g.Weight(row.u, row.v) > kMaxCount - row.w) {
       NodePair pair = MakePair(row.u, row.v);

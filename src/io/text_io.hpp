@@ -47,7 +47,17 @@ api::StatusOr<Hypergraph> TryReadHypergraphFile(const std::string& path);
 api::Status TryWriteHypergraphFile(const Hypergraph& h,
                                    const std::string& path);
 
-/// Parses a weighted edge list. kInvalidArgument on malformed lines.
+/// Guards the dense per-node arrays of a projected graph, which are
+/// sized by the largest node id: one huge id in a small input would
+/// allocate gigabytes. kInvalidArgument, naming the largest id, when
+/// `num_nodes` (largest id + 1) exceeds max(2^20, 16 × `id_occurrences`),
+/// the number of node ids the input lists. TryReadProjectedGraph applies
+/// it; callers that project a parsed hypergraph apply it before
+/// `Project()`.
+api::Status CheckNodeIdsAreDense(size_t num_nodes, size_t id_occurrences);
+
+/// Parses a weighted edge list. kInvalidArgument on malformed lines and
+/// on node ids too sparse for a dense graph (see CheckNodeIdsAreDense).
 api::StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in);
 
 /// Reads a projected graph from a file. kNotFound if the file cannot be

@@ -137,12 +137,13 @@ inline bool ShouldStop(const CancelToken* token) {
 
 /// Strided poller for per-item hot loops: every call reads the atomic
 /// flag (cheap — a relaxed load), but the deadline's clock read happens
-/// only once per `stride` calls. Latches once tripped, so a loop can keep
-/// calling it after breaking out of an inner scope.
+/// only once per `kStride` calls. Latches once tripped, so a loop can
+/// keep calling it after breaking out of an inner scope.
 class CancelChecker {
  public:
-  explicit CancelChecker(const CancelToken* token, uint32_t stride = 64)
-      : token_(token), stride_(stride == 0 ? 1 : stride) {}
+  static constexpr uint32_t kStride = 64;
+
+  explicit CancelChecker(const CancelToken* token) : token_(token) {}
 
   /// True once the token tripped (checked with the striding above).
   /// Every call also publishes a heartbeat, so the poll sites double as
@@ -152,7 +153,7 @@ class CancelChecker {
     token_->Beat();
     if (token_->cancelled()) {
       stopped_ = true;
-    } else if (++calls_ >= stride_) {
+    } else if (++calls_ >= kStride) {
       calls_ = 0;
       stopped_ = token_->ShouldStop();
     }
@@ -161,7 +162,6 @@ class CancelChecker {
 
  private:
   const CancelToken* token_;
-  uint32_t stride_;
   uint32_t calls_ = 0;
   bool stopped_ = false;
 };

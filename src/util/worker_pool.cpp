@@ -83,12 +83,6 @@ size_t WorkerPool::pending() const {
   return queued_;
 }
 
-size_t WorkerPool::pending(int priority) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = buckets_.find(priority);
-  return it == buckets_.end() ? 0 : it->second.size;
-}
-
 void WorkerPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

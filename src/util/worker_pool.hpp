@@ -93,10 +93,6 @@ class WorkerPool {
   /// Tasks queued but not yet started (snapshot).
   size_t pending() const;
 
-  /// Tasks queued at exactly `priority` (snapshot) — the per-class queue
-  /// depth gauge api::Service surfaces.
-  size_t pending(int priority) const;
-
  private:
   /// One priority class: per-client FIFO lanes plus the round-robin
   /// cursor (the client id served last; dispatch resumes strictly after

@@ -29,6 +29,7 @@
 #include "io/text_io.hpp"
 #include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
+#include "util/journal.hpp"
 #include "util/rng.hpp"
 
 namespace marioh::api {
@@ -130,6 +131,29 @@ TEST(DatasetCache, FileLoadsAreSharedAndLoadOnce) {
   // Missing files surface as NotFound under a fresh name.
   EXPECT_EQ(cache.LoadHypergraphFile("fresh", "no_such.hg").status().code(),
             StatusCode::kNotFound);
+}
+
+// A sparse huge node id would size the projection's dense per-node
+// arrays by the id (4e9 ids is hundreds of GB): both file loads refuse
+// it with kInvalidArgument naming the id, and nothing lands in the cache.
+TEST(DatasetCache, FileLoadsRejectSparseHugeNodeIds) {
+  const std::string hg_path = "cache_test_huge.hg";
+  const std::string eg_path = "cache_test_huge.eg";
+  std::ofstream(hg_path) << "4000000000 1\n";
+  std::ofstream(eg_path) << "0 1 1\n4000000000 1 1\n";
+
+  DatasetCache cache;
+  for (const Status& status :
+       {cache.LoadHypergraphFile("h", hg_path).status(),
+        cache.LoadProjectedGraphFile("g", eg_path).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("node id 4000000000"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_TRUE(cache.Names().empty());
+  std::remove(hg_path.c_str());
+  std::remove(eg_path.c_str());
 }
 
 TEST(Session, HandleBasedStagesShareOneDatasetCopy) {
@@ -527,7 +551,7 @@ TEST(Service, HardDeadlineEndsJobsAsDeadlineExceeded) {
   EXPECT_EQ(service.Cancel(*id).code(), StatusCode::kFailedPrecondition);
 }
 
-// The per-job kernel_threads field changes only the job's CPU share,
+// The per-job `threads=` override changes only the job's CPU share,
 // never its output (the thread-count-invariance contract, job-level).
 TEST(Service, KernelThreadsOverrideKeepsOutputIdentical) {
   eval::PreparedDataset data = SmallDataset();
@@ -539,7 +563,7 @@ TEST(Service, KernelThreadsOverrideKeepsOutputIdentical) {
   request.target_dataset = "crime.target";
   request.seed = 11;
   StatusOr<JobId> base = service.Submit(request);
-  request.kernel_threads = 4;
+  request.overrides = {{"threads", "4"}};
   StatusOr<JobId> wide = service.Submit(request);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(wide.ok());
@@ -1037,14 +1061,8 @@ ReconstructRequest FullyPopulatedRequest() {
   request.deadline_seconds = 0.3333333333333333;
   request.priority = Priority::kInteractive;
   request.client_id = "tenant-7";
-  request.kernel_threads = 3;
   request.retry.max_attempts = 4;
   request.retry.initial_backoff_seconds = 0.01;
-  request.retry.backoff_multiplier = 3.0;
-  request.retry.max_backoff_seconds = 0.5;
-  request.retry.jitter_fraction = 0.25;
-  request.retry.retryable = {StatusCode::kUnavailable,
-                             StatusCode::kInternal};
   request.overrides = {{"threads", "2"}, {"theta_init", "0.8"}};
   return request;
 }
@@ -1068,16 +1086,9 @@ TEST(RequestWire, SerializeParseRoundTripsEveryField) {
   EXPECT_EQ(parsed.deadline_seconds, request.deadline_seconds);
   EXPECT_EQ(parsed.priority, request.priority);
   EXPECT_EQ(parsed.client_id, request.client_id);
-  EXPECT_EQ(parsed.kernel_threads, request.kernel_threads);
   EXPECT_EQ(parsed.retry.max_attempts, request.retry.max_attempts);
   EXPECT_EQ(parsed.retry.initial_backoff_seconds,
             request.retry.initial_backoff_seconds);
-  EXPECT_EQ(parsed.retry.backoff_multiplier,
-            request.retry.backoff_multiplier);
-  EXPECT_EQ(parsed.retry.max_backoff_seconds,
-            request.retry.max_backoff_seconds);
-  EXPECT_EQ(parsed.retry.jitter_fraction, request.retry.jitter_fraction);
-  EXPECT_EQ(parsed.retry.retryable, request.retry.retryable);
   EXPECT_EQ(parsed.overrides, request.overrides);
   // The round trip is a fixed point: re-serializing yields the same line.
   EXPECT_EQ(SerializeReconstructRequest(parsed), wire);
@@ -1113,10 +1124,6 @@ TEST(RequestWire, ParserRejectsMalformedAndDuplicateTokens) {
                 "bad priority 'urgent' (expected batch, normal, or "
                 "interactive)"),
             std::string::npos);
-  Status bad_code = parse("retryable=unavailable,flaky");
-  EXPECT_EQ(bad_code.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad_code.message().find("bad retryable code 'flaky'"),
-            std::string::npos);
   // Any duplicated key — typed or override — is a typo, not an overwrite.
   Status dup_typed = parse("seed=1 seed=2");
   EXPECT_EQ(dup_typed.code(), StatusCode::kInvalidArgument);
@@ -1133,6 +1140,13 @@ TEST(RequestWire, ParserRejectsMalformedAndDuplicateTokens) {
       ParseReconstructRequest("theta_init=0.8", &with_override).ok());
   ASSERT_EQ(with_override.overrides.size(), 1u);
   EXPECT_EQ(with_override.overrides[0].first, "theta_init");
+  // A retired typed key is no longer special: it lands in the overrides,
+  // where the method factory rejects it at Configure.
+  ReconstructRequest retired;
+  ASSERT_TRUE(ParseReconstructRequest("kthreads=2", &retired).ok());
+  ASSERT_EQ(retired.overrides.size(), 1u);
+  EXPECT_EQ(retired.overrides[0].first, "kthreads");
+  EXPECT_EQ(retired.overrides[0].second, "2");
 }
 
 TEST(RequestWire, ValidateRejectsWhatCannotRoundTrip) {
@@ -1164,9 +1178,7 @@ TEST(RequestWire, ValidateRejectsWhatCannotRoundTrip) {
 // could never round-trip. `retries` must leave room for the first
 // attempt in an int.
 TEST(RequestWire, ParserRejectsNonFiniteAndOutOfRangeNumbers) {
-  for (const char* key :
-       {"budget", "deadline", "backoff", "backoff_mult", "backoff_cap",
-        "jitter"}) {
+  for (const char* key : {"budget", "deadline", "backoff"}) {
     for (const char* value :
          {"inf", "-inf", "infinity", "nan", "-nan", "1e400", "-1e400"}) {
       std::string text = std::string(key) + "=" + value;
@@ -1385,6 +1397,61 @@ TEST(Service, JournalRecoveryHonoursTerminalsAndMissingDatasets) {
     EXPECT_EQ(stats.accepted, stats.done + stats.failed + stats.cancelled +
                                   stats.deadline_exceeded + stats.queued +
                                   stats.running);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A journal written while `kthreads=` was still a typed key may hold it
+// in an accept record. Recovery parses it as an override, which the
+// method factory rejects at Configure: the job fails loudly under its
+// original id (and journals that terminal) instead of running with the
+// key silently dropped.
+TEST(Service, JournalRecoveryFailsARetiredKeyLoudly) {
+  eval::PreparedDataset data = SmallDataset();
+  const std::string dir =
+      testing::TempDir() + "/marioh_service_recovery_retired_key";
+  std::filesystem::remove_all(dir);
+  {
+    StatusOr<std::unique_ptr<util::Journal>> journal = util::Journal::Open(
+        dir, [](const util::JournalRecord&) {});
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ASSERT_TRUE((*journal)
+                    ->Append(1,
+                             "accept method=MaxClique target=crime.target "
+                             "kthreads=2",
+                             /*terminal=*/false)
+                    .ok());
+  }
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.journal_dir = dir;
+  {
+    Service service(CacheWithCrime(data), options);
+    ASSERT_TRUE(service.startup_status().ok())
+        << service.startup_status().ToString();
+    EXPECT_EQ(service.stats().jobs_recovered, 1u);
+    StatusOr<JobSnapshot> job = service.Wait(1);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    EXPECT_EQ(job->state, JobState::kFailed);
+    EXPECT_EQ(job->status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(job->status.message().find("unknown option 'kthreads'"),
+              std::string::npos)
+        << job->status.ToString();
+
+    ReconstructRequest request;
+    request.method = "MaxClique";
+    request.target_dataset = "crime.target";
+    StatusOr<JobId> next = service.Submit(request);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(*next, 2u);
+    ASSERT_TRUE(service.Wait(*next).ok());
+  }
+  // Both jobs closed their keys: a third life has nothing to re-admit.
+  {
+    Service service(CacheWithCrime(data), options);
+    ASSERT_TRUE(service.startup_status().ok());
+    EXPECT_EQ(service.stats().jobs_recovered, 0u);
   }
   std::filesystem::remove_all(dir);
 }

@@ -209,6 +209,31 @@ TEST(ProjectedGraphIo, RejectsWeightsThatOverflowWhenSummed) {
   EXPECT_EQ(g->num_edges(), 1u);
 }
 
+// Dense per-node arrays are sized by the largest node id, so one huge id
+// in a two-line file would allocate gigabytes: the reader refuses it
+// before building the graph, naming the id.
+TEST(ProjectedGraphIo, RejectsSparseHugeNodeIds) {
+  api::Status status = ParseGraph("0 1 1\n4000000000 1 1\n").status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("node id 4000000000"), std::string::npos)
+      << status.ToString();
+}
+
+// The density rule: a node count up to max(2^20, 16 × the node-id
+// occurrences) passes, one more fails.
+TEST(Io, NodeIdDensityLimitIsTheLargerOfTheFloorAndSixteenPerId) {
+  constexpr size_t kFloor = size_t{1} << 20;
+  EXPECT_TRUE(CheckNodeIdsAreDense(kFloor, 2).ok());
+  EXPECT_EQ(CheckNodeIdsAreDense(kFloor + 1, 2).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(CheckNodeIdsAreDense(16 * 100000, 100000).ok());
+  api::Status sparse = CheckNodeIdsAreDense(16 * 100000 + 1, 100000);
+  EXPECT_EQ(sparse.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sparse.message().find("node id 1600000"), std::string::npos)
+      << sparse.ToString();
+  EXPECT_TRUE(CheckNodeIdsAreDense(0, 0).ok());
+}
+
 TEST(Io, FileRoundTripThroughTempFile) {
   Hypergraph h;
   h.AddEdge({10, 20, 30}, 2);

@@ -162,6 +162,33 @@ TEST(ServeSmoke, BadRequestsAreErrorsNotCrashes) {
   EXPECT_NE(output.find("ok bye"), std::string::npos) << output;
 }
 
+TEST(ServeSmoke, SparseHugeNodeIdsAreErrorsNotCrashes) {
+  // One huge node id would size the dense per-node arrays by the id and
+  // abort the process on allocation; each load must instead answer an
+  // error and leave the loop serving.
+  const std::string hg_path = "serve_smoke_huge.hg";
+  const std::string eg_path = "serve_smoke_huge.eg";
+  std::ofstream(hg_path) << "4000000000 1\n";
+  std::ofstream(eg_path) << "0 1 1\n4000000000 1 1\n";
+  std::string output;
+  int exit_code = RunServe("load hypergraph h " + hg_path + "\n" +
+                               "load graph g " + eg_path + "\n" +
+                               "gen d crime 2\n"
+                               "submit method=MaxClique target=d.target\n"
+                               "wait 1\n"
+                               "quit\n",
+                           &output);
+  std::remove(hg_path.c_str());
+  std::remove(eg_path.c_str());
+  EXPECT_EQ(exit_code, 0) << output;
+  const std::string error = "error INVALID_ARGUMENT: node id 4000000000";
+  size_t first = output.find(error);
+  ASSERT_NE(first, std::string::npos) << output;
+  EXPECT_NE(output.find(error, first + 1), std::string::npos) << output;
+  EXPECT_NE(output.find("ok job 1 state=DONE"), std::string::npos) << output;
+  EXPECT_NE(output.find("ok bye"), std::string::npos) << output;
+}
+
 TEST(ServeSmoke, MalformedWorkerCountIsRejected) {
   // Strict flag parsing: trailing garbage or padding is not a number.
   for (const char* workers : {"2x", "\" 3\"", "-1"}) {

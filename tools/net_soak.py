@@ -22,9 +22,11 @@ plus deliberate protocol errors), then SIGTERMs it and asserts:
     the invariant is exact at any instant, not just at quiescence,
   * hostile input fails the request, not the daemon: before the
     traffic starts, the seeder loads an `.eg` file holding node id
-    4294967295 (must answer `error INVALID_ARGUMENT`) and a comment-only
-    `.hg` file (loads fine), then submits a MARIOH job that trains on
-    the empty one (must end `state=FAILED status=INVALID_ARGUMENT`),
+    4294967295 and an `.hg` and an `.eg` file each holding the sparse
+    node id 4000000000 (each must answer `error INVALID_ARGUMENT`, not
+    size dense per-node arrays by the id), and a comment-only `.hg` file
+    (loads fine), then submits a MARIOH job that trains on the empty one
+    (must end `state=FAILED status=INVALID_ARGUMENT`),
   * an idle daemon sleeps: after the traffic, its event-loop thread (the
     main thread) makes at most IDLE_MAX_WAKEUPS voluntary context
     switches in IDLE_SECONDS (skipped where /proc is absent).
@@ -93,6 +95,19 @@ def check_hostile_input(client, scratch):
     reply = client.request("load graph hostile.wrap " + wrapping_graph)
     if not reply.startswith("error INVALID_ARGUMENT"):
         fail("node id 4294967295 not rejected: %r" % reply)
+
+    # A sparse huge id is in range but would size the dense per-node
+    # arrays by the id (hundreds of GB).
+    for kind, name, text in (("hypergraph", "huge.hg", "4000000000 1\n"),
+                             ("graph", "huge.eg",
+                              "0 1 1\n4000000000 1 1\n")):
+        path = os.path.join(scratch, name)
+        with open(path, "w") as f:
+            f.write(text)
+        reply = client.request("load %s hostile.%s %s" % (kind, kind, path))
+        if not reply.startswith("error INVALID_ARGUMENT"):
+            fail("sparse node id 4000000000 in %s not rejected: %r"
+                 % (name, reply))
 
     empty_source = os.path.join(scratch, "empty.hg")
     with open(empty_source, "w") as f:
