@@ -286,11 +286,24 @@ void BM_ParallelScoringScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelScoringScaling)->Arg(1)->Arg(2)->Arg(4);
 
+void BM_ParallelForOverhead(benchmark::State& state) {
+  // Per-call fork-join cost of one kernel loop: 64 trivial indices, so
+  // the time is handing out ranges and waiting for them, not the body.
+  const int threads = static_cast<int>(state.range(0));
+  std::vector<size_t> out(64);
+  for (auto _ : state) {
+    marioh::util::ParallelFor(out.size(), threads, nullptr,
+                              [&](size_t i) { out[i] = i; });
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
 // ---- Clique classifier: MLP fit and batched scoring --------------------
 // Guards for the batched MLP: the fit at the eu training shape (6708
 // examples x 23 multiplicity-aware features, default hidden {64, 32},
-// batch 64), and ScoreAll's blocked PredictBatch path at 1 and 4
-// threads.
+// batch 64), and ScoreAll's blocked PredictBatch path at 1, 2 (a
+// reconstruct_eu job's kernel width on 4 cores) and 4 threads.
 
 void BM_MlpFit(benchmark::State& state) {
   const size_t rows = 6708;
@@ -387,7 +400,7 @@ void BM_ScoreAll(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(cliques.size()));
 }
-BENCHMARK(BM_ScoreAll)->Arg(1)->Arg(4)->UseRealTime();
+BENCHMARK(BM_ScoreAll)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // ---- One bidirectional-search iteration ---------------------------------
 // Guard for Algorithm 3 end to end: enumeration, batched scoring, Phase 1

@@ -74,6 +74,10 @@ int Run(const std::string& train_path, const std::string& target_path,
   StatusOr<marioh::Hypergraph> source =
       marioh::io::TryReadHypergraphFile(train_path);
   if (!source.ok()) return Fail(source.status());
+  if (Status status = marioh::io::CheckNodeIdsAreDense(*source);
+      !status.ok()) {
+    return Fail(status);
+  }
   if (Status status = session.Train(source->Project(), *source);
       !status.ok()) {
     return Fail(status);

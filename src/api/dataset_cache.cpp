@@ -136,14 +136,8 @@ StatusOr<DatasetHandle> DatasetCache::LoadHypergraphFile(
   StatusOr<Hypergraph> h = io::TryReadHypergraphFile(path);
   if (!h.ok()) return h.status();
   // Project() sizes dense per-node arrays by the largest id; refuse a
-  // sparse huge id before it does. Each distinct hyperedge counts its
-  // node ids once.
-  size_t id_occurrences = 0;
-  for (const auto& [edge, multiplicity] : h->edges()) {
-    id_occurrences += edge.size();
-  }
-  MARIOH_RETURN_IF_ERROR(
-      io::CheckNodeIdsAreDense(h->num_nodes(), id_occurrences));
+  // sparse huge id before it does.
+  MARIOH_RETURN_IF_ERROR(io::CheckNodeIdsAreDense(*h));
   auto hypergraph =
       std::make_shared<const Hypergraph>(std::move(h).value());
   auto graph = std::make_shared<const ProjectedGraph>(hypergraph->Project());

@@ -63,8 +63,8 @@ class CliqueClassifier {
   /// Batched scoring straight off a clique arena against a frozen CSR
   /// snapshot — the reconstruction loop's path: element i is
   /// `Score(g, cliques[i], is_maximal)` on the same graph, bit for bit.
-  /// Each thread's range (`util::ParallelForRanges`, 0 = all cores) is
-  /// scored in blocks of `kScoreBlock` cliques: the block's features go
+  /// Each range of `util::ParallelForRanges` (0 = all cores) is scored
+  /// in blocks of `kScoreBlock` cliques: the block's features go
   /// into one small buffer, are scaled, and pass through one
   /// `Mlp::PredictBatch`. A row's score depends only on its own features,
   /// so scores are identical for any thread count and block size. A

@@ -7,8 +7,8 @@
 ///
 /// The fast path runs on an immutable `CsrGraph` snapshot: the outer
 /// degeneracy-ordered roots are independent subproblems fanned out with
-/// `util::ParallelForRanges`, each worker appending its cliques to its
-/// range's `CliqueStore` sub-arena. Sub-arenas are concatenated in root
+/// `util::ParallelForRanges`, each range appending its cliques to its own
+/// `CliqueStore` sub-arena. Sub-arenas are concatenated in root
 /// order and the result sorted, so the output is identical for any thread
 /// count (the determinism contract of docs/ARCHITECTURE.md). Cliques live
 /// in one flat arena — enumeration performs no per-clique allocation, and
@@ -161,10 +161,12 @@ struct MaximalCliqueResult {
 /// giving O(d * n * 3^(d/3)) time for a graph of degeneracy d. Per-root
 /// subproblems run in parallel (options.num_threads) with deterministic
 /// output. When truncation hits, each root is individually capped at
-/// max_cliques + 1 emissions and each worker stops its root range once
-/// that range alone exceeds the cap, so worst-case materialized work is
-/// bounded by ~2 * max_cliques per worker without cross-thread
-/// coordination that would break determinism.
+/// max_cliques + 1 emissions and each range of roots stops once that
+/// range alone exceeds the cap, so worst-case materialized work is
+/// bounded by ~2 * max_cliques per range — at most
+/// util::RangeCount(num_nodes, num_threads) ranges, 8 per thread above
+/// one — without cross-thread coordination that would break
+/// determinism.
 MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
                                             const CliqueOptions& options = {});
 

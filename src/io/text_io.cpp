@@ -163,6 +163,14 @@ Status CheckNodeIdsAreDense(size_t num_nodes, size_t id_occurrences) {
       std::to_string(limit) + ")");
 }
 
+Status CheckNodeIdsAreDense(const Hypergraph& h) {
+  size_t id_occurrences = 0;
+  for (const auto& [edge, multiplicity] : h.edges()) {
+    id_occurrences += edge.size();
+  }
+  return CheckNodeIdsAreDense(h.num_nodes(), id_occurrences);
+}
+
 StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
   std::string line;
   size_t line_number = 0;

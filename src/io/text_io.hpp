@@ -52,9 +52,13 @@ api::Status TryWriteHypergraphFile(const Hypergraph& h,
 /// allocate gigabytes. kInvalidArgument, naming the largest id, when
 /// `num_nodes` (largest id + 1) exceeds max(2^20, 16 × `id_occurrences`),
 /// the number of node ids the input lists. TryReadProjectedGraph applies
-/// it; callers that project a parsed hypergraph apply it before
-/// `Project()`.
+/// it; callers that project a parsed hypergraph apply the overload below
+/// before `Project()`.
 api::Status CheckNodeIdsAreDense(size_t num_nodes, size_t id_occurrences);
+
+/// The same guard for a parsed hypergraph about to be projected: each
+/// distinct hyperedge counts its node ids once.
+api::Status CheckNodeIdsAreDense(const Hypergraph& h);
 
 /// Parses a weighted edge list. kInvalidArgument on malformed lines and
 /// on node ids too sparse for a dense graph (see CheckNodeIdsAreDense).

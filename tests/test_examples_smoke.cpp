@@ -128,6 +128,25 @@ TEST(ExamplesSmoke, CliEmptyTrainingFileIsAReadableErrorAndExitsNonZero) {
   }
 }
 
+TEST(ExamplesSmoke, CliSparseHugeNodeIdIsAReadableError) {
+  // Projecting the training hypergraph would size dense per-node arrays
+  // by the one huge id; the CLI must refuse it as the daemon's `load`
+  // does, naming the id, before anything is allocated.
+  const std::string train = "cli_smoke_huge_train.hg";
+  const std::string target = "cli_smoke_huge_target.eg";
+  const std::string out = "cli_smoke_huge_out.hg";
+  std::ofstream(train) << "4000000000 1\n0 1 2\n";
+  std::ofstream(target) << "0 1 1\n1 2 1\n";
+  std::string output;
+  int exit_code = RunCli(train + " " + target + " " + out, &output);
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("error"), std::string::npos) << output;
+  EXPECT_NE(output.find("node id 4000000000"), std::string::npos) << output;
+  for (const std::string& path : {train, target, out}) {
+    std::remove(path.c_str());
+  }
+}
+
 TEST(ExamplesSmoke, CliListMethodsExitsZero) {
   std::string output;
   int exit_code = RunCli("--list-methods", &output);

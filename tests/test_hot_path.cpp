@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -233,23 +234,32 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, HotPathEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(HotPathTruncation, CapFlagsAndBoundsTheResult) {
-  // A matching of 6 disjoint edges = 6 maximal cliques.
-  ProjectedGraph g(12);
-  for (NodeId u = 0; u < 12; u += 2) g.AddWeight(u, u + 1, 1);
+  // A matching of 2,000 disjoint edges = 2,000 maximal cliques, one per
+  // root pair. A cap of 777 falls inside a range at every thread count
+  // (ranges hold 2,000 / (8 × threads) roots each), so the surviving
+  // prefix must not depend on where the ranges are cut.
+  constexpr NodeId kEdges = 2000;
+  ProjectedGraph g(2 * kEdges);
+  for (NodeId u = 0; u < 2 * kEdges; u += 2) g.AddWeight(u, u + 1, 1);
   CsrGraph csr(g);
 
   CliqueOptions capped;
-  capped.max_cliques = 4;
-  for (int threads : {1, 2, 8}) {
+  capped.max_cliques = 777;
+  capped.num_threads = 1;
+  MaximalCliqueResult one = EnumerateMaximalCliques(csr, capped);
+  EXPECT_TRUE(one.truncated);
+  EXPECT_EQ(one.cliques.size(), 777u);
+  for (int threads : {2, 3, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     capped.num_threads = threads;
     MaximalCliqueResult result = EnumerateMaximalCliques(csr, capped);
     EXPECT_TRUE(result.truncated);
-    EXPECT_EQ(result.cliques.size(), 4u);
+    EXPECT_TRUE(result.cliques == one.cliques);
   }
 
   MaximalCliqueResult full = EnumerateMaximalCliques(csr);
   EXPECT_FALSE(full.truncated);
-  EXPECT_EQ(full.cliques.size(), 6u);
+  EXPECT_EQ(full.cliques.size(), size_t{kEdges});
 }
 
 TEST(HotPathScoring, ScoreAllMatchesScalarScoresForAnyThreadCount) {

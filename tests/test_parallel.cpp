@@ -1,15 +1,17 @@
-// Tests for the deterministic parallel helper, the task-level WorkerPool
-// the api::Service runs jobs on, and thread-count invariance of the
-// parallelized reconstruction path.
+// Tests for the deterministic parallel helper and its kernel pool, the
+// task-level WorkerPool the api::Service runs jobs on, and thread-count
+// invariance of the parallelized reconstruction path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -58,11 +60,14 @@ TEST(ParallelFor, ResultsMatchSequential) {
   EXPECT_EQ(seq, par);
 }
 
-// The static block partition is a contract: clique truncation's
-// per-range early exit depends on it. Ranges tile [0, n) in index order,
-// range r is numbered r, and their count is RangeCount's.
+// The partition is a contract: clique truncation's per-range early exit
+// and every per-range output slot depend on it. Ranges tile [0, n) in
+// index order, range r is numbered r, their count is RangeCount's, one
+// thread gives the single range [0, n), and more threads cut
+// min(n, kChunksPerThread × threads) ranges whose sizes differ by at most
+// one.
 TEST(ParallelForRanges, RangesTileTheIndexSpaceInOrder) {
-  for (size_t n : {0, 1, 2, 7, 100}) {
+  for (size_t n : {0, 1, 2, 7, 100, 1000}) {
     for (int threads : {0, 1, 2, 3, 8}) {
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " threads=" + std::to_string(threads));
@@ -77,16 +82,82 @@ TEST(ParallelForRanges, RangesTileTheIndexSpaceInOrder) {
             ranges[range] = {begin, end};
           });
       EXPECT_EQ(calls.load(), count);
-      EXPECT_LE(count, static_cast<size_t>(ResolveThreads(threads)));
+      const auto resolved = static_cast<size_t>(ResolveThreads(threads));
+      const size_t expected =
+          n == 0 ? 0
+                 : (resolved == 1 ? 1
+                                  : std::min(n, kChunksPerThread * resolved));
+      EXPECT_EQ(count, expected);
       size_t next = 0;
+      size_t shortest = n;
+      size_t longest = 0;
       for (const auto& [begin, end] : ranges) {
         EXPECT_EQ(begin, next);
         EXPECT_LT(begin, end);
+        shortest = std::min(shortest, end - begin);
+        longest = std::max(longest, end - begin);
         next = end;
       }
       EXPECT_EQ(next, n);
+      if (count > 0) {
+        EXPECT_LE(longest - shortest, 1u);
+      }
     }
   }
+}
+
+// A thread request far above the core count (a served job's `threads=`
+// accepts any non-negative int) runs on the process's bounded helper set:
+// every index once, and never more than cores - 1 helpers.
+TEST(ParallelFor, HugeThreadRequestRunsOnTheBoundedPool) {
+  std::vector<std::atomic<int>> hits(256);
+  for (auto& h : hits) h = 0;
+  ParallelFor(hits.size(), 1 << 20, nullptr, [&](size_t i) { hits[i]++; });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  const size_t cores =
+      std::max(std::thread::hardware_concurrency(), 1u);
+  EXPECT_LE(internal::KernelPoolThreads(), cores - 1);
+}
+
+// Concurrent callers share the helpers, and a loop body may itself run a
+// loop: the caller always works on its own loop, so neither can deadlock.
+TEST(ParallelFor, ConcurrentAndNestedCallersFinishExactly) {
+  constexpr size_t kOuter = 64;
+  constexpr size_t kInner = 100;
+  std::vector<std::vector<size_t>> sums(4, std::vector<size_t>(kOuter));
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < sums.size(); ++c) {
+    callers.emplace_back([&sums, c] {
+      ParallelFor(kOuter, 4, nullptr, [&sums, c](size_t i) {
+        std::vector<size_t> inner(kInner);
+        ParallelFor(kInner, 4, nullptr,
+                    [&inner, i, c](size_t j) { inner[j] = c + i * j; });
+        sums[c][i] = std::accumulate(inner.begin(), inner.end(), size_t{0});
+      });
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t c = 0; c < sums.size(); ++c) {
+    for (size_t i = 0; i < kOuter; ++i) {
+      EXPECT_EQ(sums[c][i], kInner * c + i * kInner * (kInner - 1) / 2)
+          << "caller " << c << " index " << i;
+    }
+  }
+}
+
+// An exception thrown by a range reaches the caller once the loop has
+// drained, and the pool stays usable.
+TEST(ParallelForRanges, ExceptionReachesTheCaller) {
+  auto throw_in_range_3 = [](size_t range, size_t, size_t) {
+    if (range == 3) throw std::runtime_error("range 3");
+  };
+  EXPECT_THROW(ParallelForRanges(100, 4, throw_in_range_3),
+               std::runtime_error);
+  std::atomic<size_t> visited{0};
+  ParallelFor(100, 4, nullptr, [&](size_t) { ++visited; });
+  EXPECT_EQ(visited.load(), 100u);
 }
 
 TEST(CancelToken, CancelAndDeadlineSetReasonOnce) {
@@ -359,6 +430,29 @@ TEST(ParallelReconstruction, ThreadCountDoesNotChangeResult) {
   Hypergraph hb = b.Reconstruct(g_target);
   EXPECT_EQ(ha.UniqueEdges(), hb.UniqueEdges());
   EXPECT_DOUBLE_EQ(eval::MultiJaccard(ha, hb), 1.0);
+}
+
+// Kernel threads are started once and reused: a second reconstruction at
+// the same thread count starts no helper.
+TEST(ParallelReconstruction, SecondRunStartsNoThread) {
+  gen::GeneratedDataset data =
+      gen::Generate(gen::ProfileByName("hosts"), 5);
+  Rng rng(6);
+  gen::SourceTargetSplit split =
+      gen::SplitHypergraph(data.hypergraph, &rng, 0.5);
+  ProjectedGraph g_source = split.source.Project();
+  ProjectedGraph g_target = split.target.Project();
+
+  core::MariohOptions options;
+  options.seed = 9;
+  options.num_threads = 4;
+  core::Marioh marioh(options);
+  marioh.Train(g_source, split.source);
+  Hypergraph first = marioh.Reconstruct(g_target);
+  const size_t warm = internal::KernelPoolThreads();
+  Hypergraph second = marioh.Reconstruct(g_target);
+  EXPECT_EQ(internal::KernelPoolThreads(), warm);
+  EXPECT_EQ(first.UniqueEdges(), second.UniqueEdges());
 }
 
 }  // namespace
