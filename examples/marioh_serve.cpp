@@ -27,7 +27,9 @@
 //                                   backoff= plus any session/method
 //                                   override (threads= sets the job's
 //                                   kernel threads, theta_init=, ...).
-//                                   Responds `ok job N`.
+//                                   Responds `ok job N`, or at once
+//                                   `error ...` for a key or value the
+//                                   job could not run with.
 //   poll <id>                       non-blocking job state
 //   wait <id>                       block until the job finishes
 //   cancel <id>                     cancel a queued job, or preempt a

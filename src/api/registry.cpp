@@ -103,12 +103,10 @@ std::vector<std::string> Table3Roster() {
   return RosterByOrder(&MethodInfo::table3_order);
 }
 
-std::unique_ptr<Reconstructor> MustCreateMethod(
-    const std::string& name, uint64_t seed,
-    const core::MariohOptions* marioh_base) {
+std::unique_ptr<Reconstructor> MustCreateMethod(const std::string& name,
+                                                uint64_t seed) {
   MethodConfig config;
   config.seed = seed;
-  config.marioh_base = marioh_base;
   return ValueOrDie(MethodRegistry::Global().Create(name, config),
                     __FILE__, __LINE__);
 }

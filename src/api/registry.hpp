@@ -84,9 +84,8 @@ std::vector<std::string> Table3Roster();
 /// Convenience for benches and tests running the fixed paper rosters:
 /// creates the method or dies with a check failure. User-facing code
 /// paths must use `MethodRegistry::Create` (or `Session`) instead.
-std::unique_ptr<Reconstructor> MustCreateMethod(
-    const std::string& name, uint64_t seed,
-    const core::MariohOptions* marioh_base = nullptr);
+std::unique_ptr<Reconstructor> MustCreateMethod(const std::string& name,
+                                                uint64_t seed);
 
 /// Typed consumption of `MethodConfig::overrides` inside a factory: call
 /// `Get` once per supported key, then `Finish` to fail on unknown keys or

@@ -1,8 +1,9 @@
 #include "api/request.hpp"
 
+#include <cmath>
 #include <iomanip>
+#include <set>
 #include <sstream>
-#include <vector>
 
 #include "util/parse.hpp"
 
@@ -10,15 +11,16 @@ namespace marioh::api {
 
 namespace {
 
-/// The typed keys of the wire grammar, in serialization order. Anything
-/// else is an override key.
-constexpr const char* kTypedKeys[] = {
+/// Keys an override may not use: the wire's typed keys (they would not
+/// parse back as overrides) and `time_budget_seconds` (shadows `budget`).
+constexpr const char* kReservedKeys[] = {
     "method",   "train",    "target", "truth",   "seed",   "budget",
-    "deadline", "priority", "client", "retries", "backoff"};
+    "deadline", "priority", "client", "retries", "backoff",
+    "time_budget_seconds"};
 
-bool IsTypedKey(const std::string& key) {
-  for (const char* typed : kTypedKeys) {
-    if (key == typed) return true;
+bool IsReservedKey(const std::string& key) {
+  for (const char* reserved : kReservedKeys) {
+    if (key == reserved) return true;
   }
   return false;
 }
@@ -86,7 +88,7 @@ Status ParseReconstructRequest(const std::string& text,
                                ReconstructRequest* request) {
   std::istringstream args(text);
   std::string token;
-  std::vector<std::string> keys_seen;
+  std::set<std::string> keys_seen;
   while (args >> token) {
     size_t eq = token.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
@@ -98,12 +100,9 @@ Status ParseReconstructRequest(const std::string& text,
     // A repeated key — typed *or* override — is a typo, not a silent
     // overwrite; the journal replay path depends on this strictness to
     // reject drifted or corrupted accept records loudly.
-    for (const std::string& seen : keys_seen) {
-      if (seen == key) {
-        return Status::InvalidArgument("duplicate option '" + key + "'");
-      }
+    if (!keys_seen.insert(key).second) {
+      return Status::InvalidArgument("duplicate option '" + key + "'");
     }
-    keys_seen.push_back(key);
     bool bad_value = false;
     if (key == "method") {
       request->method = value;
@@ -168,20 +167,30 @@ Status ValidateRequestSerializable(const ReconstructRequest& request) {
   MARIOH_RETURN_IF_ERROR(CheckNoWhitespace(request.ground_truth_dataset,
                                            "ground truth dataset"));
   MARIOH_RETURN_IF_ERROR(CheckNoWhitespace(request.client_id, "client id"));
+  const double backoff = request.retry.initial_backoff_seconds;
+  Priority known = Priority::kNormal;
+  if (!std::isfinite(request.time_budget_seconds) ||
+      !std::isfinite(request.deadline_seconds) || !std::isfinite(backoff) ||
+      backoff < 0.0 || request.retry.max_attempts < 1 ||
+      !ParsePriority(PriorityName(request.priority), &known)) {
+    return Status::InvalidArgument(
+        "request needs a finite budget and deadline, a finite non-negative "
+        "backoff, max_attempts >= 1 and a known priority to be serialized");
+  }
+  std::set<std::string> keys_seen;
   for (const auto& [key, value] : request.overrides) {
-    if (key.empty()) {
-      return Status::InvalidArgument(
-          "override with empty key cannot be serialized");
-    }
-    if (key.find('=') != std::string::npos) {
+    if (key.empty() || key.find('=') != std::string::npos) {
       return Status::InvalidArgument("override key '" + key +
-                                     "' contains '=' and cannot be "
-                                     "serialized");
+                                     "' is empty or contains '=' and "
+                                     "cannot be serialized");
     }
-    if (IsTypedKey(key)) {
+    if (IsReservedKey(key)) {
       return Status::InvalidArgument(
           "override key '" + key +
-          "' shadows a typed request field and cannot be serialized");
+          "' is reserved; set the typed request field instead");
+    }
+    if (!keys_seen.insert(key).second) {
+      return Status::InvalidArgument("duplicate option '" + key + "'");
     }
     MARIOH_RETURN_IF_ERROR(CheckNoWhitespace(key, "override key"));
     if (value.empty()) {

@@ -1,9 +1,9 @@
 /// \file request.hpp
 /// \brief The typed request a service client submits: which method to run
 /// on which cached datasets, under what seed/budget, with which
-/// `key=value` overrides. Pure data — validation happens in
-/// `Service::Submit` (dataset/method existence, reserved override keys)
-/// and at job configure time (override values, via the method factories).
+/// `key=value` overrides. Pure data — `Service::Submit` alone validates it
+/// (`ValidateRequestSerializable` below, then the job's `Session::Configure`
+/// for method and overrides, then the named datasets).
 
 #pragma once
 
@@ -66,8 +66,8 @@ inline bool ParsePriority(const std::string& name, Priority* out) {
 /// a kCancelled / kDeadlineExceeded attempt, or any failure after
 /// Cancel() was requested, is terminal.
 struct RetryPolicy {
-  /// Total attempts including the first; values below 1 mean 1 (the
-  /// default: fail fast, no retries).
+  /// Total attempts including the first; at least 1 (the default: fail
+  /// fast, no retries).
   int max_attempts = 1;
   /// Backoff before attempt k+1 after k failed attempts:
   /// `initial * 2^(k-1)`, capped at 2 s, stretched by up to a tenth of
@@ -128,9 +128,9 @@ struct ReconstructRequest {
   /// `alpha=0.1`, ... all work). `threads=N` is the job's kernel thread
   /// count (0 = all cores; unset = 1): results are identical for any
   /// value (the thread-count-invariance contract), only the job's
-  /// wall-clock and CPU share change. The structural keys `method`,
-  /// `seed`, and `time_budget_seconds` are reserved — set the typed
-  /// fields above instead; Submit rejects them with kInvalidArgument.
+  /// wall-clock and CPU share change. Each key may appear once, and the
+  /// typed wire keys (`seed`, `budget`, ...) and `time_budget_seconds` are
+  /// reserved for the fields above; Submit rejects both kInvalidArgument.
   std::vector<std::pair<std::string, std::string>> overrides;
 };
 
@@ -154,11 +154,11 @@ std::string SerializeReconstructRequest(const ReconstructRequest& request);
 Status ParseReconstructRequest(const std::string& text,
                                ReconstructRequest* request);
 
-/// Whether `request` survives Serialize → Parse bit-identically: no
-/// whitespace in string fields, no empty or typed-key-shadowing or
-/// '='-bearing override keys, no empty override values. `Service`
-/// enforces this at Submit when journaling (an unserializable request
-/// could not be recovered faithfully).
+/// Whether `request` survives Serialize → Parse unchanged: a method, no
+/// whitespace in strings, finite doubles, backoff >= 0, max_attempts >= 1,
+/// a known priority, no empty, reserved, duplicated or '='-bearing override
+/// keys, no empty override values. `Service::Submit` enforces it with or
+/// without a journal, so every admitted job could be recovered.
 Status ValidateRequestSerializable(const ReconstructRequest& request);
 
 }  // namespace marioh::api

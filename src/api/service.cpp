@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "api/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/failpoint.hpp"
@@ -26,7 +25,7 @@ constexpr double kJitterFraction = 0.1;
 /// and attempt — replayed schedules back off identically).
 double BackoffSeconds(const RetryPolicy& policy, JobId id,
                       int failed_attempts) {
-  double base = std::max(0.0, policy.initial_backoff_seconds);
+  double base = policy.initial_backoff_seconds;
   for (int i = 1; i < failed_attempts; ++i) {
     base *= kBackoffMultiplier;
     if (base >= kMaxBackoffSeconds) break;
@@ -256,19 +255,22 @@ Service::~Service() {
 
 StatusOr<std::shared_ptr<Service::Job>> Service::Admit(
     const ReconstructRequest& request) {
-  StatusOr<MethodInfo> info = MethodRegistry::Global().Info(request.method);
-  if (!info.ok()) return info.status();
-
-  for (const auto& [key, value] : request.overrides) {
-    if (key == "method" || key == "seed" || key == "time_budget_seconds") {
-      return Status::InvalidArgument(
-          "override key '" + key +
-          "' is reserved; set the typed ReconstructRequest field instead");
-    }
-  }
-
+  // One rule, journal or not: admit only what the journal would replay
+  // as the same request and what a worker's Session would configure.
+  MARIOH_RETURN_IF_ERROR(ValidateRequestSerializable(request));
   auto job = std::make_shared<Job>();
   job->request = request;
+  // Kernels run on one thread unless a `threads=` override says otherwise:
+  // job and kernel parallelism compose explicitly, not quadratically.
+  job->options.method = request.method;
+  job->options.seed = request.seed;
+  job->options.time_budget_seconds = request.time_budget_seconds;
+  for (const auto& [key, value] : request.overrides) {
+    MARIOH_RETURN_IF_ERROR(
+        ApplySessionOverride(&job->options, key + "=" + value));
+  }
+  Session probe;
+  MARIOH_RETURN_IF_ERROR(probe.Configure(job->options));
 
   if (request.target_dataset.empty()) {
     return Status::InvalidArgument("request names no target_dataset");
@@ -292,7 +294,7 @@ StatusOr<std::shared_ptr<Service::Job>> Service::Admit(
           "projection)");
     }
     job->train = std::move(train).value();
-  } else if (info->supervised) {
+  } else if (probe.method_info().supervised) {
     return Status::FailedPrecondition(
         "method '" + request.method +
         "' is supervised and needs a train_dataset");
@@ -368,13 +370,9 @@ StatusOr<JobId> Service::Submit(const ReconstructRequest& request) {
   StatusOr<std::shared_ptr<Job>> admitted = Admit(request);
   if (!admitted.ok()) return admitted.status();
   std::shared_ptr<Job> job = std::move(admitted).value();
-  // Serialize outside the lock; skipped entirely when the journal is
-  // disabled (no validation, no allocation, no syscalls).
-  std::string wire;
-  if (journal_ != nullptr) {
-    MARIOH_RETURN_IF_ERROR(ValidateRequestSerializable(request));
-    wire = SerializeReconstructRequest(request);
-  }
+  // Serialized outside the lock, and only when journaling (no syscalls).
+  const std::string wire =
+      journal_ != nullptr ? SerializeReconstructRequest(request) : "";
   {
     std::lock_guard<std::mutex> lock(mutex_);
     MARIOH_RETURN_IF_ERROR(
@@ -439,26 +437,14 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
     job->cancel.SetDeadline(job->request.deadline_seconds);
   }
 
-  // Kernels run on one thread (the SessionOptions default) unless the
-  // request's `threads=` override says otherwise, so job-level
-  // concurrency composes with kernel-level parallelism explicitly, not
-  // implicitly quadratically.
-  SessionOptions options;
-  options.method = job->request.method;
-  options.seed = job->request.seed;
-  options.time_budget_seconds = job->request.time_budget_seconds;
+  SessionOptions options = job->options;
   // The token gates every stage entry *and* rides into the MARIOH-family
   // kernels, so Cancel/deadline trips land mid-kernel; baselines still
   // stop at their next stage boundary.
   options.cancel = &job->cancel;
 
-  Status status = Status::Ok();
-  for (const auto& [key, value] : job->request.overrides) {
-    status = ApplySessionOverride(&options, key + "=" + value);
-    if (!status.ok()) break;
-  }
-
   Session session;
+  Status status;
   std::optional<EvaluationResult> evaluation;
   HypergraphHandle reconstruction;
   {
@@ -467,7 +453,7 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
     obs::TraceSpan job_span(
         "job", job->request.method + " job=" + std::to_string(job->id) +
                    " attempt=" + std::to_string(job->attempts));
-    if (status.ok()) status = session.Configure(std::move(options));
+    status = session.Configure(std::move(options));
     if (status.ok() && job->train.has_hypergraph()) {
       status = session.Train(job->train);
     }
@@ -504,7 +490,7 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
     // the stats partition flows through the `queued` gauge unbroken.
     if (status.code() == StatusCode::kUnavailable &&
         !job->cancel.cancelled() && !stopping_) {
-      if (job->attempts < std::max(1, job->request.retry.max_attempts)) {
+      if (job->attempts < job->request.retry.max_attempts) {
         job->state = JobState::kQueued;
         job->status = Status::Ok();
         // Re-arm the wait clock: the next kRunning transition samples

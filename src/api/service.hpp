@@ -224,9 +224,9 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Validates the request against the registry and the dataset cache
-  /// (unknown method / unknown or ill-typed datasets / reserved override
-  /// keys fail here, before any work is queued) and enqueues it.
+  /// Admits the request, journal or not, only if it passes
+  /// ValidateRequestSerializable, Session::Configure and the dataset
+  /// checks; a refusal uses no job id and writes no journal record.
   /// The job holds handles to its datasets from this point on, so cache
   /// eviction cannot affect an admitted job.
   StatusOr<JobId> Submit(const ReconstructRequest& request);
@@ -280,6 +280,8 @@ class Service {
   struct Job {
     JobId id = 0;
     ReconstructRequest request;
+    /// Session configuration built at admission; copied per attempt.
+    SessionOptions options;
     /// Dataset handles resolved at submit time (own the data from then
     /// on).
     DatasetHandle train;
@@ -320,7 +322,7 @@ class Service {
     HypergraphHandle reconstruction;
   };
 
-  /// Builds and admits a job (no enqueue). Requires nothing locked.
+  /// Builds and vets a job for Submit and recovery. Requires no lock.
   StatusOr<std::shared_ptr<Job>> Admit(const ReconstructRequest& request);
   void Enqueue(const std::shared_ptr<Job>& job);
   void RunJob(const std::shared_ptr<Job>& job);

@@ -77,9 +77,10 @@ std::optional<Status> ParseServiceFlag(const std::string& flag,
                                        api::ServiceOptions* options) {
   if (flag == "--workers") {
     std::optional<int> workers = util::ParseNonNegativeInt(value);
-    if (!workers.has_value()) {
+    if (!workers.has_value() || *workers > kMaxServiceWorkers) {
       return Status::InvalidArgument(
-          "--workers needs a non-negative integer (0 = all cores)");
+          "--workers needs a non-negative integer (0 = all cores) of at "
+          "most " + std::to_string(kMaxServiceWorkers));
     }
     options->num_workers = *workers;
   } else if (flag == "--journal-dir") {

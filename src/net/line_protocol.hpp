@@ -37,10 +37,12 @@ api::Status GenerateDataset(api::DatasetCache* cache,
                             const std::string& basename,
                             const std::string& profile, uint64_t seed);
 
-/// Parses `flag value` when `flag` is one of the ServiceOptions flags
-/// both front ends take: `--workers N`, `--journal-dir PATH`,
-/// `--fsync always|never`. nullopt for any other flag; otherwise OK, or
-/// kInvalidArgument saying what the flag needs.
+/// Largest `--workers` value: the Service starts one thread per worker.
+inline constexpr int kMaxServiceWorkers = 1024;
+
+/// Parses `flag value` for the ServiceOptions flags both front ends take:
+/// `--workers N` (0 = all cores), `--journal-dir PATH`, `--fsync
+/// always|never`. nullopt for other flags; else OK or kInvalidArgument.
 std::optional<api::Status> ParseServiceFlag(const std::string& flag,
                                             const std::string& value,
                                             api::ServiceOptions* options);

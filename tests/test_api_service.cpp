@@ -14,6 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -583,21 +584,18 @@ TEST(Service, MethodLevelOverridesReachTheJob) {
   eval::PreparedDataset data = SmallDataset();
   Service service(CacheWithCrime(data));
 
-  // A bad override value is validated inside the job (Configure), so the
-  // job fails cleanly rather than Submit.
+  // A bad override value is refused at Submit, which configures the job
+  // exactly as a worker would: nothing is admitted.
   ReconstructRequest request;
   request.method = "MARIOH";
   request.train_dataset = "crime.train";
   request.target_dataset = "crime.target";
   request.overrides = {{"theta_init", "oops"}};
   StatusOr<JobId> bad = service.Submit(request);
-  ASSERT_TRUE(bad.ok());
-  StatusOr<JobSnapshot> failed = service.Wait(*bad);
-  ASSERT_TRUE(failed.ok());
-  EXPECT_EQ(failed->state, JobState::kFailed);
-  EXPECT_EQ(failed->status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(failed->status.message().find("theta_init"), std::string::npos);
-  EXPECT_EQ(service.stats().failed, 1u);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("theta_init"), std::string::npos);
+  EXPECT_EQ(service.stats().accepted, 0u);
 
   // A good override (threads=2) changes nothing about the output — the
   // determinism contract — and the job succeeds.
@@ -1067,6 +1065,169 @@ ReconstructRequest FullyPopulatedRequest() {
   return request;
 }
 
+/// Field-by-field equality of two requests.
+bool SameRequest(const ReconstructRequest& a, const ReconstructRequest& b) {
+  return a.method == b.method && a.train_dataset == b.train_dataset &&
+         a.target_dataset == b.target_dataset &&
+         a.ground_truth_dataset == b.ground_truth_dataset &&
+         a.seed == b.seed &&
+         a.time_budget_seconds == b.time_budget_seconds &&
+         a.deadline_seconds == b.deadline_seconds &&
+         a.priority == b.priority && a.client_id == b.client_id &&
+         a.retry.max_attempts == b.retry.max_attempts &&
+         a.retry.initial_backoff_seconds ==
+             b.retry.initial_backoff_seconds &&
+         a.overrides == b.overrides;
+}
+
+/// One row of the acceptance table: a request and the code Submit must
+/// answer it with, whether or not the Service journals.
+struct SubmitCase {
+  std::string name;
+  ReconstructRequest request;
+  StatusCode expected;
+};
+
+/// Requests that a worker could not configure or the journal could not
+/// replay, then one good MARIOH request last (so it gets job id 1 only
+/// if no refused request used an id).
+std::vector<SubmitCase> AcceptanceTable() {
+  ReconstructRequest good;
+  good.method = "MARIOH";
+  good.train_dataset = "crime.train";
+  good.target_dataset = "crime.target";
+  good.ground_truth_dataset = "crime.truth";
+  auto with = [&good](std::vector<std::pair<std::string, std::string>> o) {
+    ReconstructRequest request = good;
+    request.overrides = std::move(o);
+    return request;
+  };
+  ReconstructRequest retired;
+  retired.method = "MaxClique";
+  retired.target_dataset = "crime.target";
+  retired.overrides = {{"kthreads", "3"}};
+  ReconstructRequest spaced = good;
+  spaced.client_id = "two words";
+  const StatusCode invalid = StatusCode::kInvalidArgument;
+  return {
+      {"retired key", retired, invalid},
+      {"bad override value", with({{"theta_init", "oops"}}), invalid},
+      {"seed override", with({{"seed", "3"}}), invalid},
+      {"budget override", with({{"budget", "5"}}), invalid},
+      {"time_budget_seconds override",
+       with({{"time_budget_seconds", "5"}}), invalid},
+      {"duplicated override",
+       with({{"theta_init", "0.8"}, {"theta_init", "0.9"}}), invalid},
+      {"client id with a space", spaced, invalid},
+      {"good request", with({{"threads", "2"}}), StatusCode::kOk},
+  };
+}
+
+// One acceptance rule: a Service without a journal and one with a
+// journal answer every request of the table identically — the same
+// codes and messages, no job id spent on a refusal — and the refusals
+// leave nothing in the journal for a restart to recover.
+TEST(Service, SubmitAdmitsTheSameRequestsWithOrWithoutAJournal) {
+  eval::PreparedDataset data = SmallDataset();
+  const std::string dir =
+      testing::TempDir() + "/marioh_service_acceptance_journal";
+  std::filesystem::remove_all(dir);
+  ServiceOptions journaled;
+  journaled.journal_dir = dir;
+  journaled.journal_fsync = util::JournalFsync::kNever;
+
+  std::vector<std::vector<std::string>> outcomes;
+  std::vector<HypergraphHandle> results;
+  for (const ServiceOptions& options : {ServiceOptions{}, journaled}) {
+    Service service(CacheWithCrime(data), options);
+    ASSERT_TRUE(service.startup_status().ok());
+    outcomes.emplace_back();
+    for (const SubmitCase& row : AcceptanceTable()) {
+      StatusOr<JobId> id = service.Submit(row.request);
+      EXPECT_EQ(id.status().code(), row.expected)
+          << row.name << ": " << id.status().ToString();
+      outcomes.back().push_back(id.ok() ? "job " + std::to_string(*id)
+                                        : id.status().ToString());
+    }
+    EXPECT_NE(outcomes.back().front().find("unknown option 'kthreads'"),
+              std::string::npos)
+        << outcomes.back().front();
+    EXPECT_EQ(outcomes.back().back(), "job 1");
+    StatusOr<JobSnapshot> done = service.Wait(1);
+    ASSERT_TRUE(done.ok());
+    ASSERT_EQ(done->state, JobState::kDone) << done->status.ToString();
+    results.push_back(done->reconstruction);
+    EXPECT_EQ(service.stats().accepted, 1u);
+  }
+  EXPECT_EQ(outcomes[0], outcomes[1]);
+  EXPECT_EQ(results[0]->edges(), results[1]->edges());
+
+  Service restarted(CacheWithCrime(data), journaled);
+  ASSERT_TRUE(restarted.startup_status().ok());
+  EXPECT_EQ(restarted.stats().jobs_recovered, 0u);
+  EXPECT_EQ(restarted.stats().accepted, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// Whatever ValidateRequestSerializable passes comes back equal from
+// Serialize → Parse — the property that lets Submit promise a journaled
+// job replays as the job it admitted. Edge values either fail the check
+// or round-trip.
+TEST(RequestWire, EveryValidatedRequestRoundTripsEqual) {
+  std::vector<ReconstructRequest> requests;
+  for (const SubmitCase& row : AcceptanceTable()) {
+    requests.push_back(row.request);
+  }
+  requests.push_back(ReconstructRequest{});
+  requests.push_back(FullyPopulatedRequest());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double value : {inf, -inf, nan, -0.0, 1e300}) {
+    ReconstructRequest request = FullyPopulatedRequest();
+    request.time_budget_seconds = value;
+    requests.push_back(request);
+    request = FullyPopulatedRequest();
+    request.deadline_seconds = value;
+    requests.push_back(request);
+    request = FullyPopulatedRequest();
+    request.retry.initial_backoff_seconds = value;
+    requests.push_back(request);
+  }
+  for (int attempts : {-3, 0, 1, INT32_MAX}) {
+    ReconstructRequest request = FullyPopulatedRequest();
+    request.retry.max_attempts = attempts;
+    requests.push_back(request);
+  }
+  ReconstructRequest odd = FullyPopulatedRequest();
+  odd.retry.initial_backoff_seconds = -0.5;
+  requests.push_back(odd);
+  odd = FullyPopulatedRequest();
+  odd.priority = static_cast<Priority>(7);
+  requests.push_back(odd);
+  odd = FullyPopulatedRequest();
+  odd.method = "";
+  requests.push_back(odd);
+  odd = FullyPopulatedRequest();
+  odd.seed = UINT64_MAX;
+  odd.overrides = {{"theta_init", "a=b"}};
+  requests.push_back(odd);
+
+  size_t validated = 0;
+  for (const ReconstructRequest& request : requests) {
+    if (!ValidateRequestSerializable(request).ok()) continue;
+    ++validated;
+    const std::string wire = SerializeReconstructRequest(request);
+    ReconstructRequest parsed;
+    ASSERT_TRUE(ParseReconstructRequest(wire, &parsed).ok()) << wire;
+    EXPECT_TRUE(SameRequest(parsed, request)) << wire;
+  }
+  // The table rows only Configure refuses (the retired key, the bad
+  // value) and the good one, the default and full requests, the finite
+  // edge doubles (-0 and 1e300 in each of the three fields), one and
+  // INT32_MAX attempts, and the huge seed with a '='-bearing value.
+  EXPECT_EQ(validated, 14u);
+}
+
 // The wire grammar shared by the LineProtocol `submit` verb and the
 // journal's accept records: every typed field round-trips exactly,
 // defaults are omitted, and overrides survive in order.
@@ -1216,6 +1377,7 @@ TEST(RequestWire, MutatedLinesNeverCrashAndAcceptedOnesRoundTrip) {
                             << once << "': " << again.ToString();
     EXPECT_EQ(SerializeReconstructRequest(reparsed), once)
         << "mutant '" << text << "'";
+    EXPECT_TRUE(SameRequest(reparsed, parsed)) << "mutant '" << text << "'";
   };
   for (size_t length = 0; length <= wire.size(); ++length) {
     check(wire.substr(0, length));

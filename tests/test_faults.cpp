@@ -264,22 +264,30 @@ TEST_F(FaultsTest, RetriesExhaustedEndsFailedWithTheTransientStatus) {
 TEST_F(FaultsTest, NonRetryableFailuresStayFailFast) {
   eval::PreparedDataset data = SmallDataset();
   std::shared_ptr<DatasetCache> cache = CacheWithCrime(data);
+  auto empty = std::make_shared<const Hypergraph>();
+  ASSERT_TRUE(cache
+                  ->Insert("empty.train", empty,
+                           std::make_shared<const ProjectedGraph>(
+                               empty->Project()))
+                  .ok());
   Service service(cache, ServiceOptions{});
 
-  // A permanent error (bad override value → not UNAVAILABLE) must not
+  // A permanent run-time error (a supervised method training on a source
+  // with no hyperedges → INVALID_ARGUMENT, not UNAVAILABLE) must not
   // consume retry attempts.
   ReconstructRequest request;
-  request.method = "MaxClique";
+  request.method = "MARIOH";
+  request.train_dataset = "empty.train";
   request.target_dataset = "crime.target";
   request.retry.max_attempts = 5;
   request.retry.initial_backoff_seconds = 0.01;
-  request.overrides.push_back({"theta_init", "not-a-number"});
 
   StatusOr<JobId> id = service.Submit(request);
-  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
   StatusOr<JobSnapshot> job = service.Wait(*id);
   ASSERT_TRUE(job.ok());
   EXPECT_EQ(job->state, JobState::kFailed);
+  EXPECT_EQ(job->status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(job->attempts, 1);
   EXPECT_EQ(service.stats().jobs_retried, 0u);
 }

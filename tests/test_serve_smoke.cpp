@@ -12,11 +12,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "api/service.hpp"
 #include "eval/harness.hpp"
 #include "io/text_io.hpp"
+#include "net/line_protocol.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -190,8 +193,9 @@ TEST(ServeSmoke, SparseHugeNodeIdsAreErrorsNotCrashes) {
 }
 
 TEST(ServeSmoke, MalformedWorkerCountIsRejected) {
-  // Strict flag parsing: trailing garbage or padding is not a number.
-  for (const char* workers : {"2x", "\" 3\"", "-1"}) {
+  // Strict flag parsing: trailing garbage or padding is not a number, and
+  // a count above the cap fails before any worker pool exists.
+  for (const char* workers : {"2x", "\" 3\"", "-1", "100000"}) {
     std::string output;
     int exit_code =
         RunServe("quit\n", &output, std::string("--workers ") + workers);
@@ -201,6 +205,44 @@ TEST(ServeSmoke, MalformedWorkerCountIsRejected) {
         << workers << ": " << output;
     EXPECT_EQ(output.find("ok marioh_serve"), std::string::npos) << output;
   }
+}
+
+TEST(ServeSmoke, RetiredKeyIsRefusedAtSubmitWithOrWithoutAJournal) {
+  // Submit configures the job as a worker would, so a retired key is an
+  // error before any job id, journal record or worker is spent on it.
+  const std::string dir = "serve_smoke_retired_key";
+  std::filesystem::remove_all(dir);
+  for (const std::string& args :
+       {std::string(), "--journal-dir " + dir + " --fsync never"}) {
+    std::string output;
+    EXPECT_EQ(RunServe("gen d crime 2\n"
+                       "submit method=MaxClique target=d.target kthreads=3\n"
+                       "metrics json\nquit\n",
+                       &output, args),
+              0)
+        << output;
+    EXPECT_NE(output.find("error INVALID_ARGUMENT: "), std::string::npos)
+        << args << ": " << output;
+    EXPECT_NE(output.find("unknown option 'kthreads'"), std::string::npos)
+        << args << ": " << output;
+    EXPECT_EQ(output.find("ok job"), std::string::npos) << output;
+    EXPECT_NE(
+        output.find(R"({"name":"marioh_jobs_accepted_total","value":0})"),
+        std::string::npos)
+        << args << ": " << output;
+  }
+  // A restart on the same journal has nothing to recover.
+  std::string output;
+  EXPECT_EQ(RunServe("poll 1\nmetrics json\nquit\n", &output,
+                     "--journal-dir " + dir + " --fsync never"),
+            0)
+      << output;
+  EXPECT_NE(output.find("error NOT_FOUND"), std::string::npos) << output;
+  EXPECT_NE(
+      output.find(R"({"name":"marioh_jobs_recovered_total","value":0})"),
+      std::string::npos)
+      << output;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServeSmoke, JournalDirRestoresGeneratedDatasetsOnRestart) {
@@ -244,6 +286,29 @@ TEST(ServeSmoke, EofWithRunningJobsStillExitsZero) {
 
 // Keeps the suite non-empty on platforms without the pipe harness.
 TEST(ServeSmoke, HarnessPlaceholder) { SUCCEED(); }
+
+// Both daemons parse --workers here; the cap keeps a typo from starting
+// a hundred thousand worker threads. Parsing starts no pool.
+TEST(ServiceFlags, WorkersAcceptsZeroToTheCapOnly) {
+  for (int workers : {0, 1, net::kMaxServiceWorkers}) {
+    api::ServiceOptions options;
+    std::optional<api::Status> parsed = net::ParseServiceFlag(
+        "--workers", std::to_string(workers), &options);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE(parsed->ok()) << workers << ": " << parsed->ToString();
+    EXPECT_EQ(options.num_workers, workers);
+  }
+  for (const std::string& workers :
+       {std::to_string(net::kMaxServiceWorkers + 1), std::string("100000"),
+        std::string("2147483647"), std::string("-1")}) {
+    api::ServiceOptions options;
+    std::optional<api::Status> parsed =
+        net::ParseServiceFlag("--workers", workers, &options);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->code(), api::StatusCode::kInvalidArgument) << workers;
+    EXPECT_EQ(options.num_workers, api::ServiceOptions{}.num_workers);
+  }
+}
 
 }  // namespace
 }  // namespace marioh

@@ -8,6 +8,13 @@ checkouts and appends one point per checkout. A point holds:
     (`--trace 0`, seeds 1..RUNS), each BENCHMARK.json's `run_seconds`
     long, so every point in a trajectory is measured alike and a pair
     of checkouts gets the 10 alternating pairs a gain claim needs,
+  * each run's end-to-end values by seed (`end_to_end_by_seed`) and
+    their quartiles (`end_to_end_quartiles`, [Q1, median, Q3], inclusive
+    method),
+  * for every checkout after the first, `versus_first`: per end-to-end
+    metric, the wins, losses and ties of its runs against the first
+    checkout's run of the same seed, a win being better in the
+    direction of BENCHMARK.json's `better` field,
   * the per-layer metrics of one traced run (`--trace 1`, seed 1),
   * a label, the commit (HEAD) and whether tracked files differed from
     it (`modified`: a change measured before it was committed), the
@@ -18,7 +25,9 @@ checkouts and appends one point per checkout. A point holds:
 
 With several checkouts the runs alternate between them (run 1 in each,
 then run 2 in each in reverse order, ...), so host drift and warm-up
-spread evenly over the points.
+spread evenly over the points. The tool prints each later checkout's
+win/loss/tie counts and the first checkout's interquartile range (IQR),
+the two figures a gain claim is judged on.
 A typical use compares a parent commit with a change:
 
     python3 tools/bench_trajectory.py BENCH_serve_light.json \\
@@ -39,9 +48,10 @@ from pathlib import Path
 
 MACHINE_KEYS = ("nproc", "cpu_model", "compiler", "build_type")
 RUNS = 10
-RUN_SECONDS = json.loads(
-    (Path(__file__).resolve().parent.parent / "BENCHMARK.json")
-    .read_text())["run_seconds"]
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 
 
 def run_once(checkout, workload, seed, trace):
@@ -73,13 +83,40 @@ def values(result):
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
+def by_seed(runs):
+    """{metric: {seed: value}} over untraced runs made for seeds 1, 2, ..."""
+    return {name: {str(seed): values(r)[name]
+                   for seed, (_, r) in enumerate(runs, start=1)}
+            for name in values(runs[0][1])}
+
+
+def versus(first, later):
+    """Per metric with a known direction: wins, losses and ties of the
+    `later` point's runs against the `first` point's, paired by seed."""
+    outcome = {}
+    for name, better in BETTER.items():
+        counts = {"wins": 0, "losses": 0, "ties": 0}
+        base = first["end_to_end_by_seed"].get(name, {})
+        for seed, value in later["end_to_end_by_seed"].get(name, {}).items():
+            if seed not in base:
+                continue
+            gain = value - base[seed] if better == "higher" else \
+                base[seed] - value
+            counts["wins" if gain > 0 else "losses" if gain < 0
+                   else "ties"] += 1
+        outcome[name] = counts
+    return {"label": first["label"], "metrics": outcome}
+
+
 def point(label, checkout, runs, traced):
     """Folds the untraced runs and the traced run of one checkout."""
     metas = [meta for meta, _ in runs]
-    end_to_end = {}
-    for name in values(runs[0][1]):
-        end_to_end[name] = statistics.median(values(r)[name]
-                                             for _, r in runs)
+    seeds = by_seed(runs)
+    end_to_end = {name: statistics.median(v.values())
+                  for name, v in seeds.items()}
+    quartiles = {name: statistics.quantiles(v.values(), n=4,
+                                            method="inclusive")
+                 for name, v in seeds.items()}
     traced_meta, traced_result = traced
     return {
         "label": label,
@@ -93,6 +130,8 @@ def point(label, checkout, runs, traced):
         "attempted": sum(r["attempted"] for _, r in runs),
         "failed": sum(r["failed"] for _, r in runs),
         "end_to_end": end_to_end,
+        "end_to_end_by_seed": seeds,
+        "end_to_end_quartiles": quartiles,
         "per_layer": values(traced_result),
         "per_layer_drift_reference_cliques_s":
             traced_meta["drift_reference_cliques_s"],
@@ -120,6 +159,8 @@ def main():
     points = [point(label, c, untraced[c],
                     run_once(c, args.workload, 1, 1))
               for label, c in zip(labels, checkouts)]
+    for p in points[1:]:
+        p["versus_first"] = versus(points[0], p)
 
     trajectory = {"workload": args.workload, "points": []}
     if args.bench_file.exists():
@@ -133,6 +174,16 @@ def main():
         print("%s %s: job_s_p50=%.6g jobs_per_s=%.6g drift=%.6g" % (
             args.workload, p["label"], p["end_to_end"]["job_s_p50"],
             p["end_to_end"]["jobs_per_s"], p["drift_reference_cliques_s"]))
+    first = points[0]
+    for p in points[1:]:
+        print("%s %s vs %s (wins/losses/ties per seed pair; IQR of %s):" % (
+            args.workload, p["label"], first["label"], first["label"]))
+        for name, c in p["versus_first"]["metrics"].items():
+            q1, _, q3 = first["end_to_end_quartiles"].get(name, (0, 0, 0))
+            print("  %-14s %2d/%2d/%2d  median %.6g -> %.6g  IQR %.6g" % (
+                name, c["wins"], c["losses"], c["ties"],
+                first["end_to_end"].get(name, float("nan")),
+                p["end_to_end"].get(name, float("nan")), q3 - q1))
 
 
 if __name__ == "__main__":
