@@ -34,6 +34,7 @@
 
 #include "api/registry.hpp"
 #include "api/session.hpp"
+#include "eval/harness.hpp"
 #include "gen/profiles.hpp"
 #include "gen/split.hpp"
 #include "io/text_io.hpp"
@@ -60,8 +61,8 @@ int ListMethods() {
 }
 
 int Run(const std::string& train_path, const std::string& target_path,
-        const std::string& out_path,
-        marioh::api::SessionOptions options) {
+        const std::string& out_path, marioh::api::SessionOptions options,
+        double budget_seconds) {
   using marioh::api::Session;
   using marioh::api::Status;
   using marioh::api::StatusOr;
@@ -102,7 +103,7 @@ int Run(const std::string& train_path, const std::string& target_path,
             << "s, reconstruct "
             << session.stage_timer().Get("reconstruct") << "s (total "
             << session.elapsed_seconds() << "s)\n";
-  if (session.deadline_exceeded()) {
+  if (marioh::eval::OutOfTime(session, budget_seconds)) {
     // The output was still written (the paper's OOT accounting keeps the
     // overrunning run), but the run is reported as out of time.
     std::cerr << "error: out of time: train+reconstruct exceeded the "
@@ -116,6 +117,7 @@ int Run(const std::string& train_path, const std::string& target_path,
 
 int main(int argc, char** argv) {
   marioh::api::SessionOptions options;
+  double budget_seconds = -1.0;
   std::vector<std::string> positional;
 
   for (int i = 1; i < argc; ++i) {
@@ -143,11 +145,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--budget") {
       const char* value = next("--budget");
       if (value == nullptr) return 1;
-      if (marioh::api::Status status = marioh::api::ApplySessionOverride(
-              &options, std::string("time_budget_seconds=") + value);
-          !status.ok()) {
-        return Fail(status);
+      std::optional<double> budget = marioh::util::ParseDouble(value);
+      if (!budget.has_value()) {
+        std::cerr << "error: --budget needs a number of seconds, got '"
+                  << value << "'\n";
+        return 1;
       }
+      budget_seconds = *budget;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "error: unknown flag '" << arg << "'\n";
       return 1;
@@ -170,7 +174,7 @@ int main(int argc, char** argv) {
       *knobs[i - 3] = *value;
     }
     return Run(positional[0], positional[1], positional[2],
-               std::move(options));
+               std::move(options), budget_seconds);
   }
   if (!positional.empty()) {
     std::cerr << "usage: marioh_cli [flags] train.hg target.eg out.hg "
@@ -198,5 +202,5 @@ int main(int argc, char** argv) {
     return Fail(status);
   }
   return Run("demo_train.hg", "demo_target.eg", "demo_out.hg",
-             std::move(options));
+             std::move(options), budget_seconds);
 }

@@ -17,14 +17,14 @@
 //
 //   load hypergraph <name> <path>   load a .hg file (+ projection) once
 //   load graph <name> <path>        load a .eg edge list once
-//   gen <name> <profile> <seed>     generate + split a synthetic profile:
+//   gen <name> <profile> [seed]     generate + split a synthetic profile:
 //                                   <name>.train / .target / .truth
 //   datasets                        list resident dataset names
 //   methods                         list registered method names
 //   submit key=value ...            submit a job; keys: method= train=
-//                                   target= truth= seed= budget=
-//                                   deadline= priority= client= retries=
-//                                   backoff= plus any session/method
+//                                   target= truth= seed= deadline=
+//                                   priority= client= retries= backoff=
+//                                   plus any session/method
 //                                   override (threads= sets the job's
 //                                   kernel threads, theta_init=, ...).
 //                                   Responds `ok job N`, or at once
@@ -48,7 +48,10 @@
 //
 // Errors never kill the loop: a bad request gets one `error CODE: message`
 // line and the server keeps reading. Unknown datasets, unknown methods,
-// malformed files, bad overrides all arrive as api::Status values.
+// malformed files, bad overrides all arrive as api::Status values. Every
+// verb but `submit` and `failpoints` takes exactly the operands shown; a
+// missing or extra one gets `error INVALID_ARGUMENT: usage: ...` and has
+// no effect.
 
 #include <iostream>
 #include <memory>

@@ -207,32 +207,6 @@ bool DatasetCache::Contains(const std::string& name) const {
   return entries_.count(name) > 0;
 }
 
-Status DatasetCache::Erase(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return Status::NotFound("no dataset named '" + name +
-                            "'; resident datasets: " +
-                            NamesForErrorLocked());
-  }
-  total_bytes_ -= it->second.bytes;
-  entries_.erase(it);
-  // An explicit Erase also forgets how to restore the dataset (unlike
-  // eviction, which only frees memory): the file record with this name,
-  // or the gen recipe behind any member of its triple.
-  bool changed = manifest_files_.erase(name) > 0;
-  for (const char* suffix : {".train", ".target", ".truth"}) {
-    std::string tail(suffix);
-    if (name.size() > tail.size() &&
-        name.compare(name.size() - tail.size(), tail.size(), tail) == 0) {
-      changed |= gen_recipes_.erase(
-                     name.substr(0, name.size() - tail.size())) > 0;
-    }
-  }
-  if (changed) (void)WriteManifestLocked();
-  return Status::Ok();
-}
-
 std::vector<std::string> DatasetCache::Names() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> names;
@@ -254,17 +228,6 @@ size_t DatasetCache::total_bytes() const {
 uint64_t DatasetCache::evictions() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return evictions_;
-}
-
-size_t DatasetCache::max_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_bytes_;
-}
-
-void DatasetCache::set_max_bytes(size_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_bytes_ = max_bytes;
-  EvictLocked(/*keep=*/"");
 }
 
 void DatasetCache::RecordFileLocked(const std::string& kind,

@@ -63,8 +63,7 @@ struct DatasetHandle {
 /// evicted (evicting it would free no memory, only lose the name), so the
 /// cache can sit temporarily over budget while everything resident is
 /// pinned. Eviction drops the *name*; handles already given out stay
-/// valid regardless (shared ownership), exactly like an explicit
-/// `Erase`.
+/// valid regardless (shared ownership).
 class DatasetCache {
  public:
   /// `max_bytes` of 0 means unlimited (no eviction, bytes still
@@ -102,10 +101,6 @@ class DatasetCache {
 
   bool Contains(const std::string& name) const;
 
-  /// Drops `name` from the cache. Handles already given out stay valid
-  /// (shared ownership). kNotFound if the name is not resident.
-  Status Erase(const std::string& name);
-
   /// Resident dataset names, sorted.
   std::vector<std::string> Names() const;
 
@@ -116,16 +111,8 @@ class DatasetCache {
   /// that was evicted no longer counts — the cache no longer owns it).
   size_t total_bytes() const;
 
-  /// Entries evicted by the byte budget since construction (explicit
-  /// `Erase` calls do not count).
+  /// Entries evicted by the byte budget since construction.
   uint64_t evictions() const;
-
-  /// The configured byte budget (0 = unlimited).
-  size_t max_bytes() const;
-
-  /// Re-configures the byte budget and immediately runs an eviction pass
-  /// under the new value.
-  void set_max_bytes(size_t max_bytes);
 
   // --- Persistence: the dataset manifest -------------------------------
   //
@@ -154,8 +141,8 @@ class DatasetCache {
       uint64_t seed)>;
 
   /// Starts maintaining a manifest at `path`: the current restorable
-  /// state is written now, and every future load / RecordGenerated /
-  /// Erase rewrites it (atomically). Errors are the write failing.
+  /// state is written now, and every future load / RecordGenerated
+  /// rewrites it (atomically). Errors are the write failing.
   Status EnableManifest(const std::string& path);
 
   /// Records that `basename`.train/.target/.truth were produced by
@@ -216,7 +203,7 @@ class DatasetCache {
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;
-  size_t max_bytes_ = 0;
+  const size_t max_bytes_;  ///< fixed at construction; 0 = unlimited
   size_t total_bytes_ = 0;
   uint64_t evictions_ = 0;
   /// Manifest state: the file being maintained (empty = disabled) and

@@ -12,11 +12,10 @@ namespace marioh::api {
 namespace {
 
 /// Keys an override may not use: the wire's typed keys (they would not
-/// parse back as overrides) and `time_budget_seconds` (shadows `budget`).
+/// parse back as overrides).
 constexpr const char* kReservedKeys[] = {
-    "method",   "train",    "target", "truth",   "seed",   "budget",
-    "deadline", "priority", "client", "retries", "backoff",
-    "time_budget_seconds"};
+    "method",   "train",    "target", "truth",   "seed",
+    "deadline", "priority", "client", "retries", "backoff"};
 
 bool IsReservedKey(const std::string& key) {
   for (const char* reserved : kReservedKeys) {
@@ -47,7 +46,10 @@ std::string SerializeReconstructRequest(const ReconstructRequest& request) {
   const ReconstructRequest defaults;
   std::ostringstream out;
   bool first = true;
-  auto emit = [&out, &first](const char* key, const std::string& value) {
+  // Keys are std::string, not C strings: an override key holding a NUL
+  // byte must be written whole, or it would parse back as another key.
+  auto emit = [&out, &first](const std::string& key,
+                             const std::string& value) {
     if (!first) out << ' ';
     first = false;
     out << key << '=' << value;
@@ -63,9 +65,6 @@ std::string SerializeReconstructRequest(const ReconstructRequest& request) {
   if (request.seed != defaults.seed) {
     emit("seed", std::to_string(request.seed));
   }
-  if (request.time_budget_seconds != defaults.time_budget_seconds) {
-    emit("budget", FormatDouble(request.time_budget_seconds));
-  }
   if (request.deadline_seconds != defaults.deadline_seconds) {
     emit("deadline", FormatDouble(request.deadline_seconds));
   }
@@ -80,7 +79,7 @@ std::string SerializeReconstructRequest(const ReconstructRequest& request) {
       defaults.retry.initial_backoff_seconds) {
     emit("backoff", FormatDouble(request.retry.initial_backoff_seconds));
   }
-  for (const auto& [key, value] : request.overrides) emit(key.c_str(), value);
+  for (const auto& [key, value] : request.overrides) emit(key, value);
   return out.str();
 }
 
@@ -116,10 +115,6 @@ Status ParseReconstructRequest(const std::string& text,
       std::optional<uint64_t> seed = util::ParseUint64(value);
       bad_value = !seed.has_value();
       if (!bad_value) request->seed = *seed;
-    } else if (key == "budget") {
-      std::optional<double> budget = util::ParseDouble(value);
-      bad_value = !budget.has_value();
-      if (!bad_value) request->time_budget_seconds = *budget;
     } else if (key == "deadline") {
       std::optional<double> deadline = util::ParseDouble(value);
       bad_value = !deadline.has_value();
@@ -169,12 +164,11 @@ Status ValidateRequestSerializable(const ReconstructRequest& request) {
   MARIOH_RETURN_IF_ERROR(CheckNoWhitespace(request.client_id, "client id"));
   const double backoff = request.retry.initial_backoff_seconds;
   Priority known = Priority::kNormal;
-  if (!std::isfinite(request.time_budget_seconds) ||
-      !std::isfinite(request.deadline_seconds) || !std::isfinite(backoff) ||
+  if (!std::isfinite(request.deadline_seconds) || !std::isfinite(backoff) ||
       backoff < 0.0 || request.retry.max_attempts < 1 ||
       !ParsePriority(PriorityName(request.priority), &known)) {
     return Status::InvalidArgument(
-        "request needs a finite budget and deadline, a finite non-negative "
+        "request needs a finite deadline, a finite non-negative "
         "backoff, max_attempts >= 1 and a known priority to be serialized");
   }
   std::set<std::string> keys_seen;

@@ -1,6 +1,6 @@
 /// \file request.hpp
 /// \brief The typed request a service client submits: which method to run
-/// on which cached datasets, under what seed/budget, with which
+/// on which cached datasets, under what seed/deadline, with which
 /// `key=value` overrides. Pure data — `Service::Submit` alone validates it
 /// (`ValidateRequestSerializable` below, then the job's `Session::Configure`
 /// for method and overrides, then the named datasets).
@@ -98,15 +98,10 @@ struct ReconstructRequest {
 
   uint64_t seed = 1;
 
-  /// Wall-clock budget over train + reconstruct in seconds; negative
-  /// means unlimited (the `Session` OOT semantics: the overrunning run
-  /// still completes and scores, and the job reports `budget_overrun`).
-  double time_budget_seconds = -1.0;
-
   /// Hard wall-clock deadline in seconds, armed when the job *starts
-  /// running* (queue time does not count); negative means none. Unlike
-  /// the soft budget above, overrunning it aborts the job mid-kernel via
-  /// its CancelToken: the job ends DEADLINE_EXCEEDED with no result.
+  /// running* (queue time does not count); negative means none.
+  /// Overrunning it aborts the job mid-kernel via its CancelToken: the
+  /// job ends DEADLINE_EXCEEDED with no result.
   double deadline_seconds = -1.0;
 
   /// Scheduling class (see Priority above).
@@ -129,14 +124,14 @@ struct ReconstructRequest {
   /// count (0 = all cores; unset = 1): results are identical for any
   /// value (the thread-count-invariance contract), only the job's
   /// wall-clock and CPU share change. Each key may appear once, and the
-  /// typed wire keys (`seed`, `budget`, ...) and `time_budget_seconds` are
-  /// reserved for the fields above; Submit rejects both kInvalidArgument.
+  /// typed wire keys (`seed`, `deadline`, ...) are reserved for the fields
+  /// above; Submit rejects both kInvalidArgument.
   std::vector<std::pair<std::string, std::string>> overrides;
 };
 
 /// Serializes `request` as one line of the `submit` wire grammar —
 /// space-separated `key=value` tokens (`method= train= target= truth=
-/// seed= budget= deadline= priority= client= retries= backoff=` then
+/// seed= deadline= priority= client= retries= backoff=` then
 /// overrides), with fields at their default value omitted. This is the
 /// single source of truth shared by the LineProtocol `submit` verb and
 /// the write-ahead journal's accept records, so the two formats cannot

@@ -96,7 +96,6 @@ void Service::PublishMetrics() const {
   r.GetCounter("marioh_jobs_cancelled_total")->Set(s.cancelled);
   r.GetCounter("marioh_jobs_deadline_exceeded_total")
       ->Set(s.deadline_exceeded);
-  r.GetCounter("marioh_budget_overruns_total")->Set(s.budget_overruns);
   r.GetCounter("marioh_jobs_preempted_total")->Set(s.preempted);
   r.GetGauge("marioh_queue_depth", "priority=\"interactive\"")
       ->Set(static_cast<double>(s.queued_interactive));
@@ -264,7 +263,6 @@ StatusOr<std::shared_ptr<Service::Job>> Service::Admit(
   // job and kernel parallelism compose explicitly, not quadratically.
   job->options.method = request.method;
   job->options.seed = request.seed;
-  job->options.time_budget_seconds = request.time_budget_seconds;
   for (const auto& [key, value] : request.overrides) {
     MARIOH_RETURN_IF_ERROR(
         ApplySessionOverride(&job->options, key + "=" + value));
@@ -522,13 +520,10 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
       } else if (status.code() == StatusCode::kCancelled) {
         state = JobState::kCancelled;
         preempted = true;
-      } else if (status.code() == StatusCode::kDeadlineExceeded &&
-                 job->cancel.deadline_passed()) {
-        // The *hard* deadline tripped the token mid-run — even if a
+      } else if (status.code() == StatusCode::kDeadlineExceeded) {
+        // The hard deadline tripped the token mid-run — even if a
         // Cancel() landed after the trip, which reason() would report
-        // first. (A plain kDeadlineExceeded without a passed deadline is
-        // the soft time_budget_seconds gate refusing a later stage — that
-        // run produced and kept nothing extra, but it was not preempted.)
+        // first.
         state = JobState::kDeadlineExceeded;
         preempted = true;
       }
@@ -540,11 +535,9 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
             std::to_string(options_.stall_timeout_seconds) +
             "s and cancelled it");
       }
-      job->budget_overrun = session.deadline_exceeded();
       job->evaluation = evaluation;
       job->stage_stats = session.stage_timer().stages();
       job->reconstruction = std::move(reconstruction);
-      if (job->budget_overrun) ++totals_.budget_overruns;
       if (preempted) {
         ++totals_.preempted;
         if (job->cancelled_at.has_value() && state == JobState::kCancelled) {
@@ -703,7 +696,6 @@ JobSnapshot Service::SnapshotLocked(const Job& job) const {
   snapshot.priority = job.request.priority;
   snapshot.client_id = job.request.client_id;
   snapshot.status = job.status;
-  snapshot.budget_overrun = job.budget_overrun;
   snapshot.finish_seq = job.finish_seq;
   snapshot.cancel_latency_seconds = job.cancel_latency_seconds;
   snapshot.attempts = job.attempts;

@@ -49,9 +49,7 @@ enum class JobState {
   kDone,       ///< finished with an OK status
   kFailed,     ///< finished with an error status
   kCancelled,  ///< cancelled before completing
-  /// Aborted mid-run by the request's *hard* `deadline_seconds` (the
-  /// soft `time_budget_seconds` overrun still ends kDone, flagged
-  /// `budget_overrun`).
+  /// Aborted mid-run by the request's hard `deadline_seconds`.
   kDeadlineExceeded,
 };
 
@@ -73,10 +71,6 @@ struct JobSnapshot {
   /// / kDeadlineExceeded for a preempted job. OK while the job is still
   /// queued/running.
   Status status;
-  /// True if the run exceeded its soft time budget (the overrunning
-  /// reconstruction still completed and scored; see Session — the
-  /// overshoot is in `stage_stats["budget_overrun_seconds"]`).
-  bool budget_overrun = false;
   /// Position in the service-wide terminal order (1 = first job to reach
   /// any terminal state; 0 while queued/running). Makes scheduling
   /// assertions exact: job A finished before job B iff
@@ -114,15 +108,12 @@ struct ServiceStats {
   uint64_t accepted = 0;   ///< jobs admitted by Submit
   uint64_t queued = 0;     ///< currently waiting for a worker
   uint64_t running = 0;    ///< currently executing
-  uint64_t done = 0;       ///< finished OK (soft overruns included)
+  uint64_t done = 0;       ///< finished OK
   uint64_t failed = 0;     ///< finished with an error
   uint64_t cancelled = 0;  ///< cancelled before completing
   /// Aborted mid-run by their hard deadline (terminal state
   /// kDeadlineExceeded) — disjoint from every other terminal total.
   uint64_t deadline_exceeded = 0;
-  /// Jobs that finished past their *soft* time budget (they still ended
-  /// kDone and scored; overlaps `done`).
-  uint64_t budget_overruns = 0;
   /// Running jobs stopped before completion — by Cancel() or the hard
   /// deadline (queued cancels don't count; nothing was interrupted).
   uint64_t preempted = 0;
@@ -301,7 +292,6 @@ class Service {
     /// can sample the wait-latency histogram. Guarded by mutex_.
     std::optional<std::chrono::steady_clock::time_point> admitted_at;
     Status status;
-    bool budget_overrun = false;
     uint64_t finish_seq = 0;
     double cancel_latency_seconds = -1.0;
     /// Attempts started (guarded by mutex_); see JobSnapshot::attempts.

@@ -32,9 +32,8 @@ Status CheckNotDuplicate(const SessionOptions& options,
 }
 
 /// Maps a tripped token to the stage's failure status: an armed deadline
-/// becomes kDeadlineExceeded (the *hard* variant — the soft
-/// time_budget_seconds path reports its own message), anything else
-/// kCancelled.
+/// becomes kDeadlineExceeded (the only source of that code), anything
+/// else kCancelled.
 Status StatusForTrip(util::CancelReason reason, const std::string& method,
                      const std::string& where) {
   if (reason == util::CancelReason::kDeadline) {
@@ -68,7 +67,7 @@ Status ApplySessionOverride(SessionOptions* options,
     options->applied_session_keys.push_back(key);
     return Status::Ok();
   }
-  if (key == "seed" || key == "time_budget_seconds" || key == "threads") {
+  if (key == "seed" || key == "threads") {
     MARIOH_RETURN_IF_ERROR(CheckNotDuplicate(*options, key));
     const Status bad = Status::InvalidArgument(
         "bad value '" + value + "' for option '" + key + "'");
@@ -76,14 +75,10 @@ Status ApplySessionOverride(SessionOptions* options,
       std::optional<uint64_t> seed = util::ParseUint64(value);
       if (!seed) return bad;
       options->seed = *seed;
-    } else if (key == "threads") {
+    } else {
       std::optional<int> threads = util::ParseNonNegativeInt(value);
       if (!threads) return bad;
       options->marioh.num_threads = *threads;
-    } else {
-      std::optional<double> budget = util::ParseDouble(value);
-      if (!budget) return bad;
-      options->time_budget_seconds = *budget;
     }
     options->applied_session_keys.push_back(key);
     return Status::Ok();
@@ -101,7 +96,6 @@ Status Session::Configure(SessionOptions options) {
   stage_timer_.Clear();
   clock_.reset();
   trained_ = false;
-  deadline_exceeded_ = false;
 
   StatusOr<MethodInfo> info =
       MethodRegistry::Global().Info(options.method);
@@ -142,12 +136,6 @@ Status Session::BeginStage(const std::string& stage) {
         "'");
   }
   if (!clock_) clock_.emplace();
-  if (deadline_exceeded_) {
-    return Status::DeadlineExceeded(
-        info_.name + ": time budget of " +
-        std::to_string(options_.time_budget_seconds) +
-        "s exhausted before stage '" + stage + "'");
-  }
   if (options_.cancel != nullptr) {
     util::CancelReason reason = options_.cancel->reason();
     if (reason != util::CancelReason::kNone) {
@@ -202,21 +190,6 @@ void Session::EndStage(const std::string& stage, double stage_seconds) {
                        static_cast<double>(memory->peak_rss_bytes) /
                            (1024.0 * 1024.0));
     }
-  }
-  // The budget covers train + reconstruct only (not evaluation or idle
-  // time between stages) and is accounted when a reconstruction
-  // completes: a train stage alone never trips it (pre-empting between
-  // train and reconstruct would pay for training and produce nothing).
-  double budgeted_seconds = stage_timer_.Get("train") +
-                            stage_timer_.Get("reconstruct");
-  if (stage == "reconstruct" && options_.time_budget_seconds >= 0.0 &&
-      budgeted_seconds > options_.time_budget_seconds) {
-    deadline_exceeded_ = true;
-    // Report how far past the budget the run landed — the overshoot a
-    // stage-boundary-only check used to hide, and the number the
-    // mid-kernel deadline path is asserted against.
-    stage_timer_.Add("budget_overrun_seconds",
-                     budgeted_seconds - options_.time_budget_seconds);
   }
 }
 
@@ -305,8 +278,8 @@ StatusOr<EvaluationResult> Session::Evaluate(
     return Status::FailedPrecondition(
         "nothing to evaluate: call Reconstruct first");
   }
-  // Evaluation is outside the Train+Reconstruct budget (the paper's OOT
-  // clock stops at reconstruction), so no BeginStage gate here.
+  // Evaluation is outside the paper's OOT clock (it stops at
+  // reconstruction), so no BeginStage gate here.
   obs::TraceSpan span("session.evaluate", info_.name);
   util::Timer watch;
   EvaluationResult result;

@@ -2,8 +2,9 @@
 /// \brief The `Session` façade: one reusable object that walks the
 /// paper's whole protocol — configure a method, Train on the source pair,
 /// Reconstruct the target, Evaluate against ground truth — with per-stage
-/// timing, a wall-clock budget (the harness's OOT semantics), and a
-/// cooperative `util::CancelToken`.
+/// timing and a cooperative `util::CancelToken`. The out-of-time rule of
+/// the paper's tables is the caller's (`eval::OutOfTime`), read off the
+/// stage timer.
 ///
 /// Every consumer of the library goes through this façade (or the
 /// registry below it): the evaluation harness, `marioh_cli`, the bench
@@ -37,24 +38,14 @@ struct SessionOptions {
   /// Registry name of the method to run (see `MethodRegistry::Names()`).
   std::string method = "MARIOH";
   uint64_t seed = 1;
-  /// Wall-clock budget over Train + Reconstruct, in seconds; negative
-  /// means unlimited. The budget is evaluated each time a reconstruction
-  /// completes (the paper's OOT accounting point, which still scores the
-  /// overrunning run): once exceeded the session is marked
-  /// `deadline_exceeded()`, the overshoot is recorded in the stage stats
-  /// as `budget_overrun_seconds`, and any further stage fails with
-  /// kDeadlineExceeded. For a *hard* mid-kernel abort, use `cancel`
-  /// below with an armed deadline instead.
-  double time_budget_seconds = -1.0;
   /// Cooperative stop signal, checked at stage entry and threaded into
   /// the MARIOH-family kernels so Cancel()/deadline trips land
   /// *mid-kernel* with bounded latency (baselines, which ignore the
   /// typed `marioh` options, still stop at stage boundaries). When the
   /// token trips during a stage, that stage's partial result is
   /// discarded and the stage returns kCancelled — or kDeadlineExceeded
-  /// when the token's armed deadline (not the soft budget above)
-  /// tripped it. Not owned; must outlive every stage call. Null = no
-  /// cancellation (the default).
+  /// when the token's armed deadline tripped it. Not owned; must outlive
+  /// every stage call. Null = no cancellation (the default).
   const util::CancelToken* cancel = nullptr;
   /// Typed base options for the MARIOH-family methods; ignored by
   /// baselines.
@@ -69,7 +60,7 @@ struct SessionOptions {
 };
 
 /// Applies one `key=value` assignment to `options`. Session-level keys
-/// (`method`, `seed`, `time_budget_seconds`, `threads`) are set directly;
+/// (`method`, `seed`, `threads`) are set directly;
 /// any other key is appended to `options.overrides` for the method
 /// factory to validate at Configure time. `threads=N` (0 = all cores)
 /// sets `marioh.num_threads` — the thread count of the reconstruction
@@ -79,8 +70,8 @@ struct SessionOptions {
 /// same way — e.g. `theta_init=0.8` sets the MARIOH loop's initial
 /// classification threshold. kInvalidArgument on syntax errors (missing
 /// '=', empty key, empty value), bad session-level values, and duplicate
-/// session-level keys (each of `method`/`seed`/`time_budget_seconds`/
-/// `threads` may be assigned at most once per SessionOptions).
+/// session-level keys (each of `method`/`seed`/`threads` may be assigned
+/// at most once per SessionOptions).
 Status ApplySessionOverride(SessionOptions* options,
                             const std::string& assignment);
 
@@ -156,13 +147,10 @@ class Session {
   /// Seconds since the first stage began (0 before any stage).
   double elapsed_seconds() const;
 
-  /// True once Train + Reconstruct wall-clock exceeded the budget.
-  bool deadline_exceeded() const { return deadline_exceeded_; }
-
  private:
-  /// Budget/cancellation gate at stage entry; starts the session clock.
+  /// Cancellation gate at stage entry; starts the session clock.
   Status BeginStage(const std::string& stage);
-  /// Records stage time and post-hoc budget overrun.
+  /// Records stage time.
   void EndStage(const std::string& stage, double stage_seconds);
 
   SessionOptions options_;
@@ -176,7 +164,6 @@ class Session {
   util::StageTimer stage_timer_;
   std::optional<util::Timer> clock_;
   bool trained_ = false;
-  bool deadline_exceeded_ = false;
 };
 
 }  // namespace marioh::api

@@ -3,7 +3,7 @@
 /// `StatusOr<T>` pair (in the spirit of absl::Status, from scratch).
 ///
 /// Library entry points that can fail on *user input* — unknown method
-/// names, malformed files, bad option strings, exhausted time budgets —
+/// names, malformed files, bad option strings, tripped deadlines —
 /// return a `Status` (or `StatusOr<T>` when they produce a value) instead
 /// of aborting, so callers such as `marioh_cli` or a future server front
 /// end can report the problem and keep running. `MARIOH_CHECK` remains the
@@ -27,7 +27,7 @@ enum class StatusCode {
   kNotFound,            ///< unknown method / profile / missing file
   kAlreadyExists,       ///< dataset name already bound to another path
   kFailedPrecondition,  ///< API misuse (e.g. Reconstruct before Configure)
-  kDeadlineExceeded,    ///< wall-clock budget exhausted (the paper's OOT)
+  kDeadlineExceeded,    ///< a CancelToken's armed hard deadline tripped
   kCancelled,           ///< a CancelToken tripped (Cancel or shutdown)
   kResourceExhausted,   ///< admission control: queue/quota/connection limit hit
   kInternal,            ///< invariant violation surfaced as an error

@@ -39,29 +39,10 @@ std::vector<NodeId> CappedSortedNeighbors(const CsrGraph& g, NodeId u,
   return out;
 }
 
-template <typename Graph>
-uint64_t SquaresThroughEdgeImpl(const Graph& g, NodeId u, NodeId v,
-                                size_t max_neighbors) {
-  std::vector<NodeId> nu = CappedSortedNeighbors(g, u, v, max_neighbors);
-  std::vector<NodeId> nv = CappedSortedNeighbors(g, v, u, max_neighbors);
-  // A square u-x-y-v-u needs x in N(u), y in N(v), edge (x,y), x != y.
-  uint64_t squares = 0;
-  for (NodeId x : nu) {
-    for (NodeId y : nv) {
-      if (x == y) continue;
-      if (g.HasEdge(x, y)) ++squares;
-    }
-  }
-  return squares;
-}
-
 }  // namespace
 
-uint64_t TrianglesThroughEdge(const ProjectedGraph& g, NodeId u, NodeId v) {
-  return g.CommonNeighbors(u, v).size();
-}
-
-uint64_t TrianglesThroughEdge(const CsrGraph& g, NodeId u, NodeId v) {
+template <typename Graph>
+uint64_t TrianglesThroughEdge(const Graph& g, NodeId u, NodeId v) {
   return g.CommonNeighborCount(u, v);
 }
 
@@ -84,38 +65,44 @@ uint64_t TrianglesAtNode(const CsrGraph& g, NodeId u) {
   return twice / 2;
 }
 
-uint64_t WedgesAtNode(const ProjectedGraph& g, NodeId u) {
+template <typename Graph>
+uint64_t WedgesAtNode(const Graph& g, NodeId u) {
   uint64_t d = g.Degree(u);
   return d * (d - 1) / 2;
 }
 
-uint64_t WedgesAtNode(const CsrGraph& g, NodeId u) {
-  uint64_t d = g.Degree(u);
-  return d * (d - 1) / 2;
-}
-
-double ClusteringCoefficient(const ProjectedGraph& g, NodeId u) {
+template <typename Graph>
+double ClusteringCoefficient(const Graph& g, NodeId u) {
   uint64_t wedges = WedgesAtNode(g, u);
   if (wedges == 0) return 0.0;
   return static_cast<double>(TrianglesAtNode(g, u)) /
          static_cast<double>(wedges);
 }
 
-double ClusteringCoefficient(const CsrGraph& g, NodeId u) {
-  uint64_t wedges = WedgesAtNode(g, u);
-  if (wedges == 0) return 0.0;
-  return static_cast<double>(TrianglesAtNode(g, u)) /
-         static_cast<double>(wedges);
+template <typename Graph>
+uint64_t SquaresThroughEdge(const Graph& g, NodeId u, NodeId v,
+                            size_t max_neighbors) {
+  std::vector<NodeId> nu = CappedSortedNeighbors(g, u, v, max_neighbors);
+  std::vector<NodeId> nv = CappedSortedNeighbors(g, v, u, max_neighbors);
+  // A square u-x-y-v-u needs x in N(u), y in N(v), edge (x,y), x != y.
+  uint64_t squares = 0;
+  for (NodeId x : nu) {
+    for (NodeId y : nv) {
+      if (x == y) continue;
+      if (g.HasEdge(x, y)) ++squares;
+    }
+  }
+  return squares;
 }
 
-uint64_t SquaresThroughEdge(const ProjectedGraph& g, NodeId u, NodeId v,
-                            size_t max_neighbors) {
-  return SquaresThroughEdgeImpl(g, u, v, max_neighbors);
-}
-
-uint64_t SquaresThroughEdge(const CsrGraph& g, NodeId u, NodeId v,
-                            size_t max_neighbors) {
-  return SquaresThroughEdgeImpl(g, u, v, max_neighbors);
-}
+template uint64_t TrianglesThroughEdge(const ProjectedGraph&, NodeId, NodeId);
+template uint64_t TrianglesThroughEdge(const CsrGraph&, NodeId, NodeId);
+template uint64_t WedgesAtNode(const ProjectedGraph&, NodeId);
+template uint64_t WedgesAtNode(const CsrGraph&, NodeId);
+template double ClusteringCoefficient(const ProjectedGraph&, NodeId);
+template double ClusteringCoefficient(const CsrGraph&, NodeId);
+template uint64_t SquaresThroughEdge(const ProjectedGraph&, NodeId, NodeId,
+                                     size_t);
+template uint64_t SquaresThroughEdge(const CsrGraph&, NodeId, NodeId, size_t);
 
 }  // namespace marioh::core

@@ -1,11 +1,12 @@
 /// \file motif.hpp
 /// \brief Local motif statistics (triangles, wedges, squares) around nodes
 /// and edges of a projected graph — the extra signal SHyRe-Motif adds on
-/// top of count features [6]. Every kernel has a hash-map
-/// (`ProjectedGraph`) and a CSR-snapshot (`CsrGraph`) overload producing
+/// top of count features [6]. Every kernel runs on the hash-map
+/// (`ProjectedGraph`) and the CSR-snapshot (`CsrGraph`) graph with
 /// bit-identical values: work caps truncate neighbor lists in ascending-id
 /// order on both paths, so capped statistics do not depend on hash-map
-/// iteration order.
+/// iteration order. The templates are instantiated for exactly those two
+/// graph types (in motif.cpp).
 
 #pragma once
 
@@ -18,8 +19,8 @@
 namespace marioh::core {
 
 /// Number of triangles through the edge (u, v): |N(u) ∩ N(v)|.
-uint64_t TrianglesThroughEdge(const ProjectedGraph& g, NodeId u, NodeId v);
-uint64_t TrianglesThroughEdge(const CsrGraph& g, NodeId u, NodeId v);
+template <typename Graph>
+uint64_t TrianglesThroughEdge(const Graph& g, NodeId u, NodeId v);
 
 /// Number of triangles containing node u (each counted once).
 uint64_t TrianglesAtNode(const ProjectedGraph& g, NodeId u);
@@ -27,21 +28,20 @@ uint64_t TrianglesAtNode(const CsrGraph& g, NodeId u);
 
 /// Number of wedges (paths of length 2) centered at node u:
 /// C(deg(u), 2).
-uint64_t WedgesAtNode(const ProjectedGraph& g, NodeId u);
-uint64_t WedgesAtNode(const CsrGraph& g, NodeId u);
+template <typename Graph>
+uint64_t WedgesAtNode(const Graph& g, NodeId u);
 
 /// Local clustering coefficient of node u: triangles / wedges (0 when the
 /// node has fewer than two neighbors).
-double ClusteringCoefficient(const ProjectedGraph& g, NodeId u);
-double ClusteringCoefficient(const CsrGraph& g, NodeId u);
+template <typename Graph>
+double ClusteringCoefficient(const Graph& g, NodeId u);
 
 /// Number of squares (4-cycles) through the edge (u, v): pairs (x, y) with
 /// x in N(u)\{v}, y in N(v)\{u}, x != y and {x,y} an edge. Work is capped
 /// by `max_neighbors` per endpoint for dense graphs; the cap keeps the
-/// `max_neighbors` smallest-id neighbors on both overloads.
-uint64_t SquaresThroughEdge(const ProjectedGraph& g, NodeId u, NodeId v,
-                            size_t max_neighbors = 64);
-uint64_t SquaresThroughEdge(const CsrGraph& g, NodeId u, NodeId v,
+/// `max_neighbors` smallest-id neighbors on both graph types.
+template <typename Graph>
+uint64_t SquaresThroughEdge(const Graph& g, NodeId u, NodeId v,
                             size_t max_neighbors = 64);
 
 }  // namespace marioh::core

@@ -50,6 +50,13 @@ PreparedDataset PrepareDataset(const std::string& profile_name,
       __FILE__, __LINE__);
 }
 
+bool OutOfTime(const api::Session& session, double budget_seconds) {
+  return budget_seconds >= 0.0 &&
+         session.stage_timer().Get("train") +
+                 session.stage_timer().Get("reconstruct") >
+             budget_seconds;
+}
+
 namespace {
 
 using PrepFn = std::function<api::StatusOr<PreparedDataset>(uint64_t)>;
@@ -77,7 +84,6 @@ api::StatusOr<AccuracyResult> RunPair(const std::string& method_name,
     api::SessionOptions session_options;
     session_options.method = method_name;
     session_options.seed = seed;
-    session_options.time_budget_seconds = options.time_budget_seconds;
     session_options.marioh = options.marioh_base;
     api::Session session;
     MARIOH_RETURN_IF_ERROR(session.Configure(std::move(session_options)));
@@ -94,7 +100,7 @@ api::StatusOr<AccuracyResult> RunPair(const std::string& method_name,
                                                 : scores->multi_jaccard;
     acc_stats.Add(100.0 * score);
 
-    if (session.deadline_exceeded()) {
+    if (OutOfTime(session, options.time_budget_seconds)) {
       result.out_of_time = true;
       break;  // OOT: the overrunning seed still scored, later seeds don't
     }

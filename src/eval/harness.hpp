@@ -7,7 +7,7 @@
 /// Methods are resolved through the `api/` layer: the method registry
 /// (`api/registry.hpp`) supplies the rosters and factories, and
 /// each seed runs inside an `api::Session` (train → reconstruct →
-/// evaluate under a wall-clock budget).
+/// evaluate), judged against the wall-clock budget by `OutOfTime`.
 
 #pragma once
 
@@ -71,6 +71,13 @@ api::StatusOr<PreparedDataset> TryPrepareDataset(
 PreparedDataset PrepareDataset(const std::string& profile_name,
                                bool multiplicity_reduced, uint64_t seed,
                                SplitMode split_mode = SplitMode::kRandom);
+
+/// The paper's out-of-time (OOT) rule, shared by the harness and
+/// `marioh_cli --budget`: true when `session`'s train + reconstruct stage
+/// seconds exceed a non-negative `budget_seconds` (negative = no limit).
+/// Evaluation does not count. The overrunning run still completed and
+/// can still be scored; what OOT costs is the caller's policy.
+bool OutOfTime(const api::Session& session, double budget_seconds);
 
 /// One accuracy evaluation outcome.
 struct AccuracyResult {

@@ -3,8 +3,10 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "api/request.hpp"
@@ -38,6 +40,29 @@ std::string FormatDataset(const DatasetHandle& dataset) {
   out << "\n";
   return out.str();
 }
+
+/// A verb with a fixed operand count: a line with fewer or more operands
+/// gets `usage` back and has no effect. `submit` and `failpoints` read
+/// the rest of the line instead and are not listed.
+struct FixedArityVerb {
+  const char* verb;
+  size_t min_operands;
+  size_t max_operands;
+  const char* usage;
+};
+
+constexpr FixedArityVerb kFixedArityVerbs[] = {
+    {"load", 3, 3, "load <hypergraph|graph> <name> <path>"},
+    {"gen", 2, 3, "gen <name> <profile> [seed]"},
+    {"datasets", 0, 0, "datasets"},
+    {"methods", 0, 0, "methods"},
+    {"poll", 1, 1, "poll <job-id>"},
+    {"wait", 1, 1, "wait <job-id>"},
+    {"cancel", 1, 1, "cancel <job-id>"},
+    {"forget", 1, 1, "forget <job-id>"},
+    {"metrics", 0, 1, "metrics [json]"},
+    {"quit", 0, 0, "quit"},
+};
 
 }  // namespace
 
@@ -136,7 +161,6 @@ std::string LineProtocol::FormatJob(const JobSnapshot& job) const {
     if (!job.status.ok()) {
       out << " status=" << api::StatusCodeName(job.status.code());
     }
-    if (job.budget_overrun) out << " budget_overrun=1";
     // Only jobs that actually retried report the field, so responses on
     // a no-retry server stay byte-identical to the pre-retry protocol.
     if (job.attempts > 1) out << " attempts=" << job.attempts;
@@ -173,13 +197,11 @@ std::string LineProtocol::FormatMetrics() {
 }
 
 /// `load <hypergraph|graph> <name> <path>`
-std::string LineProtocol::HandleLoad(std::istream& args) const {
-  std::string kind, name, path;
-  args >> kind >> name >> path;
-  if (kind.empty() || name.empty() || path.empty()) {
-    return FormatError(Status::InvalidArgument(
-        "usage: load <hypergraph|graph> <name> <path>"));
-  }
+std::string LineProtocol::HandleLoad(
+    const std::vector<std::string>& operands) const {
+  const std::string& kind = operands[0];
+  const std::string& name = operands[1];
+  const std::string& path = operands[2];
   StatusOr<DatasetHandle> dataset =
       kind == "hypergraph" ? cache_->LoadHypergraphFile(name, path)
       : kind == "graph"    ? cache_->LoadProjectedGraphFile(name, path)
@@ -195,19 +217,16 @@ std::string LineProtocol::HandleLoad(std::istream& args) const {
 /// does (generate, multiplicity-reduce, split, project) and shares the
 /// halves through the cache as <name>.train / <name>.target /
 /// <name>.truth.
-std::string LineProtocol::HandleGen(std::istream& args) const {
-  std::string name, profile_name, seed_token;
+std::string LineProtocol::HandleGen(
+    const std::vector<std::string>& operands) const {
+  const std::string& name = operands[0];
+  const std::string& profile_name = operands[1];
   uint64_t seed = 1;
-  args >> name >> profile_name >> seed_token;
-  if (name.empty() || profile_name.empty()) {
-    return FormatError(
-        Status::InvalidArgument("usage: gen <name> <profile> [seed]"));
-  }
-  if (!seed_token.empty()) {
-    std::optional<uint64_t> parsed = util::ParseUint64(seed_token);
+  if (operands.size() == 3) {
+    std::optional<uint64_t> parsed = util::ParseUint64(operands[2]);
     if (!parsed.has_value()) {
       return FormatError(
-          Status::InvalidArgument("bad seed '" + seed_token + "'"));
+          Status::InvalidArgument("bad seed '" + operands[2] + "'"));
     }
     seed = *parsed;
   }
@@ -237,67 +256,7 @@ LineProtocol::Result LineProtocol::Handle(const std::string& line) {
   std::string verb;
   args >> verb;
   if (verb.empty() || verb[0] == '#') return {};  // blank / comment
-  if (verb == "quit") return {"ok bye\n", /*quit=*/true, std::nullopt};
-  if (verb == "load") return {HandleLoad(args), false, std::nullopt};
-  if (verb == "gen") return {HandleGen(args), false, std::nullopt};
-  if (verb == "datasets") {
-    std::string response = "ok datasets";
-    for (const std::string& name : cache_->Names()) response += " " + name;
-    return {response + "\n", false, std::nullopt};
-  }
-  if (verb == "methods") {
-    std::string response = "ok methods";
-    for (const std::string& name :
-         api::MethodRegistry::Global().Names()) {
-      response += " " + name;
-    }
-    return {response + "\n", false, std::nullopt};
-  }
   if (verb == "submit") return HandleSubmit(args);
-  if (verb == "poll" || verb == "wait" || verb == "cancel" ||
-      verb == "forget") {
-    std::string token;
-    args >> token;
-    std::optional<uint64_t> id = util::ParseUint64(token);
-    if (!id.has_value()) {
-      return {FormatError(Status::InvalidArgument("usage: " + verb +
-                                                  " <job-id>")),
-              false, std::nullopt};
-    }
-    if (verb == "poll") {
-      StatusOr<JobSnapshot> job = service_->Poll(*id);
-      if (!job.ok()) return {FormatError(job.status()), false, std::nullopt};
-      return {FormatJob(*job), false, std::nullopt};
-    }
-    if (verb == "wait") {
-      // Deferred: never block a serving loop here. A terminal job
-      // resolves immediately; anything else is the caller's IOU.
-      StatusOr<JobSnapshot> job = service_->Poll(*id);
-      if (!job.ok()) return {FormatError(job.status()), false, std::nullopt};
-      if (job->terminal()) return {FormatJob(*job), false, std::nullopt};
-      return {"", false, *id};
-    }
-    Status status =
-        verb == "cancel" ? service_->Cancel(*id) : service_->Forget(*id);
-    if (!status.ok()) return {FormatError(status), false, std::nullopt};
-    return {"ok " + verb + " " + std::to_string(*id) + "\n", false,
-            std::nullopt};
-  }
-  if (verb == "metrics") {
-    std::string format;
-    args >> format;
-    if (format == "json") {
-      return {"ok metrics-json " +
-                  obs::MetricRegistry::Global().SnapshotJson() + "\n",
-              false, std::nullopt};
-    }
-    if (!format.empty()) {
-      return {FormatError(
-                  Status::InvalidArgument("usage: metrics [json]")),
-              false, std::nullopt};
-    }
-    return {FormatMetrics(), false, std::nullopt};
-  }
   if (verb == "failpoints") {
     // Chaos administration: reconfigure the process-wide failpoint
     // registry mid-run so a soak can rotate fault schedules over one
@@ -329,11 +288,76 @@ LineProtocol::Result LineProtocol::Handle(const std::string& line) {
     }
     return {"ok failpoints " + spec + "\n", false, std::nullopt};
   }
-  return {FormatError(Status::InvalidArgument(
-              "unknown request '" + verb +
-              "' (load gen datasets methods submit poll wait cancel forget "
-              "metrics failpoints quit)")),
-          false, std::nullopt};
+
+  const FixedArityVerb* fixed = nullptr;
+  for (const FixedArityVerb& candidate : kFixedArityVerbs) {
+    if (verb == candidate.verb) fixed = &candidate;
+  }
+  if (fixed == nullptr) {
+    return {FormatError(Status::InvalidArgument(
+                "unknown request '" + verb +
+                "' (load gen datasets methods submit poll wait cancel "
+                "forget metrics failpoints quit)")),
+            false, std::nullopt};
+  }
+  const std::vector<std::string> operands{
+      std::istream_iterator<std::string>(args),
+      std::istream_iterator<std::string>()};
+  auto usage = [fixed]() -> Result {
+    return {FormatError(Status::InvalidArgument(std::string("usage: ") +
+                                                fixed->usage)),
+            false, std::nullopt};
+  };
+  if (operands.size() < fixed->min_operands ||
+      operands.size() > fixed->max_operands) {
+    return usage();
+  }
+
+  if (verb == "quit") return {"ok bye\n", /*quit=*/true, std::nullopt};
+  if (verb == "load") return {HandleLoad(operands), false, std::nullopt};
+  if (verb == "gen") return {HandleGen(operands), false, std::nullopt};
+  if (verb == "datasets") {
+    std::string response = "ok datasets";
+    for (const std::string& name : cache_->Names()) response += " " + name;
+    return {response + "\n", false, std::nullopt};
+  }
+  if (verb == "methods") {
+    std::string response = "ok methods";
+    for (const std::string& name :
+         api::MethodRegistry::Global().Names()) {
+      response += " " + name;
+    }
+    return {response + "\n", false, std::nullopt};
+  }
+  if (verb == "metrics") {
+    if (operands.empty()) return {FormatMetrics(), false, std::nullopt};
+    if (operands[0] != "json") return usage();
+    return {"ok metrics-json " +
+                obs::MetricRegistry::Global().SnapshotJson() + "\n",
+            false, std::nullopt};
+  }
+
+  // poll / wait / cancel / forget <job-id>
+  std::optional<uint64_t> id = util::ParseUint64(operands[0]);
+  if (!id.has_value()) return usage();
+  if (verb == "poll") {
+    StatusOr<JobSnapshot> job = service_->Poll(*id);
+    if (!job.ok()) return {FormatError(job.status()), false, std::nullopt};
+    return {FormatJob(*job), false, std::nullopt};
+  }
+  if (verb == "wait") {
+    // Deferred: never block a serving loop here. A terminal job
+    // resolves immediately; anything else is the caller's IOU.
+    StatusOr<JobSnapshot> job = service_->Poll(*id);
+    if (!job.ok()) return {FormatError(job.status()), false, std::nullopt};
+    if (job->terminal()) return {FormatJob(*job), false, std::nullopt};
+    return {"", false, *id};
+  }
+  Status status =
+      verb == "cancel" ? service_->Cancel(*id) : service_->Forget(*id);
+  if (!status.ok()) return {FormatError(status), false, std::nullopt};
+  return {"ok " + verb + " " + std::to_string(*id) + "\n", false,
+          std::nullopt};
 }
 
 }  // namespace marioh::net

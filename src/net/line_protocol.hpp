@@ -19,6 +19,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "api/dataset_cache.hpp"
 #include "api/service.hpp"
@@ -110,8 +111,8 @@ class LineProtocol {
   static std::string FormatMetrics();
 
  private:
-  std::string HandleLoad(std::istream& args) const;
-  std::string HandleGen(std::istream& args) const;
+  std::string HandleLoad(const std::vector<std::string>& operands) const;
+  std::string HandleGen(const std::vector<std::string>& operands) const;
   Result HandleSubmit(std::istream& args) const;
 
   api::DatasetCache* cache_;

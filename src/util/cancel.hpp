@@ -62,9 +62,7 @@ class CancelToken {
 
   /// Arms (or re-arms) a hard deadline `seconds` from now on the steady
   /// clock; negative disarms, and one past the clock's range never trips.
-  /// Unlike the soft Session time budget — which lets the overrunning run
-  /// finish and score (the paper's OOT semantics) — an armed deadline
-  /// aborts mid-kernel.
+  /// An armed deadline aborts mid-kernel.
   void SetDeadline(double seconds_from_now) {
     if (seconds_from_now < 0.0) {
       deadline_ticks_.store(0, std::memory_order_relaxed);

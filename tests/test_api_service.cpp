@@ -71,7 +71,7 @@ const obs::Histogram& CancelLatency() {
       "marioh_cancel_latency_seconds");
 }
 
-TEST(DatasetCache, InsertGetEraseAndListing) {
+TEST(DatasetCache, InsertGetAndListing) {
   eval::PreparedDataset data = SmallDataset();
   DatasetCache cache;
   ASSERT_TRUE(cache.Insert("d", data.source, data.g_source).ok());
@@ -92,12 +92,6 @@ TEST(DatasetCache, InsertGetEraseAndListing) {
   // Duplicate names are rejected; the original stays.
   EXPECT_EQ(cache.Insert("d", data.target, nullptr).status().code(),
             StatusCode::kAlreadyExists);
-
-  // Eviction drops the name but never invalidates handles already out.
-  ASSERT_TRUE(cache.Erase("d").ok());
-  EXPECT_FALSE(cache.Contains("d"));
-  EXPECT_EQ(cache.Erase("d").code(), StatusCode::kNotFound);
-  EXPECT_GT(fetched->hypergraph->num_unique_edges(), 0u);
 
   // A dataset must hold something, under a non-empty name.
   EXPECT_EQ(cache.Insert("empty", nullptr, nullptr).status().code(),
@@ -348,45 +342,6 @@ TEST(Service, CancelQueuedJobsOnASingleWorker) {
   EXPECT_EQ(service.stats().cancelled, observed_cancelled);
 }
 
-TEST(Service, BudgetOverrunsAreCountedNotFatal) {
-  constexpr int kJobs = 3;
-  eval::PreparedDataset data = SmallDataset();
-  ServiceOptions options;
-  options.num_workers = kJobs;
-  Service service(CacheWithCrime(data), options);
-
-  ReconstructRequest request;
-  request.method = "MARIOH";
-  request.train_dataset = "crime.train";
-  request.target_dataset = "crime.target";
-  request.ground_truth_dataset = "crime.truth";
-  request.time_budget_seconds = 0.0;  // any reconstruction overruns
-  std::vector<JobId> ids;
-  for (int s = 0; s < kJobs; ++s) {
-    request.seed = static_cast<uint64_t>(s + 1);
-    StatusOr<JobId> id = service.Submit(request);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-  }
-  for (JobId id : ids) {
-    StatusOr<JobSnapshot> job = service.Wait(id);
-    ASSERT_TRUE(job.ok());
-    // The overrunning run still completes and scores (OOT semantics).
-    EXPECT_EQ(job->state, JobState::kDone) << job->status.ToString();
-    EXPECT_TRUE(job->budget_overrun);
-    EXPECT_TRUE(job->evaluation.has_value());
-    // The overshoot amount is reported, not just the boolean.
-    EXPECT_GT(job->stage_stats.at("budget_overrun_seconds"), 0.0);
-  }
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.budget_overruns, static_cast<uint64_t>(kJobs));
-  EXPECT_EQ(stats.done, static_cast<uint64_t>(kJobs));
-  // Soft overruns are not the hard-deadline terminal state, and nothing
-  // was preempted.
-  EXPECT_EQ(stats.deadline_exceeded, 0u);
-  EXPECT_EQ(stats.preempted, 0u);
-}
-
 // Priority classes and fair-share lanes decide dispatch order, proven
 // exactly via finish_seq on a single worker: while a blocker job holds
 // the only worker, six jobs queue up — a batch job first, then three
@@ -519,7 +474,7 @@ TEST(Service, CancelRunningJobMeasuresPreemptionLatency) {
 }
 
 // A hard deadline aborts the job with the dedicated terminal state —
-// disjoint from both kCancelled and the soft budget_overrun path.
+// disjoint from kCancelled.
 TEST(Service, HardDeadlineEndsJobsAsDeadlineExceeded) {
   eval::PreparedDataset data = SmallDataset();
   Service service(CacheWithCrime(data));
@@ -545,7 +500,6 @@ TEST(Service, HardDeadlineEndsJobsAsDeadlineExceeded) {
   EXPECT_EQ(stats.deadline_exceeded, 1u);
   EXPECT_EQ(stats.preempted, 1u);
   EXPECT_EQ(stats.cancelled, 0u);
-  EXPECT_EQ(stats.budget_overruns, 0u);
   EXPECT_EQ(CancelLatency().count(), cancels_before);
 
   // Cancelling the already-aborted job is a precise FailedPrecondition.
@@ -827,60 +781,59 @@ TEST(Service, ClearedCompletionObserverIsNotCalled) {
 // cache are never evicted (dropping the name would free nothing).
 TEST(DatasetCache, LruEvictionUnderByteBudgetSparesPinnedHandles) {
   eval::PreparedDataset data = SmallDataset();
-  DatasetCache cache;
-  EXPECT_EQ(cache.max_bytes(), 0u);  // unbounded by default
+  // A fresh unpinned copy per insert: the temporary StatusOr handle is
+  // dropped immediately, so only the cache holds it.
+  auto copy = [&data] { return std::make_shared<Hypergraph>(*data.source); };
 
-  // Measure one entry: an unpinned copy (the temporary StatusOr handle
-  // is dropped immediately, so only the cache holds it).
-  ASSERT_TRUE(
-      cache.Insert("a", std::make_shared<Hypergraph>(*data.source), nullptr)
-          .ok());
-  const size_t entry_bytes = cache.total_bytes();
-  ASSERT_GT(entry_bytes, 0u);
+  // Measure one entry on a scratch cache (unbounded by default).
+  size_t entry_bytes = 0;
+  {
+    DatasetCache scratch;
+    ASSERT_TRUE(scratch.Insert("a", copy(), nullptr).ok());
+    entry_bytes = scratch.total_bytes();
+    ASSERT_GT(entry_bytes, 0u);
+    EXPECT_EQ(scratch.evictions(), 0u);
+  }
 
   // Room for exactly two entries of this size.
-  cache.set_max_bytes(2 * entry_bytes + entry_bytes / 2);
-  ASSERT_TRUE(
-      cache.Insert("b", std::make_shared<Hypergraph>(*data.source), nullptr)
-          .ok());
+  const size_t max_bytes = 2 * entry_bytes + entry_bytes / 2;
+  DatasetCache cache(max_bytes);
+  ASSERT_TRUE(cache.Insert("a", copy(), nullptr).ok());
+  ASSERT_TRUE(cache.Insert("b", copy(), nullptr).ok());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
 
   // Touch "a" so "b" becomes the LRU victim, then overflow with "c".
   ASSERT_TRUE(cache.Get("a").ok());
-  ASSERT_TRUE(
-      cache.Insert("c", std::make_shared<Hypergraph>(*data.source), nullptr)
-          .ok());
+  ASSERT_TRUE(cache.Insert("c", copy(), nullptr).ok());
   EXPECT_TRUE(cache.Contains("a"));
   EXPECT_FALSE(cache.Contains("b"));
   EXPECT_TRUE(cache.Contains("c"));
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_LE(cache.total_bytes(), cache.max_bytes());
+  EXPECT_LE(cache.total_bytes(), max_bytes);
 
-  // Pinning: hold live handles to both residents, then shrink the budget
-  // below one entry. Nothing can be evicted — the cache stays over
-  // budget rather than dropping names whose data must live on anyway.
+  // Pinning: under a budget below one entry, hold live handles to every
+  // resident. Nothing can be evicted — the cache stays over budget
+  // rather than dropping names whose data must live on anyway.
+  DatasetCache tight(/*max_bytes=*/1);
   {
-    StatusOr<DatasetHandle> pin_a = cache.Get("a");
-    StatusOr<DatasetHandle> pin_c = cache.Get("c");
+    StatusOr<DatasetHandle> pin_a = tight.Insert("a", copy(), nullptr);
+    StatusOr<DatasetHandle> pin_c = tight.Insert("c", copy(), nullptr);
     ASSERT_TRUE(pin_a.ok());
     ASSERT_TRUE(pin_c.ok());
-    cache.set_max_bytes(1);
-    EXPECT_TRUE(cache.Contains("a"));
-    EXPECT_TRUE(cache.Contains("c"));
-    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_TRUE(tight.Contains("a"));
+    EXPECT_TRUE(tight.Contains("c"));
+    EXPECT_EQ(tight.evictions(), 0u);
   }
 
   // The pins are gone, so the entries are reclaimable; the next insert's
   // eviction pass clears them (the fresh entry itself is exempt, so an
   // over-budget dataset still loads).
-  ASSERT_TRUE(
-      cache.Insert("d", std::make_shared<Hypergraph>(*data.source), nullptr)
-          .ok());
-  EXPECT_FALSE(cache.Contains("a"));
-  EXPECT_FALSE(cache.Contains("c"));
-  EXPECT_TRUE(cache.Contains("d"));
-  EXPECT_EQ(cache.evictions(), 3u);
+  ASSERT_TRUE(tight.Insert("d", copy(), nullptr).ok());
+  EXPECT_FALSE(tight.Contains("a"));
+  EXPECT_FALSE(tight.Contains("c"));
+  EXPECT_TRUE(tight.Contains("d"));
+  EXPECT_EQ(tight.evictions(), 2u);
 }
 
 // Admission control: a full queue or a client over its in-flight quota
@@ -1055,7 +1008,6 @@ ReconstructRequest FullyPopulatedRequest() {
   request.target_dataset = "crime.target";
   request.ground_truth_dataset = "crime.truth";
   request.seed = 42;
-  request.time_budget_seconds = 1.25;
   request.deadline_seconds = 0.3333333333333333;
   request.priority = Priority::kInteractive;
   request.client_id = "tenant-7";
@@ -1070,9 +1022,7 @@ bool SameRequest(const ReconstructRequest& a, const ReconstructRequest& b) {
   return a.method == b.method && a.train_dataset == b.train_dataset &&
          a.target_dataset == b.target_dataset &&
          a.ground_truth_dataset == b.ground_truth_dataset &&
-         a.seed == b.seed &&
-         a.time_budget_seconds == b.time_budget_seconds &&
-         a.deadline_seconds == b.deadline_seconds &&
+         a.seed == b.seed && a.deadline_seconds == b.deadline_seconds &&
          a.priority == b.priority && a.client_id == b.client_id &&
          a.retry.max_attempts == b.retry.max_attempts &&
          a.retry.initial_backoff_seconds ==
@@ -1184,9 +1134,6 @@ TEST(RequestWire, EveryValidatedRequestRoundTripsEqual) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (double value : {inf, -inf, nan, -0.0, 1e300}) {
     ReconstructRequest request = FullyPopulatedRequest();
-    request.time_budget_seconds = value;
-    requests.push_back(request);
-    request = FullyPopulatedRequest();
     request.deadline_seconds = value;
     requests.push_back(request);
     request = FullyPopulatedRequest();
@@ -1221,10 +1168,11 @@ TEST(RequestWire, EveryValidatedRequestRoundTripsEqual) {
     ASSERT_TRUE(ParseReconstructRequest(wire, &parsed).ok()) << wire;
     EXPECT_TRUE(SameRequest(parsed, request)) << wire;
   }
-  // The table rows only Configure refuses (the retired key, the bad
-  // value) and the good one, the default and full requests, the finite
-  // edge doubles (-0 and 1e300 in each of the three fields), one and
-  // INT32_MAX attempts, and the huge seed with a '='-bearing value.
+  // The table rows only Configure refuses (the retired keys, among them
+  // both budget spellings, and the bad value) and the good one, the
+  // default and full requests, the finite edge doubles (-0 and 1e300 in
+  // each of the two fields), one and INT32_MAX attempts, and the huge
+  // seed with a '='-bearing value.
   EXPECT_EQ(validated, 14u);
 }
 
@@ -1243,7 +1191,6 @@ TEST(RequestWire, SerializeParseRoundTripsEveryField) {
   EXPECT_EQ(parsed.target_dataset, request.target_dataset);
   EXPECT_EQ(parsed.ground_truth_dataset, request.ground_truth_dataset);
   EXPECT_EQ(parsed.seed, request.seed);
-  EXPECT_EQ(parsed.time_budget_seconds, request.time_budget_seconds);
   EXPECT_EQ(parsed.deadline_seconds, request.deadline_seconds);
   EXPECT_EQ(parsed.priority, request.priority);
   EXPECT_EQ(parsed.client_id, request.client_id);
@@ -1339,7 +1286,7 @@ TEST(RequestWire, ValidateRejectsWhatCannotRoundTrip) {
 // could never round-trip. `retries` must leave room for the first
 // attempt in an int.
 TEST(RequestWire, ParserRejectsNonFiniteAndOutOfRangeNumbers) {
-  for (const char* key : {"budget", "deadline", "backoff"}) {
+  for (const char* key : {"deadline", "backoff"}) {
     for (const char* value :
          {"inf", "-inf", "infinity", "nan", "-nan", "1e400", "-1e400"}) {
       std::string text = std::string(key) + "=" + value;
@@ -1563,8 +1510,8 @@ TEST(Service, JournalRecoveryHonoursTerminalsAndMissingDatasets) {
   std::filesystem::remove_all(dir);
 }
 
-// A journal written while `kthreads=` was still a typed key may hold it
-// in an accept record. Recovery parses it as an override, which the
+// A journal written while `kthreads=` or `budget=` was still a typed key
+// may hold it in an accept record. Recovery parses it as an override, which the
 // method factory rejects at Configure: the job fails loudly under its
 // original id (and journals that terminal) instead of running with the
 // key silently dropped.
@@ -1583,6 +1530,12 @@ TEST(Service, JournalRecoveryFailsARetiredKeyLoudly) {
                              "kthreads=2",
                              /*terminal=*/false)
                     .ok());
+    ASSERT_TRUE((*journal)
+                    ->Append(2,
+                             "accept method=MaxClique target=crime.target "
+                             "budget=5",
+                             /*terminal=*/false)
+                    .ok());
   }
 
   ServiceOptions options;
@@ -1592,24 +1545,28 @@ TEST(Service, JournalRecoveryFailsARetiredKeyLoudly) {
     Service service(CacheWithCrime(data), options);
     ASSERT_TRUE(service.startup_status().ok())
         << service.startup_status().ToString();
-    EXPECT_EQ(service.stats().jobs_recovered, 1u);
-    StatusOr<JobSnapshot> job = service.Wait(1);
-    ASSERT_TRUE(job.ok()) << job.status().ToString();
-    EXPECT_EQ(job->state, JobState::kFailed);
-    EXPECT_EQ(job->status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(job->status.message().find("unknown option 'kthreads'"),
-              std::string::npos)
-        << job->status.ToString();
+    EXPECT_EQ(service.stats().jobs_recovered, 2u);
+    JobId id = 0;
+    for (const char* key : {"kthreads", "budget"}) {
+      StatusOr<JobSnapshot> job = service.Wait(++id);
+      ASSERT_TRUE(job.ok()) << job.status().ToString();
+      EXPECT_EQ(job->state, JobState::kFailed);
+      EXPECT_EQ(job->status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(job->status.message().find("unknown option '" +
+                                           std::string(key) + "'"),
+                std::string::npos)
+          << job->status.ToString();
+    }
 
     ReconstructRequest request;
     request.method = "MaxClique";
     request.target_dataset = "crime.target";
     StatusOr<JobId> next = service.Submit(request);
     ASSERT_TRUE(next.ok()) << next.status().ToString();
-    EXPECT_EQ(*next, 2u);
+    EXPECT_EQ(*next, 3u);
     ASSERT_TRUE(service.Wait(*next).ok());
   }
-  // Both jobs closed their keys: a third life has nothing to re-admit.
+  // Every job closed its key: a third life has nothing to re-admit.
   {
     Service service(CacheWithCrime(data), options);
     ASSERT_TRUE(service.startup_status().ok());

@@ -1,7 +1,7 @@
 // Tests for the api::Session façade: the configure → train → reconstruct
-// → evaluate protocol, string overrides, per-stage timing, the wall-clock
-// budget (OOT semantics), and a file round trip through io/text_io — all
-// failure modes as Status.
+// → evaluate protocol, string overrides, per-stage timing, the harness's
+// out-of-time rule read off that timing, and a file round trip through
+// io/text_io — all failure modes as Status.
 
 #include <gtest/gtest.h>
 
@@ -47,9 +47,8 @@ TEST(Session, WalksTheWholeProtocol) {
   EXPECT_EQ(scores->reconstructed_unique_edges,
             session.reconstruction()->num_unique_edges());
 
-  // Per-stage timing was recorded and the budget was never exceeded.
+  // Per-stage timing was recorded.
   EXPECT_GT(session.stage_timer().Get("reconstruct"), 0.0);
-  EXPECT_FALSE(session.deadline_exceeded());
 }
 
 TEST(Session, UnknownMethodIsANotFoundStatusNotAnAbort) {
@@ -128,37 +127,35 @@ TEST(Session, SupervisedTrainOnAnEmptySourceIsInvalidArgument) {
   EXPECT_GT(session.reconstruction()->num_unique_edges(), 0u);
 }
 
-TEST(Session, ExhaustedTimeBudgetIsDeadlineExceededNotAnAbort) {
+TEST(Session, OutOfTimeJudgesTrainPlusReconstructAgainstTheBudget) {
   eval::PreparedDataset data = SmallDataset();
   SessionOptions options;
   options.method = "MARIOH";
-  options.time_budget_seconds = 0.0;  // any reconstruction overruns it
   Session session;
   ASSERT_TRUE(session.Configure(options).ok());
+  EXPECT_FALSE(eval::OutOfTime(session, 0.0));  // no stage has run yet
   ASSERT_TRUE(session.Train(*data.g_source, *data.source).ok());
-  // The overrunning reconstruction itself completes (the paper's OOT
-  // accounting still scores the overrunning run) ...
   Status first = session.Reconstruct(*data.g_target);
   ASSERT_TRUE(first.ok()) << first.ToString();
-  EXPECT_TRUE(session.deadline_exceeded());
+  // Any run overruns a zero budget; a negative budget is no limit.
+  EXPECT_TRUE(eval::OutOfTime(session, 0.0));
+  EXPECT_FALSE(eval::OutOfTime(session, -1.0));
+  EXPECT_FALSE(eval::OutOfTime(session, 1e9));
+  // The rule is the caller's: the session neither scores nor refuses
+  // differently for it, so the overrunning run still evaluates and a
+  // later stage still runs.
   EXPECT_TRUE(session.Evaluate(*data.target).ok());
-  // ... but no further budgeted stage may start.
   Status second = session.Reconstruct(*data.g_target);
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(second.message().find("time budget"), std::string::npos);
+  EXPECT_TRUE(second.ok()) << second.ToString();
 }
 
 TEST(Session, StringOverridesConfigureTheSessionAndTheMethod) {
   SessionOptions options;
   ASSERT_TRUE(ApplySessionOverride(&options, "method=MARIOH-B").ok());
   ASSERT_TRUE(ApplySessionOverride(&options, "seed=9").ok());
-  ASSERT_TRUE(
-      ApplySessionOverride(&options, "time_budget_seconds=45").ok());
   ASSERT_TRUE(ApplySessionOverride(&options, "theta_init=0.8").ok());
   EXPECT_EQ(options.method, "MARIOH-B");
   EXPECT_EQ(options.seed, 9u);
-  EXPECT_DOUBLE_EQ(options.time_budget_seconds, 45.0);
   // Method-level keys are validated at Configure time.
   Session session;
   EXPECT_TRUE(session.Configure(options).ok());
@@ -171,10 +168,8 @@ TEST(Session, StringOverridesConfigureTheSessionAndTheMethod) {
   // stoull would silently wrap a negative seed; it must be rejected.
   EXPECT_EQ(ApplySessionOverride(&fresh, "seed=-1").code(),
             StatusCode::kInvalidArgument);
-  // Numbers parse strictly: digits only for the seed, finite budgets.
+  // Numbers parse strictly: digits only for the seed.
   EXPECT_EQ(ApplySessionOverride(&fresh, "seed=+5").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(ApplySessionOverride(&fresh, "time_budget_seconds=nan").code(),
             StatusCode::kInvalidArgument);
   ASSERT_TRUE(ApplySessionOverride(&options, "bogus_key=1").ok());
   Session rejects;
@@ -210,8 +205,7 @@ TEST(Session, OverridesRejectEmptyKeysAndValues) {
   EXPECT_EQ(empty_key.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(empty_key.message().find("empty key"), std::string::npos);
   for (const char* assignment :
-       {"seed=", "method=", "threads=", "time_budget_seconds=",
-        "theta_init="}) {
+       {"seed=", "method=", "threads=", "theta_init="}) {
     Status status = ApplySessionOverride(&options, assignment);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << assignment;
     EXPECT_NE(status.message().find("empty value"), std::string::npos)
@@ -227,8 +221,7 @@ TEST(Session, DuplicateSessionLevelOverridesAreRejected) {
        std::vector<std::pair<const char*, const char*>>{
            {"seed=1", "seed=2"},
            {"method=MARIOH", "method=MaxClique"},
-           {"threads=2", "threads=4"},
-           {"time_budget_seconds=5", "time_budget_seconds=9"}}) {
+           {"threads=2", "threads=4"}}) {
     SessionOptions options;
     ASSERT_TRUE(ApplySessionOverride(&options, first).ok()) << first;
     Status status = ApplySessionOverride(&options, second);

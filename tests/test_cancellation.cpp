@@ -114,9 +114,8 @@ TEST(Cancellation, PreTrippedTokenFlagsTheReconstruction) {
 }
 
 // Session maps the trip to a Status: kCancelled for Cancel(), and
-// kDeadlineExceeded for the *hard* deadline (distinct from the soft
-// time_budget_seconds OOT path, which still completes the run). Either
-// way the partial reconstruction is discarded.
+// kDeadlineExceeded for the hard deadline. Either way the partial
+// reconstruction is discarded.
 TEST(Cancellation, SessionMapsTripsToStatusesAndDiscardsPartialOutput) {
   Workload w = MakeWorkload("hosts", 5);
 

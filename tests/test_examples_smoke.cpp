@@ -147,6 +147,36 @@ TEST(ExamplesSmoke, CliSparseHugeNodeIdIsAReadableError) {
   }
 }
 
+TEST(ExamplesSmoke, CliBudgetAppliesTheHarnessOutOfTimeRule) {
+  const std::string train = "cli_smoke_budget_train.hg";
+  const std::string target = "cli_smoke_budget_target.eg";
+  const std::string out = "cli_smoke_budget_out.hg";
+  std::ofstream(train) << "0 1 2\n2 3\n1 3 4\n0 4\n2 3 4\n";
+  std::ofstream(target) << "0 1 1\n1 2 2\n0 2 1\n2 3 1\n3 4 1\n";
+  const std::string files = " " + train + " " + target + " " + out;
+  std::string output;
+  // Every run overruns a zero budget: the output is still written, but
+  // the run is reported out of time with exit code 1.
+  std::remove(out.c_str());
+  EXPECT_EQ(RunCli("--budget 0" + files, &output), 1) << output;
+  EXPECT_NE(output.find("out of time"), std::string::npos) << output;
+  EXPECT_TRUE(std::ifstream(out).good()) << output;
+  EXPECT_EQ(RunCli("--budget 1e9" + files, &output), 0) << output;
+  // The budget is the CLI's own flag: a non-number is refused, and the
+  // retired session key is an unknown option of the method.
+  EXPECT_EQ(RunCli("--budget abc" + files, &output), 1) << output;
+  EXPECT_NE(output.find("--budget needs a number"), std::string::npos)
+      << output;
+  EXPECT_EQ(RunCli("--set time_budget_seconds=5" + files, &output), 1)
+      << output;
+  EXPECT_NE(output.find("unknown option 'time_budget_seconds'"),
+            std::string::npos)
+      << output;
+  for (const std::string& path : {train, target, out}) {
+    std::remove(path.c_str());
+  }
+}
+
 TEST(ExamplesSmoke, CliListMethodsExitsZero) {
   std::string output;
   int exit_code = RunCli("--list-methods", &output);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -217,14 +218,20 @@ TEST(ServeSmoke, RetiredKeyIsRefusedAtSubmitWithOrWithoutAJournal) {
     std::string output;
     EXPECT_EQ(RunServe("gen d crime 2\n"
                        "submit method=MaxClique target=d.target kthreads=3\n"
+                       "submit method=MaxClique target=d.target budget=5\n"
+                       "submit method=MaxClique target=d.target "
+                       "time_budget_seconds=5\n"
                        "metrics json\nquit\n",
                        &output, args),
               0)
         << output;
-    EXPECT_NE(output.find("error INVALID_ARGUMENT: "), std::string::npos)
-        << args << ": " << output;
-    EXPECT_NE(output.find("unknown option 'kthreads'"), std::string::npos)
-        << args << ": " << output;
+    for (const char* key : {"kthreads", "budget", "time_budget_seconds"}) {
+      EXPECT_NE(output.find("error INVALID_ARGUMENT: MaxClique: unknown "
+                            "option '" +
+                            std::string(key) + "'"),
+                std::string::npos)
+          << args << ": " << output;
+    }
     EXPECT_EQ(output.find("ok job"), std::string::npos) << output;
     EXPECT_NE(
         output.find(R"({"name":"marioh_jobs_accepted_total","value":0})"),
@@ -286,6 +293,57 @@ TEST(ServeSmoke, EofWithRunningJobsStillExitsZero) {
 
 // Keeps the suite non-empty on platforms without the pipe harness.
 TEST(ServeSmoke, HarnessPlaceholder) { SUCCEED(); }
+
+// A fixed-arity verb refuses a missing or extra operand with its usage
+// line and has no effect: `forget 1 9` must not forget job 1, and
+// `load hypergraph n my file.hg` must not load `my` as `n`.
+TEST(LineProtocolGrammar, FixedArityVerbsRefuseWrongOperandCounts) {
+  auto cache = std::make_shared<api::DatasetCache>();
+  api::Service service(cache);
+  net::LineProtocol protocol(cache.get(), &service);
+  ASSERT_EQ(protocol.Handle("gen d crime 1").response.rfind("ok generated", 0),
+            0u);
+  ASSERT_EQ(protocol.Handle("submit method=MaxClique target=d.target")
+                .response,
+            "ok job 1\n");
+  ASSERT_TRUE(service.Wait(1).ok());
+
+  struct Row {
+    const char* line;
+    const char* usage;
+  };
+  const Row rows[] = {
+      {"load hypergraph n my file.hg",
+       "load <hypergraph|graph> <name> <path>"},
+      {"load hypergraph n", "load <hypergraph|graph> <name> <path>"},
+      {"gen e crime 1 extra tokens", "gen <name> <profile> [seed]"},
+      {"gen e", "gen <name> <profile> [seed]"},
+      {"datasets d", "datasets"},
+      {"methods all", "methods"},
+      {"poll 1 junk", "poll <job-id>"},
+      {"poll", "poll <job-id>"},
+      {"wait 1 2", "wait <job-id>"},
+      {"cancel 1 2", "cancel <job-id>"},
+      {"forget 1 9", "forget <job-id>"},
+      {"metrics json extra", "metrics [json]"},
+      {"metrics yaml", "metrics [json]"},
+      {"quit now", "quit"},
+  };
+  for (const Row& row : rows) {
+    net::LineProtocol::Result result = protocol.Handle(row.line);
+    EXPECT_EQ(result.response, "error INVALID_ARGUMENT: usage: " +
+                                   std::string(row.usage) + "\n")
+        << row.line;
+    EXPECT_FALSE(result.quit) << row.line;
+    EXPECT_FALSE(result.wait_for.has_value()) << row.line;
+  }
+  // Nothing was loaded, generated or forgotten.
+  EXPECT_EQ(protocol.Handle("datasets").response,
+            "ok datasets d.target d.train d.truth\n");
+  EXPECT_EQ(protocol.Handle("poll 1").response.rfind("ok job 1 state=DONE", 0),
+            0u);
+  EXPECT_TRUE(protocol.Handle("quit").quit);
+}
 
 // Both daemons parse --workers here; the cap keeps a typo from starting
 // a hundred thousand worker threads. Parsing starts no pool.

@@ -1,7 +1,7 @@
 // Seed-fixed concurrency stress test for the api::Service scheduler: N
-// producer threads submit jobs with randomized priorities, clients,
-// deadlines and budgets while randomly cancelling earlier ones, and a
-// sampler thread keeps asserting the counter invariant
+// producer threads submit jobs with randomized priorities, clients and
+// deadlines while randomly cancelling earlier ones, and a sampler thread
+// keeps asserting the counter invariant
 //
 //   accepted = done + failed + cancelled + deadline_exceeded
 //            + queued + running
@@ -76,7 +76,6 @@ void CheckInvariant(const ServiceStats& stats, uint64_t cancel_samples) {
                               stats.queued_batch);
   EXPECT_LE(stats.preempted, stats.cancelled + stats.deadline_exceeded);
   EXPECT_LE(cancel_samples, stats.cancelled);
-  EXPECT_LE(stats.budget_overruns, stats.done);
 }
 
 TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
@@ -119,15 +118,8 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
         request.seed = 1 + rng() % 5;
         request.priority = static_cast<Priority>(rng() % 3);
         request.client_id = "producer-" + std::to_string(rng() % 3);
-        switch (rng() % 6) {
-          case 0:
-            request.deadline_seconds = 0.0;  // guaranteed hard abort
-            break;
-          case 1:
-            request.time_budget_seconds = 0.0;  // guaranteed soft overrun
-            break;
-          default:
-            break;
+        if (rng() % 6 == 0) {
+          request.deadline_seconds = 0.0;  // guaranteed hard abort
         }
         StatusOr<JobId> id = service.Submit(request);
         ASSERT_TRUE(id.ok()) << id.status().ToString();

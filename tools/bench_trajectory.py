@@ -14,7 +14,8 @@ checkouts and appends one point per checkout. A point holds:
   * for every checkout after the first, `versus_first`: per end-to-end
     metric, the wins, losses and ties of its runs against the first
     checkout's run of the same seed, a win being better in the
-    direction of BENCHMARK.json's `better` field,
+    direction of BENCHMARK.json's `better` field, and a `verdict`
+    (see below),
   * the per-layer metrics of one traced run (`--trace 1`, seed 1),
   * a label, the commit (HEAD) and whether tracked files differed from
     it (`modified`: a change measured before it was committed), the
@@ -27,7 +28,16 @@ With several checkouts the runs alternate between them (run 1 in each,
 then run 2 in each in reverse order, ...), so host drift and warm-up
 spread evenly over the points. The tool prints each later checkout's
 win/loss/tie counts and the first checkout's interquartile range (IQR),
-the two figures a gain claim is judged on.
+the two figures a gain claim is judged on, and a verdict per metric,
+reading BENCHMARK.json's `bound` as a fraction of the first checkout's
+median:
+
+  * `regressed`: the later median is worse than the first by more than
+    the bound;
+  * `unresolved`: otherwise, when the first checkout's IQR is wider than
+    the bound, unless every later run beats every first run (the runs
+    spread too widely to tell);
+  * `ok`: otherwise.
 A typical use compares a parent commit with a change:
 
     python3 tools/bench_trajectory.py BENCH_serve_light.json \\
@@ -52,6 +62,7 @@ BENCHMARK = json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 RUN_SECONDS = BENCHMARK["run_seconds"]
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def run_once(checkout, workload, seed, trace):
@@ -90,20 +101,46 @@ def by_seed(runs):
             for name in values(runs[0][1])}
 
 
+def verdict(name, first, later):
+    """`regressed`, `unresolved` or `ok` for one end-to-end metric of the
+    `later` point against the `first` (see the module docstring)."""
+    lower = BETTER[name] == "lower"
+    base = first["end_to_end"][name]
+    worse = later["end_to_end"][name] - base if lower else \
+        base - later["end_to_end"][name]
+    allowed = BOUND[name] * abs(base)
+    if worse > allowed:
+        return "regressed"
+    q1, _, q3 = first["end_to_end_quartiles"][name]
+    if q3 - q1 > allowed:
+        firsts = first["end_to_end_by_seed"][name].values()
+        laters = later["end_to_end_by_seed"][name].values()
+        beats = max(laters) < min(firsts) if lower else \
+            min(laters) > max(firsts)
+        if not beats:
+            return "unresolved"
+    return "ok"
+
+
 def versus(first, later):
-    """Per metric with a known direction: wins, losses and ties of the
-    `later` point's runs against the `first` point's, paired by seed."""
+    """Per metric with a known direction that both points measured: wins,
+    losses and ties of the `later` point's runs against the `first`
+    point's, paired by seed, and the metric's verdict."""
     outcome = {}
     for name, better in BETTER.items():
+        if name not in first["end_to_end"] or \
+                name not in later["end_to_end"]:
+            continue
         counts = {"wins": 0, "losses": 0, "ties": 0}
-        base = first["end_to_end_by_seed"].get(name, {})
-        for seed, value in later["end_to_end_by_seed"].get(name, {}).items():
+        base = first["end_to_end_by_seed"][name]
+        for seed, value in later["end_to_end_by_seed"][name].items():
             if seed not in base:
                 continue
             gain = value - base[seed] if better == "higher" else \
                 base[seed] - value
             counts["wins" if gain > 0 else "losses" if gain < 0
                    else "ties"] += 1
+        counts["verdict"] = verdict(name, first, later)
         outcome[name] = counts
     return {"label": first["label"], "metrics": outcome}
 
@@ -179,11 +216,11 @@ def main():
         print("%s %s vs %s (wins/losses/ties per seed pair; IQR of %s):" % (
             args.workload, p["label"], first["label"], first["label"]))
         for name, c in p["versus_first"]["metrics"].items():
-            q1, _, q3 = first["end_to_end_quartiles"].get(name, (0, 0, 0))
-            print("  %-14s %2d/%2d/%2d  median %.6g -> %.6g  IQR %.6g" % (
-                name, c["wins"], c["losses"], c["ties"],
-                first["end_to_end"].get(name, float("nan")),
-                p["end_to_end"].get(name, float("nan")), q3 - q1))
+            q1, _, q3 = first["end_to_end_quartiles"][name]
+            print("  %-14s %2d/%2d/%2d  median %.6g -> %.6g  IQR %.6g  %s"
+                  % (name, c["wins"], c["losses"], c["ties"],
+                     first["end_to_end"][name], p["end_to_end"][name],
+                     q3 - q1, c["verdict"]))
 
 
 if __name__ == "__main__":
