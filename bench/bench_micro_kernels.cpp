@@ -10,6 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/bidirectional.hpp"
 #include "core/classifier.hpp"
 #include "core/features.hpp"
@@ -78,6 +81,32 @@ void BM_CsrBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrBuild);
 
+// ---- eu input shared by the clique-update and iteration guards ----------
+
+/// The eu input, built and trained once for every thread count.
+struct EuIteration {
+  ProjectedGraph g;
+  CsrGraph snapshot;
+  marioh::core::CliqueClassifier classifier{
+      marioh::core::FeatureMode::kMultiplicityAware, {}};
+};
+
+const EuIteration& Eu() {
+  static const EuIteration* eu = [] {
+    auto* out = new EuIteration;
+    marioh::eval::PreparedDataset data =
+        marioh::eval::PrepareDataset("eu", /*multiplicity_reduced=*/false, 1);
+    marioh::util::Rng rng(2);
+    out->classifier.Train(*data.g_source, *data.source, &rng);
+    out->g = *data.g_target;
+    marioh::Hypergraph h(out->g.num_nodes());
+    marioh::core::Filtering(&out->g, &h, 1);
+    out->snapshot = CsrGraph(out->g);
+    return out;
+  }();
+  return *eu;
+}
+
 // ---- Maximal-clique enumeration -----------------------------------------
 
 // Default public path (CSR snapshot, single thread, arena output).
@@ -112,6 +141,54 @@ void BM_MaximalCliquesCsrThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaximalCliquesCsrThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// Incremental maintenance against full enumeration, on an eu target
+// after filtering and one bidirectional iteration's peels (the update's
+// heaviest case: the first iteration accepts the most): update:1 derives
+// the snapshot's maximal cliques from the previous iteration's store and
+// touched nodes, update:0 enumerates them from scratch.
+void BM_UpdateMaximalCliques(benchmark::State& state) {
+  struct Peeled {
+    CsrGraph snapshot;
+    marioh::MaximalCliqueResult previous;
+    std::vector<NodeId> touched;
+  };
+  static const Peeled* peeled = [] {
+    const EuIteration& eu = Eu();
+    ProjectedGraph g = eu.g;
+    marioh::Hypergraph h(g.num_nodes());
+    marioh::util::Rng rng(3);
+    marioh::core::CarriedCliques carried;
+    marioh::core::BidirectionalStats stats =
+        marioh::core::BidirectionalSearch(&g, eu.snapshot, eu.classifier, {},
+                                          &rng, &h, &carried);
+    return new Peeled{CsrGraph(g), std::move(*carried.previous),
+                      std::move(stats.touched_nodes)};
+  }();
+  CliqueOptions options;
+  options.num_threads = static_cast<int>(state.range(0));
+  const bool update = state.range(1) != 0;
+  size_t carried = 0;
+  for (auto _ : state) {
+    if (update) {
+      marioh::MaximalCliqueUpdate result = marioh::UpdateMaximalCliques(
+          peeled->snapshot, &peeled->previous, peeled->touched, options);
+      carried = static_cast<size_t>(
+          std::ranges::count_if(result.previous_index, [](size_t i) {
+            return i != marioh::kNewClique;
+          }));
+      benchmark::DoNotOptimize(result);
+    } else {
+      benchmark::DoNotOptimize(
+          marioh::EnumerateMaximalCliques(peeled->snapshot, options));
+    }
+  }
+  state.counters["carried"] = static_cast<double>(carried);
+}
+BENCHMARK(BM_UpdateMaximalCliques)
+    ->ArgsProduct({{1, 2, 4}, {0, 1}})
+    ->ArgNames({"threads", "update"})
+    ->UseRealTime();
 
 // ---- Clique emission layout ---------------------------------------------
 
@@ -407,30 +484,6 @@ BENCHMARK(BM_ScoreAll)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 // peels, and Phase 2's sampling, patched-snapshot batched scoring and
 // peels — on an eu target after filtering, at the first iteration's
 // theta, with a classifier trained on the eu source.
-
-/// The eu input, built and trained once for every thread count.
-struct EuIteration {
-  ProjectedGraph g;
-  CsrGraph snapshot;
-  marioh::core::CliqueClassifier classifier{
-      marioh::core::FeatureMode::kMultiplicityAware, {}};
-};
-
-const EuIteration& Eu() {
-  static const EuIteration* eu = [] {
-    auto* out = new EuIteration;
-    marioh::eval::PreparedDataset data =
-        marioh::eval::PrepareDataset("eu", /*multiplicity_reduced=*/false, 1);
-    marioh::util::Rng rng(2);
-    out->classifier.Train(*data.g_source, *data.source, &rng);
-    out->g = *data.g_target;
-    marioh::Hypergraph h(out->g.num_nodes());
-    marioh::core::Filtering(&out->g, &h, 1);
-    out->snapshot = CsrGraph(out->g);
-    return out;
-  }();
-  return *eu;
-}
 
 void BM_BidirectionalIteration(benchmark::State& state) {
   const EuIteration& eu = Eu();

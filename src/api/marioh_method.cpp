@@ -39,6 +39,8 @@ Reconstruction MariohMethod::Reconstruct(
       {
           {"iterations", static_cast<double>(s.iterations)},
           {"maximal_cliques", static_cast<double>(s.maximal_cliques)},
+          {"cliques_carried", static_cast<double>(s.cliques_carried)},
+          {"scores_reused", static_cast<double>(s.scores_reused)},
           {"accepted_phase1", static_cast<double>(s.accepted_phase1)},
           {"accepted_phase2", static_cast<double>(s.accepted_phase2)},
           {"subcliques_scored", static_cast<double>(s.subcliques_scored)},

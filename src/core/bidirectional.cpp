@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "hypergraph/clique.hpp"
 #include "util/check.hpp"
@@ -42,7 +43,8 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
                                        const CsrGraph& snapshot,
                                        const CliqueClassifier& classifier,
                                        const BidirectionalOptions& options,
-                                       util::Rng* rng, Hypergraph* h) {
+                                       util::Rng* rng, Hypergraph* h,
+                                       CarriedCliques* carried) {
   MARIOH_CHECK(classifier.trained());
   MARIOH_CHECK_EQ(snapshot.num_nodes(), g->num_nodes());
   BidirectionalStats stats;
@@ -51,31 +53,73 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
   // immutable snapshot across all cores while the hash-map graph stays
   // untouched until the peel phase. Cliques live in the enumeration
   // arena end-to-end; only accepted ones materialize a NodeSet below.
+  // With a carried store, the cliques untouched by the last iteration's
+  // peels are carried over and only the rest are re-derived.
   CliqueOptions clique_options;
   clique_options.num_threads = options.num_threads;
   clique_options.cancel = options.cancel;
-  MaximalCliqueResult enumerated =
-      EnumerateMaximalCliques(snapshot, clique_options);
-  const CliqueStore& maximal = enumerated.cliques;
+  const MaximalCliqueResult* previous =
+      carried != nullptr && carried->previous ? &*carried->previous
+                                              : nullptr;
+  MaximalCliqueUpdate found = UpdateMaximalCliques(
+      snapshot, previous,
+      previous != nullptr ? std::span<const NodeId>(carried->touched)
+                          : std::span<const NodeId>(),
+      clique_options);
+  const CliqueStore& maximal = found.result.cliques;
   stats.maximal_cliques = maximal.size();
-  stats.cliques_truncated = enumerated.truncated;
-  if (enumerated.cancelled || util::ShouldStop(options.cancel)) {
+  stats.cliques_truncated = found.result.truncated;
+  if (found.result.cancelled || util::ShouldStop(options.cancel)) {
     // The clique pool is a timing-dependent subset — nothing downstream
     // may consume it (scoring or peeling it would make the output depend
     // on when the trip landed, on top of being doomed work).
     stats.cancelled = true;
+    if (carried != nullptr) carried->previous.reset();
     return stats;
   }
-  if (maximal.empty()) return stats;
 
   // Score all maximal cliques against the frozen snapshot; each score is
   // independent, so this is embarrassingly parallel and deterministic for
-  // any thread count.
-  std::vector<double> scores =
-      classifier.ScoreAll(snapshot, maximal, /*is_maximal=*/true,
-                          options.num_threads, options.cancel);
+  // any thread count. When features read member rows only, a carried
+  // clique none of whose members' rows changed has last iteration's
+  // features, hence its score; every other clique is scored.
+  std::vector<double> scores(maximal.size());
+  std::vector<size_t> rescore;
+  std::vector<char> is_touched;
+  const bool reuse = previous != nullptr &&
+                     classifier.extractor().ReadsOnlyMemberRows();
+  if (reuse) {
+    is_touched.assign(snapshot.num_nodes(), 0);
+    for (NodeId u : carried->touched) is_touched[u] = 1;
+  }
+  for (size_t i = 0; i < maximal.size(); ++i) {
+    const size_t from = found.previous_index[i];
+    if (from != kNewClique) {
+      ++stats.cliques_carried;
+      if (reuse && std::ranges::none_of(maximal[i], [&](NodeId u) {
+            return is_touched[u] != 0;
+          })) {
+        scores[i] = carried->scores[from];
+        ++stats.scores_reused;
+        continue;
+      }
+    }
+    rescore.push_back(i);
+  }
+  if (rescore.size() == maximal.size()) {
+    scores = classifier.ScoreAll(snapshot, maximal, /*is_maximal=*/true,
+                                 options.num_threads, options.cancel);
+  } else if (!rescore.empty()) {
+    CliqueStore subset;
+    for (size_t i : rescore) subset.PushClique(maximal[i]);
+    std::vector<double> fresh =
+        classifier.ScoreAll(snapshot, subset, /*is_maximal=*/true,
+                            options.num_threads, options.cancel);
+    for (size_t j = 0; j < rescore.size(); ++j) scores[rescore[j]] = fresh[j];
+  }
   if (util::ShouldStop(options.cancel)) {
     stats.cancelled = true;
+    if (carried != nullptr) carried->previous.reset();
     return stats;
   }
   std::vector<IndexedScore> pos, rest;
@@ -173,6 +217,14 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
   }
 
   Canonicalize(&stats.touched_nodes);
+  if (carried != nullptr) {
+    if (stats.cancelled) {
+      carried->previous.reset();
+    } else {
+      carried->previous = std::move(found.result);
+      carried->scores = std::move(scores);
+    }
+  }
   return stats;
 }
 

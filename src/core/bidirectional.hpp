@@ -5,9 +5,11 @@
 
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/classifier.hpp"
+#include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "hypergraph/projected_graph.hpp"
@@ -19,6 +21,11 @@ namespace marioh::core {
 /// Per-iteration statistics.
 struct BidirectionalStats {
   size_t maximal_cliques = 0;   ///< cliques enumerated this iteration
+  /// Of those, cliques carried over from the previous iteration's store
+  /// rather than found anew (0 without a `CarriedCliques`).
+  size_t cliques_carried = 0;
+  /// Of those, cliques whose Phase-1 score was reused, not recomputed.
+  size_t scores_reused = 0;
   size_t accepted_phase1 = 0;   ///< hyperedges added from Q_pos
   size_t accepted_phase2 = 0;   ///< hyperedges added from sub-cliques
   size_t subcliques_scored = 0; ///< sub-clique candidates evaluated
@@ -60,6 +67,21 @@ struct BidirectionalOptions {
   const util::CancelToken* cancel = nullptr;
 };
 
+/// What one iteration hands the next, so it need not re-enumerate and
+/// re-score the whole graph: the maximal cliques of its snapshot with
+/// their Phase-1 scores, and the nodes whose rows changed since. The
+/// reconstruction loop owns one and passes it to every iteration.
+struct CarriedCliques {
+  /// The last iteration's enumeration (unset before the first, and after
+  /// a cancelled iteration).
+  std::optional<MaximalCliqueResult> previous;
+  /// `previous`'s Phase-1 scores, one per clique.
+  std::vector<double> scores;
+  /// Sorted nodes whose rows changed since `previous` was enumerated —
+  /// set by the caller, who knows every peel, fallback ones included.
+  std::vector<NodeId> touched;
+};
+
 /// Runs one iteration of Algorithm 3 on `g` in place, appending accepted
 /// hyperedges to `h`. `snapshot` must be a CSR snapshot of `*g` in its
 /// current (pre-iteration) state — the reconstruction loop owns it and
@@ -69,10 +91,20 @@ struct BidirectionalOptions {
 /// statistics, including the nodes whose adjacency the peels changed.
 /// `rng` drives the random sub-clique sampling of Phase 2; its draws do
 /// not depend on `options.num_threads`.
+///
+/// With `carried` (null = enumerate and score everything), the maximal
+/// cliques come from `UpdateMaximalCliques` over `carried->previous` and
+/// `carried->touched`, and a carried clique with no touched member keeps
+/// its score when the classifier's features read only member rows
+/// (`FeatureExtractor::ReadsOnlyMemberRows`). On return `carried` holds
+/// this iteration's cliques and Phase-1 scores; the caller must set its
+/// `touched` before the next call. The output is the same either way,
+/// bit for bit.
 BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
                                        const CsrGraph& snapshot,
                                        const CliqueClassifier& classifier,
                                        const BidirectionalOptions& options,
-                                       util::Rng* rng, Hypergraph* h);
+                                       util::Rng* rng, Hypergraph* h,
+                                       CarriedCliques* carried = nullptr);
 
 }  // namespace marioh::core

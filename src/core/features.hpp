@@ -77,6 +77,15 @@ class FeatureExtractor {
 
   FeatureMode mode() const { return mode_; }
 
+  /// True if a clique's features read nothing but its own members' rows
+  /// (their neighbors and weights), so the clique scores the same on any
+  /// graph where those rows are unchanged. Holds for kMultiplicityAware;
+  /// kStructural and kMotif also read the rows of the members' neighbors
+  /// (neighborhood density, clustering coefficients, squares).
+  bool ReadsOnlyMemberRows() const {
+    return mode_ == FeatureMode::kMultiplicityAware;
+  }
+
  private:
   FeatureMode mode_;
 };

@@ -95,6 +95,9 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
   double theta = options_.theta_init;
   size_t iterations = 0;
   util::Timer watch;
+  // Each iteration carries its maximal cliques and their scores to the
+  // next, which re-derives only what the peels in between touched.
+  CarriedCliques carried;
   while (!g.Empty() && iterations < options_.max_iterations &&
          !run.cancelled) {
     BidirectionalOptions bopt;
@@ -104,8 +107,11 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
     bopt.num_threads = options_.num_threads;
     bopt.cancel = options_.cancel;
     BidirectionalStats iteration =
-        BidirectionalSearch(&g, snapshot, classifier_, bopt, &rng, &h);
+        BidirectionalSearch(&g, snapshot, classifier_, bopt, &rng, &h,
+                            &carried);
     run.maximal_cliques += iteration.maximal_cliques;
+    run.cliques_carried += iteration.cliques_carried;
+    run.scores_reused += iteration.scores_reused;
     run.accepted_phase1 += iteration.accepted_phase1;
     run.accepted_phase2 += iteration.accepted_phase2;
     run.subcliques_scored += iteration.subcliques_scored;
@@ -120,30 +126,21 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
     // (degenerate classifier), peel the first maximal clique in the
     // enumerator's canonical (lexicographic) order, unscored, to
     // guarantee progress. Nothing was peeled this iteration, so the
-    // snapshot is still exact and serves the fallback enumeration
-    // directly.
+    // carried store is exactly the snapshot's enumeration.
     if (theta == 0.0 && iteration.accepted_phase1 == 0 &&
         iteration.accepted_phase2 == 0 && !g.Empty() &&
         !run.cancelled) {
-      CliqueOptions copts;
-      copts.num_threads = options_.num_threads;
-      copts.cancel = options_.cancel;
-      MaximalCliqueResult fallback =
-          EnumerateMaximalCliques(snapshot, copts);
-      if (fallback.cancelled) {
-        run.cancelled = true;
-        break;
-      }
-      MARIOH_CHECK(!fallback.cliques.empty());
-      NodeSet first = fallback.cliques.Materialize(0);
+      MARIOH_CHECK(carried.previous && !carried.previous->cliques.empty());
+      NodeSet first = carried.previous->cliques.Materialize(0);
       h.AddEdge(first, 1);
       g.PeelClique(first);
       touched.insert(touched.end(), first.begin(), first.end());
       Canonicalize(&touched);
     }
+    carried.touched = std::move(touched);
     if (!g.Empty() && iterations < options_.max_iterations &&
         !run.cancelled) {
-      snapshot = refresh_snapshot(std::move(snapshot), touched);
+      snapshot = refresh_snapshot(std::move(snapshot), carried.touched);
     }
   }
   run.bidirectional_seconds = watch.Seconds();

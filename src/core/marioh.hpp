@@ -80,6 +80,10 @@ MariohOptions OptionsForVariant(MariohVariant variant,
 struct ReconstructionStats {
   size_t iterations = 0;         ///< bidirectional-search iterations run
   size_t maximal_cliques = 0;    ///< cliques enumerated, summed over iters
+  /// Of those, cliques carried over from the previous iteration instead
+  /// of found anew, and cliques whose Phase-1 score was reused.
+  size_t cliques_carried = 0;
+  size_t scores_reused = 0;
   size_t accepted_phase1 = 0;    ///< hyperedges accepted from Q_pos
   size_t accepted_phase2 = 0;    ///< hyperedges accepted from sub-cliques
   size_t subcliques_scored = 0;  ///< sub-clique candidates evaluated

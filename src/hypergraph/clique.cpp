@@ -413,6 +413,63 @@ class BitsetBronKerbosch {
   std::vector<uint64_t>* words_;
 };
 
+/// Working state of the local Bron–Kerbosch kernels, reused across one
+/// thread's subproblems so the hot loop stops allocating after warm-up.
+/// Every buffer is rebuilt or cleared per subproblem; the retained
+/// capacity is bounded by the largest subproblem run on the thread.
+struct LocalScratch {
+  LocalSubgraph local;
+  std::vector<std::vector<NodeId>> rows;  ///< per-local-id sorted rows
+  BkScratch spans;
+  std::vector<uint64_t> bits;
+  std::vector<NodeId> p, x, r;
+};
+
+/// Runs pivoting Bron–Kerbosch over the local subgraph in `s`
+/// (`s->local.globals` plus `s->rows`), starting with every local id w
+/// with `in_p(w)` in P and the rest in X; `emit` receives each maximal
+/// clique as local ids and returns false to stop. The recursion works on
+/// W-word bitmasks when the subgraph has at most 512 nodes (almost
+/// always; degrees are small in the peeling regime), contiguous spans
+/// otherwise. Local ids ascend with global ids, so P and X stay sorted
+/// (as spans) and the bit iteration visits them in the same order.
+template <typename InP, typename EmitFn>
+void RunLocalBronKerbosch(LocalScratch* s, InP&& in_p, EmitFn& emit) {
+  const size_t n = s->local.globals.size();
+  s->r.clear();
+  auto run_bitset = [&]<size_t kWords>() {
+    uint64_t p_mask[kWords] = {};
+    uint64_t x_mask[kWords] = {};
+    for (size_t w = 0; w < n; ++w) {
+      uint64_t* mask = in_p(w) ? p_mask : x_mask;
+      mask[w / 64] |= uint64_t{1} << (w % 64);
+    }
+    BitsetBronKerbosch<kWords, EmitFn> bk(s->local.globals, s->rows, emit,
+                                          &s->bits);
+    bk.Expand(0, &s->r, p_mask, x_mask);
+  };
+  if (n <= 64) {
+    run_bitset.template operator()<1>();
+  } else if (n <= 128) {
+    run_bitset.template operator()<2>();
+  } else if (n <= 256) {
+    run_bitset.template operator()<4>();
+  } else if (n <= 512) {
+    run_bitset.template operator()<8>();
+  } else {
+    s->local.Flatten(s->rows);
+    if (s->spans.size() < 3 * (n + 2)) s->spans.resize(3 * (n + 2));
+    s->p.clear();
+    s->x.clear();
+    for (size_t w = 0; w < n; ++w) {
+      std::vector<NodeId>& set = in_p(w) ? s->p : s->x;
+      set.push_back(static_cast<NodeId>(w));
+    }
+    PivotBronKerbosch bk(s->local, emit, &s->spans);
+    bk.Expand(0, &s->r, s->p, s->x);
+  }
+}
+
 /// Reference Bron–Kerbosch over the hash-map adjacency (sequential). The
 /// growing clique is pushed/popped at the tail and sorted only on
 /// emission.
@@ -573,15 +630,7 @@ MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
                                                       size_t end) {
     CliqueStore& out = sub_arenas[ri];
     util::CancelChecker cancel_check(options.cancel);
-    // Working state reused across this range's roots, so the hot loop
-    // stops allocating after warm-up. Every buffer is rebuilt or cleared
-    // per root; the retained capacity is bounded by the largest
-    // neighborhood enumerated on this thread.
-    LocalSubgraph local;
-    std::vector<std::vector<NodeId>> row_scratch;
-    BkScratch scratch;
-    std::vector<uint64_t> bit_scratch;
-    std::vector<NodeId> p, x, r_local;
+    LocalScratch work;
     NodeSet clique_buf;
     // Running count of cliques this range has emitted. Once it alone
     // exceeds max_cliques, every later root of the range lies past the
@@ -602,11 +651,10 @@ MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
       NodeId v = order[i];
       if (g.Degree(v) == 0) continue;
       // The whole subproblem lives inside N(v): relabel it to a compact
-      // local subgraph so the recursion works on short rows — W-word
-      // bitmasks when the neighborhood fits (almost always; degrees are
-      // small in the peeling regime), contiguous spans otherwise.
-      local.BuildRows(g, v, &row_scratch);
-      const size_t s = local.globals.size();
+      // local subgraph so the recursion works on short rows. P: neighbors
+      // later in the ordering; X: earlier.
+      work.local.BuildRows(g, v, &work.rows);
+      const std::vector<NodeId>& globals = work.local.globals;
       const size_t root_start = out.size();
       auto emit = [&](const std::vector<NodeId>& r) {
         // Cooperative preemption point #2: between emissions, bounding a
@@ -618,53 +666,13 @@ MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
         }
         clique_buf.clear();
         clique_buf.push_back(v);
-        for (NodeId local_id : r) clique_buf.push_back(local.globals[local_id]);
+        for (NodeId local_id : r) clique_buf.push_back(globals[local_id]);
         std::sort(clique_buf.begin(), clique_buf.end());
         out.PushClique(clique_buf);
         return out.size() - root_start < per_root_cap;
       };
-      r_local.clear();
-      // P: neighbors later in the ordering; X: earlier. Local ids
-      // ascend with global ids, so both stay sorted (as spans) and the
-      // bit iteration visits them in the same order.
-      auto run_bitset = [&]<size_t kWords>() {
-        uint64_t p_mask[kWords] = {};
-        uint64_t x_mask[kWords] = {};
-        for (size_t w = 0; w < s; ++w) {
-          uint64_t bit = uint64_t{1} << (w % 64);
-          if (pos[local.globals[w]] > i) {
-            p_mask[w / 64] |= bit;
-          } else {
-            x_mask[w / 64] |= bit;
-          }
-        }
-        BitsetBronKerbosch<kWords, decltype(emit)> bk(
-            local.globals, row_scratch, emit, &bit_scratch);
-        bk.Expand(0, &r_local, p_mask, x_mask);
-      };
-      if (s <= 64) {
-        run_bitset.template operator()<1>();
-      } else if (s <= 128) {
-        run_bitset.template operator()<2>();
-      } else if (s <= 256) {
-        run_bitset.template operator()<4>();
-      } else if (s <= 512) {
-        run_bitset.template operator()<8>();
-      } else {
-        local.Flatten(row_scratch);
-        if (scratch.size() < 3 * (s + 2)) scratch.resize(3 * (s + 2));
-        p.clear();
-        x.clear();
-        for (size_t w = 0; w < s; ++w) {
-          if (pos[local.globals[w]] > i) {
-            p.push_back(static_cast<NodeId>(w));
-          } else {
-            x.push_back(static_cast<NodeId>(w));
-          }
-        }
-        PivotBronKerbosch bk(local, emit, &scratch);
-        bk.Expand(0, &r_local, p, x);
-      }
+      RunLocalBronKerbosch(
+          &work, [&](size_t w) { return pos[globals[w]] > i; }, emit);
     }
   });
 
@@ -706,6 +714,197 @@ MaximalCliqueResult EnumerateMaximalCliques(const ProjectedGraph& g,
                                             const CliqueOptions& options) {
   CsrGraph csr(g, options.num_threads);
   return EnumerateMaximalCliques(csr, options);
+}
+
+namespace {
+
+/// True if no node outside the clique `c` (sorted, size >= 2) of `g` is
+/// adjacent to all of its members: the neighbors of its lowest-degree
+/// member outside `c` are intersected with each other member's row until
+/// none is left. `common`/`next` are caller-owned scratch.
+bool IsMaximalClique(const CsrGraph& g, CliqueView c,
+                     std::vector<NodeId>* common, std::vector<NodeId>* next) {
+  NodeId low = c[0];
+  for (NodeId u : c) {
+    if (g.Degree(u) < g.Degree(low)) low = u;
+  }
+  common->clear();
+  for (NodeId w : g.Neighbors(low)) {
+    if (!std::binary_search(c.begin(), c.end(), w)) common->push_back(w);
+  }
+  for (NodeId u : c) {
+    if (common->empty()) return true;
+    if (u == low) continue;
+    IntersectInto(*common, g.Neighbors(u), next);
+    std::swap(*common, *next);
+  }
+  return common->empty();
+}
+
+/// Per-range output of the dirty-clique pass of UpdateMaximalCliques.
+struct UpdateRange {
+  std::vector<size_t> kept;  ///< previous indices kept, ascending
+  CliqueStore candidates;    ///< maximal cliques inside dirty cliques
+  bool cancelled = false;
+};
+
+}  // namespace
+
+MaximalCliqueUpdate UpdateMaximalCliques(const CsrGraph& g,
+                                         const MaximalCliqueResult* previous,
+                                         std::span<const NodeId> touched,
+                                         const CliqueOptions& options) {
+  MaximalCliqueUpdate update;
+  auto enumerate_all = [&] {
+    update.result = EnumerateMaximalCliques(g, options);
+    update.previous_index.assign(update.result.cliques.size(), kNewClique);
+    return std::move(update);
+  };
+  if (previous == nullptr || previous->truncated || previous->cancelled) {
+    return enumerate_all();
+  }
+  const CliqueStore& before = previous->cliques;
+  std::vector<char> is_touched(g.num_nodes(), 0);
+  for (NodeId u : touched) is_touched[u] = 1;
+
+  // Pass 1, over the previous cliques: a clique none of whose touched
+  // pairs lost its edge is still a maximal clique. A dirty one
+  // contributes the maximal cliques of the subgraph it induces now. Its
+  // members that lost no edge inside it ("whole") are adjacent to every
+  // other member, so they belong to each of those cliques, and only the
+  // "broken" members need a Bron–Kerbosch run.
+  std::vector<UpdateRange> ranges(
+      util::RangeCount(before.size(), options.num_threads));
+  auto dirty_pass = [&](size_t ri, size_t begin, size_t end) {
+    UpdateRange& out = ranges[ri];
+    util::CancelChecker cancel_check(options.cancel);
+    LocalScratch work;
+    std::vector<NodeId> hit, whole;
+    std::vector<char> broken;
+    NodeSet clique_buf;
+    for (size_t i = begin; i < end; ++i) {
+      if (cancel_check.ShouldStop()) {
+        out.cancelled = true;
+        return;
+      }
+      CliqueView q = before[i];
+      hit.clear();
+      for (size_t a = 0; a < q.size(); ++a) {
+        if (is_touched[q[a]] != 0) hit.push_back(static_cast<NodeId>(a));
+      }
+      broken.assign(q.size(), 0);
+      bool dirty = false;
+      for (size_t a = 0; a < hit.size(); ++a) {
+        for (size_t b = a + 1; b < hit.size(); ++b) {
+          if (!g.HasEdge(q[hit[a]], q[hit[b]])) {
+            broken[hit[a]] = broken[hit[b]] = 1;
+            dirty = true;
+          }
+        }
+      }
+      if (!dirty) {
+        out.kept.push_back(i);
+        continue;
+      }
+      std::vector<NodeId>& globals = work.local.globals;
+      globals.clear();
+      whole.clear();
+      for (size_t a = 0; a < q.size(); ++a) {
+        (broken[a] != 0 ? globals : whole).push_back(q[a]);
+      }
+      const size_t s = globals.size();
+      if (work.rows.size() < s) work.rows.resize(s);
+      for (size_t a = 0; a < s; ++a) {
+        work.rows[a].clear();
+        for (size_t b = 0; b < s; ++b) {
+          if (b != a && g.HasEdge(globals[a], globals[b])) {
+            work.rows[a].push_back(static_cast<NodeId>(b));
+          }
+        }
+      }
+      auto emit = [&](const std::vector<NodeId>& r) {
+        // A lone node is a maximal clique only once isolated, and
+        // enumeration emits no isolated nodes.
+        if (whole.size() + r.size() < 2) return true;
+        clique_buf.assign(whole.begin(), whole.end());
+        for (NodeId local_id : r) clique_buf.push_back(globals[local_id]);
+        std::sort(clique_buf.begin(), clique_buf.end());
+        out.candidates.PushClique(clique_buf);
+        return true;
+      };
+      RunLocalBronKerbosch(&work, [](size_t) { return true; }, emit);
+    }
+  };
+  util::ParallelForRanges(before.size(), options.num_threads, dirty_pass);
+
+  CliqueStore candidates;
+  size_t kept = 0;
+  for (const UpdateRange& range : ranges) {
+    update.result.cancelled |= range.cancelled;
+    kept += range.kept.size();
+    candidates.Append(range.candidates);
+  }
+  if (update.result.cancelled) return update;
+
+  // Pass 2, over the distinct candidates: keep those maximal in `g`. A
+  // new maximal clique lies inside some dirty clique and is maximal in
+  // the subgraph it induces, so it is among the candidates; none of them
+  // equals a kept clique (a kept clique is in no other old maximal one).
+  candidates.Sort();
+  std::vector<size_t> distinct;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (i == 0 || !std::ranges::equal(candidates[i], candidates[i - 1])) {
+      distinct.push_back(i);
+    }
+  }
+  std::vector<char> maximal(distinct.size(), 0);
+  std::vector<char> range_cancelled(
+      util::RangeCount(distinct.size(), options.num_threads), 0);
+  auto maximality_pass = [&](size_t ri, size_t begin, size_t end) {
+    util::CancelChecker cancel_check(options.cancel);
+    std::vector<NodeId> common, next;
+    for (size_t i = begin; i < end; ++i) {
+      if (cancel_check.ShouldStop()) {
+        range_cancelled[ri] = 1;
+        return;
+      }
+      maximal[i] =
+          IsMaximalClique(g, candidates[distinct[i]], &common, &next) ? 1 : 0;
+    }
+  };
+  util::ParallelForRanges(distinct.size(), options.num_threads,
+                          maximality_pass);
+  for (char flag : range_cancelled) update.result.cancelled |= flag != 0;
+  if (update.result.cancelled) return update;
+
+  const size_t fresh = static_cast<size_t>(
+      std::count(maximal.begin(), maximal.end(), char{1}));
+  if (kept + fresh > options.max_cliques) return enumerate_all();
+
+  // Merge the kept cliques (ascending, as `before` is sorted) with the
+  // new ones in canonical order.
+  CliqueStore& out = update.result.cliques;
+  out.Reserve(kept + fresh, before.total_nodes() + candidates.total_nodes());
+  update.previous_index.reserve(kept + fresh);
+  size_t next_new = 0;
+  auto push_new_below = [&](CliqueView limit, bool bounded) {
+    for (; next_new < distinct.size(); ++next_new) {
+      if (maximal[next_new] == 0) continue;
+      CliqueView c = candidates[distinct[next_new]];
+      if (bounded && !std::ranges::lexicographical_compare(c, limit)) return;
+      out.PushClique(c);
+      update.previous_index.push_back(kNewClique);
+    }
+  };
+  for (const UpdateRange& range : ranges) {
+    for (size_t i : range.kept) {
+      push_new_below(before[i], /*bounded=*/true);
+      out.PushClique(before[i]);
+      update.previous_index.push_back(i);
+    }
+  }
+  push_new_below({}, /*bounded=*/false);
+  return update;
 }
 
 std::vector<NodeSet> MaximalCliquesHashMapReference(

@@ -170,6 +170,42 @@ struct MaximalCliqueResult {
 MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
                                             const CliqueOptions& options = {});
 
+/// `UpdateMaximalCliques`' mark for an output clique that was not in the
+/// previous store.
+inline constexpr size_t kNewClique = static_cast<size_t>(-1);
+
+/// Result of `UpdateMaximalCliques`: what `EnumerateMaximalCliques` would
+/// return, plus where each output clique came from.
+struct MaximalCliqueUpdate {
+  MaximalCliqueResult result;
+  /// previous_index[i] is output clique i's index in the previous store,
+  /// or kNewClique (always, when the update fell back to enumeration).
+  std::vector<size_t> previous_index;
+};
+
+/// Maximal cliques of `g` derived from `previous`, the complete sorted
+/// enumeration of an earlier graph on the same nodes that had every edge
+/// of `g` — the peeling loop's case, where edges only disappear.
+/// `touched` (sorted) holds every node whose row changed since, so every
+/// lost edge has both endpoints in it. A previous clique none of whose
+/// touched pairs lost its edge is still maximal (kept). Every other
+/// maximal clique of `g` lies inside a previous clique that lost an edge
+/// (Stix 2004; Das, Svendsen & Tirthapura 2019): the maximal cliques of
+/// each such clique's induced subgraph are deduplicated, filtered for
+/// maximality in `g` and merged with the kept ones. The dirty-clique and
+/// maximality passes run on `util::ParallelForRanges`, combined in range
+/// order.
+///
+/// `result` equals `EnumerateMaximalCliques(g, options)` bit for bit, for
+/// any thread count. It is that call (every clique new) when `previous`
+/// is null, truncated or cancelled, or when the update would exceed
+/// `options.max_cliques`. A tripped `options.cancel` flags the result
+/// cancelled, as enumeration does.
+MaximalCliqueUpdate UpdateMaximalCliques(const CsrGraph& g,
+                                         const MaximalCliqueResult* previous,
+                                         std::span<const NodeId> touched,
+                                         const CliqueOptions& options = {});
+
 /// Convenience: snapshots `g` and enumerates on the CSR fast path.
 MaximalCliqueResult EnumerateMaximalCliques(const ProjectedGraph& g,
                                             const CliqueOptions& options = {});

@@ -330,5 +330,83 @@ TEST_F(BidirectionalTest, Phase2AfterPeelsMatchesSequentialReference) {
   ExpectMatchesReference(*g_target_, *classifier_, 0.5, 100.0, 32);
 }
 
+/// Runs `iterations` rounds of Algorithm 1's loop (theta decaying by
+/// 0.05 a round, the snapshot patched between rounds) twice from
+/// `start`, once re-enumerating and re-scoring every round and once with
+/// a `CarriedCliques`, and requires the same hypergraph, graph and
+/// per-round stats. Sums the carried run's clique counts into `total`.
+void ExpectCarriedMatchesFresh(const ProjectedGraph& start,
+                               const CliqueClassifier& classifier,
+                               int iterations, int threads,
+                               BidirectionalStats* total) {
+  ProjectedGraph g_fresh = start;
+  ProjectedGraph g_carried = start;
+  Hypergraph h_fresh(start.num_nodes());
+  Hypergraph h_carried(start.num_nodes());
+  util::Rng rng_fresh(41);
+  util::Rng rng_carried(41);
+  CsrGraph snapshot(start);
+  CarriedCliques carried;
+  double theta = 0.9;
+  for (int it = 0; it < iterations && !g_fresh.Empty(); ++it) {
+    SCOPED_TRACE("iteration " + std::to_string(it));
+    BidirectionalOptions options;
+    options.theta = theta;
+    options.num_threads = threads;
+    BidirectionalStats fresh = BidirectionalSearch(
+        &g_fresh, snapshot, classifier, options, &rng_fresh, &h_fresh);
+    BidirectionalStats got =
+        BidirectionalSearch(&g_carried, snapshot, classifier, options,
+                            &rng_carried, &h_carried, &carried);
+    EXPECT_EQ(fresh.cliques_carried, 0u);
+    EXPECT_EQ(fresh.scores_reused, 0u);
+    EXPECT_EQ(got.maximal_cliques, fresh.maximal_cliques);
+    EXPECT_EQ(got.accepted_phase1, fresh.accepted_phase1);
+    EXPECT_EQ(got.accepted_phase2, fresh.accepted_phase2);
+    EXPECT_EQ(got.subcliques_scored, fresh.subcliques_scored);
+    EXPECT_EQ(got.cliques_truncated, fresh.cliques_truncated);
+    EXPECT_FALSE(got.cancelled);
+    ASSERT_EQ(got.touched_nodes, fresh.touched_nodes);
+    ASSERT_EQ(h_carried.edges(), h_fresh.edges());
+    total->maximal_cliques += got.maximal_cliques;
+    total->cliques_carried += got.cliques_carried;
+    total->scores_reused += got.scores_reused;
+    carried.touched = got.touched_nodes;
+    snapshot = CsrGraph(snapshot, g_fresh, got.touched_nodes);
+    theta = std::max(theta - 0.05, 0.0);
+  }
+  for (NodeId u = 0; u < start.num_nodes(); ++u) {
+    EXPECT_EQ(g_carried.Neighbors(u), g_fresh.Neighbors(u)) << "row " << u;
+  }
+}
+
+TEST_F(BidirectionalTest, CarriedCliquesMatchFreshEnumerationAndScoring) {
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BidirectionalStats total;
+    ExpectCarriedMatchesFresh(*g_target_, *classifier_, 20, threads, &total);
+    EXPECT_GT(total.cliques_carried, 0u);
+    EXPECT_GT(total.scores_reused, 0u);
+    EXPECT_LE(total.scores_reused, total.cliques_carried);
+  }
+}
+
+TEST_F(BidirectionalTest, StructuralFeaturesRescoreEveryCarriedClique) {
+  // Structural features read the rows of the members' neighbors too, so
+  // no carried clique may keep its score.
+  CliqueClassifier structural(FeatureMode::kStructural, {});
+  util::Rng train_rng(5);
+  structural.Train(*g_source_, *source_, &train_rng);
+  ASSERT_FALSE(structural.extractor().ReadsOnlyMemberRows());
+  ASSERT_TRUE(classifier_->extractor().ReadsOnlyMemberRows());
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BidirectionalStats total;
+    ExpectCarriedMatchesFresh(*g_target_, structural, 20, threads, &total);
+    EXPECT_GT(total.cliques_carried, 0u);
+    EXPECT_EQ(total.scores_reused, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace marioh::core

@@ -1,13 +1,15 @@
-// Unit + property tests for maximal-clique enumeration and degeneracy
-// ordering.
+// Unit + property tests for maximal-clique enumeration, its incremental
+// update under peels, and degeneracy ordering.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
+#include "eval/harness.hpp"
 #include "hypergraph/clique.hpp"
 #include "hypergraph/projected_graph.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace marioh {
@@ -201,6 +203,229 @@ TEST(CliqueStore, ArenaMatchesHashMapReferenceOnRandomGraphs) {
     EXPECT_EQ(result.cliques.ToNodeSets(), MaximalCliquesHashMapReference(g))
         << "seed=" << seed;
   }
+}
+
+/// Peels `steps` rounds from `g` the way the reconstruction loop does
+/// (whole maximal cliques, random sub-cliques and single edges, each
+/// applied only while it is still a clique) and after every round checks
+/// that UpdateMaximalCliques from the previous round's enumeration equals
+/// a fresh EnumerateMaximalCliques at 1, 2 and 8 threads, and that every
+/// carried clique is the previous clique it names. Adds the number of
+/// cliques carried and of new cliques over all rounds to `carried` and
+/// `fresh`.
+void CheckPeelSequence(ProjectedGraph g, uint64_t seed, int steps,
+                       double peel_fraction, size_t* carried,
+                       size_t* fresh) {
+  util::Rng rng(seed);
+  MaximalCliqueResult previous = EnumerateMaximalCliques(CsrGraph(g));
+  for (int step = 0; step < steps && !g.Empty(); ++step) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " step=" + std::to_string(step));
+    std::vector<NodeId> touched;
+    auto peel = [&](const NodeSet& q) {
+      if (q.size() < 2 || !g.IsClique(q)) return;
+      g.PeelClique(q);
+      touched.insert(touched.end(), q.begin(), q.end());
+    };
+    const std::vector<NodeSet> cliques = previous.cliques.ToNodeSets();
+    const size_t peels = 1 + static_cast<size_t>(
+                                 peel_fraction *
+                                 static_cast<double>(cliques.size()));
+    for (size_t t = 0; t < peels && !cliques.empty(); ++t) {
+      const NodeSet& q = cliques[rng.UniformIndex(cliques.size())];
+      switch (rng.UniformIndex(3)) {
+        case 0:
+          peel(q);
+          break;
+        case 1: {
+          NodeSet sub = rng.SampleWithoutReplacement(
+              q, 2 + rng.UniformIndex(q.size() - 1));
+          Canonicalize(&sub);
+          peel(sub);
+          break;
+        }
+        default: {
+          NodeSet edge = rng.SampleWithoutReplacement(q, 2);
+          Canonicalize(&edge);
+          peel(edge);
+          break;
+        }
+      }
+    }
+    Canonicalize(&touched);
+    CsrGraph snapshot(g);
+    MaximalCliqueResult want = EnumerateMaximalCliques(snapshot);
+    ASSERT_FALSE(want.truncated);
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      CliqueOptions options;
+      options.num_threads = threads;
+      MaximalCliqueUpdate got =
+          UpdateMaximalCliques(snapshot, &previous, touched, options);
+      ASSERT_TRUE(got.result.cliques == want.cliques);
+      EXPECT_FALSE(got.result.truncated);
+      EXPECT_FALSE(got.result.cancelled);
+      ASSERT_EQ(got.previous_index.size(), want.cliques.size());
+      for (size_t i = 0; i < want.cliques.size(); ++i) {
+        if (got.previous_index[i] == kNewClique) {
+          if (threads == 1) ++*fresh;
+          continue;
+        }
+        if (threads == 1) ++*carried;
+        ASSERT_LT(got.previous_index[i], previous.cliques.size());
+        EXPECT_TRUE(std::ranges::equal(
+            previous.cliques[got.previous_index[i]], want.cliques[i]));
+      }
+    }
+    previous = std::move(want);
+  }
+}
+
+TEST(UpdateMaximalCliques, MatchesEnumerationOnRandomGraphs) {
+  size_t carried = 0;
+  size_t fresh = 0;
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    util::Rng rng(seed * 101);
+    const size_t n = 40;
+    ProjectedGraph g(n);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        if (rng.Bernoulli(0.3)) g.AddWeight(u, v, 1 + rng.UniformInt(0, 2));
+      }
+    }
+    CheckPeelSequence(std::move(g), seed, 12, 0.08, &carried, &fresh);
+  }
+  // The sequences exercise both routes.
+  EXPECT_GT(carried, 0u);
+  EXPECT_GT(fresh, 0u);
+}
+
+TEST(UpdateMaximalCliques, MatchesEnumerationOnEuTargets) {
+  for (uint64_t seed : {1u, 3u}) {
+    eval::PreparedDataset data =
+        eval::PrepareDataset("eu", /*multiplicity_reduced=*/false, seed);
+    size_t carried = 0;
+    size_t fresh = 0;
+    CheckPeelSequence(*data.g_target, seed, 6, 0.07, &carried, &fresh);
+    EXPECT_GT(carried, 0u);
+    EXPECT_GT(fresh, 0u);
+  }
+}
+
+TEST(UpdateMaximalCliques, SplitsADirtyCliqueOfMoreThan64Nodes) {
+  // K_100 minus the complete bipartite K_{35,35} between A = {0..34} and
+  // B = {35..69}: the 70 broken members exceed one bitset word, and the
+  // maximal cliques are {70..99} plus A, and {70..99} plus B.
+  constexpr NodeId kN = 100;
+  ProjectedGraph g = CompleteGraph(kN);
+  MaximalCliqueResult previous = EnumerateMaximalCliques(CsrGraph(g));
+  ASSERT_EQ(previous.cliques.size(), 1u);
+  std::vector<NodeId> touched;
+  for (NodeId a = 0; a < 35; ++a) {
+    for (NodeId b = 35; b < 70; ++b) g.PeelClique(NodeSet{a, b});
+  }
+  for (NodeId u = 0; u < 70; ++u) touched.push_back(u);
+  CsrGraph snapshot(g);
+  MaximalCliqueResult want = EnumerateMaximalCliques(snapshot);
+  ASSERT_EQ(want.cliques.size(), 2u);
+  for (int threads : {1, 2, 8}) {
+    CliqueOptions options;
+    options.num_threads = threads;
+    MaximalCliqueUpdate got =
+        UpdateMaximalCliques(snapshot, &previous, touched, options);
+    EXPECT_TRUE(got.result.cliques == want.cliques) << "threads=" << threads;
+    EXPECT_EQ(got.previous_index,
+              std::vector<size_t>(2, kNewClique));
+  }
+}
+
+TEST(UpdateMaximalCliques, DropsNodesLeftIsolated) {
+  // Triangle {0,1,2}, pendant {2,3} and a lone edge {4,5}. Peeling {4,5}
+  // and {2,3} leaves 3, 4 and 5 isolated: enumeration emits no
+  // singletons, so neither may the update.
+  ProjectedGraph g(6);
+  g.AddWeight(0, 1, 1);
+  g.AddWeight(0, 2, 1);
+  g.AddWeight(1, 2, 1);
+  g.AddWeight(2, 3, 1);
+  g.AddWeight(4, 5, 1);
+  MaximalCliqueResult previous = EnumerateMaximalCliques(CsrGraph(g));
+  ASSERT_EQ(previous.cliques.size(), 3u);
+  g.PeelClique(NodeSet{2, 3});
+  g.PeelClique(NodeSet{4, 5});
+  CsrGraph snapshot(g);
+  MaximalCliqueUpdate got = UpdateMaximalCliques(
+      snapshot, &previous, std::vector<NodeId>{2, 3, 4, 5});
+  EXPECT_TRUE(got.result.cliques == EnumerateMaximalCliques(snapshot).cliques);
+  ASSERT_EQ(got.result.cliques.size(), 1u);
+  EXPECT_EQ(got.result.cliques.Materialize(0), (NodeSet{0, 1, 2}));
+  EXPECT_EQ(got.previous_index, std::vector<size_t>{0});
+
+  // Peel the triangle too: nothing is left.
+  g.PeelClique(NodeSet{0, 1, 2});
+  MaximalCliqueUpdate empty = UpdateMaximalCliques(
+      CsrGraph(g), &got.result, std::vector<NodeId>{0, 1, 2});
+  EXPECT_TRUE(empty.result.cliques.empty());
+}
+
+TEST(UpdateMaximalCliques, FallsBackToEnumeration) {
+  util::Rng rng(77);
+  const size_t n = 30;
+  ProjectedGraph g(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (rng.Bernoulli(0.3)) g.AddWeight(u, v, 1);
+    }
+  }
+  MaximalCliqueResult previous = EnumerateMaximalCliques(CsrGraph(g));
+  const NodeSet first = previous.cliques.Materialize(0);
+  g.PeelClique(first);
+  CsrGraph snapshot(g);
+  auto all_new = [](const MaximalCliqueUpdate& u) {
+    return u.previous_index ==
+           std::vector<size_t>(u.result.cliques.size(), kNewClique);
+  };
+
+  // No previous store (the first iteration).
+  MaximalCliqueUpdate none = UpdateMaximalCliques(snapshot, nullptr, first);
+  EXPECT_TRUE(none.result.cliques ==
+              EnumerateMaximalCliques(snapshot).cliques);
+  EXPECT_TRUE(all_new(none));
+
+  // A result over max_cliques is enumeration's truncated prefix.
+  for (int threads : {1, 2, 8}) {
+    CliqueOptions capped;
+    capped.num_threads = threads;
+    capped.max_cliques = previous.cliques.size() / 2;
+    MaximalCliqueResult want = EnumerateMaximalCliques(snapshot, capped);
+    ASSERT_TRUE(want.truncated);
+    MaximalCliqueUpdate got =
+        UpdateMaximalCliques(snapshot, &previous, first, capped);
+    EXPECT_TRUE(got.result.truncated);
+    EXPECT_TRUE(got.result.cliques == want.cliques) << "threads=" << threads;
+    EXPECT_TRUE(all_new(got));
+  }
+
+  // A truncated or cancelled previous store is not trusted.
+  for (bool truncated : {true, false}) {
+    MaximalCliqueResult partial;
+    partial.cliques.PushClique(first);
+    partial.truncated = truncated;
+    partial.cancelled = !truncated;
+    MaximalCliqueUpdate got = UpdateMaximalCliques(snapshot, &partial, first);
+    EXPECT_TRUE(got.result.cliques ==
+                EnumerateMaximalCliques(snapshot).cliques);
+    EXPECT_TRUE(all_new(got));
+  }
+
+  // A tripped token flags the result cancelled.
+  util::CancelToken token;
+  token.Cancel();
+  CliqueOptions cancelled;
+  cancelled.cancel = &token;
+  EXPECT_TRUE(
+      UpdateMaximalCliques(snapshot, &previous, first, cancelled)
+          .result.cancelled);
 }
 
 TEST(DegeneracyOrdering, PathGraphHasDegeneracyOne) {
