@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 
 #include "hypergraph/clique.hpp"
@@ -158,6 +159,10 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
     if (try_apply(maximal[sc.index])) ++stats.accepted_phase1;
   }
 
+  // Phase 2's scoring snapshot, and where its peels start in
+  // `stats.touched_nodes`, for the hand-off through `carried`.
+  std::optional<CsrGraph> after_phase1;
+  size_t phase2_from = 0;
   if (!stats.cancelled && options.explore_subcliques && !rest.empty()) {
     // Phase 2: the lowest-r% scored cliques among the non-promising ones.
     SortByScore(maximal, /*best_first=*/false, &rest);
@@ -172,7 +177,8 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
     // `rng`); then all are scored in one batched, parallel pass over the
     // snapshot patched with Phase 1's peels. The patch equals a rebuild,
     // and CSR scores equal hash-map scores, so this is bit-identical to
-    // scoring each sample on `*g`.
+    // scoring each sample on `*g`. If Phase 1 peeled nothing, the
+    // snapshot itself is that graph.
     CliqueStore samples;
     for (size_t i = 0; i < take && !stats.cancelled; ++i) {
       CliqueView q = maximal[rest[i].index];
@@ -189,11 +195,13 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
     }
     std::vector<IndexedScore> subs;
     if (!stats.cancelled && !samples.empty()) {
-      CsrGraph after_phase1(snapshot, *g, stats.touched_nodes,
-                            options.num_threads);
-      std::vector<double> sub_scores =
-          classifier.ScoreAll(after_phase1, samples, /*is_maximal=*/false,
-                              options.num_threads, options.cancel);
+      if (!stats.touched_nodes.empty()) {
+        after_phase1.emplace(snapshot, *g, stats.touched_nodes,
+                             options.num_threads);
+      }
+      std::vector<double> sub_scores = classifier.ScoreAll(
+          after_phase1 ? *after_phase1 : snapshot, samples,
+          /*is_maximal=*/false, options.num_threads, options.cancel);
       // A trip leaves unwritten slots: no partial score is consumed.
       if (util::ShouldStop(options.cancel)) {
         stats.cancelled = true;
@@ -207,6 +215,7 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
       }
     }
     SortByScore(samples, /*best_first=*/true, &subs);
+    phase2_from = stats.touched_nodes.size();
     for (const IndexedScore& sc : subs) {
       if (cancel_check.ShouldStop()) {
         stats.cancelled = true;
@@ -216,15 +225,24 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
     }
   }
 
-  Canonicalize(&stats.touched_nodes);
   if (carried != nullptr) {
+    carried->after_phase1.reset();
     if (stats.cancelled) {
       carried->previous.reset();
     } else {
       carried->previous = std::move(found.result);
       carried->scores = std::move(scores);
+      if (after_phase1) {
+        carried->after_phase1 = std::move(after_phase1);
+        carried->after_phase1_touched.assign(
+            stats.touched_nodes.begin() +
+                static_cast<std::ptrdiff_t>(phase2_from),
+            stats.touched_nodes.end());
+        Canonicalize(&carried->after_phase1_touched);
+      }
     }
   }
+  Canonicalize(&stats.touched_nodes);
   return stats;
 }
 

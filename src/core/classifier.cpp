@@ -133,9 +133,8 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   auto fill = [&](const std::vector<NodeSet>& cliques, double label) {
     for (const NodeSet& q : cliques) {
       if (checker.ShouldStop()) return;
-      la::Vector f = extractor_.Extract(g_source, q,
-                                        maximal_set.count(q) > 0, &scratch);
-      std::copy(f.begin(), f.end(), x.Row(row));
+      extractor_.ExtractInto(g_source, q, maximal_set.count(q) > 0,
+                             &scratch, {x.Row(row), x.cols()});
       y[row] = label;
       ++row;
     }
@@ -184,9 +183,8 @@ std::vector<double> CliqueClassifier::ScoreAll(const CsrGraph& g,
           const size_t rows = std::min(kScoreBlock, end - start);
           if (features.rows() != rows) features = la::Matrix(rows, dim);
           for (size_t r = 0; r < rows; ++r) {
-            la::Vector f = extractor_.Extract(g, cliques[start + r],
-                                              is_maximal, &scratch);
-            std::copy(f.begin(), f.end(), features.Row(r));
+            extractor_.ExtractInto(g, cliques[start + r], is_maximal,
+                                   &scratch, {features.Row(r), dim});
           }
           scaler_.Transform(&features);
           la::Vector p = mlp_->PredictBatch(features);

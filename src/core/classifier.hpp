@@ -64,9 +64,10 @@ class CliqueClassifier {
   /// snapshot — the reconstruction loop's path: element i is
   /// `Score(g, cliques[i], is_maximal)` on the same graph, bit for bit.
   /// Each range of `util::ParallelForRanges` (0 = all cores) is scored
-  /// in blocks of `kScoreBlock` cliques: the block's features go
-  /// into one small buffer, are scaled, and pass through one
-  /// `Mlp::PredictBatch`. A row's score depends only on its own features,
+  /// in blocks of `kScoreBlock` cliques: each clique's features are
+  /// written straight into its row of one small buffer
+  /// (`FeatureExtractor::ExtractInto`), scaled, and passed through one
+  /// `Mlp::PredictBatch`. Scoring fills `g`'s MHH column as it goes. A row's score depends only on its own features,
   /// so scores are identical for any thread count and block size. A
   /// tripped `cancel` token (null = non-cancellable) stops each range
   /// within one block; the returned vector then holds unwritten (zero)

@@ -71,49 +71,95 @@ size_t FeatureDim(FeatureMode mode) {
   return 0;
 }
 
+/// Scatters row u into `s->row_weights` (w(u, z) at index z) and, on a
+/// CSR snapshot, each neighbor's position in the row into `s->row_slots`.
+void ScatterRow(const ProjectedGraph& g, NodeId u, FeatureScratch* s) {
+  for (const auto& [z, w] : g.Neighbors(u)) s->row_weights[z] = w;
+}
+
+void ScatterRow(const CsrGraph& g, NodeId u, FeatureScratch* s) {
+  auto nbrs = g.Neighbors(u);
+  auto weights = g.Weights(u);
+  for (size_t t = 0; t < nbrs.size(); ++t) {
+    s->row_weights[nbrs[t]] = weights[t];
+    s->row_slots[nbrs[t]] = static_cast<uint32_t>(t);
+  }
+}
+
+/// MHH(u, v) (Eq. (1)) given u's row scattered into `row`: the sum of
+/// min(w_vz, row[z]) over row v. row[u] = 0 and v is not its own
+/// neighbor, so exactly the common neighbors count. An integer sum, so
+/// the value is exact in any row order.
 template <typename Graph>
-la::Vector ExtractMultiplicityAware(const Graph& g, CliqueView clique,
-                                    bool is_maximal,
-                                    FeatureScratch* scratch) {
+uint64_t ScanMhh(const Graph& g, NodeId v, const std::vector<uint32_t>& row) {
+  uint64_t common = 0;
+  ForEachNeighbor(g, v, [&row, &common](NodeId z, uint32_t w) {
+    common += std::min(w, row[z]);
+  });
+  return common;
+}
+
+/// MHH(u, v) with u's row scattered into `s`. The hash-map graph scans;
+/// a CSR snapshot reads the pair's MHH column entry, found in O(1)
+/// through the scattered slots, and scans and stores it on a miss. A
+/// non-edge (a Phase-2 sub-clique pair Phase 1 peeled away) has no
+/// entry and is always scanned.
+uint64_t PairMhh(const ProjectedGraph& g, NodeId, NodeId v,
+                 const FeatureScratch& s) {
+  return ScanMhh(g, v, s.row_weights);
+}
+
+uint64_t PairMhh(const CsrGraph& g, NodeId u, NodeId v,
+                 const FeatureScratch& s) {
+  if (s.row_weights[v] == 0) return ScanMhh(g, v, s.row_weights);
+  const size_t t = s.row_slots[v];
+  const uint32_t known = g.KnownMhh(u, t);
+  if (known != CsrGraph::kMhhUnknown) return known;
+  const uint64_t mhh = ScanMhh(g, v, s.row_weights);
+  g.StoreMhh(u, t, mhh);
+  return mhh;
+}
+
+template <typename Graph>
+void ExtractMultiplicityAware(const Graph& g, CliqueView clique,
+                              bool is_maximal, FeatureScratch* s,
+                              double* out) {
   const size_t k = clique.size();
 
   // Node-level: weighted degree of each clique member.
-  std::vector<double> wdeg;
-  wdeg.reserve(k);
+  std::vector<double>& wdeg = s->node_values;
+  wdeg.clear();
   for (NodeId u : clique) {
     wdeg.push_back(static_cast<double>(g.WeightedDegree(u)));
   }
 
   // Edge-level: multiplicity, MHH, MHH / multiplicity per clique edge,
-  // in (i, j) pair order. Row i's weights are scattered into the zeroed
-  // node-indexed buffer once; then w(i, j) = row[q_j], and MHH(i, j)
-  // (Eq. (1)) is the sum of min(w_jz, row[z]) over row j — row[q_i] = 0
-  // and q_j is not its own neighbor, so exactly the common neighbors
-  // count. Integer sums, so the values are exact in any row order.
-  std::vector<uint32_t>& row = scratch->row_weights;
-  if (row.size() < g.num_nodes()) row.resize(g.num_nodes(), 0);
-  std::vector<double> mult, mhh, mhh_ratio;
-  mult.reserve(k * (k - 1) / 2);
-  mhh.reserve(mult.capacity());
-  mhh_ratio.reserve(mult.capacity());
+  // in (i, j) pair order. Row i is scattered into the zeroed node-indexed
+  // buffer once; then w(i, j) = row[q_j] and MHH(i, j) comes from
+  // PairMhh.
+  if (s->row_weights.size() < g.num_nodes()) {
+    s->row_weights.resize(g.num_nodes(), 0);
+    s->row_slots.resize(g.num_nodes(), 0);
+  }
+  std::vector<double>& mult = s->pair_values[0];
+  std::vector<double>& mhh = s->pair_values[1];
+  std::vector<double>& mhh_ratio = s->pair_values[2];
+  mult.clear();
+  mhh.clear();
+  mhh_ratio.clear();
   double internal_weight = 0.0;
   for (size_t i = 0; i + 1 < k; ++i) {
-    ForEachNeighbor(g, clique[i], [&row](NodeId z, uint32_t w) {
-      row[z] = w;
-    });
+    ScatterRow(g, clique[i], s);
     for (size_t j = i + 1; j < k; ++j) {
-      uint64_t common = 0;
-      ForEachNeighbor(g, clique[j], [&row, &common](NodeId z, uint32_t w) {
-        common += std::min(w, row[z]);
-      });
-      double w = static_cast<double>(row[clique[j]]);
-      double m = static_cast<double>(common);
+      double w = static_cast<double>(s->row_weights[clique[j]]);
+      double m = static_cast<double>(PairMhh(g, clique[i], clique[j], *s));
       mult.push_back(w);
       mhh.push_back(m);
       mhh_ratio.push_back(w > 0 ? m / w : 0.0);
       internal_weight += w;
     }
-    ForEachNeighbor(g, clique[i], [&row](NodeId z, uint32_t) { row[z] = 0; });
+    ForEachNeighbor(g, clique[i],
+                    [s](NodeId z, uint32_t) { s->row_weights[z] = 0; });
   }
 
   // Clique-level: size, cut ratio, maximality.
@@ -124,35 +170,29 @@ la::Vector ExtractMultiplicityAware(const Graph& g, CliqueView clique,
                          ? internal_weight / (internal_weight + boundary)
                          : 0.0;
 
-  la::Vector out;
-  out.reserve(FeatureDim(FeatureMode::kMultiplicityAware));
-  auto append = [&out](const std::vector<double>& agg) {
-    out.insert(out.end(), agg.begin(), agg.end());
-  };
-  append(util::Aggregate5(wdeg));
-  append(util::Aggregate5(mult));
-  append(util::Aggregate5(mhh));
-  append(util::Aggregate5(mhh_ratio));
-  out.push_back(static_cast<double>(k));
-  out.push_back(cut_ratio);
-  out.push_back(is_maximal ? 1.0 : 0.0);
-  MARIOH_CHECK_EQ(out.size(), FeatureDim(FeatureMode::kMultiplicityAware));
-  return out;
+  util::Aggregate5Into(wdeg, out);
+  util::Aggregate5Into(mult, out + 5);
+  util::Aggregate5Into(mhh, out + 10);
+  util::Aggregate5Into(mhh_ratio, out + 15);
+  out[20] = static_cast<double>(k);
+  out[21] = cut_ratio;
+  out[22] = is_maximal ? 1.0 : 0.0;
 }
 
+/// The 13 structural dims into out[0..13); kMotif extends them.
 template <typename Graph>
-la::Vector ExtractStructural(const Graph& g, CliqueView clique,
-                             bool is_maximal) {
+void ExtractStructural(const Graph& g, CliqueView clique, bool is_maximal,
+                       FeatureScratch* s, double* out) {
   const size_t k = clique.size();
 
   // Node-level: unweighted degree.
-  std::vector<double> deg;
-  deg.reserve(k);
+  std::vector<double>& deg = s->node_values;
+  deg.clear();
   for (NodeId u : clique) deg.push_back(static_cast<double>(g.Degree(u)));
 
   // Edge-level: common-neighbor count of each edge's endpoints.
-  std::vector<double> common;
-  common.reserve(k * (k - 1) / 2);
+  std::vector<double>& common = s->pair_values[0];
+  common.clear();
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = i + 1; j < k; ++j) {
       common.push_back(static_cast<double>(
@@ -163,10 +203,10 @@ la::Vector ExtractStructural(const Graph& g, CliqueView clique,
   // Neighborhood edge density: fraction of pairs among the union of the
   // clique's neighbors (capped for cost, in ascending-id order) that are
   // connected.
-  NodeSet hood(clique.begin(), clique.end());
-  std::vector<NodeId> scratch;
+  NodeSet& hood = s->hood;
+  hood.assign(clique.begin(), clique.end());
   for (NodeId u : clique) {
-    for (NodeId v : SortedNeighborIds(g, u, &scratch)) {
+    for (NodeId v : SortedNeighborIds(g, u, &s->neighbor_ids)) {
       hood.push_back(v);
       if (hood.size() >= kHoodCap) break;
     }
@@ -186,67 +226,63 @@ la::Vector ExtractStructural(const Graph& g, CliqueView clique,
     density = static_cast<double>(present) / static_cast<double>(pairs);
   }
 
-  la::Vector out;
-  out.reserve(FeatureDim(FeatureMode::kStructural));
-  auto append = [&out](const std::vector<double>& agg) {
-    out.insert(out.end(), agg.begin(), agg.end());
-  };
-  append(util::Aggregate5(deg));
-  append(util::Aggregate5(common));
-  out.push_back(density);
-  out.push_back(static_cast<double>(k));
-  out.push_back(is_maximal ? 1.0 : 0.0);
-  // 13 structural dims; kMotif extends this vector afterwards.
-  MARIOH_CHECK_EQ(out.size(), 13u);
-  return out;
+  util::Aggregate5Into(deg, out);
+  util::Aggregate5Into(common, out + 5);
+  out[10] = density;
+  out[11] = static_cast<double>(k);
+  out[12] = is_maximal ? 1.0 : 0.0;
 }
 
 template <typename Graph>
-la::Vector ExtractMotif(const Graph& g, CliqueView clique,
-                        bool is_maximal) {
+void ExtractMotif(const Graph& g, CliqueView clique, bool is_maximal,
+                  FeatureScratch* s, double* out) {
   // Structural features first (13 dims, computed identically to
   // kStructural), then motif statistics.
-  la::Vector out = ExtractStructural(g, clique, is_maximal);
+  ExtractStructural(g, clique, is_maximal, s, out);
 
-  std::vector<double> clustering;
-  clustering.reserve(clique.size());
+  std::vector<double>& clustering = s->node_values;
+  clustering.clear();
   for (NodeId u : clique) {
     clustering.push_back(ClusteringCoefficient(g, u));
   }
-  std::vector<double> squares;
-  squares.reserve(clique.size() * (clique.size() - 1) / 2);
+  std::vector<double>& squares = s->pair_values[0];
+  squares.clear();
   for (size_t i = 0; i < clique.size(); ++i) {
     for (size_t j = i + 1; j < clique.size(); ++j) {
       squares.push_back(static_cast<double>(
           SquaresThroughEdge(g, clique[i], clique[j])));
     }
   }
-  auto append = [&out](const std::vector<double>& agg) {
-    out.insert(out.end(), agg.begin(), agg.end());
-  };
-  append(util::Aggregate5(clustering));
-  append(util::Aggregate5(squares));
-  MARIOH_CHECK_EQ(out.size(), FeatureDim(FeatureMode::kMotif));
-  return out;
+  util::Aggregate5Into(clustering, out + 13);
+  util::Aggregate5Into(squares, out + 18);
 }
 
 template <typename Graph>
-la::Vector ExtractImpl(FeatureMode mode, const Graph& g, CliqueView clique,
-                       bool is_maximal, FeatureScratch* scratch) {
+void ExtractImpl(FeatureMode mode, const Graph& g, CliqueView clique,
+                 bool is_maximal, FeatureScratch* scratch,
+                 std::span<double> out) {
   MARIOH_CHECK_GE(clique.size(), 2u);
+  MARIOH_CHECK_EQ(out.size(), FeatureDim(mode));
   switch (mode) {
-    case FeatureMode::kMultiplicityAware: {
-      FeatureScratch own;  // empty, so free, unless `scratch` is null
-      return ExtractMultiplicityAware(g, clique, is_maximal,
-                                      scratch != nullptr ? scratch : &own);
-    }
+    case FeatureMode::kMultiplicityAware:
+      return ExtractMultiplicityAware(g, clique, is_maximal, scratch,
+                                      out.data());
     case FeatureMode::kStructural:
-      return ExtractStructural(g, clique, is_maximal);
+      return ExtractStructural(g, clique, is_maximal, scratch, out.data());
     case FeatureMode::kMotif:
-      return ExtractMotif(g, clique, is_maximal);
+      return ExtractMotif(g, clique, is_maximal, scratch, out.data());
   }
   MARIOH_CHECK(false);
-  return {};
+}
+
+template <typename Graph>
+la::Vector ExtractVector(FeatureMode mode, const Graph& g, CliqueView clique,
+                         bool is_maximal, FeatureScratch* scratch) {
+  la::Vector out(FeatureDim(mode));
+  FeatureScratch own;  // empty, so free, unless `scratch` is null
+  ExtractImpl(mode, g, clique, is_maximal,
+              scratch != nullptr ? scratch : &own, out);
+  return out;
 }
 
 }  // namespace
@@ -256,13 +292,26 @@ size_t FeatureExtractor::dim() const { return FeatureDim(mode_); }
 la::Vector FeatureExtractor::Extract(const ProjectedGraph& g,
                                      CliqueView clique, bool is_maximal,
                                      FeatureScratch* scratch) const {
-  return ExtractImpl(mode_, g, clique, is_maximal, scratch);
+  return ExtractVector(mode_, g, clique, is_maximal, scratch);
 }
 
 la::Vector FeatureExtractor::Extract(const CsrGraph& g, CliqueView clique,
                                      bool is_maximal,
                                      FeatureScratch* scratch) const {
-  return ExtractImpl(mode_, g, clique, is_maximal, scratch);
+  return ExtractVector(mode_, g, clique, is_maximal, scratch);
+}
+
+void FeatureExtractor::ExtractInto(const ProjectedGraph& g,
+                                   CliqueView clique, bool is_maximal,
+                                   FeatureScratch* scratch,
+                                   std::span<double> out) const {
+  ExtractImpl(mode_, g, clique, is_maximal, scratch, out);
+}
+
+void FeatureExtractor::ExtractInto(const CsrGraph& g, CliqueView clique,
+                                   bool is_maximal, FeatureScratch* scratch,
+                                   std::span<double> out) const {
+  ExtractImpl(mode_, g, clique, is_maximal, scratch, out);
 }
 
 }  // namespace marioh::core

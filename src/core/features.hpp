@@ -7,13 +7,17 @@
 /// hash-map `ProjectedGraph` or an immutable `CsrGraph` snapshot; both
 /// paths produce bit-identical vectors (work caps truncate neighbor sets
 /// in ascending-id order on both). The CSR overload is the reconstruction
-/// loop's hot path: `CliqueClassifier::ScoreAll` calls it per clique,
-/// block by block, inside one parallel loop over the frozen snapshot.
+/// loop's hot path: `CliqueClassifier::ScoreAll` calls `ExtractInto` per
+/// clique, writing straight into its block's feature row, inside one
+/// parallel loop over the frozen snapshot; on a CSR snapshot the
+/// multiplicity-aware pair kernel reads and fills the snapshot's MHH
+/// column, so each pair's MHH is summed once per row version.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hypergraph/clique.hpp"
@@ -41,14 +45,23 @@ enum class FeatureMode {
   kMotif,
 };
 
-/// Caller-owned scratch for the multiplicity-aware pair kernel: a buffer
-/// indexed by node id that one clique member's weight row is scattered
-/// into at a time. It grows to the graph's node count on first use and is
-/// all zero between calls, so one instance serves any number of cliques
-/// and graphs. Not shareable across threads: keep one per thread (the
+/// Caller-owned scratch of feature extraction, reused across calls so a
+/// loop over many cliques allocates nothing per clique. `row_weights` is
+/// a node-indexed buffer that one clique member's weight row is scattered
+/// into at a time (and, on a CSR snapshot, `row_slots` the neighbors'
+/// positions in that row, which address its MHH column entries); it grows
+/// to the graph's node count on first use and is all zero between calls,
+/// so one instance serves any number of cliques and graphs. The other
+/// vectors hold one clique's per-node and per-pair values until they are
+/// aggregated. Not shareable across threads: keep one per thread (the
 /// batched scorer keeps one per parallel range).
 struct FeatureScratch {
   std::vector<uint32_t> row_weights;
+  std::vector<uint32_t> row_slots;
+  std::vector<double> node_values;
+  std::vector<double> pair_values[3];
+  std::vector<NodeId> hood;
+  std::vector<NodeId> neighbor_ids;
 };
 
 /// Extracts fixed-length feature vectors for cliques of a projected graph.
@@ -65,7 +78,8 @@ class FeatureExtractor {
   /// size >= 2) measured on graph `g`. `is_maximal` is the caller-supplied
   /// maximality indicator (cliques from the maximal enumeration pass 1,
   /// sub-cliques 0). `scratch` is reused across calls by loops over many
-  /// cliques; null makes the call build its own.
+  /// cliques; null makes the call build its own. A wrapper over
+  /// ExtractInto.
   la::Vector Extract(const ProjectedGraph& g, CliqueView clique,
                      bool is_maximal,
                      FeatureScratch* scratch = nullptr) const;
@@ -74,6 +88,15 @@ class FeatureExtractor {
   /// ProjectedGraph overload on the same graph.
   la::Vector Extract(const CsrGraph& g, CliqueView clique, bool is_maximal,
                      FeatureScratch* scratch = nullptr) const;
+
+  /// Extract written into `out` (exactly `dim()` values, e.g. a feature
+  /// matrix row), bit for bit, with every temporary in `*scratch`: the
+  /// allocation-free form batched scoring and training use.
+  void ExtractInto(const ProjectedGraph& g, CliqueView clique,
+                   bool is_maximal, FeatureScratch* scratch,
+                   std::span<double> out) const;
+  void ExtractInto(const CsrGraph& g, CliqueView clique, bool is_maximal,
+                   FeatureScratch* scratch, std::span<double> out) const;
 
   FeatureMode mode() const { return mode_; }
 

@@ -16,6 +16,8 @@ FilteringStats Filtering(ProjectedGraph* g, Hypergraph* h, int num_threads,
   // residual pass only reads, so it runs on a frozen CSR snapshot: one
   // slot per node, each holding that node's u < v extractions in
   // ascending v order, concatenated afterwards into sorted edge order.
+  // Every u < v MHH lands in the snapshot's MHH column on the way, so the
+  // snapshot handed back through `pre_snapshot` starts fully memoized.
   struct Extraction {
     NodeId u;
     NodeId v;
@@ -30,7 +32,7 @@ FilteringStats Filtering(ProjectedGraph* g, Hypergraph* h, int num_threads,
     for (size_t i = 0; i < neighbors.size(); ++i) {
       NodeId v = neighbors[i];
       if (v <= u) continue;  // each undirected edge once, as (min, max)
-      uint64_t mhh = csr.Mhh(u, v);
+      uint64_t mhh = csr.MhhAt(static_cast<NodeId>(u), i);
       if (weights[i] > mhh) {
         slots[u].push_back(
             {static_cast<NodeId>(u), v,

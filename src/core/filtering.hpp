@@ -39,8 +39,9 @@ struct FilteringStats {
 /// sequentially in sorted edge order afterwards, so the result is
 /// identical for any thread count. If `pre_snapshot` is non-null it
 /// receives that internal snapshot (of `g` *before* the subtraction
-/// pass), so the caller can reuse it — patched with
-/// `FilteringStats::touched_nodes` — instead of paying a second build.
+/// pass, its MHH column filled by the pass), so the caller can reuse it —
+/// patched with `FilteringStats::touched_nodes`, which keeps every MHH
+/// entry between two untouched nodes — instead of paying a second build.
 ///
 /// A tripped `cancel` token (null = non-cancellable) stops the MHH pass
 /// within one node's row and skips the subtraction pass entirely, so a

@@ -16,6 +16,7 @@ CsrGraph::CsrGraph(const ProjectedGraph& g, int num_threads) {
   }
   neighbors_.resize(offsets_.back());
   weights_.resize(offsets_.back());
+  mhh_.assign(offsets_.back(), kMhhUnknown);
   weighted_degrees_.assign(n, 0);
   // Rows are independent slots, so sorting them is deterministic for any
   // thread count.
@@ -54,21 +55,31 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
   }
   neighbors_.resize(offsets_.back());
   weights_.resize(offsets_.back());
+  mhh_.resize(offsets_.back());
   weighted_degrees_.assign(n, 0);
   // Rows are independent slots, so the fill is deterministic for any
   // thread count: untouched rows are straight copies of `prev`'s sorted
   // rows, touched rows are re-gathered and re-sorted from `g` exactly as
-  // in the from-scratch build.
+  // in the from-scratch build. An MHH entry carries over only from an
+  // untouched row to an untouched neighbor: MHH(u, v) reads rows u and v.
+  // `prev` has no concurrent fills while it is patched, so its column is
+  // read plainly.
   util::ParallelFor(n, num_threads, nullptr, [&](size_t u) {
     const size_t base = offsets_[u];
     if (!is_touched[u]) {
       auto src_n = prev.Neighbors(u);
       auto src_w = prev.Weights(u);
+      const uint32_t* src_mhh = prev.mhh_.data() + prev.offsets_[u];
       std::copy(src_n.begin(), src_n.end(), neighbors_.begin() + base);
       std::copy(src_w.begin(), src_w.end(), weights_.begin() + base);
+      for (size_t t = 0; t < src_n.size(); ++t) {
+        mhh_[base + t] = is_touched[src_n[t]] ? kMhhUnknown : src_mhh[t];
+      }
       weighted_degrees_[u] = prev.weighted_degrees_[u];
       return;
     }
+    std::fill(mhh_.begin() + base, mhh_.begin() + offsets_[u + 1],
+              kMhhUnknown);
     std::vector<std::pair<NodeId, uint32_t>> row(g.Neighbors(u).begin(),
                                                  g.Neighbors(u).end());
     std::sort(row.begin(), row.end());

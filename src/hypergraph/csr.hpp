@@ -1,16 +1,26 @@
 /// \file csr.hpp
-/// \brief Immutable CSR (compressed sparse row) snapshot of a projected
-/// graph: cache-friendly sorted neighbor ranges, O(log d) adjacency tests,
-/// and fast sorted-merge common-neighbor iteration. This is the read path
-/// of the reconstruction loop's snapshot-then-peel pattern (see
-/// docs/ARCHITECTURE.md "The hot path"): every iteration freezes the
-/// mutable hash-map `ProjectedGraph` into a `CsrGraph`, runs the read-heavy
-/// kernels (maximal-clique enumeration, MHH, feature extraction) on the
-/// snapshot — in parallel, since it never changes — and then applies the
-/// accepted peels back to the mutable graph.
+/// \brief CSR (compressed sparse row) snapshot of a projected graph:
+/// cache-friendly sorted neighbor ranges, O(log d) adjacency tests, fast
+/// sorted-merge common-neighbor iteration, and a memo of MHH (Eq. (1))
+/// per edge slot. This is the read path of the reconstruction loop's
+/// snapshot-then-peel pattern (see docs/ARCHITECTURE.md "The hot path"):
+/// every iteration freezes the mutable hash-map `ProjectedGraph` into a
+/// `CsrGraph`, runs the read-heavy kernels (maximal-clique enumeration,
+/// MHH, feature extraction) on the snapshot — in parallel, since its
+/// adjacency never changes — and then applies the accepted peels back to
+/// the mutable graph.
+///
+/// The adjacency (offsets, neighbors, weights, degrees) is immutable once
+/// built. The MHH column is a memo beside it: entry t of row u caches
+/// MHH(u, Neighbors(u)[t]), is filled on first use (by `Filtering`, or by
+/// the multiplicity-aware feature kernel) with relaxed atomic stores, and
+/// is exact whenever it is filled — MHH(u, v) reads only rows u and v, so
+/// a patched snapshot carries every entry whose two endpoints' rows it
+/// copied. Concurrent fills of one entry store the same integer.
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -20,15 +30,22 @@
 
 namespace marioh {
 
-/// Immutable weighted-graph snapshot in CSR layout.
+/// Weighted-graph snapshot in CSR layout: an immutable adjacency plus
+/// the lazily filled MHH column (see the file comment).
 class CsrGraph {
  public:
+  /// Value of an MHH column entry that has not been computed yet. The
+  /// column holds 32-bit entries; an MHH too large for one is never
+  /// stored, so it stays unknown and is recomputed on every read.
+  static constexpr uint32_t kMhhUnknown = ~uint32_t{0};
+
   /// An empty snapshot (0 nodes); a placeholder to patch or assign into.
   CsrGraph() = default;
 
   /// Builds a snapshot of `g`. Neighbors of every node are sorted by id.
   /// `num_threads` parallelizes the per-row sort (0 = all cores); the
-  /// result is identical for any thread count.
+  /// result is identical for any thread count. The MHH column starts
+  /// unknown.
   explicit CsrGraph(const ProjectedGraph& g, int num_threads = 1);
 
   /// Incremental snapshot reuse: builds a snapshot of `g` by patching
@@ -40,8 +57,10 @@ class CsrGraph {
   /// instead of being re-gathered and re-sorted from the hash map).
   /// `touched_nodes` may be in any order and contain duplicates; nodes
   /// whose rows did not actually change are harmless (their rebuilt rows
-  /// come out identical). The result is bit-identical to `CsrGraph(g)`
-  /// for any thread count.
+  /// come out identical). The adjacency is bit-identical to `CsrGraph(g)`
+  /// for any thread count. The MHH column keeps `prev`'s entries whose
+  /// two endpoints are both untouched (their value is unchanged) and
+  /// leaves the rest unknown.
   CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
            std::span<const NodeId> touched_nodes, int num_threads = 1);
 
@@ -86,9 +105,36 @@ class CsrGraph {
   /// without materializing the intersection.
   size_t CommonNeighborCount(NodeId u, NodeId v) const;
 
-  /// MHH (Eq. (1)) computed on the snapshot; matches
-  /// ProjectedGraph::Mhh on the same graph.
+  /// MHH (Eq. (1)) computed on the snapshot by a sorted merge of rows u
+  /// and v; matches ProjectedGraph::Mhh on the same graph. Neither reads
+  /// nor fills the MHH column.
   uint64_t Mhh(NodeId u, NodeId v) const;
+
+  /// MHH(u, Neighbors(u)[t]) from the MHH column; on a miss it is
+  /// computed with `Mhh` and stored. Safe to call from many threads.
+  uint64_t MhhAt(NodeId u, size_t t) const {
+    const uint32_t known = KnownMhh(u, t);
+    if (known != kMhhUnknown) return known;
+    const uint64_t mhh = Mhh(u, Neighbors(u)[t]);
+    StoreMhh(u, t, mhh);
+    return mhh;
+  }
+
+  /// The MHH column entry of slot t of row u — MHH(u, Neighbors(u)[t]) —
+  /// or kMhhUnknown if it has not been filled.
+  uint32_t KnownMhh(NodeId u, size_t t) const {
+    return std::atomic_ref<uint32_t>(mhh_[offsets_[u] + t])
+        .load(std::memory_order_relaxed);
+  }
+
+  /// Fills slot t of row u with `mhh`, which must equal
+  /// MHH(u, Neighbors(u)[t]); a value that does not fit an entry is not
+  /// stored. Racing fills store the same value.
+  void StoreMhh(NodeId u, size_t t, uint64_t mhh) const {
+    if (mhh >= kMhhUnknown) return;
+    std::atomic_ref<uint32_t>(mhh_[offsets_[u] + t])
+        .store(static_cast<uint32_t>(mhh), std::memory_order_relaxed);
+  }
 
   /// True if every pair of distinct nodes in `nodes` (a canonical
   /// NodeSet or CliqueView) is an edge — i.e. `nodes` is a clique of
@@ -104,6 +150,10 @@ class CsrGraph {
   std::vector<uint32_t> weights_;   // aligned with neighbors_
   std::vector<uint64_t> weighted_degrees_;  // size num_nodes
   uint64_t total_weight_ = 0;
+  // MHH memo aligned with neighbors_: exact or kMhhUnknown. Mutable
+  // because const readers fill it; readers and fillers go through
+  // std::atomic_ref, so concurrent fills are race-free.
+  mutable std::vector<uint32_t> mhh_;
 };
 
 }  // namespace marioh

@@ -6,7 +6,16 @@
 namespace marioh::util {
 
 std::vector<double> Aggregate5(const std::vector<double>& values) {
-  if (values.empty()) return {0.0, 0.0, 0.0, 0.0, 0.0};
+  std::vector<double> out(5);
+  Aggregate5Into(values, out.data());
+  return out;
+}
+
+void Aggregate5Into(std::span<const double> values, double* out) {
+  if (values.empty()) {
+    std::fill(out, out + 5, 0.0);
+    return;
+  }
   double sum = 0.0;
   double lo = values.front();
   double hi = values.front();
@@ -19,7 +28,11 @@ std::vector<double> Aggregate5(const std::vector<double>& values) {
   double var = 0.0;
   for (double v : values) var += (v - mean) * (v - mean);
   var /= static_cast<double>(values.size());
-  return {sum, mean, lo, hi, std::sqrt(var)};
+  out[0] = sum;
+  out[1] = mean;
+  out[2] = lo;
+  out[3] = hi;
+  out[4] = std::sqrt(var);
 }
 
 void RunningStats::Add(double x) {

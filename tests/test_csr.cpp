@@ -3,8 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <thread>
+#include <tuple>
+
+#include "core/classifier.hpp"
+#include "core/features.hpp"
+#include "core/filtering.hpp"
 #include "gen/hypercl.hpp"
+#include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace marioh {
@@ -93,6 +103,158 @@ TEST_P(CsrEquivalence, MatchesProjectedGraphEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, CsrEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// ---- The MHH column ------------------------------------------------------
+
+/// Checks every u < v entry of `csr`'s MHH column against `g` (the graph
+/// `csr` is a snapshot of): a filled entry must already hold MHH(u, v),
+/// and reading any entry through MhhAt must give it. Returns how many
+/// entries were filled before the check read them.
+size_t CheckMhhColumn(const CsrGraph& csr, const ProjectedGraph& g,
+                      const std::string& where) {
+  size_t known = 0;
+  for (NodeId u = 0; u < csr.num_nodes(); ++u) {
+    auto nbrs = csr.Neighbors(u);
+    for (size_t t = 0; t < nbrs.size(); ++t) {
+      if (nbrs[t] < u) continue;
+      const uint64_t want = g.Mhh(u, nbrs[t]);
+      if (csr.KnownMhh(u, t) != CsrGraph::kMhhUnknown) {
+        ++known;
+        EXPECT_EQ(csr.KnownMhh(u, t), want)
+            << where << ": stale entry (" << u << "," << nbrs[t] << ")";
+      }
+      EXPECT_EQ(csr.MhhAt(u, t), want)
+          << where << ": (" << u << "," << nbrs[t] << ")";
+    }
+  }
+  return known;
+}
+
+/// Extracts multiplicity-aware features of every clique in `cliques` on
+/// `csr` from `threads` threads, which fills the column's misses.
+void ExtractAll(const CsrGraph& csr, const CliqueStore& cliques,
+                int threads) {
+  core::FeatureExtractor extractor(core::FeatureMode::kMultiplicityAware);
+  util::ParallelForRanges(
+      cliques.size(), threads, [&](size_t, size_t begin, size_t end) {
+        core::FeatureScratch scratch;
+        std::vector<double> row(extractor.dim());
+        for (size_t i = begin; i < end; ++i) {
+          extractor.ExtractInto(csr, cliques[i], true, &scratch, row);
+        }
+      });
+}
+
+// A seeded chain like the reconstruction loop's: Filtering fills a
+// snapshot's column, patches carry it, feature extraction fills misses
+// and random clique peels invalidate rows. After every step each entry
+// read from the column equals the hash-map graph's MHH.
+class MhhColumnChain
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
+
+TEST_P(MhhColumnChain, EveryEntryIsExactAfterEachStep) {
+  const auto [seed, threads] = GetParam();
+  util::Rng rng(seed);
+  Hypergraph source = gen::HyperClLike(70, 150, 3.2, 0.7, &rng);
+  ProjectedGraph g = source.Project();
+  const ProjectedGraph before_filter = g;
+  Hypergraph h(g.num_nodes());
+  CsrGraph pre_filter;
+  core::FilteringStats stats =
+      core::Filtering(&g, &h, threads, &pre_filter);
+  // Filtering computes every edge's MHH: its snapshot is fully filled.
+  const size_t edges = pre_filter.num_edges();
+  EXPECT_EQ(CheckMhhColumn(pre_filter, before_filter, "filtering"), edges);
+
+  CsrGraph snapshot(pre_filter, g, stats.touched_nodes, threads);
+  size_t carried = CheckMhhColumn(snapshot, g, "after filtering");
+  EXPECT_GT(carried, 0u);
+  for (int step = 0; step < 12 && !g.Empty(); ++step) {
+    CliqueStore cliques = EnumerateMaximalCliques(snapshot).cliques;
+    CsrGraph cold(g, threads);
+    ExtractAll(cold, cliques, threads);
+    CheckMhhColumn(cold, g, "cold, step " + std::to_string(step));
+    ExtractAll(snapshot, cliques, threads);
+    CheckMhhColumn(snapshot, g, "filled, step " + std::to_string(step));
+
+    // Peel a few random maximal cliques, then patch.
+    std::vector<NodeId> touched;
+    for (int p = 0; p < 3 && !cliques.empty(); ++p) {
+      CliqueView q = cliques[rng.UniformIndex(cliques.size())];
+      if (!g.IsClique(q)) continue;
+      g.PeelClique(q);
+      touched.insert(touched.end(), q.begin(), q.end());
+    }
+    snapshot = CsrGraph(snapshot, g, touched, threads);
+    carried = CheckMhhColumn(snapshot, g,
+                             "patched, step " + std::to_string(step));
+    if (!touched.empty()) {
+      EXPECT_GT(carried, 0u) << "step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndThreads, MhhColumnChain,
+    ::testing::Combine(::testing::Values(uint64_t{11}, uint64_t{12},
+                                         uint64_t{13}),
+                       ::testing::Values(1, 2, 8)));
+
+// An MHH that does not fit a 32-bit entry is exact on every read but is
+// never memoized.
+TEST(MhhColumn, ValueTooLargeForAnEntryIsNotStored) {
+  ProjectedGraph g(4);
+  const uint32_t big = uint32_t{1} << 31;
+  g.AddWeight(0, 1, 1);
+  for (NodeId z : {2u, 3u}) {
+    g.AddWeight(0, z, big);
+    g.AddWeight(1, z, big);
+  }
+  CsrGraph csr(g);
+  ASSERT_EQ(csr.Neighbors(0)[0], 1u);
+  EXPECT_EQ(csr.MhhAt(0, 0), uint64_t{1} << 32);
+  EXPECT_EQ(csr.KnownMhh(0, 0), CsrGraph::kMhhUnknown);
+  EXPECT_EQ(csr.MhhAt(0, 0), g.Mhh(0, 1));
+  // A small value next to it is stored.
+  EXPECT_EQ(csr.MhhAt(2, 1), g.Mhh(2, 1));
+  EXPECT_EQ(csr.KnownMhh(2, 1), g.Mhh(2, 1));
+}
+
+// Eight threads score one cold snapshot at once, racing to fill the same
+// column entries: every result equals a single-threaded score of a
+// private cold copy, bit for bit (and TSan sees no race).
+TEST(MhhColumn, ConcurrentScoringOfOneColdSnapshotIsIdentical) {
+  util::Rng rng(5);
+  Hypergraph source = gen::HyperClLike(80, 180, 3.2, 0.7, &rng);
+  ProjectedGraph g = source.Project();
+  core::CliqueClassifier classifier(core::FeatureMode::kMultiplicityAware,
+                                    {});
+  util::Rng train_rng(6);
+  classifier.Train(g, source, &train_rng);
+  const CsrGraph cold(g);
+  CliqueStore cliques = EnumerateMaximalCliques(cold).cliques;
+  CsrGraph private_copy = cold;
+  const std::vector<double> want =
+      classifier.ScoreAll(private_copy, cliques, true, 1);
+
+  const CsrGraph shared = cold;
+  std::vector<std::vector<double>> got(8);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      got[t] = classifier.ScoreAll(shared, cliques, true, 1);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].size(), want.size());
+    EXPECT_EQ(std::memcmp(got[t].data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "thread " << t;
+  }
+  CheckMhhColumn(shared, g, "after concurrent scoring");
+}
 
 }  // namespace
 }  // namespace marioh

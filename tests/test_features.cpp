@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "core/features.hpp"
@@ -242,6 +244,68 @@ TEST(PairKernel, OneScratchServesManyCliquesAndGraphs) {
   EXPECT_TRUE(std::all_of(scratch.row_weights.begin(),
                           scratch.row_weights.end(),
                           [](uint32_t w) { return w == 0; }));
+}
+
+/// True if `a` and `b` hold the same doubles bit for bit.
+bool BitEqual(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ExtractInto, MatchesExtractBitwiseOnEveryGraphAndMode) {
+  // The hash-map graph, a cold CSR (column empty), a warm one (column
+  // filled), and a snapshot patched after a peel that removed an edge
+  // of every node set's first pair — the Phase-2 sub-clique case, whose
+  // absent pair takes the non-edge path.
+  ProjectedGraph g = HubGraph(120, 8);
+  std::vector<NodeSet> sets = RandomNodeSets(120, 150, 9);
+  CsrGraph warm(g);
+  for (NodeId u = 0; u < warm.num_nodes(); ++u) {
+    for (size_t t = 0; t < warm.Degree(u); ++t) warm.MhhAt(u, t);
+  }
+  ProjectedGraph peeled = g;
+  std::vector<NodeId> touched;
+  for (const NodeSet& q : sets) {
+    while (peeled.Weight(q[0], q[1]) > 0) {
+      peeled.PeelClique(NodeSet{q[0], q[1]});
+      touched.insert(touched.end(), {q[0], q[1]});
+    }
+  }
+  CsrGraph patched(warm, peeled, touched);
+  for (FeatureMode mode : {FeatureMode::kMultiplicityAware,
+                           FeatureMode::kStructural, FeatureMode::kMotif}) {
+    FeatureExtractor fx(mode);
+    FeatureScratch scratch;
+    std::vector<double> row(fx.dim());
+    for (const NodeSet& q : sets) {
+      fx.ExtractInto(g, q, true, &scratch, row);
+      EXPECT_TRUE(BitEqual(row, fx.Extract(g, q, true))) << "hash map";
+      const CsrGraph cold(g);
+      fx.ExtractInto(cold, q, true, &scratch, row);
+      EXPECT_TRUE(BitEqual(row, fx.Extract(CsrGraph(g), q, true)))
+          << "cold CSR";
+      EXPECT_TRUE(BitEqual(row, fx.Extract(g, q, true))) << "cold CSR";
+      fx.ExtractInto(warm, q, true, &scratch, row);
+      EXPECT_TRUE(BitEqual(row, fx.Extract(g, q, true))) << "warm CSR";
+      fx.ExtractInto(patched, q, false, &scratch, row);
+      EXPECT_EQ(patched.Weight(q[0], q[1]), 0u);
+      EXPECT_TRUE(BitEqual(row, fx.Extract(peeled, q, false)))
+          << "peeled pair";
+      EXPECT_TRUE(BitEqual(row, fx.Extract(patched, q, false)))
+          << "peeled pair";
+    }
+  }
+}
+
+TEST(Aggregate5Into, MatchesAggregate5Bitwise) {
+  util::Rng rng(3);
+  for (size_t n : {0, 1, 2, 7, 40}) {
+    std::vector<double> values;
+    for (size_t i = 0; i < n; ++i) values.push_back(rng.Normal(0.0, 3.0));
+    double out[5];
+    util::Aggregate5Into(values, out);
+    EXPECT_TRUE(BitEqual(out, util::Aggregate5(values))) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -102,6 +102,69 @@ TEST_P(HotPathEquivalence, FeaturesMatchBitForBitInAllModes) {
   }
 }
 
+TEST_P(HotPathEquivalence, ExtractIntoMatchesExtractOnColdAndWarmSnapshots) {
+  // Phase 1 scores maximal cliques on a snapshot, fills its MHH column,
+  // peels; Phase 2 scores sub-cliques on the patched snapshot, some of
+  // whose pairs the peels removed. At every stage the allocation-free
+  // rows must equal Extract on the hash-map graph, bit for bit.
+  ProjectedGraph g = RandomGraph(GetParam());
+  util::Rng rng(GetParam() + 100);
+  const CsrGraph cold(g);
+  std::vector<NodeSet> cliques =
+      EnumerateMaximalCliques(cold).cliques.ToNodeSets();
+  ASSERT_FALSE(cliques.empty());
+  CsrGraph warm = cold;
+  ProjectedGraph peeled = g;
+  std::vector<NodeId> touched;
+  for (size_t i = 0; i < cliques.size(); i += 3) {
+    if (!peeled.IsClique(cliques[i])) continue;
+    peeled.PeelClique(cliques[i]);
+    touched.insert(touched.end(), cliques[i].begin(), cliques[i].end());
+  }
+  std::vector<NodeSet> subs;
+  for (const NodeSet& q : cliques) {
+    if (q.size() < 3) continue;
+    NodeSet sub = rng.SampleWithoutReplacement(
+        q, static_cast<size_t>(
+               rng.UniformInt(2, static_cast<int64_t>(q.size()) - 1)));
+    Canonicalize(&sub);
+    subs.push_back(sub);
+  }
+  size_t non_edge_pairs = 0;
+  for (core::FeatureMode mode :
+       {core::FeatureMode::kMultiplicityAware, core::FeatureMode::kStructural,
+        core::FeatureMode::kMotif}) {
+    core::FeatureExtractor extractor(mode);
+    core::FeatureScratch scratch;
+    std::vector<double> row(extractor.dim());
+    auto bit_equal = [&](const la::Vector& want) {
+      return std::memcmp(row.data(), want.data(),
+                         row.size() * sizeof(double)) == 0;
+    };
+    // Two passes: the first fills `warm`'s column, the second reads it.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const NodeSet& q : cliques) {
+        extractor.ExtractInto(warm, q, true, &scratch, row);
+        EXPECT_TRUE(bit_equal(extractor.Extract(g, q, true)))
+            << "mode " << static_cast<int>(mode) << ", pass " << pass;
+      }
+    }
+    const CsrGraph after_phase1(warm, peeled, touched);
+    for (const NodeSet& q : subs) {
+      extractor.ExtractInto(after_phase1, q, false, &scratch, row);
+      EXPECT_TRUE(bit_equal(extractor.Extract(peeled, q, false)))
+          << "mode " << static_cast<int>(mode);
+      if (mode != core::FeatureMode::kMultiplicityAware) continue;
+      for (size_t i = 0; i < q.size(); ++i) {
+        for (size_t j = i + 1; j < q.size(); ++j) {
+          non_edge_pairs += after_phase1.HasEdge(q[i], q[j]) ? 0 : 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(non_edge_pairs, 0u) << "no sub-clique lost a pair to the peels";
+}
+
 TEST(HotPathFeatures, LargeCliquesMatchBitwiseInAllModes) {
   // Planted hyperedges of 12-15 nodes over a HyperCL background give
   // maximal cliques of k >= 12 with uneven weights, overlapping hubs and
