@@ -159,10 +159,6 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
     if (try_apply(maximal[sc.index])) ++stats.accepted_phase1;
   }
 
-  // Phase 2's scoring snapshot, and where its peels start in
-  // `stats.touched_nodes`, for the hand-off through `carried`.
-  std::optional<CsrGraph> after_phase1;
-  size_t phase2_from = 0;
   if (!stats.cancelled && options.explore_subcliques && !rest.empty()) {
     // Phase 2: the lowest-r% scored cliques among the non-promising ones.
     SortByScore(maximal, /*best_first=*/false, &rest);
@@ -195,6 +191,7 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
     }
     std::vector<IndexedScore> subs;
     if (!stats.cancelled && !samples.empty()) {
+      std::optional<CsrGraph> after_phase1;
       if (!stats.touched_nodes.empty()) {
         after_phase1.emplace(snapshot, *g, stats.touched_nodes,
                              options.num_threads);
@@ -215,7 +212,6 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
       }
     }
     SortByScore(samples, /*best_first=*/true, &subs);
-    phase2_from = stats.touched_nodes.size();
     for (const IndexedScore& sc : subs) {
       if (cancel_check.ShouldStop()) {
         stats.cancelled = true;
@@ -225,24 +221,15 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
     }
   }
 
+  Canonicalize(&stats.touched_nodes);
   if (carried != nullptr) {
-    carried->after_phase1.reset();
     if (stats.cancelled) {
       carried->previous.reset();
     } else {
       carried->previous = std::move(found.result);
       carried->scores = std::move(scores);
-      if (after_phase1) {
-        carried->after_phase1 = std::move(after_phase1);
-        carried->after_phase1_touched.assign(
-            stats.touched_nodes.begin() +
-                static_cast<std::ptrdiff_t>(phase2_from),
-            stats.touched_nodes.end());
-        Canonicalize(&carried->after_phase1_touched);
-      }
     }
   }
-  Canonicalize(&stats.touched_nodes);
   return stats;
 }
 

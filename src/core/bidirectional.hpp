@@ -69,9 +69,8 @@ struct BidirectionalOptions {
 
 /// What one iteration hands the next, so it need not re-enumerate and
 /// re-score the whole graph: the maximal cliques of its snapshot with
-/// their Phase-1 scores, the nodes whose rows changed since, and the
-/// snapshot Phase 2 scored on. The reconstruction loop owns one and
-/// passes it to every iteration.
+/// their Phase-1 scores, and the nodes whose rows changed since. The
+/// reconstruction loop owns one and passes it to every iteration.
 struct CarriedCliques {
   /// The last iteration's enumeration (unset before the first, and after
   /// a cancelled iteration).
@@ -81,15 +80,6 @@ struct CarriedCliques {
   /// Sorted nodes whose rows changed since `previous` was enumerated —
   /// set by the caller, who knows every peel, fallback ones included.
   std::vector<NodeId> touched;
-  /// The iteration's snapshot patched with its Phase-1 peels, which
-  /// Phase 2 scored on (unset when Phase 1 peeled nothing or Phase 2
-  /// scored no sub-clique). The caller patches the next snapshot from it
-  /// with `after_phase1_touched`, so Phase 1's rows are not rebuilt twice
-  /// and the MHH column entries Phase 2 filled carry over.
-  std::optional<CsrGraph> after_phase1;
-  /// Sorted nodes whose rows changed since `after_phase1` was taken: the
-  /// Phase-2 peels, plus any fallback peel the caller adds.
-  std::vector<NodeId> after_phase1_touched;
 };
 
 /// Runs one iteration of Algorithm 3 on `g` in place, appending accepted
@@ -107,9 +97,9 @@ struct CarriedCliques {
 /// `carried->touched`, and a carried clique with no touched member keeps
 /// its score when the classifier's features read only member rows
 /// (`FeatureExtractor::ReadsOnlyMemberRows`). On return `carried` holds
-/// this iteration's cliques and Phase-1 scores, and its post-Phase-1
-/// snapshot if Phase 2 built one; the caller must set its `touched`
-/// before the next call. The output is the same either way, bit for bit.
+/// this iteration's cliques and Phase-1 scores; the caller must set its
+/// `touched` before the next call. The output is the same either way,
+/// bit for bit.
 BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
                                        const CsrGraph& snapshot,
                                        const CliqueClassifier& classifier,

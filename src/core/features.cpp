@@ -263,6 +263,7 @@ void ExtractImpl(FeatureMode mode, const Graph& g, CliqueView clique,
                  std::span<double> out) {
   MARIOH_CHECK_GE(clique.size(), 2u);
   MARIOH_CHECK_EQ(out.size(), FeatureDim(mode));
+  MARIOH_CHECK(scratch != nullptr);
   switch (mode) {
     case FeatureMode::kMultiplicityAware:
       return ExtractMultiplicityAware(g, clique, is_maximal, scratch,

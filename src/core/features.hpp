@@ -91,7 +91,8 @@ class FeatureExtractor {
 
   /// Extract written into `out` (exactly `dim()` values, e.g. a feature
   /// matrix row), bit for bit, with every temporary in `*scratch`: the
-  /// allocation-free form batched scoring and training use.
+  /// allocation-free form batched scoring and training use. `scratch` is
+  /// required (not null), unlike Extract's.
   void ExtractInto(const ProjectedGraph& g, CliqueView clique,
                    bool is_maximal, FeatureScratch* scratch,
                    std::span<double> out) const;

@@ -55,20 +55,16 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
   // patched (only touched rows rebuilt — the common case late in a run,
   // when a phase accepts a handful of cliques); otherwise it is rebuilt
   // from scratch. Both routes yield bit-identical snapshots, so the
-  // reconstruction output does not depend on the route taken. `touched`
-  // (the rows changed since the last snapshot) picks the route; a patch
-  // applies `since_prev`, the rows changed since `prev` was taken, which
-  // is fewer when `prev` is an iteration's post-Phase-1 snapshot.
+  // reconstruction output does not depend on the route taken.
   CsrGraph snapshot;
-  auto refresh_snapshot = [&](CsrGraph prev, std::span<const NodeId> touched,
-                              std::span<const NodeId> since_prev) {
+  auto refresh_snapshot = [&](CsrGraph prev,
+                              std::span<const NodeId> touched) {
     if (touched.empty()) return prev;  // no peels: still exact
     double fraction = static_cast<double>(touched.size()) /
                       static_cast<double>(g.num_nodes());
     if (fraction <= MariohOptions::snapshot_reuse) {
       ++run.snapshot_patches;
-      if (since_prev.empty()) return prev;
-      return CsrGraph(prev, g, since_prev, options_.num_threads);
+      return CsrGraph(prev, g, touched, options_.num_threads);
     }
     ++run.snapshot_rebuilds;
     return CsrGraph(g, options_.num_threads);
@@ -87,7 +83,7 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
     }
     // Filtering already paid for a snapshot of the pre-filter graph;
     // reuse it for the first iteration instead of building a third.
-    snapshot = refresh_snapshot(std::move(pre_filter), fstats.touched_nodes,
+    snapshot = refresh_snapshot(std::move(pre_filter),
                                 fstats.touched_nodes);
     run.filtering_seconds = watch.Seconds();
   } else {
@@ -130,13 +126,11 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
     // (degenerate classifier), peel the first maximal clique in the
     // enumerator's canonical (lexicographic) order, unscored, to
     // guarantee progress. Nothing was peeled this iteration, so the
-    // carried store is exactly the snapshot's enumeration, and no
-    // post-Phase-1 snapshot came back.
+    // carried store is exactly the snapshot's enumeration.
     if (theta == 0.0 && iteration.accepted_phase1 == 0 &&
         iteration.accepted_phase2 == 0 && !g.Empty() &&
         !run.cancelled) {
       MARIOH_CHECK(carried.previous && !carried.previous->cliques.empty());
-      MARIOH_CHECK(!carried.after_phase1);
       NodeSet first = carried.previous->cliques.Materialize(0);
       h.AddEdge(first, 1);
       g.PeelClique(first);
@@ -146,19 +140,8 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
     carried.touched = std::move(touched);
     if (!g.Empty() && iterations < options_.max_iterations &&
         !run.cancelled) {
-      // Patch from the snapshot Phase 2 scored on when the iteration
-      // handed one back: its rows already hold Phase 1's peels and its
-      // MHH column what Phase 2 filled.
-      if (carried.after_phase1) {
-        snapshot = refresh_snapshot(std::move(*carried.after_phase1),
-                                    carried.touched,
-                                    carried.after_phase1_touched);
-      } else {
-        snapshot = refresh_snapshot(std::move(snapshot), carried.touched,
-                                    carried.touched);
-      }
+      snapshot = refresh_snapshot(std::move(snapshot), carried.touched);
     }
-    carried.after_phase1.reset();
   }
   run.bidirectional_seconds = watch.Seconds();
   // Catch a trip that landed after the last kernel poll (e.g. between

@@ -712,7 +712,8 @@ MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
 
 MaximalCliqueResult EnumerateMaximalCliques(const ProjectedGraph& g,
                                             const CliqueOptions& options) {
-  CsrGraph csr(g, options.num_threads);
+  // Enumeration reads no MHH, so this snapshot goes without the column.
+  CsrGraph csr(g, options.num_threads, CsrGraph::MhhColumn::kSkip);
   return EnumerateMaximalCliques(csr, options);
 }
 

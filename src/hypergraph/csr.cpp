@@ -8,7 +8,8 @@
 
 namespace marioh {
 
-CsrGraph::CsrGraph(const ProjectedGraph& g, int num_threads) {
+CsrGraph::CsrGraph(const ProjectedGraph& g, int num_threads,
+                   MhhColumn column) {
   const size_t n = g.num_nodes();
   offsets_.assign(n + 1, 0);
   for (NodeId u = 0; u < n; ++u) {
@@ -16,7 +17,9 @@ CsrGraph::CsrGraph(const ProjectedGraph& g, int num_threads) {
   }
   neighbors_.resize(offsets_.back());
   weights_.resize(offsets_.back());
-  mhh_.assign(offsets_.back(), kMhhUnknown);
+  if (column == MhhColumn::kAllocate) {
+    mhh_.assign(offsets_.back(), kMhhUnknown);
+  }
   weighted_degrees_.assign(n, 0);
   // Rows are independent slots, so sorting them is deterministic for any
   // thread count.
@@ -55,7 +58,8 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
   }
   neighbors_.resize(offsets_.back());
   weights_.resize(offsets_.back());
-  mhh_.resize(offsets_.back());
+  const bool memo = !prev.mhh_.empty();
+  if (memo) mhh_.resize(offsets_.back());
   weighted_degrees_.assign(n, 0);
   // Rows are independent slots, so the fill is deterministic for any
   // thread count: untouched rows are straight copies of `prev`'s sorted
@@ -63,23 +67,27 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
   // in the from-scratch build. An MHH entry carries over only from an
   // untouched row to an untouched neighbor: MHH(u, v) reads rows u and v.
   // `prev` has no concurrent fills while it is patched, so its column is
-  // read plainly.
+  // read plainly. A `prev` without a column gives a patch without one.
   util::ParallelFor(n, num_threads, nullptr, [&](size_t u) {
     const size_t base = offsets_[u];
     if (!is_touched[u]) {
       auto src_n = prev.Neighbors(u);
       auto src_w = prev.Weights(u);
-      const uint32_t* src_mhh = prev.mhh_.data() + prev.offsets_[u];
       std::copy(src_n.begin(), src_n.end(), neighbors_.begin() + base);
       std::copy(src_w.begin(), src_w.end(), weights_.begin() + base);
-      for (size_t t = 0; t < src_n.size(); ++t) {
-        mhh_[base + t] = is_touched[src_n[t]] ? kMhhUnknown : src_mhh[t];
+      if (memo) {
+        const uint32_t* src_mhh = prev.mhh_.data() + prev.offsets_[u];
+        for (size_t t = 0; t < src_n.size(); ++t) {
+          mhh_[base + t] = is_touched[src_n[t]] ? kMhhUnknown : src_mhh[t];
+        }
       }
       weighted_degrees_[u] = prev.weighted_degrees_[u];
       return;
     }
-    std::fill(mhh_.begin() + base, mhh_.begin() + offsets_[u + 1],
-              kMhhUnknown);
+    if (memo) {
+      std::fill(mhh_.begin() + base, mhh_.begin() + offsets_[u + 1],
+                kMhhUnknown);
+    }
     std::vector<std::pair<NodeId, uint32_t>> row(g.Neighbors(u).begin(),
                                                  g.Neighbors(u).end());
     std::sort(row.begin(), row.end());

@@ -16,7 +16,9 @@
 /// the multiplicity-aware feature kernel) with relaxed atomic stores, and
 /// is exact whenever it is filled — MHH(u, v) reads only rows u and v, so
 /// a patched snapshot carries every entry whose two endpoints' rows it
-/// copied. Concurrent fills of one entry store the same integer.
+/// copied. Concurrent fills of one entry store the same integer. A
+/// snapshot built only to enumerate cliques skips the column
+/// (`MhhColumn::kSkip`).
 
 #pragma once
 
@@ -42,11 +44,18 @@ class CsrGraph {
   /// An empty snapshot (0 nodes); a placeholder to patch or assign into.
   CsrGraph() = default;
 
+  /// Whether a full build allocates the MHH column. Only snapshots whose
+  /// edges or cliques get MHH read it; a build for clique enumeration
+  /// alone passes kSkip and saves the column's 4 bytes per slot. Without
+  /// a column every MHH read is computed afresh and nothing is stored.
+  enum class MhhColumn { kAllocate, kSkip };
+
   /// Builds a snapshot of `g`. Neighbors of every node are sorted by id.
   /// `num_threads` parallelizes the per-row sort (0 = all cores); the
-  /// result is identical for any thread count. The MHH column starts
-  /// unknown.
-  explicit CsrGraph(const ProjectedGraph& g, int num_threads = 1);
+  /// result is identical for any thread count. The MHH column, if
+  /// allocated, starts unknown.
+  explicit CsrGraph(const ProjectedGraph& g, int num_threads = 1,
+                    MhhColumn column = MhhColumn::kAllocate);
 
   /// Incremental snapshot reuse: builds a snapshot of `g` by patching
   /// `prev`, a snapshot of an earlier state of the same graph from which
@@ -58,9 +67,9 @@ class CsrGraph {
   /// `touched_nodes` may be in any order and contain duplicates; nodes
   /// whose rows did not actually change are harmless (their rebuilt rows
   /// come out identical). The adjacency is bit-identical to `CsrGraph(g)`
-  /// for any thread count. The MHH column keeps `prev`'s entries whose
-  /// two endpoints are both untouched (their value is unchanged) and
-  /// leaves the rest unknown.
+  /// for any thread count. If `prev` has an MHH column, the patch keeps
+  /// its entries whose two endpoints are both untouched (their value is
+  /// unchanged) and leaves the rest unknown; otherwise it has none.
   CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
            std::span<const NodeId> touched_nodes, int num_threads = 1);
 
@@ -121,17 +130,19 @@ class CsrGraph {
   }
 
   /// The MHH column entry of slot t of row u — MHH(u, Neighbors(u)[t]) —
-  /// or kMhhUnknown if it has not been filled.
+  /// or kMhhUnknown if it has not been filled or there is no column.
   uint32_t KnownMhh(NodeId u, size_t t) const {
+    if (mhh_.empty()) return kMhhUnknown;
     return std::atomic_ref<uint32_t>(mhh_[offsets_[u] + t])
         .load(std::memory_order_relaxed);
   }
 
   /// Fills slot t of row u with `mhh`, which must equal
-  /// MHH(u, Neighbors(u)[t]); a value that does not fit an entry is not
-  /// stored. Racing fills store the same value.
+  /// MHH(u, Neighbors(u)[t]); a value that does not fit an entry, or a
+  /// snapshot without a column, stores nothing. Racing fills store the
+  /// same value.
   void StoreMhh(NodeId u, size_t t, uint64_t mhh) const {
-    if (mhh >= kMhhUnknown) return;
+    if (mhh >= kMhhUnknown || mhh_.empty()) return;
     std::atomic_ref<uint32_t>(mhh_[offsets_[u] + t])
         .store(static_cast<uint32_t>(mhh), std::memory_order_relaxed);
   }
@@ -150,7 +161,8 @@ class CsrGraph {
   std::vector<uint32_t> weights_;   // aligned with neighbors_
   std::vector<uint64_t> weighted_degrees_;  // size num_nodes
   uint64_t total_weight_ = 0;
-  // MHH memo aligned with neighbors_: exact or kMhhUnknown. Mutable
+  // MHH memo aligned with neighbors_ (empty when built with kSkip):
+  // exact or kMhhUnknown. Mutable
   // because const readers fill it; readers and fillers go through
   // std::atomic_ref, so concurrent fills are race-free.
   mutable std::vector<uint32_t> mhh_;

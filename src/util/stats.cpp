@@ -5,12 +5,6 @@
 
 namespace marioh::util {
 
-std::vector<double> Aggregate5(const std::vector<double>& values) {
-  std::vector<double> out(5);
-  Aggregate5Into(values, out.data());
-  return out;
-}
-
 void Aggregate5Into(std::span<const double> values, double* out) {
   if (values.empty()) {
     std::fill(out, out + 5, 0.0);

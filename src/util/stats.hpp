@@ -12,13 +12,10 @@
 namespace marioh::util {
 
 /// Five-number aggregation {sum, mean, min, max, population std} of a value
-/// list; this is the aggregation the MARIOH paper applies to node-level and
-/// edge-level clique features (Sect. III-D). Returns all zeros for an empty
-/// input. A wrapper over Aggregate5Into.
-std::vector<double> Aggregate5(const std::vector<double>& values);
-
-/// Aggregate5 written to out[0..5) instead of a new vector, for loops
-/// that aggregate into a preallocated feature row.
+/// list, written to out[0..5); this is the aggregation the MARIOH paper
+/// applies to node-level and edge-level clique features (Sect. III-D).
+/// Writes all zeros for an empty input. Writing into the caller's storage
+/// lets feature extraction aggregate straight into a feature-matrix row.
 void Aggregate5Into(std::span<const double> values, double* out);
 
 /// Online mean / standard-deviation accumulator (Welford).

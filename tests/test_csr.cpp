@@ -220,6 +220,39 @@ TEST(MhhColumn, ValueTooLargeForAnEntryIsNotStored) {
   EXPECT_EQ(csr.KnownMhh(2, 1), g.Mhh(2, 1));
 }
 
+// A build without the column (as clique enumeration makes) stores no
+// MHH, and neither does a patch of it, yet every read and every feature
+// row equals the memoized snapshot's.
+TEST(MhhColumn, SnapshotWithoutColumnStoresNothingAndScoresTheSame) {
+  util::Rng rng(9);
+  Hypergraph source = gen::HyperClLike(60, 120, 3.2, 0.7, &rng);
+  ProjectedGraph g = source.Project();
+  const CsrGraph bare(g, 2, CsrGraph::MhhColumn::kSkip);
+  const CsrGraph memo(g, 2);
+  CliqueStore cliques = EnumerateMaximalCliques(bare).cliques;
+  core::FeatureExtractor extractor(core::FeatureMode::kMultiplicityAware);
+  core::FeatureScratch scratch;
+  std::vector<double> a(extractor.dim());
+  std::vector<double> b(extractor.dim());
+  for (size_t i = 0; i < cliques.size(); ++i) {
+    extractor.ExtractInto(bare, cliques[i], true, &scratch, a);
+    extractor.ExtractInto(memo, cliques[i], true, &scratch, b);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+              0)
+        << "clique " << i;
+  }
+  EXPECT_GT(CheckMhhColumn(memo, g, "memoized"), 0u);
+  EXPECT_EQ(CheckMhhColumn(bare, g, "no column"), 0u);
+  EXPECT_EQ(CheckMhhColumn(bare, g, "no column, read twice"), 0u);
+
+  ASSERT_FALSE(cliques.empty());
+  g.PeelClique(cliques[0]);
+  const NodeSet touched = cliques.Materialize(0);
+  const CsrGraph patched(bare, g, touched);
+  ExtractAll(patched, cliques, 1);
+  EXPECT_EQ(CheckMhhColumn(patched, g, "patched, no column"), 0u);
+}
+
 // Eight threads score one cold snapshot at once, racing to fill the same
 // column entries: every result equals a single-threaded score of a
 // private cold copy, bit for bit (and TSan sees no race).

@@ -6,13 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <span>
-#include <string>
-
 #include "core/bidirectional.hpp"
 #include "core/classifier.hpp"
-#include "core/filtering.hpp"
 #include "core/marioh.hpp"
 #include "eval/metrics.hpp"
 #include "gen/profiles.hpp"
@@ -251,129 +246,6 @@ TEST(Marioh, MultiplicityPreservedReconstruction) {
   EXPECT_EQ(reconstructed.Multiplicity({0, 1}), 4u);
   // The triangle appears twice in the projection (weight 2 per edge).
   EXPECT_EQ(reconstructed.Project().Weight(2, 3), 2u);
-}
-
-/// Algorithm 1 as `Marioh::Reconstruct` runs it, except that every
-/// snapshot is patched (or rebuilt) from the iteration's own pre-Phase-1
-/// snapshot with all the rows the iteration touched — the loop without
-/// the post-Phase-1 hand-off. `handoffs` counts the iterations that
-/// offered one.
-Hypergraph ReconstructWithoutHandOff(const ProjectedGraph& g_target,
-                                     const CliqueClassifier& classifier,
-                                     const MariohOptions& options,
-                                     ReconstructionStats* run,
-                                     size_t* handoffs) {
-  ProjectedGraph g = g_target;
-  Hypergraph h(g.num_nodes());
-  auto refresh = [&](CsrGraph prev, std::span<const NodeId> touched) {
-    if (touched.empty()) return prev;
-    double fraction = static_cast<double>(touched.size()) /
-                      static_cast<double>(g.num_nodes());
-    if (fraction <= MariohOptions::snapshot_reuse) {
-      ++run->snapshot_patches;
-      return CsrGraph(prev, g, touched, options.num_threads);
-    }
-    ++run->snapshot_rebuilds;
-    return CsrGraph(g, options.num_threads);
-  };
-  CsrGraph pre_filter;
-  FilteringStats fstats =
-      Filtering(&g, &h, options.num_threads, &pre_filter);
-  run->filtering_edges = fstats.edges_identified;
-  CsrGraph snapshot = refresh(std::move(pre_filter), fstats.touched_nodes);
-  util::Rng rng(options.seed ^ 0x9e3779b97f4a7c15ULL);
-  double theta = options.theta_init;
-  CarriedCliques carried;
-  while (!g.Empty() && run->iterations < options.max_iterations) {
-    BidirectionalOptions bopt;
-    bopt.theta = theta;
-    bopt.r_percent = options.r_percent;
-    bopt.explore_subcliques = options.use_bidirectional;
-    bopt.num_threads = options.num_threads;
-    BidirectionalStats it = BidirectionalSearch(&g, snapshot, classifier,
-                                                bopt, &rng, &h, &carried);
-    *handoffs += carried.after_phase1 ? 1 : 0;
-    carried.after_phase1.reset();
-    run->maximal_cliques += it.maximal_cliques;
-    run->cliques_carried += it.cliques_carried;
-    run->scores_reused += it.scores_reused;
-    run->accepted_phase1 += it.accepted_phase1;
-    run->accepted_phase2 += it.accepted_phase2;
-    run->subcliques_scored += it.subcliques_scored;
-    theta = std::max(theta - options.alpha * options.theta_init, 0.0);
-    ++run->iterations;
-    std::vector<NodeId> touched = std::move(it.touched_nodes);
-    if (theta == 0.0 && it.accepted_phase1 == 0 &&
-        it.accepted_phase2 == 0 && !g.Empty()) {
-      NodeSet first = carried.previous->cliques.Materialize(0);
-      h.AddEdge(first, 1);
-      g.PeelClique(first);
-      touched.insert(touched.end(), first.begin(), first.end());
-      Canonicalize(&touched);
-    }
-    carried.touched = std::move(touched);
-    if (!g.Empty() && run->iterations < options.max_iterations) {
-      snapshot = refresh(std::move(snapshot), carried.touched);
-    }
-  }
-  return h;
-}
-
-// The reconstruction loop patches each snapshot from the one Phase 2
-// scored on; that must change nothing — hypergraph or stats — against
-// patching from the iteration's own snapshot, for MARIOH (which hands
-// off) and MARIOH-B (no Phase 2, so nothing to hand off), at any thread
-// count.
-TEST(Marioh, PostPhase1HandOffMatchesPatchingFromIterationSnapshot) {
-  // Repeated hyperedges (no multiplicity reduction), so Phase 1 peels
-  // in the iterations where Phase 2 explores.
-  gen::GeneratedDataset data = gen::Generate(gen::ProfileByName("hosts"), 3);
-  util::Rng split_rng(4);
-  gen::SourceTargetSplit split =
-      gen::SplitHypergraph(data.hypergraph, &split_rng, 0.5);
-  Fixture fx;
-  fx.g_source = split.source.Project();
-  fx.g_target = split.target.Project();
-  fx.source = std::move(split.source);
-  for (MariohVariant variant : {MariohVariant::kFull,
-                                MariohVariant::kNoBidir}) {
-    for (int threads : {1, 2, 8}) {
-      MariohOptions options = OptionsForVariant(variant);
-      options.num_threads = threads;
-      Marioh marioh(options);
-      marioh.Train(fx.g_source, fx.source);
-      ReconstructionStats got;
-      Hypergraph handed_off = marioh.Reconstruct(fx.g_target, &got);
-
-      CliqueClassifier classifier(options.feature_mode, options.classifier);
-      util::Rng train_rng(options.seed);
-      classifier.Train(fx.g_source, fx.source, &train_rng);
-      ReconstructionStats want;
-      size_t handoffs = 0;
-      Hypergraph reference = ReconstructWithoutHandOff(
-          fx.g_target, classifier, options, &want, &handoffs);
-
-      const std::string where = "variant " +
-                                std::to_string(static_cast<int>(variant)) +
-                                ", threads " + std::to_string(threads);
-      EXPECT_EQ(handed_off.edges(), reference.edges()) << where;
-      EXPECT_EQ(got.iterations, want.iterations) << where;
-      EXPECT_EQ(got.maximal_cliques, want.maximal_cliques) << where;
-      EXPECT_EQ(got.cliques_carried, want.cliques_carried) << where;
-      EXPECT_EQ(got.scores_reused, want.scores_reused) << where;
-      EXPECT_EQ(got.accepted_phase1, want.accepted_phase1) << where;
-      EXPECT_EQ(got.accepted_phase2, want.accepted_phase2) << where;
-      EXPECT_EQ(got.subcliques_scored, want.subcliques_scored) << where;
-      EXPECT_EQ(got.filtering_edges, want.filtering_edges) << where;
-      EXPECT_EQ(got.snapshot_patches, want.snapshot_patches) << where;
-      EXPECT_EQ(got.snapshot_rebuilds, want.snapshot_rebuilds) << where;
-      if (variant == MariohVariant::kFull) {
-        EXPECT_GT(handoffs, 0u) << where;
-      } else {
-        EXPECT_EQ(handoffs, 0u) << where;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -86,12 +86,16 @@ TEST(Rng, DiscreteRespectsZeroWeights) {
   }
 }
 
-TEST(Aggregate5, EmptyGivesZeros) {
-  EXPECT_EQ(Aggregate5({}), (std::vector<double>{0, 0, 0, 0, 0}));
+TEST(Aggregate5Into, EmptyGivesZeros) {
+  double agg[5] = {1, 1, 1, 1, 1};
+  Aggregate5Into({}, agg);
+  for (double v : agg) EXPECT_EQ(v, 0.0);
 }
 
-TEST(Aggregate5, SingleValue) {
-  std::vector<double> agg = Aggregate5({4.0});
+TEST(Aggregate5Into, SingleValue) {
+  const std::vector<double> values{4.0};
+  double agg[5];
+  Aggregate5Into(values, agg);
   EXPECT_DOUBLE_EQ(agg[0], 4.0);  // sum
   EXPECT_DOUBLE_EQ(agg[1], 4.0);  // mean
   EXPECT_DOUBLE_EQ(agg[2], 4.0);  // min
@@ -99,8 +103,10 @@ TEST(Aggregate5, SingleValue) {
   EXPECT_DOUBLE_EQ(agg[4], 0.0);  // std
 }
 
-TEST(Aggregate5, KnownValues) {
-  std::vector<double> agg = Aggregate5({1.0, 2.0, 3.0, 4.0});
+TEST(Aggregate5Into, KnownValues) {
+  const std::vector<double> values{1.0, 2.0, 3.0, 4.0};
+  double agg[5];
+  Aggregate5Into(values, agg);
   EXPECT_DOUBLE_EQ(agg[0], 10.0);
   EXPECT_DOUBLE_EQ(agg[1], 2.5);
   EXPECT_DOUBLE_EQ(agg[2], 1.0);
