@@ -58,16 +58,26 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
   }
   neighbors_.resize(offsets_.back());
   weights_.resize(offsets_.back());
+  // An MHH entry carries over only from an untouched row to an untouched
+  // neighbor: MHH(u, v) reads rows u and v. So an untouched row's entries
+  // are copied whole, and only a row adjacent to a touched node
+  // (`near_touched`) is then scanned for entries to forget. A `prev`
+  // without a column gives a patch without one.
   const bool memo = !prev.mhh_.empty();
-  if (memo) mhh_.resize(offsets_.back());
+  std::vector<uint8_t> near_touched;
+  if (memo) {
+    mhh_.resize(offsets_.back());
+    near_touched.assign(n, 0);
+    for (NodeId v : touched_nodes) {
+      for (NodeId u : prev.Neighbors(v)) near_touched[u] = 1;
+    }
+  }
   weighted_degrees_.assign(n, 0);
   // Rows are independent slots, so the fill is deterministic for any
   // thread count: untouched rows are straight copies of `prev`'s sorted
   // rows, touched rows are re-gathered and re-sorted from `g` exactly as
-  // in the from-scratch build. An MHH entry carries over only from an
-  // untouched row to an untouched neighbor: MHH(u, v) reads rows u and v.
-  // `prev` has no concurrent fills while it is patched, so its column is
-  // read plainly. A `prev` without a column gives a patch without one.
+  // in the from-scratch build. `prev` has no concurrent fills while it is
+  // patched, so its column is read plainly.
   util::ParallelFor(n, num_threads, nullptr, [&](size_t u) {
     const size_t base = offsets_[u];
     if (!is_touched[u]) {
@@ -76,9 +86,12 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
       std::copy(src_n.begin(), src_n.end(), neighbors_.begin() + base);
       std::copy(src_w.begin(), src_w.end(), weights_.begin() + base);
       if (memo) {
-        const uint32_t* src_mhh = prev.mhh_.data() + prev.offsets_[u];
-        for (size_t t = 0; t < src_n.size(); ++t) {
-          mhh_[base + t] = is_touched[src_n[t]] ? kMhhUnknown : src_mhh[t];
+        auto src_mhh = prev.mhh_.begin() + prev.offsets_[u];
+        std::copy(src_mhh, src_mhh + src_n.size(), mhh_.begin() + base);
+        if (near_touched[u]) {
+          for (size_t t = 0; t < src_n.size(); ++t) {
+            if (is_touched[src_n[t]]) mhh_[base + t] = kMhhUnknown;
+          }
         }
       }
       weighted_degrees_[u] = prev.weighted_degrees_[u];
