@@ -67,8 +67,9 @@ class CliqueClassifier {
   /// in blocks of `kScoreBlock` cliques: each clique's features are
   /// written straight into its row of one small buffer
   /// (`FeatureExtractor::ExtractInto`), scaled, and passed through one
-  /// `Mlp::PredictBatch`. Scoring fills `g`'s MHH column as it goes. A row's score depends only on its own features,
-  /// so scores are identical for any thread count and block size. A
+  /// `Mlp::PredictBatch`. Scoring fills `g`'s MHH column, if it has one,
+  /// as it goes. A row's score depends only on its own features, so
+  /// scores are identical for any thread count and block size. A
   /// tripped `cancel` token (null = non-cancellable) stops each range
   /// within one block; the returned vector then holds unwritten (zero)
   /// slots and must be discarded by the caller.
