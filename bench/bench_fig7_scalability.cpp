@@ -3,11 +3,15 @@
 // size (DBLP-like statistics), with the log-log slope vs |E_G| reported.
 // The paper finds both steps scale near-linearly (slope ~ 1).
 //
-// Usage: bench_fig7_scalability [--quick] [--threads N]
+// Usage: bench_fig7_scalability [--quick | --large] [--threads N]
 //
 // --threads N runs the reconstruction's hot kernels on N threads
 // (0 = all cores); results are identical for any value, only the
-// timings change.
+// timings change. --large runs scales 16, 64, 256 and 1024 (up to ~2.1M
+// edges) and also prints each scale's ReconstructionStats, the size of
+// the reconstructed hypergraph and the process's peak RSS.
+
+#include <sys/resource.h>
 
 #include <cmath>
 #include <cstdlib>
@@ -49,9 +53,11 @@ double LogLogSlope(const std::vector<double>& x,
 
 int main(int argc, char** argv) {
   bool quick = false;
+  bool large = false;
   int threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+    if (std::strcmp(argv[i], "--large") == 0) large = true;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
     }
@@ -77,8 +83,9 @@ int main(int argc, char** argv) {
   marioh.Train(*train_data.g_source, *train_data.source);
 
   std::vector<size_t> scales =
-      quick ? std::vector<size_t>{1, 2, 4} : std::vector<size_t>{1, 2, 4,
-                                                                 8, 16};
+      large   ? std::vector<size_t>{16, 64, 256, 1024}
+      : quick ? std::vector<size_t>{1, 2, 4}
+              : std::vector<size_t>{1, 2, 4, 8, 16};
   const size_t base_nodes = 1000;
   const size_t base_edges = 600;
 
@@ -87,6 +94,13 @@ int main(int argc, char** argv) {
   table.SetHeader({"|E_G|", "Filtering (s)", "Bidirectional (s)",
                    "Total (s)"});
   std::vector<double> edge_counts, filter_times, bidir_times;
+  marioh::util::TextTable stats_table(
+      "ReconstructionStats per scale (--large)");
+  stats_table.SetHeader({"|E_G|", "iterations", "maximal cliques",
+                         "carried", "scores reused", "accepted P1",
+                         "accepted P2", "subcliques scored",
+                         "filtering edges", "patches", "rebuilds",
+                         "truncated", "hyperedges", "total mult."});
 
   for (size_t scale : scales) {
     marioh::util::Rng rng(100 + scale);
@@ -96,7 +110,7 @@ int main(int argc, char** argv) {
     marioh::ProjectedGraph g = h.Project();
 
     marioh::core::ReconstructionStats stats;
-    marioh.Reconstruct(g, &stats);
+    marioh::Hypergraph h_hat = marioh.Reconstruct(g, &stats);
     double filter_t = stats.filtering_seconds;
     double bidir_t = stats.bidirectional_seconds;
 
@@ -107,6 +121,16 @@ int main(int argc, char** argv) {
                   marioh::util::TextTable::Num(filter_t, 4),
                   marioh::util::TextTable::Num(bidir_t, 4),
                   marioh::util::TextTable::Num(filter_t + bidir_t, 4)});
+    auto count = [](size_t n) { return std::to_string(n); };
+    stats_table.AddRow(
+        {count(g.num_edges()), count(stats.iterations),
+         count(stats.maximal_cliques), count(stats.cliques_carried),
+         count(stats.scores_reused), count(stats.accepted_phase1),
+         count(stats.accepted_phase2), count(stats.subcliques_scored),
+         count(stats.filtering_edges), count(stats.snapshot_patches),
+         count(stats.snapshot_rebuilds),
+         stats.cliques_truncated ? "yes" : "no",
+         count(h_hat.num_unique_edges()), count(h_hat.num_total_edges())});
     std::cerr << "[fig7] scale " << scale << ": " << g.num_edges()
               << " edges, filter " << filter_t << "s, bidir " << bidir_t
               << "s\n";
@@ -120,5 +144,14 @@ int main(int argc, char** argv) {
             << marioh::util::TextTable::Num(
                    LogLogSlope(edge_counts, bidir_times), 3)
             << "  (1.0 = linear)\n";
+  if (large) {
+    std::cout << stats_table.Render();
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    std::cout << "peak RSS (MiB): "
+              << marioh::util::TextTable::Num(
+                     static_cast<double>(usage.ru_maxrss) / 1024.0, 1)
+              << "\n";
+  }
   return 0;
 }

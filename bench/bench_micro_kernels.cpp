@@ -2,7 +2,7 @@
 // MHH computation (Eq. (1)), maximal-clique enumeration, feature
 // extraction, filtering, clique peeling, the clique classifier's MLP fit
 // and batched scoring, and la::Gemm on each vector-width path — the
-// graph kernels on both the mutable hash-map path and the CSR snapshot
+// graph kernels on both the mutable graph path and the CSR snapshot
 // fast path, with thread sweeps for the parallel kernels.
 // google-benchmark based; pass
 // `--benchmark_out=bench_micro.json --benchmark_out_format=json` to record
@@ -119,7 +119,7 @@ void BM_MaximalCliques(benchmark::State& state) {
 }
 BENCHMARK(BM_MaximalCliques)->Arg(200)->Arg(800);
 
-// Sequential reference over the hash-map adjacency (the pre-CSR path).
+// Sequential reference over the mutable graph (the pre-CSR path).
 void BM_MaximalCliquesHashmap(benchmark::State& state) {
   ProjectedGraph g = MakeGraph(static_cast<size_t>(state.range(0)),
                                static_cast<size_t>(state.range(0)) * 2);

@@ -90,13 +90,8 @@ api::Reconstruction Demon::Reconstruct(const ProjectedGraph& g_target) const {
 
   for (NodeId ego = 0; ego < g_target.num_nodes(); ++ego) {
     if (g_target.Degree(ego) == 0) continue;
-    std::vector<NodeId> ego_net;
-    ego_net.reserve(g_target.Degree(ego));
-    for (const auto& [v, w] : g_target.Neighbors(ego)) {
-      (void)w;
-      ego_net.push_back(v);
-    }
-    std::sort(ego_net.begin(), ego_net.end());
+    auto ids = NeighborIds(g_target, ego);
+    std::vector<NodeId> ego_net(ids.begin(), ids.end());  // ascending
     for (NodeSet community : LabelPropagation(g_target, ego_net, &rng)) {
       community.push_back(ego);
       Canonicalize(&community);

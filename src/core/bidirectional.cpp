@@ -18,24 +18,28 @@ struct IndexedScore {
   double score;
 };
 
-/// Sorts by score (descending when `best_first`, else ascending); ties
+/// Orders by score (descending when `best_first`, else ascending); ties
 /// broken by the node sequence ascending for determinism — the single
 /// source of the selection-order tie-break rule (the lexicographic order
 /// `std::vector<NodeSet>` sorting would give), for Phase 1, the Phase 2
-/// pick and the Phase 2 sub-clique order alike.
+/// pick and the Phase 2 sub-clique order alike. Over distinct cliques it
+/// is a strict total order, so a partial sort's prefix equals a full
+/// sort's.
+auto ScoreOrder(const CliqueStore& store, bool best_first) {
+  return [&store, best_first](const IndexedScore& a, const IndexedScore& b) {
+    if (a.score != b.score) {
+      return best_first ? a.score > b.score : a.score < b.score;
+    }
+    CliqueView va = store[a.index];
+    CliqueView vb = store[b.index];
+    return std::lexicographical_compare(va.begin(), va.end(), vb.begin(),
+                                        vb.end());
+  };
+}
+
 void SortByScore(const CliqueStore& store, bool best_first,
                  std::vector<IndexedScore>* cliques) {
-  std::sort(cliques->begin(), cliques->end(),
-            [&store, best_first](const IndexedScore& a,
-                                 const IndexedScore& b) {
-              if (a.score != b.score) {
-                return best_first ? a.score > b.score : a.score < b.score;
-              }
-              CliqueView va = store[a.index];
-              CliqueView vb = store[b.index];
-              return std::lexicographical_compare(va.begin(), va.end(),
-                                                  vb.begin(), vb.end());
-            });
+  std::sort(cliques->begin(), cliques->end(), ScoreOrder(store, best_first));
 }
 
 }  // namespace
@@ -51,7 +55,7 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
   BidirectionalStats stats;
 
   // Enumeration and scoring only read, so they run on the cache-friendly
-  // immutable snapshot across all cores while the hash-map graph stays
+  // immutable snapshot across all cores while the mutable graph stays
   // untouched until the peel phase. Cliques live in the enumeration
   // arena end-to-end; only accepted ones materialize a NodeSet below.
   // With a carried store, the cliques untouched by the last iteration's
@@ -161,10 +165,11 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
 
   if (!stats.cancelled && options.explore_subcliques && !rest.empty()) {
     // Phase 2: the lowest-r% scored cliques among the non-promising ones.
-    SortByScore(maximal, /*best_first=*/false, &rest);
     size_t take = static_cast<size_t>(std::ceil(
         options.r_percent / 100.0 * static_cast<double>(rest.size())));
     take = std::min(take, rest.size());
+    std::partial_sort(rest.begin(), rest.begin() + take, rest.end(),
+                      ScoreOrder(maximal, /*best_first=*/false));
 
     // Phase 2 scores against the graph Phase 1 left behind, not the
     // iteration snapshot: sub-clique scores must see the residual weights
@@ -172,10 +177,11 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
     // a sample-then-score loop would draw it (scoring draws nothing from
     // `rng`); then all are scored in one batched, parallel pass over the
     // snapshot patched with Phase 1's peels. The patch equals a rebuild,
-    // and CSR scores equal hash-map scores, so this is bit-identical to
-    // scoring each sample on `*g`. If Phase 1 peeled nothing, the
+    // and CSR scores equal mutable-graph scores, so this is bit-identical
+    // to scoring each sample on `*g`. If Phase 1 peeled nothing, the
     // snapshot itself is that graph.
     CliqueStore samples;
+    NodeSet sub;  // one sample at a time, reused
     for (size_t i = 0; i < take && !stats.cancelled; ++i) {
       CliqueView q = maximal[rest[i].index];
       // One random sample per sub-clique size k in [2, |Q|-1].
@@ -184,8 +190,9 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
           stats.cancelled = true;
           break;
         }
-        NodeSet sub = rng->SampleWithoutReplacement(q, k);
-        Canonicalize(&sub);
+        rng->SampleWithoutReplacement(q, k, &sub);
+        // Members of a clique are distinct, so sorting canonicalizes.
+        std::sort(sub.begin(), sub.end());
         samples.PushClique(sub);
       }
     }

@@ -175,20 +175,29 @@ std::vector<double> CliqueClassifier::ScoreAll(const CsrGraph& g,
   const size_t dim = extractor_.dim();
   util::ParallelForRanges(
       cliques.size(), num_threads, [&](size_t, size_t begin, size_t end) {
+        // One scratch per thread, kept across calls and graphs: extraction
+        // leaves its node-indexed buffers zeroed after every clique, so
+        // only growth zero-fills. An exception mid-clique could leave them
+        // dirty, so it drops the scratch.
+        thread_local FeatureScratch scratch;
         util::CancelChecker checker(cancel);
-        FeatureScratch scratch;
         la::Matrix features;
-        for (size_t start = begin; start < end; start += kScoreBlock) {
-          if (checker.ShouldStop()) return;
-          const size_t rows = std::min(kScoreBlock, end - start);
-          if (features.rows() != rows) features = la::Matrix(rows, dim);
-          for (size_t r = 0; r < rows; ++r) {
-            extractor_.ExtractInto(g, cliques[start + r], is_maximal,
-                                   &scratch, {features.Row(r), dim});
+        try {
+          for (size_t start = begin; start < end; start += kScoreBlock) {
+            if (checker.ShouldStop()) return;
+            const size_t rows = std::min(kScoreBlock, end - start);
+            if (features.rows() != rows) features = la::Matrix(rows, dim);
+            for (size_t r = 0; r < rows; ++r) {
+              extractor_.ExtractInto(g, cliques[start + r], is_maximal,
+                                     &scratch, {features.Row(r), dim});
+            }
+            scaler_.Transform(&features);
+            la::Vector p = mlp_->PredictBatch(features);
+            std::copy(p.begin(), p.end(), scores.begin() + start);
           }
-          scaler_.Transform(&features);
-          la::Vector p = mlp_->PredictBatch(features);
-          std::copy(p.begin(), p.end(), scores.begin() + start);
+        } catch (...) {
+          scratch = FeatureScratch();
+          throw;
         }
       });
   return scores;

@@ -67,7 +67,8 @@ class CliqueClassifier {
   /// in blocks of `kScoreBlock` cliques: each clique's features are
   /// written straight into its row of one small buffer
   /// (`FeatureExtractor::ExtractInto`), scaled, and passed through one
-  /// `Mlp::PredictBatch`. Scoring fills `g`'s MHH column, if it has one,
+  /// `Mlp::PredictBatch`; each thread reuses one `FeatureScratch` across
+  /// calls. Scoring fills `g`'s MHH column, if it has one,
   /// as it goes. A row's score depends only on its own features, so
   /// scores are identical for any thread count and block size. A
   /// tripped `cancel` token (null = non-cancellable) stops each range

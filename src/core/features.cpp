@@ -1,6 +1,7 @@
 #include "core/features.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -15,29 +16,12 @@ namespace {
 /// in total, so neighbor lists never need more than the 64 smallest ids.
 constexpr size_t kHoodCap = 64;
 
-/// The `kHoodCap` smallest neighbor ids of u in ascending order. The CSR
-/// overload is a sorted-prefix view; the hash-map overload collects into
-/// `scratch` and partial-sorts (O(d log 64), not O(d log d), on hubs).
-/// Routing both representations through the same ascending order is what
-/// makes capped neighborhood statistics identical across the two paths.
-std::span<const NodeId> SortedNeighborIds(const CsrGraph& g, NodeId u,
-                                          std::vector<NodeId>* scratch) {
-  (void)scratch;
-  auto nbrs = g.Neighbors(u);
-  return nbrs.subspan(0, std::min(nbrs.size(), kHoodCap));
-}
-
-std::span<const NodeId> SortedNeighborIds(const ProjectedGraph& g, NodeId u,
-                                          std::vector<NodeId>* scratch) {
-  scratch->clear();
-  for (const auto& [v, w] : g.Neighbors(u)) {
-    (void)w;
-    scratch->push_back(v);
-  }
-  size_t keep = std::min(scratch->size(), kHoodCap);
-  std::partial_sort(scratch->begin(), scratch->begin() + keep,
-                    scratch->end());
-  return {scratch->data(), keep};
+/// The `kHoodCap` smallest neighbor ids of u in ascending order: a prefix
+/// view of either graph's sorted row, so capped neighborhood statistics
+/// are identical across the two representations.
+template <typename Graph>
+auto SortedNeighborIds(const Graph& g, NodeId u) {
+  return NeighborIds(g, u) | std::views::take(kHoodCap);
 }
 
 /// Calls `fn(v, w(u,v))` for every neighbor v of u, in the graph's own
@@ -99,7 +83,7 @@ uint64_t ScanMhh(const Graph& g, NodeId v, const std::vector<uint32_t>& row) {
   return common;
 }
 
-/// MHH(u, v) with u's row scattered into `s`. The hash-map graph scans;
+/// MHH(u, v) with u's row scattered into `s`. The mutable graph scans;
 /// a CSR snapshot reads the pair's MHH column entry, found in O(1)
 /// through the scattered slots, and scans and stores it on a miss. A
 /// non-edge (a Phase-2 sub-clique pair Phase 1 peeled away) has no
@@ -206,7 +190,7 @@ void ExtractStructural(const Graph& g, CliqueView clique, bool is_maximal,
   NodeSet& hood = s->hood;
   hood.assign(clique.begin(), clique.end());
   for (NodeId u : clique) {
-    for (NodeId v : SortedNeighborIds(g, u, &s->neighbor_ids)) {
+    for (NodeId v : SortedNeighborIds(g, u)) {
       hood.push_back(v);
       if (hood.size() >= kHoodCap) break;
     }

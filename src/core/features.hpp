@@ -4,14 +4,15 @@
 /// the MARIOH-M ablation and the SHyRe baselines.
 ///
 /// Every feature family can be computed against either the mutable
-/// hash-map `ProjectedGraph` or an immutable `CsrGraph` snapshot; both
-/// paths produce bit-identical vectors (work caps truncate neighbor sets
-/// in ascending-id order on both). The CSR overload is the reconstruction
-/// loop's hot path: `CliqueClassifier::ScoreAll` calls `ExtractInto` per
-/// clique, writing straight into its block's feature row, inside one
-/// parallel loop over the frozen snapshot; on a CSR snapshot the
-/// multiplicity-aware pair kernel reads and fills the snapshot's MHH
-/// column, so each pair's MHH is summed once per row version.
+/// `ProjectedGraph` or an immutable `CsrGraph` snapshot; both paths
+/// produce bit-identical vectors (both keep rows sorted, and work caps
+/// truncate neighbor sets in that ascending-id order). The CSR overload
+/// is the reconstruction loop's hot path: `CliqueClassifier::ScoreAll`
+/// calls `ExtractInto` per clique, writing straight into its block's
+/// feature row, inside one parallel loop over the frozen snapshot; on a
+/// CSR snapshot the multiplicity-aware pair kernel reads and fills the
+/// snapshot's MHH column, so each pair's MHH is summed once per row
+/// version.
 
 #pragma once
 
@@ -54,14 +55,13 @@ enum class FeatureMode {
 /// so one instance serves any number of cliques and graphs. The other
 /// vectors hold one clique's per-node and per-pair values until they are
 /// aggregated. Not shareable across threads: keep one per thread (the
-/// batched scorer keeps one per parallel range).
+/// batched scorer keeps one per thread for the thread's lifetime).
 struct FeatureScratch {
   std::vector<uint32_t> row_weights;
   std::vector<uint32_t> row_slots;
   std::vector<double> node_values;
   std::vector<double> pair_values[3];
   std::vector<NodeId> hood;
-  std::vector<NodeId> neighbor_ids;
 };
 
 /// Extracts fixed-length feature vectors for cliques of a projected graph.

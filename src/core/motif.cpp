@@ -7,31 +7,14 @@ namespace marioh::core {
 namespace {
 
 /// Collects up to `cap` neighbor ids of u in ascending order, skipping
-/// `skip`. The ascending truncation order is what makes capped statistics
-/// identical between the hash-map and CSR paths — the same convention as
-/// features.cpp's SortedNeighborIds, enforced across both files by
-/// test_hot_path's bit-identity properties.
-std::vector<NodeId> CappedSortedNeighbors(const ProjectedGraph& g, NodeId u,
+/// `skip`. Both graphs keep rows sorted, so the capped statistics are
+/// identical between them.
+template <typename Graph>
+std::vector<NodeId> CappedSortedNeighbors(const Graph& g, NodeId u,
                                           NodeId skip, size_t cap) {
   std::vector<NodeId> out;
-  out.reserve(g.Degree(u));
-  for (const auto& [v, w] : g.Neighbors(u)) {
-    (void)w;
-    if (v != skip) out.push_back(v);
-  }
-  size_t keep = std::min(out.size(), cap);
-  // Keep the `cap` smallest ids (O(d log cap), not O(d log d) on hubs).
-  std::partial_sort(out.begin(), out.begin() + keep, out.end());
-  out.resize(keep);
-  return out;
-}
-
-std::vector<NodeId> CappedSortedNeighbors(const CsrGraph& g, NodeId u,
-                                          NodeId skip, size_t cap) {
-  std::vector<NodeId> out;
-  auto nbrs = g.Neighbors(u);
-  out.reserve(std::min(nbrs.size(), cap));
-  for (NodeId v : nbrs) {
+  out.reserve(std::min(g.Degree(u), cap));
+  for (NodeId v : NeighborIds(g, u)) {
     if (v == skip) continue;
     out.push_back(v);
     if (out.size() >= cap) break;
@@ -46,22 +29,12 @@ uint64_t TrianglesThroughEdge(const Graph& g, NodeId u, NodeId v) {
   return g.CommonNeighborCount(u, v);
 }
 
-uint64_t TrianglesAtNode(const ProjectedGraph& g, NodeId u) {
+template <typename Graph>
+uint64_t TrianglesAtNode(const Graph& g, NodeId u) {
   // Sum over incident edges of common-neighbor counts double-counts each
   // triangle at u exactly twice (once per incident edge).
   uint64_t twice = 0;
-  for (const auto& [v, w] : g.Neighbors(u)) {
-    (void)w;
-    twice += TrianglesThroughEdge(g, u, v);
-  }
-  return twice / 2;
-}
-
-uint64_t TrianglesAtNode(const CsrGraph& g, NodeId u) {
-  uint64_t twice = 0;
-  for (NodeId v : g.Neighbors(u)) {
-    twice += TrianglesThroughEdge(g, u, v);
-  }
+  for (NodeId v : NeighborIds(g, u)) twice += TrianglesThroughEdge(g, u, v);
   return twice / 2;
 }
 
@@ -97,6 +70,8 @@ uint64_t SquaresThroughEdge(const Graph& g, NodeId u, NodeId v,
 
 template uint64_t TrianglesThroughEdge(const ProjectedGraph&, NodeId, NodeId);
 template uint64_t TrianglesThroughEdge(const CsrGraph&, NodeId, NodeId);
+template uint64_t TrianglesAtNode(const ProjectedGraph&, NodeId);
+template uint64_t TrianglesAtNode(const CsrGraph&, NodeId);
 template uint64_t WedgesAtNode(const ProjectedGraph&, NodeId);
 template uint64_t WedgesAtNode(const CsrGraph&, NodeId);
 template double ClusteringCoefficient(const ProjectedGraph&, NodeId);

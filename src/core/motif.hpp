@@ -1,12 +1,11 @@
 /// \file motif.hpp
 /// \brief Local motif statistics (triangles, wedges, squares) around nodes
 /// and edges of a projected graph — the extra signal SHyRe-Motif adds on
-/// top of count features [6]. Every kernel runs on the hash-map
+/// top of count features [6]. Every kernel runs on the mutable graph
 /// (`ProjectedGraph`) and the CSR-snapshot (`CsrGraph`) graph with
-/// bit-identical values: work caps truncate neighbor lists in ascending-id
-/// order on both paths, so capped statistics do not depend on hash-map
-/// iteration order. The templates are instantiated for exactly those two
-/// graph types (in motif.cpp).
+/// bit-identical values: both keep rows sorted by id, and work caps
+/// truncate neighbor lists in that ascending order. The templates are
+/// instantiated for exactly those two graph types (in motif.cpp).
 
 #pragma once
 
@@ -23,8 +22,8 @@ template <typename Graph>
 uint64_t TrianglesThroughEdge(const Graph& g, NodeId u, NodeId v);
 
 /// Number of triangles containing node u (each counted once).
-uint64_t TrianglesAtNode(const ProjectedGraph& g, NodeId u);
-uint64_t TrianglesAtNode(const CsrGraph& g, NodeId u);
+template <typename Graph>
+uint64_t TrianglesAtNode(const Graph& g, NodeId u);
 
 /// Number of wedges (paths of length 2) centered at node u:
 /// C(deg(u), 2).

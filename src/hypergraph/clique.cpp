@@ -470,7 +470,7 @@ void RunLocalBronKerbosch(LocalScratch* s, InP&& in_p, EmitFn& emit) {
   }
 }
 
-/// Reference Bron–Kerbosch over the hash-map adjacency (sequential). The
+/// Reference Bron–Kerbosch over the mutable graph (sequential). The
 /// growing clique is pushed/popped at the tail and sorted only on
 /// emission.
 class HashMapBronKerbosch {
@@ -532,12 +532,11 @@ class HashMapBronKerbosch {
   std::vector<NodeSet>* out_;
 };
 
-/// Shared degeneracy-ordering body; `for_each` adapts the two adjacency
-/// representations (hash map vs CSR) to a common neighbor iteration.
-template <typename Graph, typename ForEachNeighbor>
+/// Shared degeneracy-ordering body for both graph types; both iterate
+/// neighbors in ascending id order, so they give the same ordering.
+template <typename Graph>
 std::vector<NodeId> DegeneracyOrderingImpl(const Graph& g,
-                                           size_t* degeneracy,
-                                           ForEachNeighbor&& for_each) {
+                                           size_t* degeneracy) {
   const size_t n = g.num_nodes();
   std::vector<size_t> deg(n);
   size_t max_deg = 0;
@@ -565,13 +564,13 @@ std::vector<NodeId> DegeneracyOrderingImpl(const Graph& g,
     removed[u] = true;
     order.push_back(u);
     degen = std::max(degen, cursor);
-    for_each(u, [&](NodeId v) {
+    for (NodeId v : NeighborIds(g, u)) {
       if (!removed[v] && deg[v] > 0) {
         --deg[v];
         buckets[deg[v]].push_back(v);
         if (deg[v] < cursor) cursor = deg[v];
       }
-    });
+    }
   }
   if (degeneracy != nullptr) *degeneracy = degen;
   return order;
@@ -581,19 +580,12 @@ std::vector<NodeId> DegeneracyOrderingImpl(const Graph& g,
 
 std::vector<NodeId> DegeneracyOrdering(const ProjectedGraph& g,
                                        size_t* degeneracy) {
-  return DegeneracyOrderingImpl(g, degeneracy, [&g](NodeId u, auto&& fn) {
-    for (const auto& [v, w] : g.Neighbors(u)) {
-      (void)w;
-      fn(v);
-    }
-  });
+  return DegeneracyOrderingImpl(g, degeneracy);
 }
 
 std::vector<NodeId> DegeneracyOrdering(const CsrGraph& g,
                                        size_t* degeneracy) {
-  return DegeneracyOrderingImpl(g, degeneracy, [&g](NodeId u, auto&& fn) {
-    for (NodeId v : g.Neighbors(u)) fn(v);
-  });
+  return DegeneracyOrderingImpl(g, degeneracy);
 }
 
 MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
@@ -921,17 +913,15 @@ std::vector<NodeSet> MaximalCliquesHashMapReference(
   for (size_t i = 0; i < n; ++i) {
     NodeId v = order[i];
     if (g.Degree(v) == 0) continue;
+    // Rows ascend, so p and x come out sorted.
     std::vector<NodeId> p, x;
-    for (const auto& [w, wt] : g.Neighbors(v)) {
-      (void)wt;
+    for (NodeId w : NeighborIds(g, v)) {
       if (pos[w] > i) {
         p.push_back(w);
       } else {
         x.push_back(w);
       }
     }
-    std::sort(p.begin(), p.end());
-    std::sort(x.begin(), x.end());
     NodeSet r = {v};
     bk.Expand(&r, std::move(p), std::move(x));
     if (out.size() >= options.max_cliques) break;

@@ -210,10 +210,12 @@ MaximalCliqueUpdate UpdateMaximalCliques(const CsrGraph& g,
 MaximalCliqueResult EnumerateMaximalCliques(const ProjectedGraph& g,
                                             const CliqueOptions& options = {});
 
-/// Reference enumeration over the mutable hash-map adjacency, sequential.
-/// Kept as the equivalence-test oracle and the hashmap side of the
-/// CSR-vs-hashmap microbenchmarks; produces the same sorted clique set as
-/// the CSR fast path (up to which subset survives truncation).
+/// Reference enumeration over the mutable `ProjectedGraph` (no snapshot),
+/// sequential, testing adjacency pair by pair; the name dates from when
+/// that graph's rows were hash maps. Kept as the equivalence-test oracle
+/// and the reference side of the enumeration microbenchmarks; produces
+/// the same sorted clique set as the CSR fast path (up to which subset
+/// survives truncation).
 std::vector<NodeSet> MaximalCliquesHashMapReference(
     const ProjectedGraph& g, const CliqueOptions& options = {});
 

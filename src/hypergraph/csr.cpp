@@ -8,6 +8,19 @@
 
 namespace marioh {
 
+uint64_t CsrGraph::CopyRow(NodeId u, const ProjectedGraph& g) {
+  const size_t base = offsets_[u];
+  uint64_t weighted = 0;
+  size_t t = base;
+  for (const auto& [v, w] : g.Neighbors(u)) {
+    neighbors_[t] = v;
+    weights_[t] = w;
+    weighted += w;
+    ++t;
+  }
+  return weighted;
+}
+
 CsrGraph::CsrGraph(const ProjectedGraph& g, int num_threads,
                    MhhColumn column) {
   const size_t n = g.num_nodes();
@@ -21,20 +34,10 @@ CsrGraph::CsrGraph(const ProjectedGraph& g, int num_threads,
     mhh_.assign(offsets_.back(), kMhhUnknown);
   }
   weighted_degrees_.assign(n, 0);
-  // Rows are independent slots, so sorting them is deterministic for any
-  // thread count.
+  // Rows are independent slots, already sorted in `g`, so the copy is
+  // deterministic for any thread count.
   util::ParallelFor(n, num_threads, nullptr, [&](size_t u) {
-    std::vector<std::pair<NodeId, uint32_t>> row(g.Neighbors(u).begin(),
-                                                 g.Neighbors(u).end());
-    std::sort(row.begin(), row.end());
-    size_t base = offsets_[u];
-    uint64_t weighted = 0;
-    for (size_t i = 0; i < row.size(); ++i) {
-      neighbors_[base + i] = row[i].first;
-      weights_[base + i] = row[i].second;
-      weighted += row[i].second;
-    }
-    weighted_degrees_[u] = weighted;
+    weighted_degrees_[u] = CopyRow(static_cast<NodeId>(u), g);
   });
   for (uint64_t wd : weighted_degrees_) total_weight_ += wd;
   total_weight_ /= 2;
@@ -74,9 +77,9 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
   }
   weighted_degrees_.assign(n, 0);
   // Rows are independent slots, so the fill is deterministic for any
-  // thread count: untouched rows are straight copies of `prev`'s sorted
-  // rows, touched rows are re-gathered and re-sorted from `g` exactly as
-  // in the from-scratch build. `prev` has no concurrent fills while it is
+  // thread count: untouched rows are straight copies of `prev`'s rows,
+  // touched rows are copied from `g` exactly as in the from-scratch
+  // build. `prev` has no concurrent fills while it is
   // patched, so its column is read plainly.
   util::ParallelFor(n, num_threads, nullptr, [&](size_t u) {
     const size_t base = offsets_[u];
@@ -101,16 +104,7 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
       std::fill(mhh_.begin() + base, mhh_.begin() + offsets_[u + 1],
                 kMhhUnknown);
     }
-    std::vector<std::pair<NodeId, uint32_t>> row(g.Neighbors(u).begin(),
-                                                 g.Neighbors(u).end());
-    std::sort(row.begin(), row.end());
-    uint64_t weighted = 0;
-    for (size_t i = 0; i < row.size(); ++i) {
-      neighbors_[base + i] = row[i].first;
-      weights_[base + i] = row[i].second;
-      weighted += row[i].second;
-    }
-    weighted_degrees_[u] = weighted;
+    weighted_degrees_[u] = CopyRow(static_cast<NodeId>(u), g);
   });
   for (uint64_t wd : weighted_degrees_) total_weight_ += wd;
   total_weight_ /= 2;

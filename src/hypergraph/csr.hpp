@@ -4,7 +4,7 @@
 /// sorted-merge common-neighbor iteration, and a memo of MHH (Eq. (1))
 /// per edge slot. This is the read path of the reconstruction loop's
 /// snapshot-then-peel pattern (see docs/ARCHITECTURE.md "The hot path"):
-/// every iteration freezes the mutable hash-map `ProjectedGraph` into a
+/// every iteration freezes the mutable `ProjectedGraph` into a
 /// `CsrGraph`, runs the read-heavy kernels (maximal-clique enumeration,
 /// MHH, feature extraction) on the snapshot — in parallel, since its
 /// adjacency never changes — and then applies the accepted peels back to
@@ -50,9 +50,9 @@ class CsrGraph {
   /// a column every MHH read is computed afresh and nothing is stored.
   enum class MhhColumn { kAllocate, kSkip };
 
-  /// Builds a snapshot of `g`. Neighbors of every node are sorted by id.
-  /// `num_threads` parallelizes the per-row sort (0 = all cores); the
-  /// result is identical for any thread count. The MHH column, if
+  /// Builds a snapshot of `g`, copying its sorted rows. `num_threads`
+  /// parallelizes the row copy (0 = all cores); the result is identical
+  /// for any thread count. The MHH column, if
   /// allocated, starts unknown.
   explicit CsrGraph(const ProjectedGraph& g, int num_threads = 1,
                     MhhColumn column = MhhColumn::kAllocate);
@@ -62,8 +62,8 @@ class CsrGraph {
   /// `g` differs only in the adjacency rows of `touched_nodes` (e.g. the
   /// members of cliques peeled since `prev` was taken — peeling only
   /// mutates edges whose two endpoints are both in the peeled clique, so
-  /// every other row is bit-identical and is copied straight from `prev`
-  /// instead of being re-gathered and re-sorted from the hash map).
+  /// every other row is bit-identical and is copied straight from `prev`,
+  /// with its MHH entries, instead of from `g`).
   /// `touched_nodes` may be in any order and contain duplicates; nodes
   /// whose rows did not actually change are harmless (their rebuilt rows
   /// come out identical). The adjacency is bit-identical to `CsrGraph(g)`
@@ -156,6 +156,10 @@ class CsrGraph {
   uint64_t TotalWeight() const { return total_weight_; }
 
  private:
+  /// Copies row u of `g` into its slots (`offsets_` already laid out);
+  /// returns its weighted degree.
+  uint64_t CopyRow(NodeId u, const ProjectedGraph& g);
+
   std::vector<size_t> offsets_;     // size num_nodes + 1
   std::vector<NodeId> neighbors_;   // concatenated sorted adjacency
   std::vector<uint32_t> weights_;   // aligned with neighbors_
@@ -167,5 +171,11 @@ class CsrGraph {
   // std::atomic_ref, so concurrent fills are race-free.
   mutable std::vector<uint32_t> mhh_;
 };
+
+/// Ascending neighbor ids of u; the twin of `NeighborIds(ProjectedGraph)`,
+/// so one template reads either graph.
+inline std::span<const NodeId> NeighborIds(const CsrGraph& g, NodeId u) {
+  return g.Neighbors(u);
+}
 
 }  // namespace marioh

@@ -6,12 +6,43 @@
 #include "util/check.hpp"
 
 namespace marioh {
+namespace {
+
+/// First entry of `row` whose neighbor id is not below `v`.
+template <typename Row>
+auto LowerBound(Row& row, NodeId v) {
+  return std::lower_bound(
+      row.begin(), row.end(), v,
+      [](const ProjectedGraph::Entry& e, NodeId id) { return e.first < id; });
+}
+
+/// Calls `fn(z, wu, wv)` for every common neighbor z of rows `a` and `b`,
+/// with wu = w(u, z) and wv = w(v, z), by a sorted merge. No row holds
+/// its own node, so z is never u or v.
+template <typename Fn>
+void ForEachCommon(std::span<const ProjectedGraph::Entry> a,
+                   std::span<const ProjectedGraph::Entry> b, Fn&& fn) {
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].first == b[j].first) {
+      fn(a[i].first, a[i].second, b[j].second);
+      ++i;
+      ++j;
+    } else if (a[i].first < b[j].first) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+}
+
+}  // namespace
 
 uint32_t ProjectedGraph::Weight(NodeId u, NodeId v) const {
   if (u == v || u >= adj_.size() || v >= adj_.size()) return 0;
-  const AdjMap& nu = adj_[u];
-  auto it = nu.find(v);
-  return it == nu.end() ? 0 : it->second;
+  const Row& row = adj_[u];
+  auto it = LowerBound(row, v);
+  return it == row.end() || it->first != v ? 0 : it->second;
 }
 
 void ProjectedGraph::AddWeight(NodeId u, NodeId v, uint32_t delta) {
@@ -19,25 +50,35 @@ void ProjectedGraph::AddWeight(NodeId u, NodeId v, uint32_t delta) {
   MARIOH_CHECK_LT(u, adj_.size());
   MARIOH_CHECK_LT(v, adj_.size());
   if (delta == 0) return;
-  uint32_t& wu = adj_[u][v];
-  MARIOH_CHECK_LE(delta, std::numeric_limits<uint32_t>::max() - wu);
-  if (wu == 0) ++num_edges_;
-  wu += delta;
-  adj_[v][u] = wu;
+  Row& ru = adj_[u];
+  Row& rv = adj_[v];
+  auto it = LowerBound(ru, v);
+  if (it == ru.end() || it->first != v) {
+    ru.insert(it, {v, delta});
+    rv.insert(LowerBound(rv, u), {u, delta});
+    ++num_edges_;
+    return;
+  }
+  MARIOH_CHECK_LE(delta, std::numeric_limits<uint32_t>::max() - it->second);
+  it->second += delta;
+  LowerBound(rv, u)->second = it->second;
 }
 
 uint32_t ProjectedGraph::SubtractWeight(NodeId u, NodeId v, uint32_t delta) {
   if (u == v) return 0;
-  auto it = adj_[u].find(v);
-  if (it == adj_[u].end()) return 0;
+  Row& ru = adj_[u];
+  auto it = LowerBound(ru, v);
+  if (it == ru.end() || it->first != v) return 0;
+  Row& rv = adj_[v];
+  auto mirror = LowerBound(rv, u);
   uint32_t removed = std::min(delta, it->second);
   it->second -= removed;
   if (it->second == 0) {
-    adj_[u].erase(it);
-    adj_[v].erase(u);
+    ru.erase(it);
+    rv.erase(mirror);
     --num_edges_;
   } else {
-    adj_[v][u] = it->second;
+    mirror->second = it->second;
   }
   return removed;
 }
@@ -68,9 +109,6 @@ std::vector<ProjectedGraph::Edge> ProjectedGraph::Edges() const {
       if (u < v) out.push_back({u, v, w});
     }
   }
-  std::sort(out.begin(), out.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
   return out;
 }
 
@@ -84,55 +122,24 @@ bool ProjectedGraph::IsClique(std::span<const NodeId> nodes) const {
 }
 
 uint64_t ProjectedGraph::Mhh(NodeId u, NodeId v) const {
-  const AdjMap* small = &adj_[u];
-  const AdjMap* large = &adj_[v];
-  NodeId other_small = v;  // endpoint to skip while iterating *small
-  NodeId other_large = u;
-  if (small->size() > large->size()) {
-    std::swap(small, large);
-    std::swap(other_small, other_large);
-  }
   uint64_t total = 0;
-  for (const auto& [z, wz] : *small) {
-    if (z == other_small) continue;
-    auto it = large->find(z);
-    if (it == large->end()) continue;
-    total += std::min(wz, it->second);
-  }
+  ForEachCommon(adj_[u], adj_[v], [&total](NodeId, uint32_t wu, uint32_t wv) {
+    total += std::min(wu, wv);
+  });
   return total;
 }
 
 std::vector<NodeId> ProjectedGraph::CommonNeighbors(NodeId u, NodeId v) const {
-  const AdjMap* small = &adj_[u];
-  const AdjMap* large = &adj_[v];
-  NodeId skip = v;
-  if (small->size() > large->size()) {
-    std::swap(small, large);
-    skip = u;
-  }
   std::vector<NodeId> out;
-  for (const auto& [z, wz] : *small) {
-    (void)wz;
-    if (z == skip) continue;
-    if (large->count(z) > 0) out.push_back(z);
-  }
+  ForEachCommon(adj_[u], adj_[v],
+                [&out](NodeId z, uint32_t, uint32_t) { out.push_back(z); });
   return out;
 }
 
 size_t ProjectedGraph::CommonNeighborCount(NodeId u, NodeId v) const {
-  const AdjMap* small = &adj_[u];
-  const AdjMap* large = &adj_[v];
-  NodeId skip = v;
-  if (small->size() > large->size()) {
-    std::swap(small, large);
-    skip = u;
-  }
   size_t count = 0;
-  for (const auto& [z, wz] : *small) {
-    (void)wz;
-    if (z == skip) continue;
-    if (large->count(z) > 0) ++count;
-  }
+  ForEachCommon(adj_[u], adj_[v],
+                [&count](NodeId, uint32_t, uint32_t) { ++count; });
   return count;
 }
 
@@ -146,24 +153,13 @@ void ProjectedGraph::PeelClique(std::span<const NodeId> nodes) {
 
 uint64_t ProjectedGraph::TotalWeight() const {
   uint64_t s = 0;
-  for (const AdjMap& m : adj_) {
-    for (const auto& [v, w] : m) {
-      (void)v;
-      s += w;
-    }
-  }
+  for (NodeId u = 0; u < adj_.size(); ++u) s += WeightedDegree(u);
   return s / 2;
 }
 
 size_t ProjectedGraph::ApproxBytes() const {
-  // Per hash-map node: key + value + chain pointer + a conservative
-  // allocator-overhead constant.
-  constexpr size_t kNodeOverhead = 24;
-  size_t bytes = sizeof(*this) + adj_.capacity() * sizeof(AdjMap);
-  for (const AdjMap& m : adj_) {
-    bytes += m.bucket_count() * sizeof(void*);
-    bytes += m.size() * (sizeof(NodeId) + sizeof(uint32_t) + kNodeOverhead);
-  }
+  size_t bytes = sizeof(*this) + adj_.capacity() * sizeof(Row);
+  for (const Row& row : adj_) bytes += row.capacity() * sizeof(Entry);
   return bytes;
 }
 

@@ -5,8 +5,9 @@
 #pragma once
 
 #include <cstdint>
+#include <ranges>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hypergraph/types.hpp"
@@ -14,12 +15,15 @@
 namespace marioh {
 
 /// Weighted undirected graph with integer edge weights (edge
-/// multiplicities). Adjacency is a per-node hash map so the reconstruction
-/// loop can decrement and delete edges in O(1) expected time.
+/// multiplicities). Each node's adjacency is one flat row of (neighbor,
+/// weight) entries, kept sorted by neighbor id with every weight > 0:
+/// lookups and the reconstruction loop's decrements binary-search it,
+/// neighbor iteration is ascending, and a CSR snapshot copies rows
+/// without sorting them.
 class ProjectedGraph {
  public:
-  /// Neighbor → weight map for a single node.
-  using AdjMap = std::unordered_map<NodeId, uint32_t>;
+  /// One adjacency entry: (neighbor id, weight w(u, neighbor) > 0).
+  using Entry = std::pair<NodeId, uint32_t>;
 
   /// Creates an edgeless graph over `num_nodes` nodes.
   explicit ProjectedGraph(size_t num_nodes = 0) : adj_(num_nodes) {}
@@ -51,8 +55,9 @@ class ProjectedGraph {
   /// Removes the edge {u,v} entirely; returns its former weight.
   uint32_t RemoveEdge(NodeId u, NodeId v);
 
-  /// Neighbor map of `u` (weights included).
-  const AdjMap& Neighbors(NodeId u) const { return adj_[u]; }
+  /// Adjacency row of `u`: its (neighbor, weight) entries, ascending by
+  /// neighbor id.
+  std::span<const Entry> Neighbors(NodeId u) const { return adj_[u]; }
 
   /// Degree |N(u)|.
   size_t Degree(NodeId u) const { return adj_[u].size(); }
@@ -63,7 +68,7 @@ class ProjectedGraph {
   /// Average edge weight (the `Avg. w` column of Table I); 0 if edgeless.
   double AverageWeight() const;
 
-  /// All edges as (u, v, w) with u < v, sorted for determinism.
+  /// All edges as (u, v, w) with u < v, sorted by (u, v).
   struct Edge {
     NodeId u;
     NodeId v;
@@ -77,10 +82,10 @@ class ProjectedGraph {
 
   /// Maximum number of higher-order hyperedges through edge {u,v}
   /// (Eq. (1)): `MHH(u,v) = sum_{z in N(u) ∩ N(v)} min(w(u,z), w(v,z))`.
-  /// Iterates the smaller of the two neighbor maps.
+  /// A sorted merge of rows u and v.
   uint64_t Mhh(NodeId u, NodeId v) const;
 
-  /// Common neighbors N(u) ∩ N(v), unsorted.
+  /// Common neighbors N(u) ∩ N(v), ascending.
   std::vector<NodeId> CommonNeighbors(NodeId u, NodeId v) const;
 
   /// |N(u) ∩ N(v)| without materializing the intersection.
@@ -93,14 +98,21 @@ class ProjectedGraph {
   /// Sum of all edge weights.
   uint64_t TotalWeight() const;
 
-  /// Approximate resident heap footprint in bytes (per-node adjacency
-  /// maps, buckets, allocation overhead). O(|V|); the `DatasetCache`
-  /// byte-budget accounting uses this at insert time.
+  /// Approximate resident heap footprint in bytes (the row headers plus
+  /// each row's capacity). O(|V|); the `DatasetCache` byte-budget
+  /// accounting uses this at insert time.
   size_t ApproxBytes() const;
 
  private:
-  std::vector<AdjMap> adj_;
+  using Row = std::vector<Entry>;
+
+  std::vector<Row> adj_;
   size_t num_edges_ = 0;
 };
+
+/// Ascending neighbor ids of u (the ids of its adjacency row).
+inline auto NeighborIds(const ProjectedGraph& g, NodeId u) {
+  return g.Neighbors(u) | std::views::keys;
+}
 
 }  // namespace marioh

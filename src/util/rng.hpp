@@ -78,16 +78,26 @@ class Rng {
     }
   }
 
-  /// Samples `k` distinct elements from `items` (reservoir sampling).
+  /// Samples `k` distinct elements from `items` (reservoir sampling) into
+  /// `*out`, replacing its contents; a buffer reused across calls
+  /// allocates only when it grows.
+  template <typename T>
+  void SampleWithoutReplacement(std::span<const T> items, size_t k,
+                                std::vector<T>* out) {
+    MARIOH_CHECK_LE(k, items.size());
+    out->assign(items.begin(), items.begin() + k);
+    for (size_t i = k; i < items.size(); ++i) {
+      size_t j = UniformIndex(i + 1);
+      if (j < k) (*out)[j] = items[i];
+    }
+  }
+
+  /// Returning form of the buffer overload above (same draws).
   template <typename T>
   std::vector<T> SampleWithoutReplacement(std::span<const T> items,
                                           size_t k) {
-    MARIOH_CHECK_LE(k, items.size());
-    std::vector<T> out(items.begin(), items.begin() + k);
-    for (size_t i = k; i < items.size(); ++i) {
-      size_t j = UniformIndex(i + 1);
-      if (j < k) out[j] = items[i];
-    }
+    std::vector<T> out;
+    SampleWithoutReplacement(items, k, &out);
     return out;
   }
 

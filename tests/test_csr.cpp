@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -19,6 +22,13 @@
 
 namespace marioh {
 namespace {
+
+/// The node ids 0..n-1, to sample node sets from.
+std::vector<NodeId> AllNodes(size_t n) {
+  std::vector<NodeId> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = static_cast<NodeId>(i);
+  return ids;
+}
 
 TEST(CsrGraph, BasicAccessors) {
   ProjectedGraph g(4);
@@ -71,7 +81,7 @@ TEST(CsrGraph, EmptyGraph) {
 }
 
 // Equivalence property: on random graphs the CSR snapshot agrees with the
-// hash-map graph on every query.
+// mutable graph on every query.
 class CsrEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CsrEquivalence, MatchesProjectedGraphEverywhere) {
@@ -93,16 +103,223 @@ TEST_P(CsrEquivalence, MatchesProjectedGraphEverywhere) {
   // MHH equivalence on every edge (the hot kernel of Algorithm 2).
   for (const auto& e : g.Edges()) {
     EXPECT_EQ(csr.Mhh(e.u, e.v), g.Mhh(e.u, e.v));
-    // Common neighbors agree as sets.
-    std::vector<NodeId> a = csr.CommonNeighbors(e.u, e.v);
-    std::vector<NodeId> b = g.CommonNeighbors(e.u, e.v);
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
+    // Common neighbors agree, both ascending.
+    EXPECT_EQ(csr.CommonNeighbors(e.u, e.v), g.CommonNeighbors(e.u, e.v));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, CsrEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// ---- The mutable graph's sorted rows against a reference model ----------
+
+/// Reference model of `ProjectedGraph`: one ordered map per node, with an
+/// edge present iff its weight is positive.
+struct ModelGraph {
+  explicit ModelGraph(size_t n) : rows(n) {}
+
+  uint32_t Weight(NodeId u, NodeId v) const {
+    auto it = rows[u].find(v);
+    return it == rows[u].end() ? 0 : it->second;
+  }
+
+  void Set(NodeId u, NodeId v, uint32_t w) {
+    if (w == 0) {
+      rows[u].erase(v);
+      rows[v].erase(u);
+    } else {
+      rows[u][v] = w;
+      rows[v][u] = w;
+    }
+  }
+
+  std::vector<std::map<NodeId, uint32_t>> rows;
+};
+
+/// Checks every read of `g` against the model: rows strictly ascending
+/// with positive weights, degrees, weights, edges, MHH, common neighbors
+/// (ascending) and clique tests.
+void ExpectMatchesModel(const ProjectedGraph& g, const ModelGraph& m,
+                        util::Rng* rng, const std::string& where) {
+  const size_t n = m.rows.size();
+  ASSERT_EQ(g.num_nodes(), n);
+  size_t edges = 0;
+  uint64_t total = 0;
+  std::vector<ProjectedGraph::Edge> want_edges;
+  for (NodeId u = 0; u < n; ++u) {
+    auto row = g.Neighbors(u);
+    for (size_t t = 0; t < row.size(); ++t) {
+      ASSERT_GT(row[t].second, 0u) << where << ": zero entry in row " << u;
+      if (t > 0) {
+        ASSERT_LT(row[t - 1].first, row[t].first)
+            << where << ": row " << u << " not strictly ascending";
+      }
+    }
+    ASSERT_TRUE(std::ranges::equal(
+        row, m.rows[u], [](const auto& a, const auto& b) {
+          return a.first == b.first && a.second == b.second;
+        }))
+        << where << ": row " << u;
+    EXPECT_EQ(g.Degree(u), m.rows[u].size()) << where;
+    uint64_t weighted = 0;
+    for (const auto& [v, w] : m.rows[u]) {
+      weighted += w;
+      if (u < v) want_edges.push_back({u, v, w});
+    }
+    EXPECT_EQ(g.WeightedDegree(u), weighted) << where;
+    edges += m.rows[u].size();
+    total += weighted;
+  }
+  EXPECT_EQ(g.num_edges(), edges / 2) << where;
+  EXPECT_EQ(g.TotalWeight(), total / 2) << where;
+  std::vector<ProjectedGraph::Edge> got_edges = g.Edges();
+  ASSERT_EQ(got_edges.size(), want_edges.size()) << where;
+  for (size_t i = 0; i < got_edges.size(); ++i) {
+    EXPECT_EQ(got_edges[i].u, want_edges[i].u) << where;
+    EXPECT_EQ(got_edges[i].v, want_edges[i].v) << where;
+    EXPECT_EQ(got_edges[i].weight, want_edges[i].weight) << where;
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(g.Weight(u, v), u == v ? 0 : m.Weight(u, v)) << where;
+      if (u == v) continue;
+      std::vector<NodeId> common;
+      uint64_t mhh = 0;
+      for (const auto& [z, wz] : m.rows[u]) {
+        const uint32_t wv = m.Weight(v, z);
+        if (wv == 0) continue;
+        common.push_back(z);
+        mhh += std::min(wz, wv);
+      }
+      EXPECT_EQ(g.CommonNeighbors(u, v), common) << where;
+      EXPECT_EQ(g.CommonNeighborCount(u, v), common.size()) << where;
+      EXPECT_EQ(g.Mhh(u, v), mhh) << where;
+    }
+  }
+  for (int trial = 0; trial < 50; ++trial) {
+    NodeSet q = rng->SampleWithoutReplacement(
+        std::span<const NodeId>(AllNodes(n)), 2 + rng->UniformIndex(3));
+    Canonicalize(&q);
+    bool clique = true;
+    for (size_t i = 0; i < q.size(); ++i) {
+      for (size_t j = i + 1; j < q.size(); ++j) {
+        clique = clique && m.Weight(q[i], q[j]) > 0;
+      }
+    }
+    EXPECT_EQ(g.IsClique(q), clique) << where;
+  }
+}
+
+/// The snapshot `CsrGraph(m)` must equal: each model row sorted by id.
+void ExpectCsrMatchesModel(const CsrGraph& csr, const ModelGraph& m,
+                           const std::string& where) {
+  ASSERT_EQ(csr.num_nodes(), m.rows.size()) << where;
+  uint64_t total = 0;
+  for (NodeId u = 0; u < m.rows.size(); ++u) {
+    std::vector<std::pair<NodeId, uint32_t>> row(m.rows[u].begin(),
+                                                 m.rows[u].end());
+    std::sort(row.begin(), row.end());
+    auto nbrs = csr.Neighbors(u);
+    auto weights = csr.Weights(u);
+    ASSERT_EQ(nbrs.size(), row.size()) << where << ": row " << u;
+    uint64_t weighted = 0;
+    for (size_t t = 0; t < row.size(); ++t) {
+      ASSERT_EQ(nbrs[t], row[t].first) << where << ": row " << u;
+      ASSERT_EQ(weights[t], row[t].second) << where << ": row " << u;
+      weighted += row[t].second;
+    }
+    EXPECT_EQ(csr.WeightedDegree(u), weighted) << where;
+    total += weighted;
+  }
+  EXPECT_EQ(csr.TotalWeight(), total / 2) << where;
+}
+
+/// Seeded random AddWeight / SubtractWeight / RemoveEdge / PeelClique
+/// sequences on a small dense graph, checked against the model after
+/// every few operations, together with full and patched snapshots at
+/// 1, 2 and 8 threads.
+class SortedRows : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SortedRows, RandomEditsMatchAnOrderedMapModel) {
+  constexpr size_t kNodes = 24;
+  util::Rng rng(GetParam());
+  ProjectedGraph g(kNodes);
+  ModelGraph m(kNodes);
+  CsrGraph prev(g);
+  std::vector<NodeId> touched;
+  const std::vector<NodeId> all_nodes = AllNodes(kNodes);
+  auto pick_pair = [&] {
+    NodeId u = static_cast<NodeId>(rng.UniformIndex(kNodes));
+    NodeId v = static_cast<NodeId>(rng.UniformIndex(kNodes - 1));
+    if (v >= u) ++v;
+    return std::pair{u, v};
+  };
+  for (int op = 1; op <= 600; ++op) {
+    const size_t kind = rng.UniformIndex(10);
+    if (kind < 5) {
+      auto [u, v] = pick_pair();
+      const auto delta = static_cast<uint32_t>(1 + rng.UniformIndex(3));
+      g.AddWeight(u, v, delta);
+      m.Set(u, v, m.Weight(u, v) + delta);
+      touched.insert(touched.end(), {u, v});
+    } else if (kind < 8) {
+      auto [u, v] = pick_pair();
+      const auto delta = static_cast<uint32_t>(1 + rng.UniformIndex(3));
+      const uint32_t had = m.Weight(u, v);
+      EXPECT_EQ(g.SubtractWeight(u, v, delta), std::min(had, delta));
+      m.Set(u, v, had - std::min(had, delta));
+      touched.insert(touched.end(), {u, v});
+    } else if (kind < 9) {
+      auto [u, v] = pick_pair();
+      EXPECT_EQ(g.RemoveEdge(u, v), m.Weight(u, v));
+      m.Set(u, v, 0);
+      touched.insert(touched.end(), {u, v});
+    } else {
+      // Peel a random node set, first adding its missing edges so that
+      // it is a clique (IsClique must agree before and after).
+      NodeSet q =
+          rng.SampleWithoutReplacement(std::span<const NodeId>(all_nodes),
+                                       3 + rng.UniformIndex(2));
+      Canonicalize(&q);
+      bool clique = true;
+      for (size_t i = 0; i < q.size(); ++i) {
+        for (size_t j = i + 1; j < q.size(); ++j) {
+          if (m.Weight(q[i], q[j]) > 0) continue;
+          clique = false;
+          m.Set(q[i], q[j], 1);
+        }
+      }
+      EXPECT_EQ(g.IsClique(q), clique);
+      for (size_t i = 0; i < q.size(); ++i) {
+        for (size_t j = i + 1; j < q.size(); ++j) {
+          if (!g.HasEdge(q[i], q[j])) g.AddWeight(q[i], q[j], 1);
+        }
+      }
+      ASSERT_TRUE(g.IsClique(q));
+      g.PeelClique(q);
+      for (size_t i = 0; i < q.size(); ++i) {
+        for (size_t j = i + 1; j < q.size(); ++j) {
+          m.Set(q[i], q[j], m.Weight(q[i], q[j]) - 1);
+        }
+      }
+      touched.insert(touched.end(), q.begin(), q.end());
+    }
+    if (op % 40 != 0) continue;
+    const std::string where = "seed " + std::to_string(GetParam()) +
+                              " op " + std::to_string(op);
+    ExpectMatchesModel(g, m, &rng, where);
+    for (int threads : {1, 2, 8}) {
+      const std::string at = where + " threads " + std::to_string(threads);
+      ExpectCsrMatchesModel(CsrGraph(g, threads), m, at + " (build)");
+      ExpectCsrMatchesModel(CsrGraph(prev, g, touched, threads), m,
+                            at + " (patch)");
+    }
+    prev = CsrGraph(g);
+    touched.clear();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SortedRows, ::testing::Values(1, 2, 3, 4));
 
 // ---- The MHH column ------------------------------------------------------
 
@@ -148,7 +365,7 @@ void ExtractAll(const CsrGraph& csr, const CliqueStore& cliques,
 // A seeded chain like the reconstruction loop's: Filtering fills a
 // snapshot's column, patches carry it, feature extraction fills misses
 // and random clique peels invalidate rows. After every step each entry
-// read from the column equals the hash-map graph's MHH.
+// read from the column equals the mutable graph's MHH.
 class MhhColumnChain
     : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
 

@@ -254,7 +254,7 @@ bool BitEqual(std::span<const double> a, std::span<const double> b) {
 }
 
 TEST(ExtractInto, MatchesExtractBitwiseOnEveryGraphAndMode) {
-  // The hash-map graph, a cold CSR (column empty), a warm one (column
+  // The mutable graph, a cold CSR (column empty), a warm one (column
   // filled), and a snapshot patched after a peel that removed an edge
   // of every node set's first pair — the Phase-2 sub-clique case, whose
   // absent pair takes the non-edge path.
@@ -280,7 +280,7 @@ TEST(ExtractInto, MatchesExtractBitwiseOnEveryGraphAndMode) {
     std::vector<double> row(fx.dim());
     for (const NodeSet& q : sets) {
       fx.ExtractInto(g, q, true, &scratch, row);
-      EXPECT_TRUE(BitEqual(row, fx.Extract(g, q, true))) << "hash map";
+      EXPECT_TRUE(BitEqual(row, fx.Extract(g, q, true))) << "mutable graph";
       const CsrGraph cold(g);
       fx.ExtractInto(cold, q, true, &scratch, row);
       EXPECT_TRUE(BitEqual(row, fx.Extract(CsrGraph(g), q, true)))

@@ -1,5 +1,5 @@
 // Property tests for the reconstruction loop's hot path: the CSR snapshot
-// fast path must agree exactly with the mutable hash-map path (clique
+// fast path must agree exactly with the mutable graph's path (clique
 // sets, MHH values, features, scores), and every parallel kernel must
 // produce identical results for any thread count — the determinism
 // contract of docs/ARCHITECTURE.md.
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -46,7 +47,7 @@ TEST_P(HotPathEquivalence, CliqueSetsMatchAcrossPathsAndThreadCounts) {
     options.num_threads = threads;
     MaximalCliqueResult result = EnumerateMaximalCliques(csr, options);
     EXPECT_FALSE(result.truncated);
-    // The arena output must match the sequential hash-map oracle
+    // The arena output must match the sequential mutable-graph oracle
     // clique-for-clique, and the arena itself (offsets included) must be
     // identical for any thread count.
     EXPECT_EQ(result.cliques.ToNodeSets(), reference)
@@ -106,7 +107,7 @@ TEST_P(HotPathEquivalence, ExtractIntoMatchesExtractOnColdAndWarmSnapshots) {
   // Phase 1 scores maximal cliques on a snapshot, fills its MHH column,
   // peels; Phase 2 scores sub-cliques on the patched snapshot, some of
   // whose pairs the peels removed. At every stage the allocation-free
-  // rows must equal Extract on the hash-map graph, bit for bit.
+  // rows must equal Extract on the mutable graph, bit for bit.
   ProjectedGraph g = RandomGraph(GetParam());
   util::Rng rng(GetParam() + 100);
   const CsrGraph cold(g);
@@ -168,8 +169,8 @@ TEST_P(HotPathEquivalence, ExtractIntoMatchesExtractOnColdAndWarmSnapshots) {
 TEST(HotPathFeatures, LargeCliquesMatchBitwiseInAllModes) {
   // Planted hyperedges of 12-15 nodes over a HyperCL background give
   // maximal cliques of k >= 12 with uneven weights, overlapping hubs and
-  // long pair loops: CSR and hash-map vectors must agree bit for bit, on
-  // the maximal cliques and on random sub-cliques of them.
+  // long pair loops: CSR and mutable-graph vectors must agree bit for
+  // bit, on the maximal cliques and on random sub-cliques of them.
   util::Rng rng(41);
   Hypergraph h = gen::HyperClLike(100, 150, 3.2, 0.7, &rng);
   NodeSet all(100);
@@ -354,6 +355,53 @@ TEST(HotPathScoring, ScoreAllMatchesScalarScoresForAnyThreadCount) {
   }
   for (int threads : {1, 2, 8}) {
     EXPECT_EQ(classifier.ScoreAll(csr, store, true, threads), scalar)
+        << "threads=" << threads;
+  }
+}
+
+TEST(HotPathScoring, ThreadScratchCarriesOverBetweenGraphsOfAnySize) {
+  // ScoreAll keeps one feature scratch per thread across calls. Scoring a
+  // small graph, then a 16,000-node one, then the small one again must
+  // give exactly the scores of a thread with a fresh scratch.
+  util::Rng rng(31);
+  Hypergraph h_source = gen::HyperClLike(60, 120, 3.0, 0.7, &rng);
+  core::CliqueClassifier classifier(core::FeatureMode::kMultiplicityAware,
+                                    {});
+  util::Rng train_rng(32);
+  classifier.Train(h_source.Project(), h_source, &train_rng);
+  util::Rng target_rng(33);
+  ProjectedGraph small =
+      gen::HyperClLike(200, 420, 3.2, 0.7, &target_rng).Project();
+  ProjectedGraph large =
+      gen::HyperClLike(16000, 9600, 3.0, 0.6, &target_rng).Project();
+  ASSERT_EQ(large.num_nodes(), 16000u);
+  CliqueStore small_cliques = EnumerateMaximalCliques(small).cliques;
+  CliqueStore large_cliques = EnumerateMaximalCliques(large).cliques;
+  // Each call scores a fresh snapshot, so no MHH column entry is warm.
+  auto fresh_thread_scores = [&](const ProjectedGraph& g,
+                                 const CliqueStore& cliques) {
+    std::vector<double> scores;
+    std::thread([&] {
+      scores = classifier.ScoreAll(CsrGraph(g), cliques, true, 1);
+    }).join();
+    return scores;
+  };
+  const std::vector<double> want_small =
+      fresh_thread_scores(small, small_cliques);
+  const std::vector<double> want_large =
+      fresh_thread_scores(large, large_cliques);
+  for (int threads : {1, 2}) {
+    EXPECT_EQ(classifier.ScoreAll(CsrGraph(small), small_cliques, true,
+                                  threads),
+              want_small)
+        << "threads=" << threads;
+    EXPECT_EQ(classifier.ScoreAll(CsrGraph(large), large_cliques, true,
+                                  threads),
+              want_large)
+        << "threads=" << threads;
+    EXPECT_EQ(classifier.ScoreAll(CsrGraph(small), small_cliques, true,
+                                  threads),
+              want_small)
         << "threads=" << threads;
   }
 }

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "util/hash.hpp"
 #include "util/parse.hpp"
@@ -66,6 +68,27 @@ TEST(Rng, SampleWithoutReplacementFullSet) {
   std::vector<int> sample = rng.SampleWithoutReplacement(items, 3);
   std::set<int> distinct(sample.begin(), sample.end());
   EXPECT_EQ(distinct, (std::set<int>{1, 2, 3}));
+}
+
+TEST(Rng, SampleIntoABufferDrawsLikeTheReturningForm) {
+  std::vector<int> items(40);
+  for (int i = 0; i < 40; ++i) items[i] = 3 * i;
+  std::vector<int> buffer;
+  for (uint64_t seed : {1, 7, 99}) {
+    for (size_t n : {1, 5, 40}) {
+      for (size_t k : {size_t{0}, size_t{1}, n / 2, n}) {
+        std::span<const int> from(items.data(), n);
+        util::Rng a(seed);
+        util::Rng b(seed);
+        for (int round = 0; round < 3; ++round) {
+          std::vector<int> want = a.SampleWithoutReplacement(from, k);
+          b.SampleWithoutReplacement(from, k, &buffer);
+          EXPECT_EQ(buffer, want) << "seed " << seed << " n " << n;
+        }
+        EXPECT_TRUE(a.engine() == b.engine()) << "seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(Rng, ShufflePreservesMultiset) {
