@@ -79,8 +79,8 @@ CsrGraph::CsrGraph(const CsrGraph& prev, const ProjectedGraph& g,
   // Rows are independent slots, so the fill is deterministic for any
   // thread count: untouched rows are straight copies of `prev`'s rows,
   // touched rows are copied from `g` exactly as in the from-scratch
-  // build. `prev` has no concurrent fills while it is
-  // patched, so its column is read plainly.
+  // build. `prev` has no concurrent fills while it is patched, so its
+  // column is read plainly.
   util::ParallelFor(n, num_threads, nullptr, [&](size_t u) {
     const size_t base = offsets_[u];
     if (!is_touched[u]) {
