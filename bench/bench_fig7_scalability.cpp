@@ -8,8 +8,9 @@
 // --threads N runs the reconstruction's hot kernels on N threads
 // (0 = all cores); results are identical for any value, only the
 // timings change. --large runs scales 16, 64, 256 and 1024 (up to ~2.1M
-// edges) and also prints each scale's ReconstructionStats, the size of
-// the reconstructed hypergraph and the process's peak RSS.
+// edges) and also prints each scale's ReconstructionStats (its counts,
+// then the bidirectional loop's update/score/peel/patch seconds), the
+// size of the reconstructed hypergraph and the process's peak RSS.
 
 #include <sys/resource.h>
 
@@ -100,7 +101,9 @@ int main(int argc, char** argv) {
                          "carried", "scores reused", "accepted P1",
                          "accepted P2", "subcliques scored",
                          "filtering edges", "patches", "rebuilds",
-                         "truncated", "hyperedges", "total mult."});
+                         "truncated", "hyperedges", "total mult.",
+                         "update (s)", "score (s)", "peel (s)",
+                         "patch (s)"});
 
   for (size_t scale : scales) {
     marioh::util::Rng rng(100 + scale);
@@ -122,6 +125,9 @@ int main(int argc, char** argv) {
                   marioh::util::TextTable::Num(bidir_t, 4),
                   marioh::util::TextTable::Num(filter_t + bidir_t, 4)});
     auto count = [](size_t n) { return std::to_string(n); };
+    auto seconds = [](double s) {
+      return marioh::util::TextTable::Num(s, 3);
+    };
     stats_table.AddRow(
         {count(g.num_edges()), count(stats.iterations),
          count(stats.maximal_cliques), count(stats.cliques_carried),
@@ -130,7 +136,9 @@ int main(int argc, char** argv) {
          count(stats.filtering_edges), count(stats.snapshot_patches),
          count(stats.snapshot_rebuilds),
          stats.cliques_truncated ? "yes" : "no",
-         count(h_hat.num_unique_edges()), count(h_hat.num_total_edges())});
+         count(h_hat.num_unique_edges()), count(h_hat.num_total_edges()),
+         seconds(stats.update_seconds), seconds(stats.score_seconds),
+         seconds(stats.peel_seconds), seconds(stats.patch_seconds)});
     std::cerr << "[fig7] scale " << scale << ": " << g.num_edges()
               << " edges, filter " << filter_t << "s, bidir " << bidir_t
               << "s\n";

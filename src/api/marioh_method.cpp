@@ -51,6 +51,10 @@ Reconstruction MariohMethod::Reconstruct(
           {"cancelled", s.cancelled ? 1.0 : 0.0},
           {"filtering_seconds", s.filtering_seconds},
           {"bidirectional_seconds", s.bidirectional_seconds},
+          {"update_seconds", s.update_seconds},
+          {"score_seconds", s.score_seconds},
+          {"peel_seconds", s.peel_seconds},
+          {"patch_seconds", s.patch_seconds},
       },
   };
 }

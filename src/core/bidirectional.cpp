@@ -7,6 +7,7 @@
 
 #include "hypergraph/clique.hpp"
 #include "util/check.hpp"
+#include "util/timer.hpp"
 
 namespace marioh::core {
 namespace {
@@ -53,6 +54,12 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
   MARIOH_CHECK(classifier.trained());
   MARIOH_CHECK_EQ(snapshot.num_nodes(), g->num_nodes());
   BidirectionalStats stats;
+  // Each step's time is the lap since the previous step ended.
+  util::Timer watch;
+  auto lap = [&watch](double* seconds) {
+    *seconds += watch.Seconds();
+    watch.Reset();
+  };
 
   // Enumeration and scoring only read, so they run on the cache-friendly
   // immutable snapshot across all cores while the mutable graph stays
@@ -71,6 +78,7 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
       previous != nullptr ? std::span<const NodeId>(carried->touched)
                           : std::span<const NodeId>(),
       clique_options);
+  lap(&stats.update_seconds);
   const CliqueStore& maximal = found.result.cliques;
   stats.maximal_cliques = maximal.size();
   stats.cliques_truncated = found.result.truncated;
@@ -122,6 +130,7 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
                             options.num_threads, options.cancel);
     for (size_t j = 0; j < rescore.size(); ++j) scores[rescore[j]] = fresh[j];
   }
+  lap(&stats.score_seconds);
   if (util::ShouldStop(options.cancel)) {
     stats.cancelled = true;
     if (carried != nullptr) carried->previous.reset();
@@ -196,6 +205,7 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
         samples.PushClique(sub);
       }
     }
+    lap(&stats.peel_seconds);
     std::vector<IndexedScore> subs;
     if (!stats.cancelled && !samples.empty()) {
       std::optional<CsrGraph> after_phase1;
@@ -203,9 +213,11 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
         after_phase1.emplace(snapshot, *g, stats.touched_nodes,
                              options.num_threads);
       }
+      lap(&stats.patch_seconds);
       std::vector<double> sub_scores = classifier.ScoreAll(
           after_phase1 ? *after_phase1 : snapshot, samples,
           /*is_maximal=*/false, options.num_threads, options.cancel);
+      lap(&stats.score_seconds);
       // A trip leaves unwritten slots: no partial score is consumed.
       if (util::ShouldStop(options.cancel)) {
         stats.cancelled = true;
@@ -227,6 +239,7 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
       if (try_apply(samples[sc.index])) ++stats.accepted_phase2;
     }
   }
+  lap(&stats.peel_seconds);
 
   Canonicalize(&stats.touched_nodes);
   if (carried != nullptr) {

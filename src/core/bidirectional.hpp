@@ -29,6 +29,13 @@ struct BidirectionalStats {
   size_t accepted_phase1 = 0;   ///< hyperedges added from Q_pos
   size_t accepted_phase2 = 0;   ///< hyperedges added from sub-cliques
   size_t subcliques_scored = 0; ///< sub-clique candidates evaluated
+  /// Wall-clock seconds of this iteration's steps: the clique update,
+  /// both phases' scoring, the peels (Phase-1/2 apply loops and Phase-2
+  /// sampling) and the post-Phase-1 snapshot patch.
+  double update_seconds = 0.0;
+  double score_seconds = 0.0;
+  double peel_seconds = 0.0;
+  double patch_seconds = 0.0;
   /// True if the enumeration cap truncated the maximal-clique set this
   /// iteration (the iteration then worked on a partial candidate pool).
   bool cliques_truncated = false;

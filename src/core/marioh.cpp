@@ -115,6 +115,10 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
     run.accepted_phase1 += iteration.accepted_phase1;
     run.accepted_phase2 += iteration.accepted_phase2;
     run.subcliques_scored += iteration.subcliques_scored;
+    run.update_seconds += iteration.update_seconds;
+    run.score_seconds += iteration.score_seconds;
+    run.peel_seconds += iteration.peel_seconds;
+    run.patch_seconds += iteration.patch_seconds;
     run.cliques_truncated |= iteration.cliques_truncated;
     run.cancelled |= iteration.cancelled;
     theta = std::max(theta - options_.alpha * options_.theta_init, 0.0);
@@ -140,7 +144,9 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target,
     carried.touched = std::move(touched);
     if (!g.Empty() && iterations < options_.max_iterations &&
         !run.cancelled) {
+      util::Timer patch;
       snapshot = refresh_snapshot(std::move(snapshot), carried.touched);
+      run.patch_seconds += patch.Seconds();
     }
   }
   run.bidirectional_seconds = watch.Seconds();

@@ -105,6 +105,13 @@ struct ReconstructionStats {
   /// snapshot it hands on) and of the bidirectional-search loop.
   double filtering_seconds = 0.0;
   double bidirectional_seconds = 0.0;
+  /// Parts of `bidirectional_seconds`, summed over iterations (see
+  /// BidirectionalStats): the clique update, scoring, peels, and snapshot
+  /// patches (the loop's refreshes and each post-Phase-1 patch).
+  double update_seconds = 0.0;
+  double score_seconds = 0.0;
+  double peel_seconds = 0.0;
+  double patch_seconds = 0.0;
 };
 
 /// Supervised multiplicity-aware hypergraph reconstructor.

@@ -711,33 +711,43 @@ MaximalCliqueResult EnumerateMaximalCliques(const ProjectedGraph& g,
 
 namespace {
 
-/// True if no node outside the clique `c` (sorted, size >= 2) of `g` is
-/// adjacent to all of its members: the neighbors of its lowest-degree
-/// member outside `c` are intersected with each other member's row until
-/// none is left. `common`/`next` are caller-owned scratch.
-bool IsMaximalClique(const CsrGraph& g, CliqueView c,
-                     std::vector<NodeId>* common, std::vector<NodeId>* next) {
-  NodeId low = c[0];
-  for (NodeId u : c) {
-    if (g.Degree(u) < g.Degree(low)) low = u;
+/// Node-indexed set that empties in O(1): a node is in it while its stamp
+/// equals the current generation. Grows to the largest graph it has seen.
+class NodeMark {
+ public:
+  /// Makes the set exactly `ids`, all below `num_nodes`.
+  void Assign(std::span<const NodeId> ids, size_t num_nodes) {
+    if (stamps_.size() < num_nodes) stamps_.resize(num_nodes, 0);
+    if (++generation_ == 0) {  // wrapped: old stamps would match again
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      generation_ = 1;
+    }
+    for (NodeId v : ids) stamps_[v] = generation_;
   }
-  common->clear();
-  for (NodeId w : g.Neighbors(low)) {
-    if (!std::binary_search(c.begin(), c.end(), w)) common->push_back(w);
-  }
-  for (NodeId u : c) {
-    if (common->empty()) return true;
-    if (u == low) continue;
-    IntersectInto(*common, g.Neighbors(u), next);
-    std::swap(*common, *next);
-  }
-  return common->empty();
-}
+  bool Contains(NodeId v) const { return stamps_[v] == generation_; }
+
+ private:
+  std::vector<uint16_t> stamps_;  // 16 bits: wraps and refills rarely
+  uint16_t generation_ = 0;
+};
+
+/// One thread's working state for the dirty-clique pass, kept across
+/// calls (like ScoreAll's FeatureScratch) so the pass stops allocating
+/// after warm-up. Every field is reset before each use.
+struct UpdateScratch {
+  LocalScratch work;
+  NodeMark mark;
+  std::vector<size_t> hit;           ///< positions of touched members
+  std::vector<char> broken;          ///< per position: lost an edge
+  /// Whole members, their common neighbors outside the clique, scratch.
+  std::vector<NodeId> whole, outside, common, next;
+  NodeSet clique;
+};
 
 /// Per-range output of the dirty-clique pass of UpdateMaximalCliques.
 struct UpdateRange {
   std::vector<size_t> kept;  ///< previous indices kept, ascending
-  CliqueStore candidates;    ///< maximal cliques inside dirty cliques
+  CliqueStore candidates;    ///< new maximal cliques of g found in range
   bool cancelled = false;
 };
 
@@ -757,92 +767,121 @@ MaximalCliqueUpdate UpdateMaximalCliques(const CsrGraph& g,
     return enumerate_all();
   }
   const CliqueStore& before = previous->cliques;
-  std::vector<char> is_touched(g.num_nodes(), 0);
+  const size_t n = g.num_nodes();
+  std::vector<char> is_touched(n, 0);
   for (NodeId u : touched) is_touched[u] = 1;
 
-  // Pass 1, over the previous cliques: a clique none of whose touched
-  // pairs lost its edge is still a maximal clique. A dirty one
-  // contributes the maximal cliques of the subgraph it induces now. Its
-  // members that lost no edge inside it ("whole") are adjacent to every
-  // other member, so they belong to each of those cliques, and only the
-  // "broken" members need a Bron–Kerbosch run.
+  // One pass over the previous cliques: a clique none of whose touched
+  // pairs lost its edge is still a maximal clique. A dirty one q
+  // contributes the maximal cliques of the subgraph it induces now that
+  // are maximal in g. Its members that lost no edge inside it ("whole",
+  // W) are adjacent to every other member, so they belong to each of
+  // those cliques, and only the "broken" members need a Bron–Kerbosch
+  // run. A candidate W ∪ R is maximal in q's subgraph, so it is maximal
+  // in g iff no node outside q is adjacent to all of it; W's common
+  // neighbors outside q are intersected once per q.
   std::vector<UpdateRange> ranges(
       util::RangeCount(before.size(), options.num_threads));
   auto dirty_pass = [&](size_t ri, size_t begin, size_t end) {
     UpdateRange& out = ranges[ri];
     util::CancelChecker cancel_check(options.cancel);
-    LocalScratch work;
-    std::vector<NodeId> hit, whole;
-    std::vector<char> broken;
-    NodeSet clique_buf;
+    thread_local UpdateScratch s;
     for (size_t i = begin; i < end; ++i) {
       if (cancel_check.ShouldStop()) {
         out.cancelled = true;
         return;
       }
       CliqueView q = before[i];
-      hit.clear();
-      for (size_t a = 0; a < q.size(); ++a) {
-        if (is_touched[q[a]] != 0) hit.push_back(static_cast<NodeId>(a));
+      const size_t m = q.size();
+      s.hit.clear();
+      for (size_t a = 0; a < m; ++a) {
+        if (is_touched[q[a]] != 0) s.hit.push_back(a);
       }
-      broken.assign(q.size(), 0);
+      // Each touched pair is tested against a mark of one end's row.
+      s.broken.assign(m, 0);
       bool dirty = false;
-      for (size_t a = 0; a < hit.size(); ++a) {
-        for (size_t b = a + 1; b < hit.size(); ++b) {
-          if (!g.HasEdge(q[hit[a]], q[hit[b]])) {
-            broken[hit[a]] = broken[hit[b]] = 1;
-            dirty = true;
-          }
+      for (size_t a = 0; a + 1 < s.hit.size(); ++a) {
+        s.mark.Assign(g.Neighbors(q[s.hit[a]]), n);
+        for (size_t b = a + 1; b < s.hit.size(); ++b) {
+          if (s.mark.Contains(q[s.hit[b]])) continue;
+          s.broken[s.hit[a]] = s.broken[s.hit[b]] = 1;
+          dirty = true;
         }
       }
       if (!dirty) {
         out.kept.push_back(i);
         continue;
       }
-      std::vector<NodeId>& globals = work.local.globals;
+      std::vector<NodeId>& globals = s.work.local.globals;
       globals.clear();
-      whole.clear();
-      for (size_t a = 0; a < q.size(); ++a) {
-        (broken[a] != 0 ? globals : whole).push_back(q[a]);
+      s.whole.clear();
+      for (size_t a = 0; a < m; ++a) {
+        (s.broken[a] != 0 ? globals : s.whole).push_back(q[a]);
       }
-      const size_t s = globals.size();
-      if (work.rows.size() < s) work.rows.resize(s);
-      for (size_t a = 0; a < s; ++a) {
-        work.rows[a].clear();
-        for (size_t b = 0; b < s; ++b) {
-          if (b != a && g.HasEdge(globals[a], globals[b])) {
-            work.rows[a].push_back(static_cast<NodeId>(b));
-          }
+      if (s.work.rows.size() < m) s.work.rows.resize(m);
+      for (size_t a = 0; a < globals.size(); ++a) {
+        s.mark.Assign(g.Neighbors(globals[a]), n);
+        s.work.rows[a].clear();
+        for (NodeId b = 0; b < globals.size(); ++b) {
+          if (s.mark.Contains(globals[b])) s.work.rows[a].push_back(b);
+        }
+      }
+      s.mark.Assign(q, n);
+      auto outside_row = [&](NodeId u, std::vector<NodeId>* row) {
+        row->clear();
+        for (NodeId v : g.Neighbors(u)) {
+          if (!s.mark.Contains(v)) row->push_back(v);
+        }
+      };
+      auto narrow = [&](std::vector<NodeId>* set, NodeId u) {
+        IntersectInto(*set, g.Neighbors(u), &s.next);
+        std::swap(*set, s.next);
+      };
+      if (!s.whole.empty()) {
+        const NodeId low = *std::ranges::min_element(
+            s.whole, {}, [&](NodeId u) { return g.Degree(u); });
+        outside_row(low, &s.outside);
+        for (NodeId u : s.whole) {
+          if (u != low && !s.outside.empty()) narrow(&s.outside, u);
         }
       }
       auto emit = [&](const std::vector<NodeId>& r) {
         // A lone node is a maximal clique only once isolated, and
         // enumeration emits no isolated nodes.
-        if (whole.size() + r.size() < 2) return true;
-        clique_buf.assign(whole.begin(), whole.end());
-        for (NodeId local_id : r) clique_buf.push_back(globals[local_id]);
-        std::sort(clique_buf.begin(), clique_buf.end());
-        out.candidates.PushClique(clique_buf);
+        if (s.whole.size() + r.size() < 2) return true;
+        size_t k = 0;
+        if (s.whole.empty()) {
+          outside_row(globals[r[k++]], &s.common);
+        } else {
+          s.common = s.outside;
+        }
+        while (!s.common.empty() && k < r.size()) {
+          narrow(&s.common, globals[r[k++]]);
+        }
+        if (!s.common.empty()) return true;  // not maximal in g
+        s.clique.assign(s.whole.begin(), s.whole.end());
+        for (NodeId local_id : r) s.clique.push_back(globals[local_id]);
+        std::sort(s.clique.begin(), s.clique.end());
+        out.candidates.PushClique(s.clique);
         return true;
       };
-      RunLocalBronKerbosch(&work, [](size_t) { return true; }, emit);
+      RunLocalBronKerbosch(&s.work, [](size_t) { return true; }, emit);
     }
   };
   util::ParallelForRanges(before.size(), options.num_threads, dirty_pass);
 
   CliqueStore candidates;
   size_t kept = 0;
-  for (const UpdateRange& range : ranges) {
+  for (UpdateRange& range : ranges) {
     update.result.cancelled |= range.cancelled;
     kept += range.kept.size();
     candidates.Append(range.candidates);
+    range.candidates = CliqueStore();  // lowers the peak of the sort below
   }
   if (update.result.cancelled) return update;
 
-  // Pass 2, over the distinct candidates: keep those maximal in `g`. A
-  // new maximal clique lies inside some dirty clique and is maximal in
-  // the subgraph it induces, so it is among the candidates; none of them
-  // equals a kept clique (a kept clique is in no other old maximal one).
+  // Two dirty cliques can yield the same new clique. None of them equals
+  // a kept clique (a kept clique is in no other old maximal one).
   candidates.Sort();
   std::vector<size_t> distinct;
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -850,39 +889,17 @@ MaximalCliqueUpdate UpdateMaximalCliques(const CsrGraph& g,
       distinct.push_back(i);
     }
   }
-  std::vector<char> maximal(distinct.size(), 0);
-  std::vector<char> range_cancelled(
-      util::RangeCount(distinct.size(), options.num_threads), 0);
-  auto maximality_pass = [&](size_t ri, size_t begin, size_t end) {
-    util::CancelChecker cancel_check(options.cancel);
-    std::vector<NodeId> common, next;
-    for (size_t i = begin; i < end; ++i) {
-      if (cancel_check.ShouldStop()) {
-        range_cancelled[ri] = 1;
-        return;
-      }
-      maximal[i] =
-          IsMaximalClique(g, candidates[distinct[i]], &common, &next) ? 1 : 0;
-    }
-  };
-  util::ParallelForRanges(distinct.size(), options.num_threads,
-                          maximality_pass);
-  for (char flag : range_cancelled) update.result.cancelled |= flag != 0;
-  if (update.result.cancelled) return update;
-
-  const size_t fresh = static_cast<size_t>(
-      std::count(maximal.begin(), maximal.end(), char{1}));
-  if (kept + fresh > options.max_cliques) return enumerate_all();
+  if (kept + distinct.size() > options.max_cliques) return enumerate_all();
 
   // Merge the kept cliques (ascending, as `before` is sorted) with the
   // new ones in canonical order.
   CliqueStore& out = update.result.cliques;
-  out.Reserve(kept + fresh, before.total_nodes() + candidates.total_nodes());
-  update.previous_index.reserve(kept + fresh);
+  out.Reserve(kept + distinct.size(),
+              before.total_nodes() + candidates.total_nodes());
+  update.previous_index.reserve(kept + distinct.size());
   size_t next_new = 0;
   auto push_new_below = [&](CliqueView limit, bool bounded) {
     for (; next_new < distinct.size(); ++next_new) {
-      if (maximal[next_new] == 0) continue;
       CliqueView c = candidates[distinct[next_new]];
       if (bounded && !std::ranges::lexicographical_compare(c, limit)) return;
       out.PushClique(c);

@@ -190,11 +190,11 @@ struct MaximalCliqueUpdate {
 /// lost edge has both endpoints in it. A previous clique none of whose
 /// touched pairs lost its edge is still maximal (kept). Every other
 /// maximal clique of `g` lies inside a previous clique that lost an edge
-/// (Stix 2004; Das, Svendsen & Tirthapura 2019): the maximal cliques of
-/// each such clique's induced subgraph are deduplicated, filtered for
-/// maximality in `g` and merged with the kept ones. The dirty-clique and
-/// maximality passes run on `util::ParallelForRanges`, combined in range
-/// order.
+/// (Stix 2004; Das, Svendsen & Tirthapura 2019) and is maximal in the
+/// subgraph it induces: each dirty clique yields the maximal cliques of
+/// its subgraph that no node outside it extends, deduplicated and merged
+/// with the kept ones. The pass over the previous cliques runs on
+/// `util::ParallelForRanges`, combined in range order.
 ///
 /// `result` equals `EnumerateMaximalCliques(g, options)` bit for bit, for
 /// any thread count. It is that call (every clique new) when `previous`

@@ -286,6 +286,16 @@ TEST(Session, ReconstructionCountersLandInStageStats) {
   EXPECT_GT(session.stage_timer().Get("reconstruct.filtering_seconds"), 0.0);
   EXPECT_GT(session.stage_timer().Get("reconstruct.bidirectional_seconds"),
             0.0);
+  // So do its per-iteration steps, which fit inside the loop's time.
+  double steps = 0.0;
+  for (const char* step : {"update", "score", "peel", "patch"}) {
+    const std::string key = std::string("reconstruct.") + step + "_seconds";
+    ASSERT_TRUE(session.stage_timer().stages().contains(key)) << key;
+    EXPECT_GE(session.stage_timer().Get(key), 0.0) << key;
+    steps += session.stage_timer().Get(key);
+  }
+  EXPECT_LE(steps,
+            session.stage_timer().Get("reconstruct.bidirectional_seconds"));
 }
 
 TEST(Session, FileBasedRoundTripMatchesInMemoryRun) {

@@ -210,12 +210,13 @@ TEST(CliqueStore, ArenaMatchesHashMapReferenceOnRandomGraphs) {
 /// applied only while it is still a clique) and after every round checks
 /// that UpdateMaximalCliques from the previous round's enumeration equals
 /// a fresh EnumerateMaximalCliques at 1, 2 and 8 threads, and that every
-/// carried clique is the previous clique it names. Adds the number of
-/// cliques carried and of new cliques over all rounds to `carried` and
-/// `fresh`.
+/// carried clique is the previous clique it names. Non-empty
+/// `first_peels` replace the first round's random peels. Adds the number
+/// of cliques carried and of new cliques over all rounds to `carried`
+/// and `fresh`.
 void CheckPeelSequence(ProjectedGraph g, uint64_t seed, int steps,
-                       double peel_fraction, size_t* carried,
-                       size_t* fresh) {
+                       double peel_fraction, size_t* carried, size_t* fresh,
+                       const std::vector<NodeSet>& first_peels = {}) {
   util::Rng rng(seed);
   MaximalCliqueResult previous = EnumerateMaximalCliques(CsrGraph(g));
   for (int step = 0; step < steps && !g.Empty(); ++step) {
@@ -228,9 +229,14 @@ void CheckPeelSequence(ProjectedGraph g, uint64_t seed, int steps,
       touched.insert(touched.end(), q.begin(), q.end());
     };
     const std::vector<NodeSet> cliques = previous.cliques.ToNodeSets();
-    const size_t peels = 1 + static_cast<size_t>(
-                                 peel_fraction *
-                                 static_cast<double>(cliques.size()));
+    const bool scripted = step == 0 && !first_peels.empty();
+    for (const NodeSet& q : scripted ? first_peels : std::vector<NodeSet>{}) {
+      peel(q);
+    }
+    const size_t peels =
+        scripted ? 0
+                 : 1 + static_cast<size_t>(peel_fraction *
+                                           static_cast<double>(cliques.size()));
     for (size_t t = 0; t < peels && !cliques.empty(); ++t) {
       const NodeSet& q = cliques[rng.UniformIndex(cliques.size())];
       switch (rng.UniformIndex(3)) {
@@ -308,6 +314,50 @@ TEST(UpdateMaximalCliques, MatchesEnumerationOnEuTargets) {
     size_t fresh = 0;
     CheckPeelSequence(*data.g_target, seed, 6, 0.07, &carried, &fresh);
     EXPECT_GT(carried, 0u);
+    EXPECT_GT(fresh, 0u);
+  }
+}
+
+TEST(UpdateMaximalCliques, MatchesEnumerationInEveryMaximalityCase) {
+  // K_4 on {0,1,2,3} plus node 4 adjacent to `hub`, all weights 1. A
+  // dirty clique's whole members W (those that lost no edge in it) have
+  // common neighbors outside it; a candidate W ∪ R is new only if no
+  // outside node is adjacent to all of it.
+  auto k4_and_hub = [](const NodeSet& hub) {
+    ProjectedGraph g(5);
+    for (NodeId u = 0; u < 4; ++u) {
+      for (NodeId v = u + 1; v < 4; ++v) g.AddWeight(u, v, 1);
+    }
+    for (NodeId u : hub) g.AddWeight(u, 4, 1);
+    return g;
+  };
+  struct Case {
+    const char* name;
+    ProjectedGraph g;
+    std::vector<NodeSet> peels;
+  };
+  std::vector<Case> cases;
+  // No whole member: every member of {0,1,2,3} loses an edge, so each
+  // candidate starts from its own first member's outside row; {0,2}
+  // lies inside the kept {0,2,4} and is rejected.
+  cases.push_back({"no whole member", k4_and_hub({0, 2}),
+                   {{0, 1}, {2, 3}}});
+  // W = {0,1,2} has no common neighbor outside {0,1,2,3,4}: both
+  // candidates are maximal untested.
+  cases.push_back({"whole members without outside neighbors",
+                   CompleteGraph(5), {{3, 4}}});
+  // W = {0,1} shares node 4 outside {0,1,2,3}: candidate {0,1,2} lies
+  // inside the kept clique {0,1,2,4} and is rejected, {0,1,3} is new.
+  cases.push_back({"candidate inside a kept clique",
+                   k4_and_hub({0, 1, 2}), {{2, 3}}});
+  // Both {0,1,2,3} and {0,1,2,4} turn dirty and both yield {0,1,2}.
+  cases.push_back({"one candidate from two dirty cliques",
+                   k4_and_hub({0, 1, 2}), {{2, 3}, {2, 4}}});
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    size_t carried = 0;
+    size_t fresh = 0;
+    CheckPeelSequence(std::move(c.g), 7, 3, 0.5, &carried, &fresh, c.peels);
     EXPECT_GT(fresh, 0u);
   }
 }

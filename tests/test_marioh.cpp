@@ -223,6 +223,16 @@ TEST(Marioh, ReconstructionStatsTimePhases) {
   marioh.Reconstruct(fx.g_target, &stats);
   EXPECT_GT(stats.bidirectional_seconds, 0.0);
   EXPECT_GE(stats.filtering_seconds, 0.0);
+  // The per-iteration steps are disjoint parts of the loop's time.
+  for (double part : {stats.update_seconds, stats.score_seconds,
+                      stats.peel_seconds, stats.patch_seconds}) {
+    EXPECT_GE(part, 0.0);
+  }
+  EXPECT_GT(stats.update_seconds, 0.0);
+  EXPECT_GT(stats.score_seconds, 0.0);
+  EXPECT_LE(stats.update_seconds + stats.score_seconds +
+                stats.peel_seconds + stats.patch_seconds,
+            stats.bidirectional_seconds);
 }
 
 TEST(Marioh, EmptyTargetGraphYieldsFilteredOnlyResult) {
