@@ -376,13 +376,15 @@ StatusOr<JobId> Service::Submit(const ReconstructRequest& request) {
     MARIOH_RETURN_IF_ERROR(
         AdmitCapacityLocked(request.client_id, request.priority));
     if (journal_ != nullptr) {
-      // Write-ahead: the accept record is on stable storage before the
-      // job exists anywhere else. If the append fails, the submit fails —
-      // an accepted-but-unjournaled job would be exactly the silent loss
+      // Write-ahead, forced: the accept record is on stable storage
+      // before the job exists anywhere else, so an acknowledged job is a
+      // durable job. If the append fails, the submit fails — an
+      // accepted-but-unjournaled job would be exactly the silent loss
       // this layer exists to prevent. The unused id is safely reused by
       // the next submit.
-      MARIOH_RETURN_IF_ERROR(
-          journal_->Append(next_id_, "accept " + wire, /*terminal=*/false));
+      MARIOH_RETURN_IF_ERROR(journal_->Append(next_id_, "accept " + wire,
+                                              /*terminal=*/false,
+                                              util::Durability::kForced));
     }
     job->id = next_id_++;
     job->admitted_at = std::chrono::steady_clock::now();
@@ -413,11 +415,12 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
     }
     ++job->attempts;
     if (journal_ != nullptr) {
-      // Best-effort attempt marker: losing it costs nothing but a
-      // repeated attempt number after a crash.
+      // Best-effort attempt marker, written but not forced: it survives
+      // SIGKILL, and losing it to a power cut costs nothing but a
+      // repeated attempt number.
       (void)journal_->Append(job->id,
                              "attempt " + std::to_string(job->attempts),
-                             /*terminal=*/false);
+                             /*terminal=*/false, util::Durability::kWritten);
     }
     // Arm the watchdog's stall clock for this attempt: progress is
     // "the heartbeat advanced since last sampled", starting now.
@@ -590,11 +593,18 @@ void Service::FinishLocked(Job& job, JobState state, Status status) {
   }
   // Close the job's journal key — except when shutdown cancelled it: a
   // job the *service's death* cancelled is exactly the kind the journal
-  // must keep open, so the next life re-admits it.
+  // must keep open, so the next life re-admits it. A user's cancel, a
+  // failure and a deadline are forced, since they must survive a
+  // restart. DONE is only written: it survives SIGKILL, and if a power
+  // cut loses it the next life re-runs a deterministic job whose result
+  // the client already has, bit-identical, as a recovered job.
   if (journal_ != nullptr && !(stopping_ && state == JobState::kCancelled)) {
     (void)journal_->Append(job.id,
                            std::string("terminal ") + JobStateName(state),
-                           /*terminal=*/true);
+                           /*terminal=*/true,
+                           state == JobState::kDone
+                               ? util::Durability::kWritten
+                               : util::Durability::kForced);
   }
   job_done_.notify_all();
   if (on_finish_) on_finish_(job.id);

@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -73,18 +75,23 @@ std::string SegmentPath(const std::string& dir, uint64_t seq) {
   return dir + "/" + name;
 }
 
-/// Parses "wal-<seq>.log"; nullopt for anything else in the directory.
+constexpr uint64_t kLastSeq = std::numeric_limits<uint64_t>::max();
+
+/// Parses "wal-<seq>.log"; nullopt for anything else in the directory,
+/// including a seq that does not fit 64 bits.
 std::optional<uint64_t> ParseSegmentName(const std::string& name) {
   constexpr const char* kPrefix = "wal-";
   constexpr const char* kSuffix = ".log";
   if (name.size() <= 8 || name.rfind(kPrefix, 0) != 0) return std::nullopt;
   if (name.substr(name.size() - 4) != kSuffix) return std::nullopt;
-  std::string digits = name.substr(4, name.size() - 8);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  return std::stoull(digits);
+  const char* first = name.data() + 4;
+  const char* last = name.data() + name.size() - 4;
+  uint64_t seq = 0;
+  // from_chars takes digits only (no sign, no space) and reports
+  // out-of-range instead of throwing.
+  auto [end, error] = std::from_chars(first, last, seq);
+  if (error != std::errc() || end != last) return std::nullopt;
+  return seq;
 }
 
 /// write(2) until every byte is down, retrying EINTR and short writes.
@@ -134,7 +141,35 @@ void Journal::SyncDirLocked() {
   ::close(fd);
 }
 
+api::Status Journal::SyncActiveLocked() {
+  if (FailPoints::active() &&
+      FailPoints::Eval("journal.fsync") == FailAction::kError) {
+    return Status::Unavailable(
+        "failpoint 'journal.fsync': injected fsync failure");
+  }
+  // The fsync dominates the submit path under kAlways, so its duration
+  // distribution is first-class telemetry.
+  const auto fsync_start = std::chrono::steady_clock::now();
+  if (::fsync(fd_) != 0) {
+    return Status::Unavailable(ErrnoMessage("journal fsync failed"));
+  }
+  static obs::Histogram* const fsync_seconds =
+      obs::MetricRegistry::Global().GetHistogram(
+          "marioh_journal_fsync_seconds");
+  fsync_seconds->Observe(std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - fsync_start)
+                             .count());
+  ++stats_.fsyncs;
+  active_unforced_ = false;
+  return Status::Ok();
+}
+
 api::Status Journal::OpenSegmentLocked(uint64_t seq) {
+  if (seq == 0) {
+    // A rotation past wal-<2^64-1> wrapped; its segment would replay first.
+    return Status::FailedPrecondition(
+        "journal segment sequence numbers are exhausted");
+  }
   std::string path = SegmentPath(dir_, seq);
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
                   0644);
@@ -149,6 +184,7 @@ api::Status Journal::OpenSegmentLocked(uint64_t seq) {
   fd_ = fd;
   active_seq_ = seq;
   active_bytes_ = 0;
+  active_unforced_ = false;  // the old segment was synced as it closed
   segment_keys_[seq];  // the segment exists even before its first record
   ++stats_.segments_created;
   // The new name must survive a crash too, or replay would miss records
@@ -175,6 +211,11 @@ void Journal::CompactLocked() {
       ++it;
       continue;
     }
+    // The record that closed one of these keys may be a written one in
+    // the active segment: force it before the unlink, or a power cut
+    // could keep the unlink and lose the terminal. On failure keep the
+    // segment and retry at a later compaction.
+    if (active_unforced_ && !SyncActiveLocked().ok()) break;
     // Every key journaled in this segment already reached a terminal
     // record somewhere, so replay learns nothing from it: drop it.
     if (::unlink(SegmentPath(dir_, it->first).c_str()) != 0 &&
@@ -271,6 +312,13 @@ StatusOr<std::unique_ptr<Journal>> Journal::Open(
   }
   ::closedir(d);
   std::sort(seqs.begin(), seqs.end());
+  if (!seqs.empty() && seqs.back() == kLastSeq) {
+    // Its rotation would wrap to wal-00000000.log and replay out of
+    // order; refuse before touching anything.
+    return Status::FailedPrecondition(
+        "journal segment '" + SegmentPath(dir, kLastSeq) +
+        "' has the last sequence number and cannot rotate");
+  }
 
   std::unique_ptr<Journal> journal(new Journal(dir, options));
   std::lock_guard<std::mutex> lock(journal->mutex_);
@@ -305,7 +353,7 @@ StatusOr<std::unique_ptr<Journal>> Journal::Open(
 }
 
 api::Status Journal::Append(uint64_t key, std::string_view payload,
-                            bool terminal) {
+                            bool terminal, Durability durability) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument(
@@ -364,33 +412,14 @@ api::Status Journal::Append(uint64_t key, std::string_view payload,
   active_bytes_ += buffer.size();
 
   if (options_.fsync == JournalFsync::kAlways) {
-    std::string fsync_error;
-    if (FailPoints::active() &&
-        FailPoints::Eval("journal.fsync") == FailAction::kError) {
-      fsync_error = "failpoint 'journal.fsync': injected fsync failure";
-    } else {
-      // The fsync dominates the submit path under kAlways, so its
-      // duration distribution is first-class telemetry.
-      const auto fsync_start = std::chrono::steady_clock::now();
-      if (::fsync(fd_) != 0) {
-        fsync_error = ErrnoMessage("journal fsync failed");
-      } else {
-        static obs::Histogram* const fsync_seconds =
-            obs::MetricRegistry::Global().GetHistogram(
-                "marioh_journal_fsync_seconds");
-        fsync_seconds->Observe(std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() -
-                                   fsync_start)
-                                   .count());
-        ++stats_.fsyncs;
-      }
-    }
-    if (!fsync_error.empty()) {
+    if (durability == Durability::kWritten) {
+      active_unforced_ = true;
+    } else if (api::Status synced = SyncActiveLocked(); !synced.ok()) {
       // The caller was promised stable storage; roll the record back so
       // a failed Append can never replay as an accepted one.
       (void)::ftruncate(fd_, static_cast<off_t>(before));
       active_bytes_ = before;
-      return Status::Unavailable(fsync_error + "; record rolled back");
+      return Status::Unavailable(synced.message() + "; record rolled back");
     }
   }
 

@@ -1575,6 +1575,106 @@ TEST(Service, JournalRecoveryFailsARetiredKeyLoudly) {
   std::filesystem::remove_all(dir);
 }
 
+/// JournalStats::fsyncs of the one live journaling Service, as its
+/// collection hook publishes it.
+uint64_t JournalFsyncs() {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  registry.Collect();
+  return registry.GetCounter("marioh_journal_fsyncs_total")->value();
+}
+
+// Under --fsync always a job forces only what recovery needs: its accept,
+// and a terminal other than DONE. The attempt marker and `terminal DONE`
+// are written, not forced, so a job served to DONE costs one fsync, and a
+// cancel of a queued job one more. The written records still replay, and
+// every key stays closed: a restart re-admits nothing.
+TEST(Service, JournalForcesOneFsyncPerJobServedToDone) {
+  constexpr int kJobs = 4;
+  eval::PreparedDataset data = SmallDataset();
+  const std::string dir =
+      testing::TempDir() + "/marioh_service_one_fsync_per_job";
+  std::filesystem::remove_all(dir);
+  util::FailPoints::Clear();
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.journal_dir = dir;
+  options.journal_fsync = util::JournalFsync::kAlways;
+  ReconstructRequest request;
+  request.method = "MaxClique";
+  request.target_dataset = "crime.target";
+  JobId wedged = 0;
+  JobId queued = 0;
+  {
+    Service service(CacheWithCrime(data), options);
+    ASSERT_TRUE(service.startup_status().ok())
+        << service.startup_status().ToString();
+    const uint64_t at_boot = JournalFsyncs();
+    for (int s = 0; s < kJobs; ++s) {
+      StatusOr<JobId> id = service.Submit(request);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      StatusOr<JobSnapshot> job = service.Wait(*id);
+      ASSERT_TRUE(job.ok());
+      EXPECT_EQ(job->state, JobState::kDone) << job->status.ToString();
+    }
+    EXPECT_EQ(JournalFsyncs() - at_boot, static_cast<uint64_t>(kJobs));
+
+    // The one worker wedges on the next job, so the one after it queues.
+    ASSERT_TRUE(util::FailPoints::Configure("session.reconstruct",
+                                            "delay:30000|count=1"));
+    StatusOr<JobId> first = service.Submit(request);
+    StatusOr<JobId> second = service.Submit(request);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    wedged = *first;
+    queued = *second;
+    ASSERT_TRUE(WaitUntilRunning(service, wedged));
+    const uint64_t before_cancel = JournalFsyncs();
+    ASSERT_TRUE(service.Cancel(queued).ok());
+    EXPECT_EQ(JournalFsyncs() - before_cancel, 1u);
+    // A cancel of the running job is forced too, once the wedge sees it.
+    ASSERT_TRUE(service.Cancel(wedged).ok());
+    StatusOr<JobSnapshot> job = service.Wait(wedged);
+    ASSERT_TRUE(job.ok());
+    EXPECT_EQ(job->state, JobState::kCancelled);
+    EXPECT_EQ(JournalFsyncs() - at_boot,
+              static_cast<uint64_t>(kJobs) + 2 + 1 + 1);
+  }
+  util::FailPoints::Clear();
+
+  // What each key's records say, in replay order (an accept without its
+  // request).
+  std::map<uint64_t, std::vector<std::string>> records;
+  {
+    StatusOr<std::unique_ptr<util::Journal>> journal = util::Journal::Open(
+        dir, [&records](const util::JournalRecord& record) {
+          const bool accept = record.payload.rfind("accept ", 0) == 0;
+          records[record.key].push_back((record.terminal ? "T " : "- ") +
+                                        (accept ? "accept" : record.payload));
+        });
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  }
+  ASSERT_EQ(records.size(), static_cast<size_t>(kJobs) + 2);
+  for (JobId id = 1; id <= static_cast<JobId>(kJobs); ++id) {
+    EXPECT_EQ(records[id], (std::vector<std::string>{
+                               "- accept", "- attempt 1", "T terminal DONE"}))
+        << "job " << id;
+  }
+  EXPECT_EQ(records[wedged],
+            (std::vector<std::string>{"- accept", "- attempt 1",
+                                      "T terminal CANCELLED"}));
+  EXPECT_EQ(records[queued], (std::vector<std::string>{
+                                 "- accept", "T terminal CANCELLED"}));
+
+  {
+    Service service(CacheWithCrime(data), options);
+    ASSERT_TRUE(service.startup_status().ok());
+    EXPECT_EQ(service.stats().jobs_recovered, 0u);
+    EXPECT_EQ(service.stats().accepted, 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // The dataset manifest round trip: EnableManifest records loads and
 // generated triples; RestoreFromManifest on a fresh cache brings every
 // dataset back (files re-read, triples re-generated through the

@@ -2,14 +2,18 @@
 // service's durability layer: record framing and replay order, CRC
 // corruption and torn tails truncating cleanly at the last good record,
 // segment rotation + compaction, fsync policy parsing, the
-// journal.append / journal.fsync / journal.replay failpoints, and a
-// seeded mutation test of replay.
+// journal.append / journal.fsync / journal.replay failpoints, forced
+// versus written records (including a written record surviving SIGKILL),
+// segment names outside 64 bits, and a seeded mutation test of replay.
 
 #include "util/journal.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -27,6 +31,7 @@ using api::StatusCode;
 using api::StatusOr;
 using util::FailPoints;
 using util::Journal;
+using util::Durability;
 using util::JournalFsync;
 using util::JournalOptions;
 using util::JournalRecord;
@@ -331,6 +336,128 @@ TEST_F(JournalTest, NeverFsyncStillReplaysCleanly) {
 std::string Show(const JournalRecord& record) {
   return std::to_string(record.key) + (record.terminal ? " T " : " - ") +
          record.payload;
+}
+
+TEST_F(JournalTest, WrittenRecordsSkipTheFsyncUntilAForcedOneCoversThem) {
+  StatusOr<std::unique_ptr<Journal>> journal = OpenCollecting(nullptr);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*journal)->Append(1, "accept a", false, Durability::kForced)
+                  .ok());
+  EXPECT_EQ((*journal)->stats().fsyncs, 1u);
+  ASSERT_TRUE(
+      (*journal)->Append(1, "attempt 1", false, Durability::kWritten).ok());
+  ASSERT_TRUE(
+      (*journal)->Append(1, "terminal DONE", true, Durability::kWritten).ok());
+  EXPECT_EQ((*journal)->stats().fsyncs, 1u);
+  // An injected fsync failure cannot touch a written record: it has no
+  // fsync to fail.
+  std::string error;
+  ASSERT_TRUE(FailPoints::Configure("journal.fsync", "error", &error))
+      << error;
+  EXPECT_TRUE(
+      (*journal)->Append(2, "attempt 1", false, Durability::kWritten).ok());
+  EXPECT_EQ((*journal)->Append(2, "terminal FAILED", true).code(),
+            StatusCode::kUnavailable);
+  FailPoints::Clear();
+  ASSERT_TRUE((*journal)->Append(2, "terminal FAILED", true).ok());
+  EXPECT_EQ((*journal)->stats().fsyncs, 2u);
+  EXPECT_EQ((*journal)->stats().records_appended, 5u);
+}
+
+// Compaction may unlink a segment only once the terminal that closed its
+// keys is durable: with that terminal written, not forced, the unlink
+// forces the active segment first.
+TEST_F(JournalTest, CompactionForcesTheWrittenTerminalItReliesOn) {
+  JournalOptions options;
+  options.rotate_bytes = 1;  // one record per segment
+  StatusOr<std::unique_ptr<Journal>> journal =
+      OpenCollecting(nullptr, options);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*journal)->Append(1, "accept a", false).ok());
+  EXPECT_EQ((*journal)->stats().fsyncs, 1u);
+  ASSERT_TRUE(
+      (*journal)->Append(1, "terminal DONE", true, Durability::kWritten).ok());
+  EXPECT_EQ((*journal)->stats().segments_compacted, 1u);
+  EXPECT_EQ((*journal)->stats().fsyncs, 2u);
+  // Nothing written is pending now, so the next compaction needs no
+  // extra fsync.
+  ASSERT_TRUE((*journal)->Append(2, "accept b", false).ok());
+  ASSERT_TRUE((*journal)->Append(2, "terminal DONE", true).ok());
+  EXPECT_EQ((*journal)->stats().segments_compacted, 3u);
+  EXPECT_EQ((*journal)->stats().fsyncs, 4u);
+}
+
+// A written record lives in the page cache, so it survives the death of
+// the process that wrote it. The child forks before this test starts any
+// thread and dies by SIGKILL right after its last append: no destructor,
+// no flush.
+TEST_F(JournalTest, WrittenRecordsSurviveSigkill) {
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    StatusOr<std::unique_ptr<Journal>> journal = Journal::Open(dir_, nullptr);
+    if (!journal.ok() ||
+        !(*journal)->Append(7, "accept a", false, Durability::kForced).ok() ||
+        !(*journal)->Append(7, "attempt 1", false, Durability::kWritten)
+             .ok() ||
+        !(*journal)->Append(7, "terminal DONE", true, Durability::kWritten)
+             .ok()) {
+      ::_exit(2);
+    }
+    ::raise(SIGKILL);
+    ::_exit(3);  // unreachable
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exit status " << status;
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+
+  JournalOptions options;
+  options.rotate_bytes = 1;
+  std::vector<JournalRecord> replayed;
+  StatusOr<std::unique_ptr<Journal>> journal =
+      OpenCollecting(&replayed, options);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_EQ(replayed.size(), 3u);
+  EXPECT_EQ(Show(replayed[0]), "7 - accept a");
+  EXPECT_EQ(Show(replayed[1]), "7 - attempt 1");
+  EXPECT_EQ(Show(replayed[2]), "7 T terminal DONE");
+  EXPECT_EQ((*journal)->stats().torn_tails_truncated, 0u);
+  // Key 7 is closed: the next append rotates and the old segment, which
+  // holds only key 7, compacts.
+  ASSERT_TRUE((*journal)->Append(8, "accept b", false).ok());
+  EXPECT_EQ((*journal)->stats().segments_compacted, 1u);
+}
+
+// A foreign file whose name looks like a segment but whose number does
+// not fit 64 bits is ignored like any other foreign file; a newest
+// segment numbered 2^64-1 refuses to open, since its rotation would wrap
+// to wal-00000000.log and replay out of order.
+TEST_F(JournalTest, SegmentNamesAtTheEdgeOf64Bits) {
+  {
+    StatusOr<std::unique_ptr<Journal>> journal = OpenCollecting(nullptr);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*journal)->Append(1, "accept a", false).ok());
+  }
+  const std::string stray = dir_ + "/wal-99999999999999999999.log";
+  std::ofstream(stray) << "not a segment";
+  std::vector<JournalRecord> replayed;
+  StatusOr<std::unique_ptr<Journal>> journal = OpenCollecting(&replayed);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(Show(replayed[0]), "1 - accept a");
+  EXPECT_EQ((*journal)->segment_count(), 1u);
+  journal = StatusOr<std::unique_ptr<Journal>>(nullptr);
+  EXPECT_TRUE(std::filesystem::exists(stray));
+
+  const std::string last = dir_ + "/wal-18446744073709551615.log";
+  std::ofstream(last).flush();
+  journal = OpenCollecting(nullptr);
+  EXPECT_EQ(journal.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(journal.status().message().find("wal-18446744073709551615.log"),
+            std::string::npos)
+      << journal.status().ToString();
+  EXPECT_TRUE(std::filesystem::exists(last));
 }
 
 // Seeded mutation test of replay, like the ones the wire parser and the

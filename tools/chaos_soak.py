@@ -24,15 +24,20 @@ TCP connections while rotating the failpoint schedule between them:
 A fifth phase exercises durability past process death on a fresh daemon
 pair sharing one --journal-dir:
 
-  E  kill-mid-load    a 1-worker daemon wedges its worker on a 30 s
-                      delay failpoint, accepts a backlog of jobs, and is
-                      SIGKILLed — no destructor, no flush. A second
-                      daemon on the same journal dir must report every
-                      accepted-but-unfinished job recovered (banner
+  E  kill-mid-load    a 1-worker daemon serves a few jobs to DONE, then
+                      wedges its worker on a 30 s delay failpoint,
+                      accepts a backlog of jobs, cancels one queued job
+                      of it, and is SIGKILLed — no destructor, no flush.
+                      Only the accepts and the CANCELLED terminal were
+                      fsynced; the attempt markers and the DONE terminals
+                      were only written, which SIGKILL cannot lose. A
+                      second daemon on the same journal dir must report
+                      exactly the wedged backlog recovered (banner
                       recovered=N, marioh_jobs_recovered_total=N in the
                       `metrics` scrape and --metrics-json), run each to
-                      DONE under its ORIGINAL job id, and keep the
-                      counter partition exact: zero accepted jobs lost.
+                      DONE under its ORIGINAL job id, never bring back a
+                      DONE or CANCELLED job, and keep the counter
+                      partition exact: zero accepted jobs lost.
 
 Then SIGTERMs the daemon and asserts from its --metrics-json snapshot:
 
@@ -74,6 +79,7 @@ JOBS_PHASE_A = 5         # retry-storm jobs per connection
 JOBS_PHASE_B = 3         # wire-storm jobs per connection
 JOBS_PHASE_D = 2         # recovery jobs per connection
 JOBS_PHASE_E = 6         # backlog accepted, then SIGKILLed mid-load
+DONE_PHASE_E = 3         # served to DONE before the wedge
 FAILPOINT_SEED = "427"   # fixed: a failing run replays bit-for-bit
 STALL_TIMEOUT = 1.0      # watchdog budget for phase C (seconds)
 
@@ -168,26 +174,43 @@ def run_phase(name, port, tally, jobs, submit_suffix="",
 
 def run_kill_phase(binary, metrics_path):
     """Phase E: SIGKILL a journaling daemon mid-load; its successor on the
-    same journal dir must lose zero accepted jobs."""
+    same journal dir must lose zero accepted jobs and bring back no
+    finished one."""
     journal_dir = metrics_path + ".journal"
     shutil.rmtree(journal_dir, ignore_errors=True)
-    print("chaos_soak: phase E (kill-mid-load): %d jobs, then SIGKILL"
-          % JOBS_PHASE_E)
+    wedged = JOBS_PHASE_E - 1  # the backlog less the one cancelled job
+    print("chaos_soak: phase E (kill-mid-load): %d jobs DONE, %d accepted, "
+          "1 cancelled, then SIGKILL" % (DONE_PHASE_E, JOBS_PHASE_E))
 
-    # Daemon A: one worker, wedged on a 30 s delay, accepts a backlog.
-    # Every `ok job N` reply is preceded by an fsynced journal append, so
-    # the SIGKILL below — no destructor, no flush — must not lose any.
+    # Daemon A: one worker. It serves a few jobs to DONE, then wedges on a
+    # 30 s delay and accepts a backlog, one of which is cancelled while
+    # queued. Every `ok job N` reply and the cancel's reply are preceded
+    # by an fsynced journal append; the attempt markers and DONE
+    # terminals are written without an fsync. The SIGKILL below — no
+    # destructor, no flush — must lose none of them.
     daemon = subprocess.Popen(
         [binary, "--port", "0", "--workers", "1",
          "--journal-dir", journal_dir, "--allow-failpoint-admin"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     ids = []
+    finished = []
     try:
         port = int(read_banner(daemon)["port"])
         admin = Client(port)
         reply = admin.request("gen soak crime 42")
         if not reply.startswith("ok generated"):
             fail("phase E gen failed: %r" % reply)
+        for s in range(DONE_PHASE_E):
+            reply = admin.request(
+                "submit method=MaxClique target=soak.target "
+                "truth=soak.truth seed=%d client=finisher" % (s + 1))
+            if not reply.startswith("ok job "):
+                fail("phase E submit rejected: %r" % reply)
+            finished.append(reply.split()[2])
+            reply = admin.request("wait " + finished[-1])
+            if "state=DONE" not in reply:
+                fail("phase E job %s did not finish before the wedge: %r"
+                     % (finished[-1], reply))
         reply = admin.request("failpoints session.reconstruct=delay:30000")
         if not reply.startswith("ok failpoints"):
             fail("phase E failpoint admin rejected: %r" % reply)
@@ -198,6 +221,13 @@ def run_kill_phase(binary, metrics_path):
             if not reply.startswith("ok job "):
                 fail("phase E submit rejected: %r" % reply)
             ids.append(reply.split()[2])
+        # The last job queues behind the wedged first one on the only
+        # worker, so this cancel journals a terminal CANCELLED.
+        cancelled = ids.pop()
+        reply = admin.request("cancel " + cancelled)
+        if reply != "ok cancel " + cancelled:
+            fail("phase E cancel of queued job %s: %r" % (cancelled, reply))
+        finished.append(cancelled)
     finally:
         daemon.kill()  # SIGKILL: the worker dies mid-delay, queue and all
         daemon.wait()
@@ -211,9 +241,9 @@ def run_kill_phase(binary, metrics_path):
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
         fields = read_banner(daemon)
-        if fields.get("recovered") != str(JOBS_PHASE_E):
+        if fields.get("recovered") != str(wedged):
             fail("phase E banner recovered=%s; expected %d (ids %s)"
-                 % (fields.get("recovered"), JOBS_PHASE_E, ids))
+                 % (fields.get("recovered"), wedged, ids))
         port = int(fields["port"])
         client = Client(port)
         for job_id in ids:
@@ -221,10 +251,16 @@ def run_kill_phase(binary, metrics_path):
             if "state=DONE" not in reply:
                 fail("phase E recovered job %s did not finish: %r"
                      % (job_id, reply))
+        # A DONE or CANCELLED key is closed: its job must not come back.
+        for job_id in finished:
+            reply = client.request("poll " + job_id)
+            if not reply.startswith("error NOT_FOUND"):
+                fail("phase E finished job %s came back: %r"
+                     % (job_id, reply))
         recovered = client.scrape_metrics()["marioh_jobs_recovered_total"]
-        if recovered != JOBS_PHASE_E:
+        if recovered != wedged:
             fail("phase E metrics jobs_recovered=%s; expected %d"
-                 % (recovered, JOBS_PHASE_E))
+                 % (recovered, wedged))
         client.request("quit")
         client.close()
 
@@ -243,15 +279,16 @@ def run_kill_phase(binary, metrics_path):
 
     snapshot = load_metrics_json(metrics_path)
     assert_partition(snapshot, "phase E snapshot")
-    if snapshot["marioh_jobs_recovered_total"] != JOBS_PHASE_E:
+    if snapshot["marioh_jobs_recovered_total"] != wedged:
         fail("phase E snapshot jobs_recovered=%d; expected %d"
-             % (snapshot["marioh_jobs_recovered_total"], JOBS_PHASE_E))
-    if snapshot["marioh_jobs_done_total"] < JOBS_PHASE_E:
+             % (snapshot["marioh_jobs_recovered_total"], wedged))
+    if snapshot["marioh_jobs_done_total"] < wedged:
         fail("phase E snapshot done=%d < %d recovered jobs"
-             % (snapshot["marioh_jobs_done_total"], JOBS_PHASE_E))
+             % (snapshot["marioh_jobs_done_total"], wedged))
     shutil.rmtree(journal_dir, ignore_errors=True)
     print("chaos_soak: phase E: OK — %d jobs survived SIGKILL, zero lost, "
-          "all DONE under original ids, partition holds" % JOBS_PHASE_E)
+          "all DONE under original ids, %d finished jobs stayed closed, "
+          "partition holds" % (wedged, len(finished)))
 
 
 def main():
