@@ -432,7 +432,7 @@ TEST_F(JournalTest, WrittenRecordsSurviveSigkill) {
 // A foreign file whose name looks like a segment but whose number does
 // not fit 64 bits is ignored like any other foreign file; a newest
 // segment numbered 2^64-1 refuses to open, since its rotation would wrap
-// to wal-00000000.log and replay out of order.
+// to wal-00000000.log and replay out of order, and no rotation wraps.
 TEST_F(JournalTest, SegmentNamesAtTheEdgeOf64Bits) {
   {
     StatusOr<std::unique_ptr<Journal>> journal = OpenCollecting(nullptr);
@@ -452,12 +452,27 @@ TEST_F(JournalTest, SegmentNamesAtTheEdgeOf64Bits) {
 
   const std::string last = dir_ + "/wal-18446744073709551615.log";
   std::ofstream(last).flush();
-  journal = OpenCollecting(nullptr);
+  journal = Journal::Open(dir_, nullptr);
   EXPECT_EQ(journal.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(journal.status().message().find("wal-18446744073709551615.log"),
             std::string::npos)
       << journal.status().ToString();
   EXPECT_TRUE(std::filesystem::exists(last));
+
+  // One below the last opens, rotates once into the last number, and
+  // then refuses the rotation that would wrap.
+  std::filesystem::remove(last);
+  std::ofstream(dir_ + "/wal-18446744073709551614.log").flush();
+  JournalOptions options;
+  options.rotate_bytes = 1;
+  journal = Journal::Open(dir_, nullptr, options);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_TRUE((*journal)->Append(2, "accept b", false).ok());
+  ASSERT_TRUE((*journal)->Append(3, "accept c", false).ok());
+  EXPECT_TRUE(std::filesystem::exists(last));
+  EXPECT_EQ((*journal)->Append(4, "accept d", false).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(std::filesystem::exists(SegmentPath(0)));
 }
 
 // Seeded mutation test of replay, like the ones the wire parser and the
